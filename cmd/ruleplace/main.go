@@ -212,8 +212,8 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("flight      : %d of %d events retained (%d dropped, %d sampled) -> %s\n",
-			len(d.Events), d.Seen, d.Dropped, d.Sampled, *flightOut)
+		fmt.Printf("flight      : %d of %d events retained (%d dropped) -> %s\n",
+			len(d.Events), d.Seen, d.Dropped, *flightOut)
 	}
 	fmt.Printf("status      : %v\n", pl.Status)
 	fmt.Printf("solve time  : %v\n", time.Since(start).Round(time.Millisecond))

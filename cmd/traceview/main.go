@@ -4,7 +4,7 @@
 // node-limit, shed, or panic (flight-<trace_id>.jsonl) — and prints
 // the search summary: node-outcome histogram, gap convergence, final
 // status, and, for flight dumps, the loss accounting (events retained
-// vs seen, dropped under contention, sampled away).
+// vs seen, dropped under contention).
 //
 // Usage:
 //

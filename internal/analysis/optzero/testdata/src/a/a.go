@@ -52,7 +52,6 @@ func negatives() {
 	_ = daemon.Config{}
 	_ = obs.WindowOpts{Intervals: 5} // non-empty: a window shape was considered
 	_ = obs.FlightOpts{Size: 1024}
-	_ = obs.FlightOpts{SampleHot: 8} // non-empty: a ring shape was considered
 	//lint:optzero test recorder: default ring size acceptable
 	_ = obs.FlightOpts{}
 	_ = daemon.Config{MaxInFlight: 2, FlightEvents: 256, ProfileThreshold: time.Second}

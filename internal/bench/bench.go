@@ -140,11 +140,8 @@ type Result struct {
 	LostSubtrees     int
 	PrunedStale      int
 	Incumbents       int
-	// CutsAdded/CutRoundsRoot report root cover-cut separation;
 	// StrongBranchEvals counts reliability-branching trials;
 	// WarmStartReuses counts warm-started node LPs.
-	CutsAdded         int
-	CutRoundsRoot     int
 	StrongBranchEvals int
 	WarmStartReuses   int
 	// StopReason says why the search ended early ("none" when the tree
@@ -156,7 +153,7 @@ type Result struct {
 	Gap        float64
 	// LastIncumbentAtNode is the B&B node that produced the final
 	// incumbent (0 when none); RootGap is the gap the tree had to close
-	// from the post-cut root relaxation (-1 undefined).
+	// from the root relaxation (-1 undefined).
 	LastIncumbentAtNode int
 	RootGap             float64
 }
@@ -189,8 +186,6 @@ func Run(cfg Config) (Result, error) {
 		LostSubtrees:        pl.Stats.LostSubtrees,
 		PrunedStale:         pl.Stats.PrunedStale,
 		Incumbents:          pl.Stats.Incumbents,
-		CutsAdded:           pl.Stats.CutsAdded,
-		CutRoundsRoot:       pl.Stats.CutRoundsRoot,
 		StrongBranchEvals:   pl.Stats.StrongBranchEvals,
 		WarmStartReuses:     pl.Stats.WarmStartReuses,
 		StopReason:          pl.Stats.StopReason.String(),

@@ -76,8 +76,6 @@ func goldenReport() *Report {
 					LostSubtrees:      0,
 					PrunedStale:       1,
 					Incumbents:        2,
-					CutsAdded:         3,
-					CutRoundsRoot:     2,
 					StrongBranchEvals: 12,
 					WarmStartReuses:   7,
 					StopReason:        "none",

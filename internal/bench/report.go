@@ -96,10 +96,7 @@ type RunRecord struct {
 	PrunedStale      int `json:"pruned_stale"`
 	Incumbents       int `json:"incumbents"`
 	// Solver-speed mechanisms (additive; absent in older reports):
-	// root cover cuts, reliability strong-branch trials, and
-	// warm-started node LPs.
-	CutsAdded         int    `json:"cuts_added"`
-	CutRoundsRoot     int    `json:"cut_rounds_root"`
+	// reliability strong-branch trials and warm-started node LPs.
 	StrongBranchEvals int    `json:"strong_branch_evals"`
 	WarmStartReuses   int    `json:"warm_start_reuses"`
 	StopReason        string `json:"stop_reason"`
@@ -197,8 +194,6 @@ func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCou
 						LostSubtrees:        r.LostSubtrees,
 						PrunedStale:         r.PrunedStale,
 						Incumbents:          r.Incumbents,
-						CutsAdded:           r.CutsAdded,
-						CutRoundsRoot:       r.CutRoundsRoot,
 						StrongBranchEvals:   r.StrongBranchEvals,
 						WarmStartReuses:     r.WarmStartReuses,
 						StopReason:          r.StopReason,

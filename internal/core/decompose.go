@@ -116,7 +116,7 @@ func solveSub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (
 	sub := &Problem{Network: prob.Network, Routing: prob.Routing, Policies: []*policy.Policy{pol}}
 	subSp := span.Child("sub_solve")
 	defer subSp.End()
-	enc, err := buildEncoding(sub, opts, subSp.Child("encode"))
+	enc, err := encodeTraced(sub, opts, subSp)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +159,6 @@ func stitch(frags []*Placement, opts Options) *Placement {
 		s.LostSubtrees += f.LostSubtrees
 		s.PrunedStale += f.PrunedStale
 		s.Incumbents += f.Incumbents
-		s.CutsAdded += f.CutsAdded
-		s.CutRoundsRoot += f.CutRoundsRoot
 		s.StrongBranchEvals += f.StrongBranchEvals
 		s.WarmStartReuses += f.WarmStartReuses
 		s.BestBound += f.BestBound
@@ -188,9 +186,9 @@ func stitch(frags []*Placement, opts Options) *Placement {
 // renderings (not hashes) make collisions impossible.
 func subSolutionKey(prob *Problem, pol *policy.Policy, opts Options) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "o=%d b=%d rr=%t ps=%t dp=%t dc=%t w=%d tl=%d\x00",
+	fmt.Fprintf(&sb, "o=%d b=%d rr=%t ps=%t dp=%t w=%d tl=%d\x00",
 		opts.Objective, opts.Backend, opts.RemoveRedundant, opts.PathSlicing,
-		opts.DisablePresolve, opts.DisableCuts, opts.Workers, int64(opts.TimeLimit))
+		opts.DisablePresolve, opts.Workers, int64(opts.TimeLimit))
 	sb.WriteString(pol.String())
 	sb.WriteByte(0)
 	ps := prob.Routing.Sets[topology.PortID(pol.Ingress)]

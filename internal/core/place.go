@@ -36,17 +36,10 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 			return pl, nil
 		}
 	}
-	encSp := place.Child("encode")
-	enc, err := buildEncoding(prob, opts, encSp)
+	enc, err := encodeTraced(prob, opts, place)
 	if err != nil {
-		encSp.End()
 		return nil, err
 	}
-	if encSp != nil {
-		encSp.SetCount("vars", int64(len(enc.vars)))
-		encSp.SetCount("constraints", int64(enc.numConstraints()))
-	}
-	encSp.End()
 	if enc.infeasibleReason != "" {
 		// The encoding itself proved the instance unsatisfiable (e.g. a
 		// monitoring constraint leaves a DROP rule nowhere to go).
@@ -80,6 +73,19 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 	return pl, nil
 }
 
+// encodeTraced runs buildEncoding under an "encode" child of span and
+// ends that span on every path, recording the encoding's size.
+func encodeTraced(prob *Problem, opts Options, span *obs.Span) (*encoding, error) {
+	sp := span.Child("encode")
+	defer sp.End()
+	enc, err := buildEncoding(prob, opts, sp)
+	if err == nil && sp != nil {
+		sp.SetCount("vars", int64(len(enc.vars)))
+		sp.SetCount("constraints", int64(enc.numConstraints()))
+	}
+	return enc, err
+}
+
 // solveILP encodes to the MILP solver (Eqs. 1–5) and extracts the result.
 func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	buildSp := span.Child("model_build")
@@ -93,7 +99,6 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	sol, err := ilp.Solve(m, ilp.Options{
 		TimeLimit:       opts.TimeLimit,
 		DisablePresolve: opts.DisablePresolve,
-		DisableCuts:     opts.DisableCuts,
 		Workers:         opts.Workers,
 		Sink:            opts.SolverSink,
 		TraceID:         opts.traceID(),
@@ -120,8 +125,6 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	pl.Stats.LostSubtrees = sol.Stats.LostSubtrees
 	pl.Stats.PrunedStale = sol.Stats.PrunedStale
 	pl.Stats.Incumbents = sol.Stats.Incumbents
-	pl.Stats.CutsAdded = sol.Stats.CutsAdded
-	pl.Stats.CutRoundsRoot = sol.Stats.CutRoundsRoot
 	pl.Stats.StrongBranchEvals = sol.Stats.StrongBranchEvals
 	pl.Stats.WarmStartReuses = sol.Stats.WarmStartReuses
 	pl.Stats.StopReason = sol.Stats.StopReason

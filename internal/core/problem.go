@@ -116,9 +116,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// DisablePresolve turns off ILP presolve (ablation).
 	DisablePresolve bool
-	// DisableCuts turns off the ILP solver's root cover-cut separation
-	// (ablation; the placement is identical either way).
-	DisableCuts bool
 	// Workers sets the ILP branch & bound parallelism (0 = GOMAXPROCS).
 	// The placement returned is independent of the worker count.
 	Workers int
@@ -296,12 +293,9 @@ type Stats struct {
 	LostSubtrees     int
 	PrunedStale      int
 	Incumbents       int
-	// CutsAdded/CutRoundsRoot report the solver's root cover-cut
-	// separation; StrongBranchEvals counts reliability-branching trials;
+	// StrongBranchEvals counts reliability-branching trials;
 	// WarmStartReuses counts node LPs solved from the parent's factored
-	// basis (all ILP backend).
-	CutsAdded         int
-	CutRoundsRoot     int
+	// basis (both ILP backend).
 	StrongBranchEvals int
 	WarmStartReuses   int
 	// StopReason says why the ILP search ended early (ilp.StopNone when
@@ -315,7 +309,7 @@ type Stats struct {
 	Gap       float64
 	// LastIncumbentAtNode is the B&B node id that produced the final
 	// incumbent (0 when none); RootGap is the gap the tree search had to
-	// close from the post-cut root relaxation (-1 undefined). Both ILP
+	// close from the root relaxation (-1 undefined). Both ILP
 	// backend.
 	LastIncumbentAtNode int
 	RootGap             float64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +47,56 @@ func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 					t.Fatalf("workers=%d: trace roots = %v", w, tr.Roots())
 				}
 			}
+		})
+	}
+}
+
+// TestPlaceEndsEverySpan: when Place returns, every span it opened has
+// ended, so Trace.Render and its consumers never read a zero wall time.
+// Covers the three span layouts: a decomposed answer (per-policy
+// sub-solves), a rejected stitch that falls back to the joint solve,
+// and a merging answer (joint solve only).
+func TestPlaceEndsEverySpan(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func(*testing.T) *Problem
+		merging bool
+		phases  string // the place span's children, in order
+	}{
+		{"decomposed", determinismProblem, false, "decompose"},
+		{"stitch-rejected", sharedBottleneckProblem, false, "decompose encode model_build solve extract"},
+		{"merging", determinismProblem, true, "encode model_build solve extract"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTrace()
+			if _, err := Place(tc.build(t), Options{
+				Merging: tc.merging, TimeLimit: 60 * time.Second, Trace: tr,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			roots := tr.Roots()
+			if len(roots) != 1 {
+				t.Fatalf("trace has %d roots, want 1", len(roots))
+			}
+			var phases []string
+			for _, ch := range roots[0].Children() {
+				phases = append(phases, ch.Name())
+			}
+			if got := strings.Join(phases, " "); got != tc.phases {
+				t.Fatalf("place phases %q, want %q", got, tc.phases)
+			}
+			var walk func(sp *obs.Span, path string)
+			walk = func(sp *obs.Span, path string) {
+				path += "/" + sp.Name()
+				if sp.Wall() <= 0 {
+					t.Errorf("span %s never ended", path)
+				}
+				for _, ch := range sp.Children() {
+					walk(ch, path)
+				}
+			}
+			walk(roots[0], "")
 		})
 	}
 }

@@ -272,13 +272,15 @@ func TestSessionNotFound(t *testing.T) {
 // TestSessionConcurrentDeltas fires commutative deltas concurrently
 // at one session: they serialize into distinct monotone versions and
 // a final placement identical to a cold solve of all deltas applied.
+// The queue admits the whole burst: with n > MaxInFlight and no queue,
+// overlapping requests would be shed with 429 by design.
 func TestSessionConcurrentDeltas(t *testing.T) {
+	const n = 5
 	specJSON := testSpec(t, 6)
-	_, base := startDaemon(t, Config{MaxInFlight: 4})
+	_, base := startDaemon(t, Config{MaxInFlight: 4, MaxQueue: n})
 	explicit := explicitSpec(t, specJSON)
 	sr, _ := createSession(t, base, specJSON)
 
-	const n = 5
 	versions := make([]uint64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -76,7 +76,7 @@ func BenchmarkLPRelaxation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newLPSolver(m, lo, hi, nil)
+		s := newLPSolver(m, lo, hi)
 		s.initBasis()
 		if _, err := s.solveLP(); err != nil {
 			b.Fatal(err)

@@ -61,8 +61,8 @@ func TestSolveFlightRecorderMatchesFullTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := rec.Dump()
-	if d.Dropped != 0 || d.Sampled != 0 {
-		t.Fatalf("single-writer unwrapped ring lost events: dropped=%d sampled=%d", d.Dropped, d.Sampled)
+	if d.Dropped != 0 {
+		t.Fatalf("single-writer unwrapped ring lost events: dropped=%d", d.Dropped)
 	}
 	if !reflect.DeepEqual(d.Events, full.Events()) {
 		t.Fatalf("ring retained %d events, full trace has %d — streams differ",

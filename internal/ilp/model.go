@@ -272,10 +272,6 @@ type Stats struct {
 	// branching is meant to improve.
 	LastIncumbentAtNode int
 
-	// CutsAdded counts lifted cover cuts accepted into the root pool, and
-	// CutRoundsRoot the last root separation round that found work.
-	CutsAdded     int
-	CutRoundsRoot int
 	// StrongBranchEvals counts reliability-initialization dual-simplex
 	// trials; WarmStartReuses counts node LPs solved from the parent's
 	// factored basis instead of the cold repair path.
@@ -295,7 +291,7 @@ type Stats struct {
 	// rather than NaN/Inf so Stats stays JSON-encodable.
 	Gap float64
 	// RootGap is the relative gap the tree search had to close: the
-	// final objective against the root relaxation bound after cuts,
+	// final objective against the root relaxation bound,
 	// (Objective - root) / max(|Objective|, 1e-9), >= 0. -1 when
 	// undefined (no incumbent, or the root LP never completed).
 	RootGap float64

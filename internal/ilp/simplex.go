@@ -113,16 +113,10 @@ type lpSolver struct {
 
 // newLPSolver builds standard form from a model's continuous relaxation,
 // using the bounds arrays provided (which may be tightened copies of the
-// model's own bounds). extra holds rows appended after the model's own
-// constraints (root cutting planes); pass nil for the plain relaxation.
-func newLPSolver(m *Model, lo, hi []float64, extra []Constraint) *lpSolver {
+// model's own bounds).
+func newLPSolver(m *Model, lo, hi []float64) *lpSolver {
 	nStruct := len(m.vars)
 	rows := m.cons
-	if len(extra) > 0 {
-		rows = make([]Constraint, 0, len(m.cons)+len(extra))
-		rows = append(rows, m.cons...)
-		rows = append(rows, extra...)
-	}
 	nRows := len(rows)
 	base := nStruct + nRows
 	s := &lpSolver{

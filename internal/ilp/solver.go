@@ -27,10 +27,6 @@ type Options struct {
 	// FullPricing forces full Dantzig pricing on every simplex
 	// iteration instead of partial pricing (debug/ablation).
 	FullPricing bool
-	// DisableCuts turns off root cover-cut separation (ablation and the
-	// cuts-identity check; default on). Cuts never change the returned
-	// optimum — only how fast the search proves it.
-	DisableCuts bool
 	// Workers is the number of branch & bound worker goroutines
 	// (0 = GOMAXPROCS). The solve status, objective, and solution are
 	// independent of the worker count: nodes are expanded in fixed-size
@@ -169,8 +165,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 		nodeCap:     opts.NodeLimit,
 		stats:       stats,
 		fullPricing: opts.FullPricing,
-		disableCuts: opts.DisableCuts,
-		presolveOff: opts.DisablePresolve,
 		workers:     workers,
 		sink:        opts.Sink,
 		span:        opts.Span,
@@ -312,11 +306,10 @@ const (
 	// be a pure function of the instance for Workers=1/2/8 to return
 	// identical results. Workers beyond batchNodes cannot be kept busy.
 	batchNodes = 16
-	// deadlineEveryNodes is roughly how many nodes pass between
-	// wall-clock deadline polls, keeping time.Now off the per-node hot
-	// path during single-node dive rounds (the deadline is also polled
-	// after every round that improves the incumbent).
-	deadlineEveryNodes = 64
+	// progressEveryNodes is roughly how many nodes pass between live
+	// progress snapshots (one is also published after every round that
+	// improves the incumbent).
+	progressEveryNodes = 64
 	// lexTol is the per-component tolerance of the lexicographic
 	// incumbent comparison; integer components are rounded before the
 	// comparison, so distinct placements differ by at least 1.
@@ -375,16 +368,14 @@ type bnb struct {
 	traceID  string
 	labels   bool
 
-	// rootBound is the root relaxation bound after the cut loop (ceiled
-	// when the objective is integral); haveRoot marks it valid. Feeds
-	// Stats.RootGap and progress snapshots before the first incumbent.
+	// rootBound is the root relaxation bound (ceiled when the objective
+	// is integral); haveRoot marks it valid. Feeds Stats.RootGap and
+	// progress snapshots before the first incumbent.
 	rootBound float64
 	haveRoot  bool
 
 	objIntegral bool
 	fullPricing bool
-	disableCuts bool
-	presolveOff bool
 
 	deque []*workItem // LIFO: dive-first children are pushed last
 
@@ -478,7 +469,7 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 	}
 	b.enterPhase("root_lp")
 	rootSp := b.span.Child("root_lp")
-	s := newLPSolver(m, lo, hi, nil)
+	s := newLPSolver(m, lo, hi)
 	s.deadline = b.deadline
 	s.fullPricing = b.fullPricing
 	s.initBasis()
@@ -499,27 +490,6 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 	case lpTimeLimit:
 		b.hitDeadline = true
 		return b.noSolution(LimitReached)
-	}
-
-	if !b.disableCuts {
-		b.enterPhase("cuts")
-		cutSp := b.span.Child("cuts")
-		var cst lpStatus
-		s, cst, err = b.rootCutLoop(s, lo, hi)
-		cutSp.SetCount("cuts", int64(b.stats.CutsAdded))
-		cutSp.End()
-		if err != nil {
-			return Solution{}, err
-		}
-		switch cst {
-		case lpInfeasible:
-			return b.noSolution(Infeasible)
-		case lpUnbounded:
-			return b.noSolution(Unbounded)
-		case lpTimeLimit:
-			b.hitDeadline = true
-			return b.noSolution(LimitReached)
-		}
 	}
 
 	// Pseudocost and strong-branch state (sequential sections only).
@@ -738,7 +708,7 @@ func (b *bnb) search(s *lpSolver) error {
 
 	batch := make([]*workItem, 0, batchNodes)
 	results := make([]nodeResult, batchNodes)
-	sinceDeadline := 0
+	sinceProgress := 0
 	for len(b.deque) > 0 {
 		width := 1
 		if b.haveInc {
@@ -779,7 +749,7 @@ func (b *bnb) search(s *lpSolver) error {
 				return err
 			}
 		}
-		sinceDeadline += len(batch)
+		sinceProgress += len(batch)
 		improved := b.haveInc && (!hadInc || b.incumbentObj < prevObj)
 		if improved && b.sink != nil {
 			// One point of the bound-gap time series per improving round.
@@ -794,19 +764,16 @@ func (b *bnb) search(s *lpSolver) error {
 		if b.hitNodeLimit {
 			return nil
 		}
-		// Poll the wall clock every ~deadlineEveryNodes nodes and after
-		// rounds that improved the incumbent, not per node. Progress
-		// snapshots share the cadence: bounded publish cost, and the
-		// wall clock is being read anyway.
-		if sinceDeadline >= deadlineEveryNodes || improved {
-			sinceDeadline = 0
-			if b.progress != nil {
-				b.publishProgress("search")
-			}
-			if b.deadlineExpired() {
-				b.hitDeadline = true
-				return nil
-			}
+		// Poll the wall clock once per round. A node LP stopped by the
+		// deadline implies the clock is past it, so the search ends
+		// after the first round that holds such a lost node.
+		if b.deadlineExpired() {
+			b.hitDeadline = true
+			return nil
+		}
+		if b.progress != nil && (sinceProgress >= progressEveryNodes || improved) {
+			sinceProgress = 0
+			b.publishProgress("search")
 		}
 	}
 	return nil
@@ -1058,77 +1025,6 @@ func (b *bnb) deadlineExpired() bool {
 	return !b.deadline.IsZero() && time.Now().After(b.deadline)
 }
 
-// fracVar returns the index of the most fractional integer variable in
-// the LP point x, or -1 if the point is integral.
-func (b *bnb) fracVar(x []float64) int {
-	best, bestDist := -1, 1e-6
-	for j, v := range b.model.vars {
-		if !v.integer {
-			continue
-		}
-		f := x[j] - math.Floor(x[j])
-		dist := math.Min(f, 1-f)
-		if dist > bestDist {
-			bestDist = dist
-			best = j
-		}
-	}
-	return best
-}
-
-// rootCutLoop strengthens the root relaxation with lifted cover cuts:
-// separate at the current LP point, age the pool, propagate bounds over
-// the fresh cut rows, rebuild the LP with the active cuts, and
-// re-solve. Returns the solver holding the final (possibly cut-
-// augmented) relaxation — the whole search then runs against that row
-// set, so work-item state vectors stay shape-consistent.
-func (b *bnb) rootCutLoop(s *lpSolver, lo, hi []float64) (*lpSolver, lpStatus, error) {
-	pool := newCutPool()
-	for round := 1; round <= cutRoundLimit; round++ {
-		x := s.primalValues()
-		if b.fracVar(x) < 0 {
-			break // relaxation already integral; cuts cannot tighten it
-		}
-		aged := pool.age(x)
-		fresh := separateCovers(b.model, lo, hi, x, pool)
-		if len(fresh) == 0 && !aged {
-			break
-		}
-		b.stats.CutsAdded += len(fresh)
-		b.stats.CutRoundsRoot = round
-		if b.sink != nil {
-			for _, c := range fresh {
-				b.emit(obs.Event{Kind: obs.KindCut, Node: round, Iters: len(c.Terms),
-					Bound: c.RHS, BranchVar: -1, Gap: -1})
-			}
-		}
-		if !b.presolveOff {
-			// Cuts are valid for every integer point, so bound propagation
-			// over them is sound and can fix variables before the re-solve.
-			for _, c := range fresh {
-				if propagateLE(b.model, c.Terms, c.RHS, lo, hi, &b.stats) == presolveInfeasible {
-					return s, lpInfeasible, nil
-				}
-			}
-		}
-		ns := newLPSolver(b.model, lo, hi, pool.rows())
-		ns.deadline = b.deadline
-		ns.fullPricing = b.fullPricing
-		ns.initBasis()
-		st, err := ns.solveLP()
-		b.stats.SimplexIters += ns.iters
-		b.stats.LURefactors += ns.refactors
-		if err != nil {
-			return s, 0, err
-		}
-		if st != lpOptimal {
-			return ns, st, nil
-		}
-		s = ns
-	}
-	return s, lpOptimal, nil
-}
-
 // selectBranch picks the branching variable for a solved node by
 // pseudocost product score, falling back to the global-average prior
 // (1.0 before any observation, which degenerates to most-fractional)
@@ -1363,9 +1259,4 @@ func VerifySolution(m *Model, values []float64) error {
 		}
 	}
 	return nil
-}
-
-// sortTermsByVar is a test helper ordering terms deterministically.
-func sortTermsByVar(terms []Term) {
-	sort.Slice(terms, func(a, b int) bool { return terms[a].Var < terms[b].Var })
 }

@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -392,7 +393,7 @@ func TestSolvePresolveAblation(t *testing.T) {
 
 func TestCombineTerms(t *testing.T) {
 	terms := combineTerms([]Term{{0, 1}, {1, 2}, {0, 3}, {2, 0}})
-	sortTermsByVar(terms)
+	sort.Slice(terms, func(a, b int) bool { return terms[a].Var < terms[b].Var })
 	if len(terms) != 2 || terms[0] != (Term{0, 4}) || terms[1] != (Term{1, 2}) {
 		t.Errorf("combined = %v", terms)
 	}

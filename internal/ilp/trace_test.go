@@ -171,6 +171,47 @@ func TestStopReasonDeadline(t *testing.T) {
 	}
 }
 
+// stallSink sleeps in the solver's sequential section when the root
+// node branches, so the deadline passes between the root and the tree
+// search.
+type stallSink struct{ d time.Duration }
+
+func (s stallSink) Event(e obs.Event) {
+	if e.Kind == obs.KindNode && e.Node == 1 && e.Outcome == obs.OutcomeBranched {
+		time.Sleep(s.d)
+	}
+}
+
+// TestSearchStopsAtDeadline: once the deadline has passed, the search
+// ends after the round in progress. The model is Jeroslow's 2·Σx = n
+// (n odd) with a continuous slack y ∈ [0, 0.5] that cannot repair the
+// parity: integer-infeasible with a fractional LP at every node of an
+// exponential tree, so the dive never finds an incumbent and each
+// round is one node. The search must stop after the first one rather
+// than keep expanding nodes until a periodic clock poll notices.
+func TestSearchStopsAtDeadline(t *testing.T) {
+	const n = 21
+	m := NewModel()
+	terms := make([]Term, n, n+1)
+	for i := range terms {
+		terms[i] = Term{Var: m.AddBinary("x", 1), Coef: 2}
+	}
+	terms = append(terms, Term{Var: m.AddVar("y", 0, 0.5, 0), Coef: 1})
+	m.AddConstraint(terms, EQ, n, "odd")
+	const limit = 50 * time.Millisecond
+	sol, err := Solve(m, Options{TimeLimit: limit, Workers: 1, Sink: stallSink{2 * limit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != LimitReached || sol.Stats.StopReason != StopDeadline {
+		t.Fatalf("status %v, stop reason %v; want %v at %v", sol.Status, sol.Stats.StopReason,
+			LimitReached, StopDeadline)
+	}
+	if sol.Stats.Nodes > 2 {
+		t.Fatalf("expanded %d nodes; want the root plus at most one round after the deadline", sol.Stats.Nodes)
+	}
+}
+
 // TestGapProvenOptimal asserts a clean optimal solve reports gap 0 with
 // BestBound equal to the objective.
 func TestGapProvenOptimal(t *testing.T) {

@@ -23,15 +23,11 @@ import (
 type FlightRecorder struct {
 	mu   sync.Mutex
 	ring []Event
-	next int    // ring index of the next write
-	wrap bool   // ring has wrapped at least once
-	hot  uint64 // node/skip events seen, for SampleHot decimation
-
-	opts FlightOpts
+	next int  // ring index of the next write
+	wrap bool // ring has wrapped at least once
 
 	seen    atomic.Uint64 // events offered to the recorder
 	dropped atomic.Uint64 // events lost to lock contention
-	sampled atomic.Uint64 // hot events intentionally decimated
 }
 
 // FlightOpts sizes a FlightRecorder. The zero value is NOT a valid
@@ -42,28 +38,14 @@ type FlightOpts struct {
 	// Size is the ring capacity in events (default 4096). The ring keeps
 	// the most recent Size events; older ones are overwritten.
 	Size int
-	// SampleHot, when > 1, records only every SampleHot-th high-volume
-	// event (node expansions and stale skips), stretching the ring's
-	// time window on deep searches. Low-volume events (incumbents, gap
-	// points, done) are always recorded. Default 1: record everything.
-	SampleHot int
-}
-
-// defaults fills unset fields.
-func (o FlightOpts) defaults() FlightOpts {
-	if o.Size <= 0 {
-		o.Size = 4096
-	}
-	if o.SampleHot < 1 {
-		o.SampleHot = 1
-	}
-	return o
 }
 
 // NewFlightRecorder returns a recorder with the given ring size.
 func NewFlightRecorder(opts FlightOpts) *FlightRecorder {
-	opts = opts.defaults()
-	return &FlightRecorder{ring: make([]Event, opts.Size), opts: opts}
+	if opts.Size <= 0 {
+		opts.Size = 4096
+	}
+	return &FlightRecorder{ring: make([]Event, opts.Size)}
 }
 
 // Event records one event, or drops it if the ring is contended.
@@ -72,14 +54,6 @@ func (r *FlightRecorder) Event(e Event) {
 	if !r.mu.TryLock() {
 		r.dropped.Add(1)
 		return
-	}
-	if r.opts.SampleHot > 1 && (e.Kind == KindNode || e.Kind == KindSkip) {
-		r.hot++
-		if r.hot%uint64(r.opts.SampleHot) != 0 {
-			r.mu.Unlock()
-			r.sampled.Add(1)
-			return
-		}
 	}
 	r.ring[r.next] = e
 	r.next++ //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
@@ -92,8 +66,7 @@ func (r *FlightRecorder) Event(e Event) {
 
 // FlightDump is a point-in-time copy of the recorder's contents plus
 // its loss accounting. Seen >= len(Events): the difference is events
-// overwritten by the ring, dropped under contention, or decimated by
-// SampleHot.
+// overwritten by the ring or dropped under contention.
 type FlightDump struct {
 	// Events holds the retained events, oldest first.
 	Events []Event
@@ -102,8 +75,6 @@ type FlightDump struct {
 	// Dropped counts events lost to lock contention (a Dump in
 	// progress, or concurrent solves sharing the recorder).
 	Dropped uint64
-	// Sampled counts hot events decimated by FlightOpts.SampleHot.
-	Sampled uint64
 }
 
 // Dump snapshots the ring. It takes the lock (blocking), so concurrent
@@ -114,7 +85,6 @@ func (r *FlightRecorder) Dump() FlightDump {
 	d := FlightDump{
 		Seen:    r.seen.Load(),
 		Dropped: r.dropped.Load(),
-		Sampled: r.sampled.Load(),
 	}
 	if r.wrap {
 		d.Events = make([]Event, 0, len(r.ring))
@@ -136,8 +106,7 @@ func (r *FlightRecorder) Dump() FlightDump {
 func (d FlightDump) WriteJSONL(w io.Writer) error {
 	jw := NewJSONLWriter(w)
 	jw.Event(Event{Kind: KindFlightMeta, Node: len(d.Events),
-		Seen: int(d.Seen), Dropped: int(d.Dropped), Sampled: int(d.Sampled),
-		BranchVar: -1, Gap: -1})
+		Seen: int(d.Seen), Dropped: int(d.Dropped), BranchVar: -1, Gap: -1})
 	for _, e := range d.Events {
 		jw.Event(e)
 	}

@@ -24,8 +24,8 @@ func TestFlightRingWraparound(t *testing.T) {
 	if d.Seen != 10 {
 		t.Fatalf("Seen = %d, want 10", d.Seen)
 	}
-	if d.Dropped != 0 || d.Sampled != 0 {
-		t.Fatalf("unexpected loss accounting: dropped=%d sampled=%d", d.Dropped, d.Sampled)
+	if d.Dropped != 0 {
+		t.Fatalf("unexpected loss accounting: dropped=%d", d.Dropped)
 	}
 }
 
@@ -66,38 +66,10 @@ func TestFlightRingDroppedUnderContention(t *testing.T) {
 	}
 }
 
-func TestFlightRingSampleHot(t *testing.T) {
-	r := NewFlightRecorder(FlightOpts{Size: 64, SampleHot: 4})
-	for i := 1; i <= 16; i++ {
-		r.Event(Event{Kind: KindNode, Node: i})
-	}
-	// Low-volume kinds are never decimated.
-	r.Event(Event{Kind: KindIncumbent, Node: 17})
-	r.Event(Event{Kind: KindDone, Node: 18})
-	d := r.Dump()
-	if d.Sampled != 12 {
-		t.Fatalf("Sampled = %d, want 12 (16 hot events at 1-in-4)", d.Sampled)
-	}
-	var nodes, other int
-	for _, e := range d.Events {
-		if e.Kind == KindNode {
-			nodes++
-		} else {
-			other++
-		}
-	}
-	if nodes != 4 {
-		t.Fatalf("retained %d node events, want 4", nodes)
-	}
-	if other != 2 {
-		t.Fatalf("retained %d low-volume events, want 2 (incumbent+done always kept)", other)
-	}
-}
-
 // TestFlightRingDumpWhileRecording exercises the Dump-vs-Event race the
 // recorder is designed around: under -race this must be clean, and the
 // loss accounting must balance — every offered event is either retained,
-// overwritten (ring), dropped, or sampled; none vanish unaccounted.
+// overwritten (ring) or dropped; none vanish unaccounted.
 func TestFlightRingDumpWhileRecording(t *testing.T) {
 	r := NewFlightRecorder(FlightOpts{Size: 32})
 	const writers, perWriter = 4, 500
@@ -128,9 +100,8 @@ func TestFlightRingDumpWhileRecording(t *testing.T) {
 	if d.Seen != writers*perWriter {
 		t.Fatalf("Seen = %d, want %d", d.Seen, writers*perWriter)
 	}
-	if d.Dropped+d.Sampled > d.Seen {
-		t.Fatalf("loss accounting exceeds offers: dropped=%d sampled=%d seen=%d",
-			d.Dropped, d.Sampled, d.Seen)
+	if d.Dropped > d.Seen {
+		t.Fatalf("loss accounting exceeds offers: dropped=%d seen=%d", d.Dropped, d.Seen)
 	}
 }
 
@@ -165,12 +136,9 @@ func TestFlightDumpWriteJSONL(t *testing.T) {
 }
 
 func TestFlightOptsDefaults(t *testing.T) {
-	r := NewFlightRecorder(FlightOpts{Size: -1, SampleHot: 0}) //lint:optzero defaults under test
+	r := NewFlightRecorder(FlightOpts{Size: -1})
 	if len(r.ring) != 4096 {
 		t.Fatalf("default ring size %d, want 4096", len(r.ring))
-	}
-	if r.opts.SampleHot != 1 {
-		t.Fatalf("default SampleHot %d, want 1", r.opts.SampleHot)
 	}
 }
 

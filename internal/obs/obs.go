@@ -39,10 +39,6 @@ const (
 	KindPresolve = "presolve"
 	// KindRootLP reports the root relaxation (Bound, Iters, Refactors).
 	KindRootLP = "root_lp"
-	// KindCut reports one lifted cover cut accepted into the root pool
-	// (Node carries the separation round, Iters the cut length, Bound the
-	// cut RHS). Emitted only from the sequential root cut loop.
-	KindCut = "cut_added"
 	// KindPseudocostInit reports one reliability strong-branching
 	// initialization (Node, BranchVar, Frac, Iters spent on the trials).
 	// Emitted only from the sequential merge sections.
@@ -66,8 +62,8 @@ const (
 	// (Reason), node/iteration totals, Incumbent, BestBound, Gap.
 	KindDone = "done"
 	// KindFlightMeta heads a flight-recorder dump (see FlightRecorder):
-	// Node carries the retained event count, Seen/Dropped/Sampled the
-	// loss accounting. Never emitted by the solver itself; its presence
+	// Node carries the retained event count, Seen/Dropped the loss
+	// accounting. Never emitted by the solver itself; its presence
 	// marks a trace as a partial (ring-buffer) dump.
 	KindFlightMeta = "flight_meta"
 )
@@ -131,11 +127,10 @@ type Event struct {
 	Gap float64 `json:"gap"`
 	// Reason is the stop reason (KindDone only).
 	Reason string `json:"reason,omitempty"`
-	// Seen/Dropped/Sampled carry a flight dump's loss accounting
+	// Seen/Dropped carry a flight dump's loss accounting
 	// (KindFlightMeta only; zero and omitted on solver events).
 	Seen    int `json:"seen,omitempty"`
 	Dropped int `json:"dropped,omitempty"`
-	Sampled int `json:"sampled,omitempty"`
 	// TimeMS is milliseconds since solve start. Timing field:
 	// informational only, excluded from determinism comparisons.
 	TimeMS float64 `json:"time_ms"`

@@ -11,8 +11,8 @@ type ProgressSnapshot struct {
 	// TraceID joins the snapshot to its request ("" when unscoped).
 	TraceID string `json:"trace_id,omitempty"`
 	// Phase is where the solve currently is: "admitted" (daemon slot
-	// held, solver not yet entered), "presolve", "root_lp", "cuts",
-	// "search", or "done".
+	// held, solver not yet entered), "presolve", "root_lp", "search",
+	// or "done".
 	Phase string `json:"phase"`
 	// Nodes is the branch & bound nodes expanded so far.
 	Nodes int `json:"nodes"`

@@ -47,7 +47,6 @@ type Summary struct {
 	Partial       bool `json:"partial,omitempty"`
 	SeenEvents    int  `json:"seen_events,omitempty"`
 	DroppedEvents int  `json:"dropped_events,omitempty"`
-	SampledEvents int  `json:"sampled_events,omitempty"`
 	hasDone       bool
 }
 
@@ -100,7 +99,6 @@ func Of(events []obs.Event) *Summary {
 			s.Partial = true
 			s.SeenEvents = e.Seen
 			s.DroppedEvents = e.Dropped
-			s.SampledEvents = e.Sampled
 		}
 	}
 	return s
@@ -134,8 +132,8 @@ func (s *Summary) HasDone() bool { return s.hasDone }
 func (s *Summary) Render() string {
 	var sb strings.Builder
 	if s.Partial {
-		fmt.Fprintf(&sb, "partial flight dump: %d of %d events retained (%d dropped under contention, %d sampled away)\n",
-			s.Events-1, s.SeenEvents, s.DroppedEvents, s.SampledEvents)
+		fmt.Fprintf(&sb, "partial flight dump: %d of %d events retained (%d dropped under contention)\n",
+			s.Events-1, s.SeenEvents, s.DroppedEvents)
 	}
 	fmt.Fprintf(&sb, "trace: %d events, %d nodes (max depth %d), %d stale skips, %d incumbents\n",
 		s.Events, s.Nodes, s.MaxDepth, s.StaleSkips, s.Incumbents)

@@ -4,7 +4,8 @@
 #   ./scripts/check.sh          # everything
 #   ./scripts/check.sh quick    # skip the race detector pass
 #
-# Steps: gofmt, go vet, the repo's own static-analysis suite
+# Steps: gofmt, go vet (root module and the nested perfbench module),
+# the repo's own static-analysis suite
 # (rulefitlint — including the cross-package dataflow analyzers
 # detsource/sharedmut/sinkguard — both standalone and as a vettool,
 # where facts travel through .vetx files), build, tests, the race
@@ -32,6 +33,9 @@ fi
 
 step "go vet"
 go vet ./... || fail=1
+
+step "go vet (perfbench, a nested module the root ./... skips)"
+(cd perfbench && go vet ./...) || fail=1
 
 step "rulefitlint (standalone)"
 go build -o /tmp/rulefitlint ./cmd/rulefitlint
