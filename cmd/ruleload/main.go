@@ -2,7 +2,7 @@
 // placement daemon: it replays a randgen-seeded workload against a
 // live ruleplaced (or in-process against the core placer), prints one
 // live status line per interval, and writes a machine-readable
-// rulefit-load/v1 report for cmd/loaddiff.
+// rulefit-load/v1 report for cmd/benchdiff.
 //
 // Usage:
 //

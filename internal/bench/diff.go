@@ -1,24 +1,26 @@
 package bench
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// This file implements the perf-regression comparator behind
-// cmd/benchdiff: it aligns two rulefit-bench/v1 reports run-by-run and
-// classifies wall-clock movement against a noise threshold. Because the
-// solver is deterministic for a fixed (workers, capacity, rules, seed)
-// key, node and simplex-iteration counts must match exactly between
-// reports built from the same code; a change there is search drift
-// (an algorithmic change), not timing noise, and is flagged separately
-// so a reviewer can tell "machine was busy" from "the search changed".
+// This file implements the run-aligned comparator behind cmd/benchdiff,
+// plus the header, key union, tally and trailer that internal/load's
+// request-aligned comparator shares. It aligns two rulefit-bench/v1
+// reports run-by-run and classifies wall-clock movement against a
+// noise threshold. Because the solver is deterministic for a fixed
+// (workers, capacity, rules, seed) key, node and simplex-iteration
+// counts must match exactly between reports built from the same code;
+// a change there is search drift (an algorithmic change), not timing
+// noise, and is flagged separately so a reader can tell "machine was
+// busy" from "the search changed".
 
 // DiffOptions tunes the comparator's noise model.
 type DiffOptions struct {
@@ -105,14 +107,97 @@ func (s SeriesDiff) Drifted() bool {
 	return s.OldNodes != s.NewNodes || s.OldIters != s.NewIters
 }
 
-// Diff is the comparison of two reports.
-type Diff struct {
+// AlignedKeys returns the sorted union of the keys of two reports' row
+// indexes: every row either report recorded, once.
+func AlignedKeys[K cmp.Ordered, V any](old, new map[K]V) []K {
+	keys := make([]K, 0, len(old)+len(new))
+	for k := range old {
+		keys = append(keys, k)
+	}
+	for k := range new {
+		if _, ok := old[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// DiffHeader opens the comparison of two reports of either family:
+// their timestamps, the noise model, and the host check.
+type DiffHeader struct {
 	OldTimestamp string      `json:"old_timestamp"`
 	NewTimestamp string      `json:"new_timestamp"`
 	Options      DiffOptions `json:"options"`
 	// HostMismatch warns that the two reports were taken on different
 	// hosts or Go versions, making wall clocks incomparable.
 	HostMismatch bool `json:"host_mismatch,omitempty"`
+}
+
+// NewDiffHeader compares the envelopes of two reports.
+func NewDiffHeader(old, new Envelope, opts DiffOptions) DiffHeader {
+	return DiffHeader{
+		OldTimestamp: old.Timestamp,
+		NewTimestamp: new.Timestamp,
+		Options:      opts,
+		HostMismatch: old.HostDiffers(new),
+	}
+}
+
+// RenderHeader writes the opening lines of a rendered comparison: the
+// two timestamps, the thresholds, and the host warning.
+func (h DiffHeader) RenderHeader(w io.Writer) {
+	fmt.Fprintf(w, "benchdiff: %s -> %s\n", h.OldTimestamp, h.NewTimestamp)
+	fmt.Fprintf(w, "threshold: %.0f%% relative, %.1f ms absolute\n",
+		h.Options.WallThreshold*100, h.Options.MinWallMS)
+	if h.HostMismatch {
+		fmt.Fprintf(w, "WARNING: host or Go version differs between reports; wall clocks are not comparable\n")
+	}
+}
+
+// Tally counts a comparison's rows by verdict.
+type Tally struct {
+	Improved  int `json:"improved"`
+	Unchanged int `json:"unchanged"`
+	Regressed int `json:"regressed"`
+	Added     int `json:"added"`
+	Removed   int `json:"removed"`
+	// Drifted counts aligned rows whose answer changed: the search
+	// (bench runs) or the placement bytes (load requests).
+	Drifted int `json:"drifted"`
+}
+
+// Count tallies one row's verdict.
+func (t *Tally) Count(v Verdict) {
+	switch v {
+	case VerdictImproved:
+		t.Improved++
+	case VerdictRegressed:
+		t.Regressed++
+	case VerdictAdded:
+		t.Added++
+	case VerdictRemoved:
+		t.Removed++
+	default:
+		t.Unchanged++
+	}
+}
+
+// RenderResult writes the "RESULT:" trailer scripts grep for; fail
+// selects FAIL over PASS.
+func (t Tally) RenderResult(w io.Writer, fail bool) error {
+	verdict := "PASS"
+	if fail {
+		verdict = "FAIL"
+	}
+	_, err := fmt.Fprintf(w, "RESULT: %s (%d improved, %d unchanged, %d regressed, %d added, %d removed, %d drifted)\n",
+		verdict, t.Improved, t.Unchanged, t.Regressed, t.Added, t.Removed, t.Drifted)
+	return err
+}
+
+// Diff is the comparison of two rulefit-bench/v1 reports.
+type Diff struct {
+	DiffHeader
 	// ScaleMismatch warns that the reports were swept at different
 	// cmd/experiments scales; aligned-run keys may match by accident, but
 	// the workloads differ. Only set when both reports record a scale —
@@ -124,14 +209,9 @@ type Diff struct {
 	Runs          []RunDiff `json:"runs"`
 	// Series aggregates aligned runs per (workers, capacity) series.
 	Series []SeriesDiff `json:"series,omitempty"`
-	// Totals by verdict.
-	Improved  int `json:"improved"`
-	Unchanged int `json:"unchanged"`
-	Regressed int `json:"regressed"`
-	Added     int `json:"added"`
-	Removed   int `json:"removed"`
-	// Drifted counts runs with SearchDrift set.
-	Drifted int `json:"drifted"`
+	// Tally counts runs by verdict; Drifted counts runs with
+	// SearchDrift set.
+	Tally
 	// OldTotalMS/NewTotalMS sum wall clocks over aligned runs only.
 	OldTotalMS float64 `json:"old_total_ms"`
 	NewTotalMS float64 `json:"new_total_ms"`
@@ -167,27 +247,13 @@ func flatten(r *Report) map[string]RunRecord {
 func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 	opts = opts.withDefaults()
 	d := &Diff{
-		OldTimestamp: old.Timestamp,
-		NewTimestamp: new.Timestamp,
-		Options:      opts,
-		HostMismatch: old.GOOS != new.GOOS || old.GOARCH != new.GOARCH ||
-			old.NumCPU != new.NumCPU || old.GoVersion != new.GoVersion,
+		DiffHeader: NewDiffHeader(old.Envelope, new.Envelope, opts),
 		ScaleMismatch: old.Config.Scale != new.Config.Scale &&
 			old.Config.Scale != "" && new.Config.Scale != "",
 		OldScale: old.Config.Scale,
 		NewScale: new.Config.Scale,
 	}
 	oldRuns, newRuns := flatten(old), flatten(new)
-	keys := make([]string, 0, len(oldRuns)+len(newRuns))
-	for k := range oldRuns {
-		keys = append(keys, k)
-	}
-	for k := range newRuns {
-		if _, ok := oldRuns[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
 	type seriesAcc struct {
 		SeriesDiff
 		logSum float64
@@ -196,7 +262,7 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 	series := make(map[string]*seriesAcc)
 	var seriesKeys []string
 	logSum, ratios := 0.0, 0
-	for _, k := range keys {
+	for _, k := range AlignedKeys(oldRuns, newRuns) {
 		o, haveOld := oldRuns[k]
 		n, haveNew := newRuns[k]
 		rd := RunDiff{Key: k, OldWallMS: o.WallMS, NewWallMS: n.WallMS}
@@ -204,13 +270,11 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 		case !haveOld:
 			rd.Verdict = VerdictAdded
 			rd.NewStatus = n.Status
-			d.Added++
 		case !haveNew:
 			rd.Verdict = VerdictRemoved
 			rd.OldStatus = o.Status
-			d.Removed++
 		default:
-			rd.Verdict = classify(o, n, opts)
+			rd.Verdict = opts.Classify(o.Status, n.Status, o.WallMS, n.WallMS)
 			if o.Nodes != n.Nodes || o.SimplexIters != n.SimplexIters {
 				rd.SearchDrift = true
 				rd.OldNodes, rd.NewNodes = o.Nodes, n.Nodes
@@ -246,15 +310,8 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 				logSum += l
 				ratios++
 			}
-			switch rd.Verdict {
-			case VerdictImproved:
-				d.Improved++
-			case VerdictRegressed:
-				d.Regressed++
-			default:
-				d.Unchanged++
-			}
 		}
+		d.Count(rd.Verdict)
 		d.Runs = append(d.Runs, rd)
 	}
 	sort.Strings(seriesKeys)
@@ -278,9 +335,9 @@ func seriesKeyOf(runKey string) string {
 }
 
 // StatusRank orders solve outcomes from best to worst. Comparators
-// over any report family (benchdiff over solver runs, loaddiff over
-// served requests) treat a rank change as trumping the wall clock:
-// losing optimality is a regression even when it got faster.
+// over either report family (solver runs or served requests) treat a
+// rank change as trumping the wall clock: losing optimality is a
+// regression even when it got faster.
 func StatusRank(s string) int {
 	switch s {
 	case "optimal":
@@ -325,20 +382,10 @@ func (o DiffOptions) Classify(oldStatus, newStatus string, oldMS, newMS float64)
 	return o.ClassifyWall(oldMS, newMS)
 }
 
-// classify applies the shared comparison to one aligned run pair.
-func classify(o, n RunRecord, opts DiffOptions) Verdict {
-	return opts.Classify(o.Status, n.Status, o.WallMS, n.WallMS)
-}
-
 // Render writes the human-readable comparison. The layout is stable and
 // golden-tested; scripts may grep the "RESULT:" trailer.
 func (d *Diff) Render(w io.Writer) error {
-	fmt.Fprintf(w, "benchdiff: %s -> %s\n", d.OldTimestamp, d.NewTimestamp)
-	fmt.Fprintf(w, "threshold: %.0f%% relative, %.1f ms absolute\n",
-		d.Options.WallThreshold*100, d.Options.MinWallMS)
-	if d.HostMismatch {
-		fmt.Fprintf(w, "WARNING: host or Go version differs between reports; wall clocks are not comparable\n")
-	}
+	d.RenderHeader(w)
 	if d.ScaleMismatch {
 		fmt.Fprintf(w, "WARNING: workload scale differs between reports (%q -> %q); aligned runs solve different instances\n",
 			d.OldScale, d.NewScale)
@@ -384,42 +431,35 @@ func (d *Diff) Render(w io.Writer) error {
 	if d.GeomeanSpeedup > 0 {
 		fmt.Fprintf(w, "geomean speedup: %.2fx\n", d.GeomeanSpeedup)
 	}
-	verdict := "PASS"
-	if d.Regressed > 0 {
-		verdict = "FAIL"
-	}
-	_, err := fmt.Fprintf(w, "RESULT: %s (%d improved, %d unchanged, %d regressed, %d added, %d removed, %d drifted)\n",
-		verdict, d.Improved, d.Unchanged, d.Regressed, d.Added, d.Removed, d.Drifted)
-	return err
+	return d.RenderResult(w, d.HasRegressions())
 }
 
 // ReadReport loads and schema-checks one BENCH_*.json file.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
+func ReadReport(path string) (*Report, error) { return ReadJSON[Report](path, ReportSchema) }
 
-// LatestPair returns the two lexically-latest BENCH_*.json files in dir
-// (old, new): the stamp format sorts chronologically, so these are the
-// last two points of the committed perf trajectory.
+// LatestPair returns the two lexically-latest rulefit-bench/v1 reports
+// among the BENCH_*.json files in dir (old, new): the stamp format
+// sorts chronologically, so these are the last two points of the
+// committed perf trajectory. Reports of other schemas (BENCH_delta_*
+// load reports) share the glob and are skipped.
 func LatestPair(dir string) (oldPath, newPath string, err error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return "", "", err
 	}
-	if len(matches) < 2 {
-		return "", "", fmt.Errorf("%s: need at least 2 BENCH_*.json files, found %d", dir, len(matches))
-	}
 	sort.Strings(matches)
-	return matches[len(matches)-2], matches[len(matches)-1], nil
+	var pair []string
+	for i := len(matches) - 1; i >= 0 && len(pair) < 2; i-- {
+		e, err := ReadEnvelope(matches[i])
+		if err != nil {
+			return "", "", err
+		}
+		if e.Schema == ReportSchema {
+			pair = append(pair, matches[i])
+		}
+	}
+	if len(pair) < 2 {
+		return "", "", fmt.Errorf("%s: need at least 2 %s reports, found %d", dir, ReportSchema, len(pair))
+	}
+	return pair[1], pair[0], nil
 }

@@ -149,6 +149,29 @@ func TestLatestPair(t *testing.T) {
 	if _, _, err := LatestPair(t.TempDir()); err == nil {
 		t.Fatal("empty dir accepted")
 	}
+
+	// A rulefit-load/v1 report shares the BENCH_*.json glob and sorts
+	// after the dated bench reports; it must be skipped, not paired.
+	mixed := t.TempDir()
+	for name, schema := range map[string]string{
+		"BENCH_20260801T000000Z.json":       ReportSchema,
+		"BENCH_20260802T000000Z.json":       ReportSchema,
+		"BENCH_delta_20260803T000000Z.json": "rulefit-load/v1",
+	} {
+		if err := os.WriteFile(filepath.Join(mixed, name), []byte(`{"schema":"`+schema+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldPath, newPath, err = LatestPair(mixed)
+	if err != nil || filepath.Base(oldPath) != "BENCH_20260801T000000Z.json" || filepath.Base(newPath) != "BENCH_20260802T000000Z.json" {
+		t.Fatalf("mixed-schema pair = %s, %s (%v)", oldPath, newPath, err)
+	}
+	if err := os.Remove(filepath.Join(mixed, "BENCH_20260801T000000Z.json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LatestPair(mixed); err == nil {
+		t.Fatal("one bench report plus a load report accepted as a pair")
+	}
 }
 
 func TestReadReportRejectsWrongSchema(t *testing.T) {

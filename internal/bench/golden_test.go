@@ -29,13 +29,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // comment in report.go.
 func goldenReport() *Report {
 	return &Report{
-		Schema:     ReportSchema,
-		Timestamp:  "2026-01-02T03:04:05Z",
-		GoVersion:  "go1.22.0",
-		GOOS:       "linux",
-		GOARCH:     "amd64",
-		NumCPU:     8,
-		GOMAXPROCS: 8,
+		Envelope: Envelope{
+			Schema:     ReportSchema,
+			Timestamp:  "2026-01-02T03:04:05Z",
+			GoVersion:  "go1.22.0",
+			GOOS:       "linux",
+			GOARCH:     "amd64",
+			NumCPU:     8,
+			GOMAXPROCS: 8,
+		},
 		Config: ReportConfig{
 			K:               4,
 			HostsPerEdge:    1,

@@ -3,9 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"io"
-	"runtime"
 	"sort"
-	"time"
 )
 
 // ReportSchema identifies the BENCH_*.json layout; bump it on any
@@ -14,20 +12,10 @@ const ReportSchema = "rulefit-bench/v1"
 
 // Report is the machine-readable record of one benchmark run, written
 // by scripts/bench.sh as BENCH_<stamp>.json and committed so the perf
-// trajectory is tracked across PRs. Wall-clock numbers are only
-// comparable across runs on the same hardware; the host fields exist so
-// a comparison can check that first.
+// trajectory is tracked across PRs.
 type Report struct {
-	Schema    string `json:"schema"`
-	Timestamp string `json:"timestamp"` // RFC 3339, UTC
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// NumCPU and GOMAXPROCS describe the host the numbers were taken
-	// on; solver speedups cannot exceed either.
-	NumCPU     int          `json:"num_cpu"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Config     ReportConfig `json:"config"`
+	Envelope
+	Config ReportConfig `json:"config"`
 	// Series holds one sweep per (workers, capacity) pair.
 	Series []SeriesRecord `json:"series"`
 	// Speedups compares total sweep wall time per worker count against
@@ -130,14 +118,7 @@ type SpeedupRecord struct {
 func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCounts []int, scale string) (*Report, error) {
 	base = base.withDefaults()
 	rep := &Report{
-		Schema: ReportSchema,
-		//lint:detsource run metadata by design; diffs strip the timestamp
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Envelope: NewEnvelope(ReportSchema),
 		Config: ReportConfig{
 			K:               base.K,
 			HostsPerEdge:    base.HostsPerEdge,

@@ -35,8 +35,8 @@ func deltaInstance(t *testing.T, seed int64) *spec.Problem {
 // TestQuickDeltaDifferentialSuite replays seeded delta streams on 120
 // generated instances, comparing every stateful-session answer against
 // a cold solve of the fully-updated instance. This is the tier-1 gate
-// for the session layer's byte-identity contract; it runs under -race
-// in CI's delta-smoke job.
+// for the session layer's byte-identity contract; it also runs under
+// -race in the race stage of scripts/check.sh.
 func TestQuickDeltaDifferentialSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("delta differential suite is not -short")

@@ -97,7 +97,7 @@ func TestRunDeltaHTTPMatchesInProcess(t *testing.T) {
 }
 
 // TestDeltaReportRoundTrip checks the delta record survives the
-// report write/read cycle (what cmd/loaddiff -check consumes).
+// report write/read cycle (what cmd/benchdiff -check consumes).
 func TestDeltaReportRoundTrip(t *testing.T) {
 	rep, err := RunDelta(context.Background(), Config{Seed: 3},
 		DeltaOpts{Steps: 2, Ingresses: 2, RulesPerPolicy: 6, FatTreeK: 4},

@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"rulefit/internal/bench"
 )
 
-// This file implements the load-report comparator behind cmd/loaddiff.
-// It reuses the bench suite's noise model (bench.DiffOptions.Classify:
-// a status-rank change trumps the wall clock, otherwise a relative
-// threshold plus an absolute floor decide) and adds the load-specific
+// This file implements the request-aligned comparator cmd/benchdiff
+// runs on rulefit-load/v1 reports. It reuses the bench suite's noise
+// model (bench.DiffOptions.Classify: a status-rank change trumps the
+// wall clock, otherwise a relative threshold plus an absolute floor
+// decide), header, tally and trailer, and adds the load-specific
 // checks: workload-fingerprint alignment, per-request placement drift
 // (content hashes must match byte-for-byte between runs of the same
 // workload), and shed-point knee movement for sweep reports.
@@ -40,12 +40,7 @@ type RequestDiff struct {
 
 // Diff is the comparison of two load reports.
 type Diff struct {
-	OldTimestamp string            `json:"old_timestamp"`
-	NewTimestamp string            `json:"new_timestamp"`
-	Options      bench.DiffOptions `json:"options"`
-	// HostMismatch warns that the reports were taken on different
-	// hosts or Go versions, making wall clocks incomparable.
-	HostMismatch bool `json:"host_mismatch,omitempty"`
+	bench.DiffHeader
 	// WorkloadMismatch warns that the two reports replayed different
 	// workloads (fingerprints differ); aligned indices then compare
 	// unrelated requests, so placement drift is not reported.
@@ -56,14 +51,9 @@ type Diff struct {
 	// sweep).
 	ModeMismatch bool          `json:"mode_mismatch,omitempty"`
 	Requests     []RequestDiff `json:"requests,omitempty"`
-	// Totals by verdict over aligned requests.
-	Improved  int `json:"improved"`
-	Unchanged int `json:"unchanged"`
-	Regressed int `json:"regressed"`
-	Added     int `json:"added"`
-	Removed   int `json:"removed"`
-	// Drifted counts aligned requests whose placement hash changed.
-	Drifted int `json:"drifted"`
+	// Tally counts requests by verdict; Drifted counts aligned
+	// requests whose placement hash changed.
+	bench.Tally
 	// Shed movement across the whole run.
 	OldShed int `json:"old_shed"`
 	NewShed int `json:"new_shed"`
@@ -86,7 +76,7 @@ type Diff struct {
 
 // HasRegressions reports whether any aligned request regressed, any
 // placement drifted, or the sweep knee moved down — the conditions
-// under which cmd/loaddiff exits nonzero.
+// under which cmd/benchdiff exits nonzero.
 func (d *Diff) HasRegressions() bool {
 	return d.Regressed > 0 || d.Drifted > 0 || d.KneeRegressed
 }
@@ -95,11 +85,7 @@ func (d *Diff) HasRegressions() bool {
 // index) and classifies each pair with the shared bench noise model.
 func CompareReports(old, new *Report, opts bench.DiffOptions) *Diff {
 	d := &Diff{
-		OldTimestamp: old.Timestamp,
-		NewTimestamp: new.Timestamp,
-		Options:      opts,
-		HostMismatch: old.GOOS != new.GOOS || old.GOARCH != new.GOARCH ||
-			old.NumCPU != new.NumCPU || old.GoVersion != new.GoVersion,
+		DiffHeader:       bench.NewDiffHeader(old.Envelope, new.Envelope, opts),
 		WorkloadMismatch: old.Workload.Fingerprint != new.Workload.Fingerprint,
 		OldFingerprint:   old.Workload.Fingerprint,
 		NewFingerprint:   new.Workload.Fingerprint,
@@ -112,18 +98,8 @@ func CompareReports(old, new *Report, opts bench.DiffOptions) *Diff {
 		NewP99MS:         new.P99MS,
 	}
 	oldReqs, newReqs := indexRequests(old), indexRequests(new)
-	keys := make([]int, 0, len(oldReqs)+len(newReqs))
-	for k := range oldReqs {
-		keys = append(keys, k)
-	}
-	for k := range newReqs {
-		if _, ok := oldReqs[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Ints(keys)
 	logSum, ratios := 0.0, 0
-	for _, k := range keys {
+	for _, k := range bench.AlignedKeys(oldReqs, newReqs) {
 		o, haveOld := oldReqs[k]
 		n, haveNew := newReqs[k]
 		rd := RequestDiff{
@@ -135,11 +111,9 @@ func CompareReports(old, new *Report, opts bench.DiffOptions) *Diff {
 		case !haveOld:
 			rd.Verdict = bench.VerdictAdded
 			rd.NewStatus = n.Status
-			d.Added++
 		case !haveNew:
 			rd.Verdict = bench.VerdictRemoved
 			rd.OldStatus = o.Status
-			d.Removed++
 		default:
 			rd.Verdict = opts.Classify(o.Status, n.Status, o.WallMS, n.WallMS)
 			if o.Status != n.Status {
@@ -160,15 +134,8 @@ func CompareReports(old, new *Report, opts bench.DiffOptions) *Diff {
 				logSum += math.Log(o.WallMS / n.WallMS)
 				ratios++
 			}
-			switch rd.Verdict {
-			case bench.VerdictImproved:
-				d.Improved++
-			case bench.VerdictRegressed:
-				d.Regressed++
-			default:
-				d.Unchanged++
-			}
 		}
+		d.Count(rd.Verdict)
 		d.Requests = append(d.Requests, rd)
 	}
 	if ratios > 0 {
@@ -201,14 +168,9 @@ func seedOf(o, n RequestRecord) int64 {
 }
 
 // Render writes the human-readable comparison. Scripts may grep the
-// "RESULT:" trailer; cmd/loaddiff's exit status mirrors it.
+// "RESULT:" trailer; cmd/benchdiff's exit status mirrors it.
 func (d *Diff) Render(w io.Writer) error {
-	fmt.Fprintf(w, "loaddiff: %s -> %s\n", d.OldTimestamp, d.NewTimestamp)
-	fmt.Fprintf(w, "threshold: %.0f%% relative, %.1f ms absolute\n",
-		d.Options.WallThreshold*100, d.Options.MinWallMS)
-	if d.HostMismatch {
-		fmt.Fprintf(w, "WARNING: host or Go version differs between reports; wall clocks are not comparable\n")
-	}
+	d.RenderHeader(w)
 	if d.WorkloadMismatch {
 		fmt.Fprintf(w, "WARNING: workload fingerprints differ (%s -> %s); aligned requests replay different instances, placement drift not checked\n",
 			d.OldFingerprint, d.NewFingerprint)
@@ -248,11 +210,5 @@ func (d *Diff) Render(w io.Writer) error {
 	if d.OldKnee > 0 || d.NewKnee > 0 {
 		fmt.Fprintf(w, "knee: %d -> %d concurrent\n", d.OldKnee, d.NewKnee)
 	}
-	verdict := "PASS"
-	if d.HasRegressions() {
-		verdict = "FAIL"
-	}
-	_, err := fmt.Fprintf(w, "RESULT: %s (%d improved, %d unchanged, %d regressed, %d added, %d removed, %d drifted)\n",
-		verdict, d.Improved, d.Unchanged, d.Regressed, d.Added, d.Removed, d.Drifted)
-	return err
+	return d.RenderResult(w, d.HasRegressions())
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"rulefit/internal/bench"
 	"rulefit/internal/obs"
 )
 
@@ -40,20 +41,22 @@ func goldenHist(counts ...uint64) obs.HistogramSnapshot {
 
 // goldenReport is a fully-populated Report with fixed values: every
 // field of every record type appears, so the golden file pins the
-// complete rulefit-load/v1 wire format. cmd/loaddiff and the CI
-// load-smoke job parse these files; a silently renamed JSON tag breaks
-// them without failing any harness test, which is what this test
-// exists to catch. If the diff is intentional, bump ReportSchema
+// complete rulefit-load/v1 wire format. cmd/benchdiff and the smoke
+// stage of scripts/check.sh parse these files; a silently renamed JSON
+// tag breaks them without failing any harness test, which is what this
+// test exists to catch. If the diff is intentional, bump ReportSchema
 // (incompatible change) or rerun with -update (compatible addition).
 func goldenReport() *Report {
 	return &Report{
-		Schema:     ReportSchema,
-		Timestamp:  "2026-01-02T03:04:05Z",
-		GoVersion:  "go1.22.0",
-		GOOS:       "linux",
-		GOARCH:     "amd64",
-		NumCPU:     8,
-		GOMAXPROCS: 8,
+		Envelope: bench.Envelope{
+			Schema:     ReportSchema,
+			Timestamp:  "2026-01-02T03:04:05Z",
+			GoVersion:  "go1.22.0",
+			GOOS:       "linux",
+			GOARCH:     "amd64",
+			NumCPU:     8,
+			GOMAXPROCS: 8,
+		},
 		Config: ConfigRecord{
 			Seed:         7,
 			Requests:     4,

@@ -232,7 +232,7 @@ func TestSelfDiffPasses(t *testing.T) {
 func TestCompareReportsFlagsDriftAndKnee(t *testing.T) {
 	mk := func() *Report {
 		return &Report{
-			Schema:   ReportSchema,
+			Envelope: bench.Envelope{Schema: ReportSchema},
 			Workload: WorkloadRecord{Fingerprint: "f"},
 			Config:   ConfigRecord{Mode: "closed"},
 			Requests: []RequestRecord{

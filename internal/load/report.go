@@ -10,17 +10,16 @@
 //
 // Determinism story: the workload is a pure function of the seed, and
 // every response's placement is hashed so two runs of the same
-// workload can be diffed byte-for-byte (cmd/loaddiff). Wall-clock
+// workload can be diffed byte-for-byte (cmd/benchdiff). Wall-clock
 // fields are observational and compared only through the shared
 // bench noise model.
 package load
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 
+	"rulefit/internal/bench"
 	"rulefit/internal/obs"
 )
 
@@ -28,18 +27,9 @@ import (
 // incompatible field change so comparison tools can tell.
 const ReportSchema = "rulefit-load/v1"
 
-// Report is the machine-readable record of one load run. Wall-clock
-// fields are only comparable across runs on the same host; the host
-// fields exist so a comparison can check that first.
+// Report is the machine-readable record of one load run.
 type Report struct {
-	Schema     string `json:"schema"`
-	Timestamp  string `json:"timestamp"` // RFC 3339, UTC
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-
+	bench.Envelope
 	Config   ConfigRecord   `json:"config"`
 	Workload WorkloadRecord `json:"workload"`
 
@@ -184,17 +174,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport loads and schema-checks one rulefit-load/v1 file.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
+func ReadReport(path string) (*Report, error) { return bench.ReadJSON[Report](path, ReportSchema) }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rulefit/internal/bench"
 	"rulefit/internal/obs"
 	"rulefit/internal/randgen"
 )
@@ -256,14 +256,7 @@ func targetOf(p Placer) string {
 // workload fingerprint).
 func newReport(cfg Config, wl *Workload, mode, target string) *Report {
 	return &Report{
-		Schema: ReportSchema,
-		//lint:detsource run metadata by design; diffs strip the timestamp
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Envelope: bench.NewEnvelope(ReportSchema),
 		Config: ConfigRecord{
 			Seed:         cfg.Seed,
 			Requests:     cfg.Requests,
