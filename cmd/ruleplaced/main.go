@@ -8,8 +8,8 @@
 //	ruleplaced [-addr :8080] [-debug-addr 127.0.0.1:6060]
 //	           [-max-inflight N] [-max-queue N] [-max-sessions N]
 //	           [-default-timeout 60s] [-max-timeout 10m]
-//	           [-trace-dir DIR] [-drain-timeout 30s] [-no-slo]
-//	           [-solve-delay D] [-flight-events N] [-flight-dir DIR]
+//	           [-trace-dir DIR] [-drain-timeout 30s] [-solve-delay D]
+//	           [-flight-events N] [-flight-dir DIR]
 //	           [-profile-threshold D] [-profile-dir DIR]
 //
 // Endpoints (on -addr):
@@ -27,10 +27,14 @@
 //	GET    /debug/solvez          live solve introspection: one progress snapshot per in-flight request
 //	GET    /debug/flightz         on-demand dump of the global flight-recorder ring (JSONL)
 //
-// Every /v1/place response carries X-Rulefit-Trace-Id (joinable with
-// the daemon's log lines and trace files) and, unless -no-slo is set,
-// a Server-Timing header attributing wall time to pipeline phases
-// (queue_wait, parse, encode, model_build, solve, extract).
+// The three solve endpoints (/v1/place, /v1/session and
+// /v1/session/{id}/delta) share one request pipeline, so every solve
+// gets the same treatment: an X-Rulefit-Trace-Id header (joinable with
+// the daemon's log lines and trace files) and a Server-Timing header
+// attributing wall time to pipeline phases (queue_wait, parse, encode,
+// model_build, solve, extract); a /debug/solvez progress cell from
+// arrival; the flight rings; a -trace-dir event file
+// (trace-<trace_id>.jsonl); and a -profile-threshold profile.
 //
 // -debug-addr serves net/http/pprof plus /metrics, /debug/solvez, and
 // /debug/flightz mirrors, intended for a loopback-only bind.
@@ -82,7 +86,6 @@ func run() error {
 		maxTimeout   = flag.Duration("max-timeout", 10*time.Minute, "cap on per-request solver time limits")
 		traceDir     = flag.String("trace-dir", "", "write per-request solver event traces (JSONL) into this directory")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight solves on SIGTERM")
-		noSLO        = flag.Bool("no-slo", false, "disable per-request SLO instrumentation (phase histograms, Server-Timing, /statusz rates)")
 		solveDelay   = flag.Duration("solve-delay", 0, "artificially extend each solve-slot occupancy (load experiments only)")
 		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size in events (0 = 4096)")
 		flightDir    = flag.String("flight-dir", "", "write flight dumps into this directory (default: -trace-dir)")
@@ -100,7 +103,6 @@ func run() error {
 		MaxTimeLimit:     *maxTimeout,
 		TraceDir:         *traceDir,
 		Logger:           logger,
-		DisableSLO:       *noSLO,
 		SolveDelay:       *solveDelay,
 		FlightEvents:     *flightEvents,
 		FlightDir:        *flightDir,

@@ -25,10 +25,11 @@ func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 				}
 				rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 512})
 				var prog obs.Progress
+				req := obs.NewRequestCtx("req-000051")
+				req.Progress = &prog
 				inst, err := Place(fx.build(t), Options{
 					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					SolverSink: rec, Progress: &prog, ProfileLabels: true,
-					Request: obs.NewRequestCtx("req-000051"),
+					SolverSink: rec, ProfileLabels: true, Request: req,
 				})
 				if err != nil {
 					t.Fatalf("workers=%d instrumented: %v", w, err)

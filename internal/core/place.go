@@ -103,7 +103,7 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 		Sink:            opts.SolverSink,
 		TraceID:         opts.traceID(),
 		Span:            solveSp,
-		Progress:        opts.Progress,
+		Progress:        opts.progress(),
 		ProfileLabels:   opts.ProfileLabels,
 	})
 	if err != nil {

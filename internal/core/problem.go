@@ -127,20 +127,16 @@ type Options struct {
 	// (nil disables tracing). The placement is byte-identical with the
 	// sink attached or not.
 	SolverSink obs.Sink
-	// Progress, when non-nil, receives live solve snapshots (phase,
-	// incumbent, bound, gap) published from the ILP solver's sequential
-	// sections. Read-only for the solver; the placement is byte-identical
-	// with or without it.
-	Progress *obs.Progress
 	// ProfileLabels attaches pprof goroutine labels (trace_id, phase)
 	// around ILP solve phases so CPU profiles attribute samples to
 	// requests. Observational only.
 	ProfileLabels bool
 	// Request, when non-nil, scopes the run to one operational request:
 	// its Trace collects the phase spans when Options.Trace is unset,
-	// and its TraceID is stamped on every solver event so spans, B&B
-	// events, and log lines join by ID. Purely observational — the
-	// placement is byte-identical with or without it.
+	// its TraceID is stamped on every solver event so spans, B&B
+	// events, and log lines join by ID, and its Progress cell receives
+	// live solve snapshots. Purely observational — the placement is
+	// byte-identical with or without it.
 	Request *obs.RequestCtx
 	// EncodeCache, when non-nil, memoizes the pure per-policy encode
 	// stages (redundancy removal, dependency graphs) and the
@@ -165,6 +161,14 @@ func (o Options) traceID() string {
 		return ""
 	}
 	return o.Request.TraceID
+}
+
+// progress returns the request's live-progress cell (nil when unscoped).
+func (o Options) progress() *obs.Progress {
+	if o.Request == nil {
+		return nil
+	}
+	return o.Request.Progress
 }
 
 // withDefaults fills in unset options.

@@ -66,12 +66,6 @@ type Config struct {
 	// Metrics is the instrument registry the daemon records into and
 	// /metrics exposes (default obs.Default).
 	Metrics *obs.Metrics
-	// DisableSLO turns off the per-request SLO instrumentation: phase
-	// attribution histograms, Server-Timing response headers, and the
-	// /statusz rate rings. Placements are byte-identical either way
-	// (TestSLOInstrumentationNoPlacementEffect); the switch exists to
-	// prove it and to strip the last few microseconds if ever needed.
-	DisableSLO bool
 	// SolveDelay artificially extends each request's solve-slot
 	// occupancy (applied after slot acquisition, before parsing).
 	// Production daemons leave it zero; load experiments set it so the
@@ -105,6 +99,13 @@ type Config struct {
 	ProfileDir string
 }
 
+// The time-limit policy's defaults (Config.DefaultTimeLimit and
+// Config.MaxTimeLimit).
+const (
+	defaultTimeLimit = 60 * time.Second
+	defaultMaxLimit  = 10 * time.Minute
+)
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -114,10 +115,10 @@ func (c Config) withDefaults() Config {
 		c.MaxQueue = 0
 	}
 	if c.DefaultTimeLimit <= 0 {
-		c.DefaultTimeLimit = 60 * time.Second
+		c.DefaultTimeLimit = defaultTimeLimit
 	}
 	if c.MaxTimeLimit <= 0 {
-		c.MaxTimeLimit = 10 * time.Minute
+		c.MaxTimeLimit = defaultMaxLimit
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -289,8 +290,11 @@ type RequestOptions struct {
 	TimeLimitSec float64 `json:"timeLimitSec,omitempty"`
 }
 
-// build converts wire options to core.Options (without Request/Trace).
-func (ro RequestOptions) build(cfg Config) (core.Options, error) {
+// BuildOptions converts the wire options to core.Options (without the
+// observational fields) under a time-limit policy: a request without a
+// limit gets defaultLimit, and no request exceeds maxLimit. Zero limits
+// pick the daemon defaults (60s, 10m).
+func (ro RequestOptions) BuildOptions(defaultLimit, maxLimit time.Duration) (core.Options, error) {
 	opts := core.Options{
 		Merging:         ro.Merging,
 		PathSlicing:     ro.PathSlicing,
@@ -321,23 +325,85 @@ func (ro RequestOptions) build(cfg Config) (core.Options, error) {
 	if ro.TimeLimitSec < 0 {
 		return opts, fmt.Errorf("negative timeLimitSec %g", ro.TimeLimitSec)
 	}
+	if defaultLimit <= 0 {
+		defaultLimit = defaultTimeLimit
+	}
+	if maxLimit <= 0 {
+		maxLimit = defaultMaxLimit
+	}
 	opts.TimeLimit = time.Duration(ro.TimeLimitSec * float64(time.Second))
 	if opts.TimeLimit == 0 {
-		opts.TimeLimit = cfg.DefaultTimeLimit
+		opts.TimeLimit = defaultLimit
 	}
-	if opts.TimeLimit > cfg.MaxTimeLimit {
-		opts.TimeLimit = cfg.MaxTimeLimit
+	if opts.TimeLimit > maxLimit {
+		opts.TimeLimit = maxLimit
 	}
 	return opts, nil
 }
 
-// BuildOptions converts the wire options to core.Options with the
-// given time-limit policy, exactly as the daemon does for a served
-// request. The load harness's in-process mode reuses it so both paths
-// solve with identical options (the byte-identity contract).
-func (ro RequestOptions) BuildOptions(defaultLimit, maxLimit time.Duration) (core.Options, error) {
-	cfg := Config{MaxInFlight: 1, DefaultTimeLimit: defaultLimit, MaxTimeLimit: maxLimit}
-	return ro.build(cfg.withDefaults())
+// PlaceInput is a decoded PlaceRequest, ready to solve.
+type PlaceInput struct {
+	// Spec is the problem description as sent.
+	Spec *spec.Problem
+	// Problem is the built instance; it passed core.Problem.Validate.
+	Problem *core.Problem
+	// Options are the request's solver options with the problem's
+	// monitors. The caller adds the observational fields.
+	Options core.Options
+}
+
+// DecodePlaceRequest is the one PlaceRequest decoder: JSON (unknown
+// fields rejected), spec load, build, validation, options under the
+// given time-limit policy (see BuildOptions), monitors. /v1/place,
+// /v1/session and the load harness's in-process drivers all decode
+// through it, so they solve identical inputs. Every error is the
+// client's: the daemon answers it 400.
+func DecodePlaceRequest(body []byte, defaultLimit, maxLimit time.Duration) (*PlaceInput, error) {
+	var req PlaceRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Problem) == 0 {
+		return nil, errors.New("missing problem")
+	}
+	desc, err := spec.LoadBytes(req.Problem)
+	if err != nil {
+		return nil, err
+	}
+	prob, err := desc.Build()
+	if err != nil {
+		return nil, err
+	}
+	if err := prob.Validate(); err != nil {
+		return nil, err
+	}
+	opts, err := req.Options.BuildOptions(defaultLimit, maxLimit)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Monitors, err = desc.BuildMonitors(); err != nil {
+		return nil, err
+	}
+	return &PlaceInput{Spec: desc, Problem: prob, Options: opts}, nil
+}
+
+// SessionSpec is the authoritative state a session keeps for the
+// request: the explicit flattening of the built instance, so generated
+// topologies and policies delta the same as hand-written ones. Monitor
+// declarations ride along for GET visibility; the solver's monitors
+// are fixed in Options.
+func (in *PlaceInput) SessionSpec() *spec.Problem {
+	explicit := spec.FromCore(in.Problem)
+	explicit.Monitors = append([]spec.Monitor(nil), in.Spec.Monitors...)
+	return explicit
+}
+
+// decodeStrict decodes one JSON request body into v, rejecting
+// unknown fields.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // PlaceResponse is the POST /v1/place reply. Placement is the
@@ -422,8 +488,55 @@ type errorResponse struct {
 	Error   string `json:"error"`
 }
 
-// handlePlace serves POST /v1/place.
+// handlePlace serves POST /v1/place: one cold placement.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
+	s.serveSolve(w, r, "place", func(body []byte) (solveFunc, error) {
+		in, err := s.decodePlace(body)
+		if err != nil {
+			return nil, err
+		}
+		return func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error {
+			opts := in.Options
+			opts.Request, opts.SolverSink = req, sink
+			pl, err := core.Place(in.Problem, opts)
+			st.code, st.placement = http.StatusOK, pl
+			return err
+		}, nil
+	})
+}
+
+// decodePlace runs DecodePlaceRequest under the daemon's time-limit
+// policy. With threshold profiling on, the solve runs under pprof
+// labels; a session keeps the flag, so its delta solves do too.
+func (s *Server) decodePlace(body []byte) (*PlaceInput, error) {
+	in, err := DecodePlaceRequest(body, s.cfg.DefaultTimeLimit, s.cfg.MaxTimeLimit)
+	if err != nil {
+		return nil, err
+	}
+	in.Options.ProfileLabels = s.cfg.ProfileThreshold > 0
+	return in, nil
+}
+
+// A solveStep is a solve endpoint's own part of serveSolve: it decodes
+// the request body and returns the solve to run on it. A decode error
+// answers 400 unless it names another class (see requestState.fail).
+type solveStep func(body []byte) (solveFunc, error)
+
+// A solveFunc runs a decoded request's solve under the request's
+// context (trace ID, spans, progress cell) and solver sink, and fills
+// st's code and placement, plus body where the endpoint has its own
+// reply shape. An error answers 500 unless it names another class.
+type solveFunc func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error
+
+// serveSolve is the request pipeline of every solve endpoint:
+// /v1/place, /v1/session and /v1/session/{id}/delta. It reads the body
+// and derives the trace ID, registers the request's progress cell from
+// arrival, runs admission, then the endpoint's decode (timed as the
+// parse phase) and solve. The solve feeds a per-request flight ring,
+// the global ring and the -trace-dir event file, under the profile
+// watchdog; a solve that panics or stops on its budget leaves a flight
+// dump. finish answers exactly once.
+func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, step solveStep) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -435,10 +548,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// partial body), so every response — including this 400 — carries
 	// X-Rulefit-Trace-Id and is joinable with its log line.
 	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, start: start}
+	st := requestState{traceID: traceID, op: op, start: start}
 	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
+		st.fail(fmt.Errorf("reading body: %w", err), http.StatusBadRequest)
 		s.finish(w, r, st)
 		return
 	}
@@ -446,9 +558,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	// Register the request's live-progress cell before admission so
 	// /debug/solvez sees it through queue wait and solve alike; the
 	// solver overwrites the cell from its sequential sections.
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
+	req := obs.NewRequestCtx(traceID)
+	req.Progress = &obs.Progress{}
+	req.Progress.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
+	s.solves.add(traceID, req.Progress)
 	defer s.solves.remove(traceID)
 
 	release, ok := s.acquireSlot(r, &st)
@@ -459,69 +572,33 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	parseStart := time.Now()
-	var req PlaceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || len(req.Problem) == 0 {
-		if err == nil {
-			err = errors.New("missing problem")
-		}
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	desc, err := spec.LoadBytes(req.Problem)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	prob, err := desc.Build()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts, err := req.Options.build(s.cfg)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts.Monitors, err = desc.BuildMonitors()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
+	solve, err := step(body)
 	st.parse = time.Since(parseStart)
-	opts.Request = obs.NewRequestCtx(traceID)
-	st.trace = opts.Request.Trace
-	opts.Progress = prog
-	opts.ProfileLabels = s.cfg.ProfileThreshold > 0
-
-	var traceFile *os.File
-	var traceJW *obs.JSONLWriter
-	if s.cfg.TraceDir != "" {
-		f, err := os.Create(filepath.Join(s.cfg.TraceDir, "trace-"+traceID+".jsonl"))
-		if err != nil {
-			st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-			s.finish(w, r, st)
-			return
-		}
-		traceFile = f
-		traceJW = obs.NewJSONLWriter(f)
+	if err != nil {
+		st.fail(err, http.StatusBadRequest)
+		s.finish(w, r, st)
+		return
 	}
+	st.trace = req.Trace
+
 	// Every solve feeds a per-request flight ring (post-mortem scoped to
 	// this request) and the server's global ring, on top of the optional
 	// full trace file. Sinks never feed back: the placement is
 	// byte-identical whatever is attached.
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
 	sinks := []obs.Sink{rec, s.flight}
-	if traceJW != nil {
+	var traceFile *os.File
+	var traceJW *obs.JSONLWriter
+	if s.cfg.TraceDir != "" {
+		traceFile, err = os.Create(filepath.Join(s.cfg.TraceDir, "trace-"+traceID+".jsonl"))
+		if err != nil {
+			st.fail(err, http.StatusInternalServerError)
+			s.finish(w, r, st)
+			return
+		}
+		traceJW = obs.NewJSONLWriter(traceFile)
 		sinks = append(sinks, traceJW)
 	}
-	opts.SolverSink = obs.Multi(sinks...)
 	stopProf := s.watchProfile(traceID)
 	defer stopProf()
 	defer func() {
@@ -531,7 +608,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	pl, err := core.Place(prob, opts)
+	err = solve(req, obs.Multi(sinks...), &st)
 	if traceFile != nil {
 		if ferr := traceJW.Flush(); ferr != nil && err == nil {
 			err = ferr
@@ -541,18 +618,17 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
+		st.fail(err, http.StatusInternalServerError)
 		s.finish(w, r, st)
 		return
 	}
 	// A solve that died on its budget gets an automatic post-mortem:
 	// the per-request ring holds the tail of its event stream,
 	// including the final incumbent/bound state.
-	if pl.Stats.StopReason == ilp.StopDeadline || pl.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, pl.Stats.StopReason.String())
+	if stop := st.placement.Stats.StopReason; stop == ilp.StopDeadline || stop == ilp.StopNodeLimit {
+		s.dumpFlight(rec, traceID, stop.String())
 	}
-	st.code, st.status = http.StatusOK, pl.Status.String()
-	st.placement = pl
+	st.status = st.placement.Status.String()
 	s.finish(w, r, st)
 }
 
@@ -603,7 +679,7 @@ func (s *Server) acquireSlot(r *http.Request, st *requestState) (func(), bool) {
 // the log line, and the metrics sample.
 type requestState struct {
 	traceID   string
-	op        string // log message ("" = "place")
+	op        string // log message
 	code      int
 	status    string
 	err       error
@@ -616,6 +692,28 @@ type requestState struct {
 	queueWait time.Duration // admission to solve-slot acquisition
 	parse     time.Duration // body decode + spec build + option parse
 	trace     *obs.Trace    // request span tree (phase attribution)
+}
+
+// fail records err as the request's outcome. An error that names its
+// class answers with it — a bad delta or unsolvable instance is the
+// client's (400), an unknown session 404 — and any other answers code.
+func (st *requestState) fail(err error, code int) {
+	switch {
+	case errors.Is(err, state.ErrBadDelta):
+		code = http.StatusBadRequest
+	case errors.Is(err, state.ErrNoSession):
+		code = http.StatusNotFound
+	}
+	st.code, st.err = code, err
+	st.placement, st.body = nil, nil
+	switch code {
+	case http.StatusBadRequest:
+		st.status = "bad_request"
+	case http.StatusNotFound:
+		st.status = "not_found"
+	default:
+		st.status = "error"
+	}
 }
 
 // phaseDur is one attributed slice of a request's wall time.
@@ -689,23 +787,16 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, st requestState)
 		level = slog.LevelWarn
 	}
 	s.met.RecordRequest(sample)
-	var phases []phaseDur
-	if !s.cfg.DisableSLO {
-		phases = st.phases()
-		for _, p := range phases {
-			s.met.RecordPhaseTrace(p.name, p.d, st.traceID)
-		}
-		now := s.now().Unix()
-		s.reqRing.addAt(now, 1)
-		if st.status == "shed" {
-			s.shedRing.addAt(now, 1)
-		}
+	phases := st.phases()
+	for _, p := range phases {
+		s.met.RecordPhaseTrace(p.name, p.d, st.traceID)
 	}
-	op := st.op
-	if op == "" {
-		op = "place"
+	now := s.now().Unix()
+	s.reqRing.addAt(now, 1)
+	if st.status == "shed" {
+		s.shedRing.addAt(now, 1)
 	}
-	s.log.LogAttrs(r.Context(), level, op, attrs...)
+	s.log.LogAttrs(r.Context(), level, st.op, attrs...)
 
 	if st.traceID != "" {
 		w.Header().Set("X-Rulefit-Trace-Id", st.traceID)

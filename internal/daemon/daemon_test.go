@@ -110,6 +110,115 @@ func postPlace(t *testing.T, base string, req PlaceRequest) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// solveEndpoint is one of the daemon's three solve endpoints as a test
+// input, so tests of the shared request pipeline run against all three.
+type solveEndpoint struct {
+	name string
+	code int // success status
+	// setup counts the requests prepare serves itself (the delta
+	// endpoint's session create).
+	setup int
+	// prepare returns n solve requests for specJSON against the daemon
+	// at base. Each delta request adds one more rule to the session.
+	prepare func(t *testing.T, base string, specJSON []byte, n int) []solveRequest
+}
+
+// solveRequest is one prepared solve request.
+type solveRequest struct {
+	url  string
+	body []byte
+	// solves is the explicit instance the request solves when the
+	// requests run in order.
+	solves *spec.Problem
+}
+
+// solveEndpoints are /v1/place, /v1/session and /v1/session/{id}/delta,
+// all solving under sessionOptions.
+var solveEndpoints = []solveEndpoint{
+	{name: "place", code: http.StatusOK, prepare: func(t *testing.T, base string, specJSON []byte, n int) []solveRequest {
+		return placeRequests(t, base+"/v1/place", specJSON, n)
+	}},
+	{name: "session create", code: http.StatusCreated, prepare: func(t *testing.T, base string, specJSON []byte, n int) []solveRequest {
+		return placeRequests(t, base+"/v1/session", specJSON, n)
+	}},
+	{name: "session delta", code: http.StatusOK, setup: 1, prepare: func(t *testing.T, base string, specJSON []byte, n int) []solveRequest {
+		sr, _ := createSession(t, base, specJSON)
+		cur := explicitSpec(t, specJSON)
+		var out []solveRequest
+		for i := 0; i < n; i++ {
+			d := addRuleDelta(cur, 9001+i)
+			body, err := json.Marshal(DeltaRequest{Deltas: []spec.Delta{d}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = cur.Clone()
+			if err := cur.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, solveRequest{base + "/v1/session/" + sr.SessionID + "/delta", body, cur})
+		}
+		return out
+	}},
+}
+
+// placeRequests is n identical PlaceRequests for specJSON posted to url.
+func placeRequests(t *testing.T, url string, specJSON []byte, n int) []solveRequest {
+	t.Helper()
+	body, err := json.Marshal(PlaceRequest{Problem: specJSON, Options: sessionOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]solveRequest, n)
+	for i := range out {
+		out[i] = solveRequest{url, body, explicitSpec(t, specJSON)}
+	}
+	return out
+}
+
+// post sends one prepared solve request and returns the response, its
+// body read and closed.
+func (req solveRequest) post(t *testing.T) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(req.url, "application/json", bytes.NewReader(req.body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// inProcessPlacement solves sp through the shared decoder and
+// core.Place, without the daemon, and returns its wire bytes: the
+// byte-identity reference for a served placement.
+func inProcessPlacement(t *testing.T, sp *spec.Problem) []byte {
+	t.Helper()
+	probJSON, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(PlaceRequest{Problem: probJSON, Options: sessionOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := DecodePlaceRequest(body, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := core.Place(in.Problem, in.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(EncodePlacement(pl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestDaemonMatchesInProcess is the transport half of the determinism
 // contract: the placement served over HTTP is byte-identical to solving
 // the same spec in-process, and replaying the request yields the same
@@ -376,53 +485,103 @@ func TestDaemonGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestDaemonTraceDir checks the JSONL solver trace lands on disk, keyed
-// and stamped by the response's trace ID.
+// TestDaemonTraceDir checks each solve endpoint's JSONL solver trace
+// lands on disk, keyed and stamped by the response's trace ID.
 func TestDaemonTraceDir(t *testing.T) {
-	dir := t.TempDir()
-	_, base := startDaemon(t, Config{MaxInFlight: 1, TraceDir: dir})
-	code, body := postPlace(t, base, PlaceRequest{
-		Problem: testSpec(t, 8),
-		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
+	for _, ep := range solveEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, base := startDaemon(t, Config{MaxInFlight: 1, TraceDir: dir})
+			resp, body := ep.prepare(t, base, testSpec(t, 8), 1)[0].post(t)
+			if resp.StatusCode != ep.code {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var got struct {
+				TraceID string `json:"trace_id"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(filepath.Join(dir, "trace-"+got.TraceID+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			events, err := obs.ReadEvents(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("trace file has no events")
+			}
+			for i, e := range events {
+				if e.TraceID != got.TraceID {
+					t.Fatalf("event %d trace ID %q, want %q", i, e.TraceID, got.TraceID)
+				}
+			}
+		})
 	}
-	var resp PlaceResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+}
+
+// invalidProblems are PlaceRequest bodies whose problems parse and
+// build but fail core.Problem.Validate: two policies on one ingress,
+// and a policy on an ingress with no routing.
+func invalidProblems(t *testing.T) (dupIngress, unrouted string) {
+	t.Helper()
+	var desc spec.Problem
+	if err := json.Unmarshal(testSpec(t, 4), &desc); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, "trace-"+resp.TraceID+".jsonl"))
+	prob, err := desc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("trace file has no events")
-	}
-	for i, e := range events {
-		if e.TraceID != resp.TraceID {
-			t.Fatalf("event %d trace ID %q, want %q", i, e.TraceID, resp.TraceID)
+	free := -1
+	for _, p := range prob.Network.IngressPorts() {
+		if _, ok := prob.Routing.Sets[p.ID]; !ok {
+			free = int(p.ID)
+			break
 		}
 	}
+	if free < 0 {
+		t.Fatal("every ingress port is routed")
+	}
+	body := func(extra spec.Policy) string {
+		d := desc
+		d.Policies = append(append([]spec.Policy(nil), desc.Policies...), extra)
+		probJSON, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := json.Marshal(PlaceRequest{Problem: probJSON, Options: sessionOptions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(req)
+	}
+	extra := desc.Policies[0]
+	dupIngress = body(extra)
+	extra.Ingress = free
+	return dupIngress, body(extra)
 }
 
 // TestDaemonRejectsBadRequests covers the 4xx paths.
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	_, base := startDaemon(t, Config{MaxInFlight: 1})
+	dupIngress, unrouted := invalidProblems(t)
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
 	}{
-		"get place":       {http.MethodGet, "/v1/place", "", http.StatusMethodNotAllowed},
-		"invalid json":    {http.MethodPost, "/v1/place", "{", http.StatusBadRequest},
-		"missing problem": {http.MethodPost, "/v1/place", `{"options":{}}`, http.StatusBadRequest},
-		"unknown option":  {http.MethodPost, "/v1/place", `{"problem":{},"options":{"bogus":1}}`, http.StatusBadRequest},
-		"bad backend":     {http.MethodPost, "/v1/place", `{"problem":{"topology":{"type":"linear","switches":2,"capacity":5}},"options":{"backend":"cplex"}}`, http.StatusBadRequest},
+		"get place":                 {http.MethodGet, "/v1/place", "", http.StatusMethodNotAllowed},
+		"invalid json":              {http.MethodPost, "/v1/place", "{", http.StatusBadRequest},
+		"missing problem":           {http.MethodPost, "/v1/place", `{"options":{}}`, http.StatusBadRequest},
+		"unknown option":            {http.MethodPost, "/v1/place", `{"problem":{},"options":{"bogus":1}}`, http.StatusBadRequest},
+		"bad backend":               {http.MethodPost, "/v1/place", `{"problem":{"topology":{"type":"linear","switches":2,"capacity":5}},"options":{"backend":"cplex"}}`, http.StatusBadRequest},
+		"place duplicate ingress":   {http.MethodPost, "/v1/place", dupIngress, http.StatusBadRequest},
+		"place unrouted ingress":    {http.MethodPost, "/v1/place", unrouted, http.StatusBadRequest},
+		"session duplicate ingress": {http.MethodPost, "/v1/session", dupIngress, http.StatusBadRequest},
+		"session unrouted ingress":  {http.MethodPost, "/v1/session", unrouted, http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 		if err != nil {

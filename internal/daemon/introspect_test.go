@@ -113,42 +113,55 @@ func TestSolvezIdle(t *testing.T) {
 	}
 }
 
-// TestSolvezDuringSolve scrapes /debug/solvez while a request holds its
-// solve slot (stretched by SolveDelay) and expects a live snapshot for
-// it — the in-CI smoke does the same against a real ruleplaced process.
+// TestSolvezDuringSolve scrapes /debug/solvez while two requests to
+// each solve endpoint are inside the daemon — one holding the only
+// solve slot (stretched by SolveDelay), one queued behind it — and
+// expects a live snapshot for both: the progress cell is registered
+// from arrival. The in-CI smoke does the same against a real
+// ruleplaced process.
 func TestSolvezDuringSolve(t *testing.T) {
-	s, base := startDaemon(t, Config{MaxInFlight: 1, SolveDelay: 300 * time.Millisecond})
-	done := make(chan int, 1)
-	go func() {
-		code, _ := postPlace(t, base, PlaceRequest{
-			Problem: testSpec(t, 4),
-			Options: RequestOptions{Merging: true, TimeLimitSec: 60},
+	for _, ep := range solveEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s, base := startDaemon(t, Config{MaxInFlight: 1, MaxQueue: 1, SolveDelay: 400 * time.Millisecond})
+			reqs := ep.prepare(t, base, testSpec(t, 4), 2)
+			done := make(chan int, len(reqs))
+			for _, req := range reqs {
+				go func() {
+					resp, err := http.Post(req.url, "application/json", bytes.NewReader(req.body))
+					if err != nil {
+						done <- 0
+						return
+					}
+					resp.Body.Close()
+					done <- resp.StatusCode
+				}()
+			}
+			var seen solvezResponse
+			waitFor(t, func() bool {
+				resp, err := http.Get(base + "/debug/solvez")
+				if err != nil {
+					return false
+				}
+				defer resp.Body.Close()
+				if err := json.NewDecoder(resp.Body).Decode(&seen); err != nil {
+					return false
+				}
+				return seen.Count == len(reqs)
+			})
+			for _, snap := range seen.Active {
+				if snap.TraceID == "" || snap.Phase == "" {
+					t.Fatalf("live snapshot lacks trace ID or phase: %+v", snap)
+				}
+			}
+			for range reqs {
+				if code := <-done; code != ep.code {
+					t.Fatalf("status %d, want %d", code, ep.code)
+				}
+			}
+			// The registry empties once the requests finish.
+			waitFor(t, func() bool { return s.solves.snapshots() == nil })
 		})
-		done <- code
-	}()
-	var seen solvezResponse
-	waitFor(t, func() bool {
-		resp, err := http.Get(base + "/debug/solvez")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&seen); err != nil {
-			return false
-		}
-		return seen.Count >= 1
-	})
-	if seen.Active[0].TraceID == "" {
-		t.Fatalf("live snapshot has no trace ID: %+v", seen.Active[0])
 	}
-	if seen.Active[0].Phase == "" {
-		t.Fatalf("live snapshot has no phase: %+v", seen.Active[0])
-	}
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("place status %d", code)
-	}
-	// The registry empties once the request finishes.
-	waitFor(t, func() bool { return s.solves.snapshots() == nil })
 }
 
 // TestFlightDumpOnDeadline is the post-mortem path end to end: a solve

@@ -1,17 +1,12 @@
 package daemon
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"rulefit/internal/core"
-	"rulefit/internal/ilp"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 	"rulefit/internal/state"
@@ -61,126 +56,62 @@ type sessionDeleteResponse struct {
 	Deleted   bool   `json:"deleted"`
 }
 
-// recordSessionSolve folds one session answer into the metrics.
-func (s *Server) recordSessionSolve(res *state.Result) {
-	s.met.RecordEncodeCache("policy", res.CacheStats.PolicyHits, res.CacheStats.PolicyMisses)
-	s.met.RecordEncodeCache("merge", res.CacheStats.MergeHits, res.CacheStats.MergeMisses)
-	s.met.RecordEncodeCache("solution", res.SolStats.Hits, res.SolStats.Misses)
-}
-
-// handleSessionCreate serves POST /v1/session: it parses a
+// handleSessionCreate serves POST /v1/session: it decodes a
 // PlaceRequest, normalizes the instance to fully explicit spec form,
 // runs the initial cold solve, and returns the session ID.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, op: "session_create", start: start}
-	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
-		s.finish(w, r, st)
-		return
-	}
-	release, ok := s.acquireSlot(r, &st)
-	if !ok {
-		s.finish(w, r, st)
-		return
-	}
-	defer release()
+	s.serveSolve(w, r, "session_create", func(body []byte) (solveFunc, error) {
+		in, err := s.decodePlace(body)
+		if err != nil {
+			return nil, err
+		}
+		explicit := in.SessionSpec()
+		return func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error {
+			opts := in.Options
+			opts.Request, opts.SolverSink = req, sink
+			sess, res, err := s.sessions.Create(explicit, opts)
+			if err != nil {
+				return err
+			}
+			s.met.Sessions().Set(int64(s.sessions.Len()))
+			s.sessionAnswer(st, http.StatusCreated, sess, res)
+			return nil
+		}, nil
+	})
+}
 
-	parseStart := time.Now()
-	var req PlaceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || len(req.Problem) == 0 {
-		if err == nil {
-			err = errors.New("missing problem")
+// handleSessionDelta serves POST /v1/session/{id}/delta.
+func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request, id string) {
+	s.serveSolve(w, r, "session_delta", func(body []byte) (solveFunc, error) {
+		var dr DeltaRequest
+		if err := decodeStrict(body, &dr); err != nil {
+			return nil, err
 		}
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	desc, err := spec.LoadBytes(req.Problem)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	prob, err := desc.Build()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	if err := prob.Validate(); err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts, err := req.Options.build(s.cfg)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts.Monitors, err = desc.BuildMonitors()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	// The session's authoritative state is the explicit flattening of
-	// the built instance, so generated topologies/policies delta the
-	// same as hand-written ones. Monitor declarations ride along for
-	// GET visibility; core-level monitors are fixed in opts.
-	explicit := spec.FromCore(prob)
-	explicit.Monitors = append([]spec.Monitor(nil), desc.Monitors...)
-	st.parse = time.Since(parseStart)
-	opts.Request = obs.NewRequestCtx(traceID)
-	st.trace = opts.Request.Trace
-	// ProfileLabels survives into the session's fixed opts (it is a
-	// plain bool, not a per-request pointer), so every future delta
-	// solve is label-attributable too. The sink and progress cell are
-	// per-request: they cover the initial cold solve only.
-	opts.ProfileLabels = s.cfg.ProfileThreshold > 0
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
-	defer s.solves.remove(traceID)
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	opts.SolverSink = obs.Multi(rec, s.flight)
-	defer func() {
-		if p := recover(); p != nil {
-			s.dumpFlight(rec, traceID, "panic")
-			panic(p)
+		sess, err := s.sessions.Get(id)
+		if err != nil {
+			return nil, err
 		}
-	}()
+		return func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error {
+			res, err := sess.Delta(dr.Deltas, req, sink)
+			if err != nil {
+				return err
+			}
+			s.met.RecordDelta(res.Path)
+			s.sessionAnswer(st, http.StatusOK, sess, res)
+			return nil
+		}, nil
+	})
+}
 
-	sess, res, err := s.sessions.Create(explicit, opts)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-		if errors.Is(err, state.ErrBadDelta) {
-			st.code, st.status = http.StatusBadRequest, "bad_request"
-		}
-		s.finish(w, r, st)
-		return
-	}
-	if res.Placement.Stats.StopReason == ilp.StopDeadline ||
-		res.Placement.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, res.Placement.Stats.StopReason.String())
-	}
-	s.met.Sessions().Set(int64(s.sessions.Len()))
-	s.recordSessionSolve(res)
-	st.code, st.status = http.StatusCreated, res.Placement.Status.String()
-	st.placement = res.Placement
+// sessionAnswer fills st with a session solve's reply and folds the
+// solve's cache lookups into the metrics.
+func (s *Server) sessionAnswer(st *requestState, code int, sess *state.Session, res *state.Result) {
+	s.met.RecordEncodeCache("policy", res.CacheStats.PolicyHits, res.CacheStats.PolicyMisses)
+	s.met.RecordEncodeCache("merge", res.CacheStats.MergeHits, res.CacheStats.MergeMisses)
+	s.met.RecordEncodeCache("solution", res.SolStats.Hits, res.SolStats.Misses)
+	st.code, st.placement = code, res.Placement
 	st.body = &SessionResponse{
-		TraceID:   traceID,
+		TraceID:   st.traceID,
 		SessionID: sess.ID(),
 		Version:   res.Version,
 		Path:      res.Path,
@@ -188,7 +119,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		Solutions: res.SolStats,
 		Placement: EncodePlacement(res.Placement),
 	}
-	s.finish(w, r, st)
 }
 
 // handleSession routes /v1/session/{id} and /v1/session/{id}/delta.
@@ -207,105 +137,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
 		}
 	case len(parts) == 2 && parts[0] != "" && parts[1] == "delta":
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
 		s.handleSessionDelta(w, r, parts[0])
 	default:
 		http.NotFound(w, r)
 	}
-}
-
-// notFoundSession fills st for an unknown/evicted session (404 with a
-// trace ID, joinable with the log line).
-func notFoundSession(st *requestState, err error) {
-	st.code, st.status, st.err = http.StatusNotFound, "not_found", err
-}
-
-// handleSessionDelta serves POST /v1/session/{id}/delta.
-func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request, id string) {
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, op: "session_delta", start: start}
-	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
-		s.finish(w, r, st)
-		return
-	}
-	release, ok := s.acquireSlot(r, &st)
-	if !ok {
-		s.finish(w, r, st)
-		return
-	}
-	defer release()
-
-	parseStart := time.Now()
-	var req DeltaRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	st.parse = time.Since(parseStart)
-	sess, err := s.sessions.Get(id)
-	if err != nil {
-		notFoundSession(&st, err)
-		s.finish(w, r, st)
-		return
-	}
-	reqCtx := obs.NewRequestCtx(traceID)
-	st.trace = reqCtx.Trace
-
-	// Delta solves get the same post-mortem coverage as /v1/place: a
-	// per-delta flight ring plus the global ring, dumped if the re-solve
-	// dies on its budget or panics. Progress cells stay per-request
-	// (stripped from session opts), so /debug/solvez shows the delta as
-	// "admitted" for its whole stay.
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
-	defer s.solves.remove(traceID)
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	defer func() {
-		if p := recover(); p != nil {
-			s.dumpFlight(rec, traceID, "panic")
-			panic(p)
-		}
-	}()
-
-	res, err := sess.Delta(req.Deltas, reqCtx, obs.Multi(rec, s.flight))
-	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-		if errors.Is(err, state.ErrBadDelta) {
-			st.code, st.status = http.StatusBadRequest, "bad_request"
-		}
-		s.finish(w, r, st)
-		return
-	}
-	if res.Placement.Stats.StopReason == ilp.StopDeadline ||
-		res.Placement.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, res.Placement.Stats.StopReason.String())
-	}
-	s.met.RecordDelta(res.Path)
-	s.recordSessionSolve(res)
-	st.code, st.status = http.StatusOK, res.Placement.Status.String()
-	st.placement = res.Placement
-	st.body = &SessionResponse{
-		TraceID:   traceID,
-		SessionID: sess.ID(),
-		Version:   res.Version,
-		Path:      res.Path,
-		Cache:     res.CacheStats,
-		Solutions: res.SolStats,
-		Placement: EncodePlacement(res.Placement),
-	}
-	s.finish(w, r, st)
 }
 
 // handleSessionGet serves GET /v1/session/{id}: the current version
@@ -315,7 +150,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request, id str
 	st := requestState{traceID: traceID, op: "session_get", start: time.Now()}
 	sess, err := s.sessions.Get(id)
 	if err != nil {
-		notFoundSession(&st, err)
+		st.fail(err, http.StatusNotFound)
 		s.finish(w, r, st)
 		return
 	}
@@ -337,7 +172,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, id 
 	traceID := obs.TraceIDFor(s.seq.Add(1), []byte(r.URL.Path))
 	st := requestState{traceID: traceID, op: "session_delete", start: time.Now()}
 	if !s.sessions.Delete(id) {
-		notFoundSession(&st, fmt.Errorf("%w: %s", state.ErrNoSession, id))
+		st.fail(fmt.Errorf("%w: %s", state.ErrNoSession, id), http.StatusNotFound)
 		s.finish(w, r, st)
 		return
 	}

@@ -372,50 +372,6 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestSessionDisableSLOByteIdentity runs the same create+delta
-// sequence with and without SLO instrumentation: placement bytes are
-// identical, only the Server-Timing header disappears.
-func TestSessionDisableSLOByteIdentity(t *testing.T) {
-	specJSON := testSpec(t, 8)
-	explicit := explicitSpec(t, specJSON)
-	delta := addRuleDelta(explicit, 9001)
-
-	run := func(disable bool) (json.RawMessage, string) {
-		_, base := startDaemon(t, Config{MaxInFlight: 2, DisableSLO: disable})
-		sr, _ := createSession(t, base, specJSON)
-		data, err := json.Marshal(DeltaRequest{Deltas: []spec.Delta{delta}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+"/v1/session/"+sr.SessionID+"/delta", "application/json", bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("delta status %d: %s", resp.StatusCode, body)
-		}
-		_, pl := decodeSession(t, body)
-		return pl, resp.Header.Get("Server-Timing")
-	}
-
-	plOn, timingOn := run(false)
-	plOff, timingOff := run(true)
-	if !bytes.Equal(plOn, plOff) {
-		t.Fatalf("DisableSLO changed delta placement bytes:\n%s\nvs\n%s", plOn, plOff)
-	}
-	if timingOn == "" {
-		t.Fatal("expected Server-Timing with SLO instrumentation on")
-	}
-	if timingOff != "" {
-		t.Fatalf("unexpected Server-Timing with SLO off: %q", timingOff)
-	}
-}
-
 // TestSessionBadDeltas covers the 4xx session paths.
 func TestSessionBadDeltas(t *testing.T) {
 	specJSON := testSpec(t, 4)

@@ -3,14 +3,13 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
-	"rulefit/internal/core"
 	"rulefit/internal/obs"
-	"rulefit/internal/spec"
 )
 
 // TestMetricsEndpointHeaders asserts the scrape endpoints declare
@@ -40,9 +39,9 @@ func TestMetricsEndpointHeaders(t *testing.T) {
 // on success, decode-failure 400, body-read-failure 400, and 429 shed
 // responses, and matches the trace ID in the body.
 func TestTraceIDHeaderOnEveryPath(t *testing.T) {
-	post := func(t *testing.T, base, body string) *http.Response {
+	post := func(t *testing.T, url, body string) *http.Response {
 		t.Helper()
-		resp, err := http.Post(base+"/v1/place", "application/json", strings.NewReader(body))
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,84 +69,88 @@ func TestTraceIDHeaderOnEveryPath(t *testing.T) {
 	}
 
 	t.Run("success", func(t *testing.T) {
-		_, base := startDaemon(t, Config{MaxInFlight: 1})
-		req, err := json.Marshal(PlaceRequest{
-			Problem: testSpec(t, 4),
-			Options: RequestOptions{Merging: true, TimeLimitSec: 60},
-		})
-		if err != nil {
-			t.Fatal(err)
+		for _, ep := range solveEndpoints {
+			t.Run(ep.name, func(t *testing.T) {
+				_, base := startDaemon(t, Config{MaxInFlight: 1})
+				req := ep.prepare(t, base, testSpec(t, 4), 1)[0]
+				checkHeader(t, post(t, req.url, string(req.body)), ep.code)
+			})
 		}
-		checkHeader(t, post(t, base, string(req)), http.StatusOK)
 	})
 	t.Run("bad request decode", func(t *testing.T) {
 		_, base := startDaemon(t, Config{MaxInFlight: 1})
-		checkHeader(t, post(t, base, "{not json"), http.StatusBadRequest)
+		checkHeader(t, post(t, base+"/v1/place", "{not json"), http.StatusBadRequest)
 	})
 	t.Run("bad request body read", func(t *testing.T) {
 		_, base := startDaemon(t, Config{MaxInFlight: 1, MaxBodyBytes: 8})
-		checkHeader(t, post(t, base, `{"problem": {"far": "too long"}}`), http.StatusBadRequest)
+		checkHeader(t, post(t, base+"/v1/place", `{"problem": {"far": "too long"}}`), http.StatusBadRequest)
 	})
 	t.Run("shed", func(t *testing.T) {
 		s, base := startDaemon(t, Config{MaxInFlight: 1, MaxQueue: 0})
 		s.queued.Add(1) // simulate a full admission queue
 		defer s.queued.Add(-1)
-		checkHeader(t, post(t, base, `{"problem":{}}`), http.StatusTooManyRequests)
+		checkHeader(t, post(t, base+"/v1/place", `{"problem":{}}`), http.StatusTooManyRequests)
 	})
 }
 
-// TestServerTimingAndPhaseAttribution drives one successful placement
-// and asserts (1) the Server-Timing header attributes wall time to
-// the pipeline phases and (2) the same phases land as a labeled
-// histogram family on /metrics.
+// TestServerTimingAndPhaseAttribution drives one successful solve per
+// solve endpoint and asserts (1) the Server-Timing header attributes
+// wall time to the pipeline phases, (2) the same phases land as a
+// labeled histogram family on /metrics, and (3) the served placement
+// is byte-identical to the in-process one: the instrumentation is
+// observation, never behavior.
 func TestServerTimingAndPhaseAttribution(t *testing.T) {
-	s, base := startDaemon(t, Config{MaxInFlight: 1})
-	body, err := json.Marshal(PlaceRequest{
-		Problem: testSpec(t, 8),
-		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/place", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	st := resp.Header.Get("Server-Timing")
-	for _, phase := range []string{"queue_wait", "parse", "encode", "model_build", "solve", "extract"} {
-		if !strings.Contains(st, phase+";dur=") {
-			t.Errorf("Server-Timing missing %s: %q", phase, st)
-		}
-	}
+	for _, ep := range solveEndpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			s, base := startDaemon(t, Config{MaxInFlight: 1})
+			req := ep.prepare(t, base, testSpec(t, 8), 1)[0]
+			resp, body := req.post(t)
+			if resp.StatusCode != ep.code {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			st := resp.Header.Get("Server-Timing")
+			for _, phase := range []string{"queue_wait", "parse", "encode", "model_build", "solve", "extract"} {
+				if !strings.Contains(st, phase+";dur=") {
+					t.Errorf("Server-Timing missing %s: %q", phase, st)
+				}
+			}
+			var got struct {
+				Placement json.RawMessage `json:"placement"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			if want := inProcessPlacement(t, req.solves); !bytes.Equal(bytes.TrimSpace(got.Placement), want) {
+				t.Fatalf("served placement differs from in-process:\n%s\nvs\n%s", got.Placement, want)
+			}
 
-	mresp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	payload, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.CheckPrometheusText(bytes.NewReader(payload)); err != nil {
-		t.Fatalf("exposition not conformant: %v\n%s", err, payload)
-	}
-	out := string(payload)
-	for _, want := range []string{
-		"# TYPE rulefit_request_phase_seconds histogram",
-		`rulefit_request_phase_seconds_count{phase="solve"} 1`,
-		`rulefit_request_phase_seconds_count{phase="queue_wait"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, out)
-		}
-	}
-	if got := len(s.met.Snapshot().PhaseWall); got < 6 {
-		t.Fatalf("phase families = %d, want >= 6", got)
+			mresp, err := http.Get(base + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mresp.Body.Close()
+			payload, err := io.ReadAll(mresp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.CheckPrometheusText(bytes.NewReader(payload)); err != nil {
+				t.Fatalf("exposition not conformant: %v\n%s", err, payload)
+			}
+			out := string(payload)
+			served := ep.setup + 1
+			for _, want := range []string{
+				"# TYPE rulefit_request_phase_seconds histogram",
+				fmt.Sprintf(`rulefit_request_phase_seconds_count{phase="solve"} %d`, served),
+				fmt.Sprintf(`rulefit_request_phase_seconds_count{phase="queue_wait"} %d`, served),
+			} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("metrics missing %q:\n%s", want, out)
+				}
+			}
+			if got := len(s.met.Snapshot().PhaseWall); got < 6 {
+				t.Fatalf("phase families = %d, want >= 6", got)
+			}
+		})
 	}
 }
 
@@ -215,84 +218,5 @@ func TestStatusz(t *testing.T) {
 	}
 	if snap.UptimeSec < 0 {
 		t.Fatalf("uptime %g", snap.UptimeSec)
-	}
-}
-
-// TestSLOInstrumentationNoPlacementEffect is the overhead gate: the
-// placement served with all SLO instrumentation disabled is
-// byte-identical to the instrumented one, and the disabled daemon
-// emits neither Server-Timing nor phase histograms.
-func TestSLOInstrumentationNoPlacementEffect(t *testing.T) {
-	specJSON := testSpec(t, 12)
-	req, err := json.Marshal(PlaceRequest{
-		Problem: specJSON,
-		Options: RequestOptions{Merging: true, Workers: 2, TimeLimitSec: 60},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	place := func(t *testing.T, disable bool) (*http.Response, []byte) {
-		t.Helper()
-		_, base := startDaemon(t, Config{MaxInFlight: 2, DisableSLO: disable})
-		resp, err := http.Post(base+"/v1/place", "application/json", bytes.NewReader(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, data
-	}
-	extract := func(t *testing.T, body []byte) json.RawMessage {
-		t.Helper()
-		var got struct {
-			Placement json.RawMessage `json:"placement"`
-		}
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatal(err)
-		}
-		return got.Placement
-	}
-
-	onResp, onBody := place(t, false)
-	offResp, offBody := place(t, true)
-	if onResp.Header.Get("Server-Timing") == "" {
-		t.Fatal("instrumented response missing Server-Timing")
-	}
-	if st := offResp.Header.Get("Server-Timing"); st != "" {
-		t.Fatalf("disabled daemon sent Server-Timing %q", st)
-	}
-	// Trace IDs are not SLO instrumentation: present either way.
-	if offResp.Header.Get("X-Rulefit-Trace-Id") == "" {
-		t.Fatal("disabled daemon missing X-Rulefit-Trace-Id")
-	}
-	if !bytes.Equal(extract(t, onBody), extract(t, offBody)) {
-		t.Fatalf("placement differs with instrumentation disabled:\n%s\nvs\n%s", onBody, offBody)
-	}
-
-	// Both match the in-process placement through the same projection.
-	desc, err := spec.LoadBytes(specJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob, err := desc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := core.Place(prob, core.Options{Merging: true, Workers: 2, TimeLimit: 60 * 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(EncodePlacement(pl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bytes.TrimSpace(extract(t, onBody)), want) {
-		t.Fatal("daemon placement differs from in-process")
 	}
 }

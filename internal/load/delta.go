@@ -233,7 +233,7 @@ func deltaWorkItem(cur *spec.Problem, reqOpts daemon.RequestOptions, index int, 
 	if err != nil {
 		return WorkItem{}, err
 	}
-	return WorkItem{Index: index, Seed: seed, Body: body, Problem: probJSON, Options: reqOpts}, nil
+	return WorkItem{Index: index, Seed: seed, Body: body}, nil
 }
 
 // finishDeltaReport folds the measured steps into the report: paired
@@ -408,10 +408,10 @@ func (d *httpSessionDriver) post(ctx context.Context, url string, body []byte) (
 	}, nil
 }
 
-// inprocSessionDriver drives an in-process state.Manager through the
-// daemon's own request pipeline (same spec build, option policy, and
-// wire projection), so CI measures the session layer without a
-// listening socket.
+// inprocSessionDriver drives an in-process state.Manager, decoding
+// each create with the daemon's own decoder (daemon.DecodePlaceRequest)
+// and projecting through the same wire encoding, so CI measures the
+// session layer without a listening socket.
 type inprocSessionDriver struct {
 	mgr          *state.Manager
 	sessions     map[string]*state.Session
@@ -432,26 +432,11 @@ func NewInProcessSessionDriver(defaultLimit, maxLimit time.Duration) SessionDriv
 
 func (d *inprocSessionDriver) Create(_ context.Context, item WorkItem) (string, DeltaAnswer, error) {
 	start := time.Now()
-	desc, err := spec.LoadBytes(item.Problem)
+	in, err := daemon.DecodePlaceRequest(item.Body, d.defaultLimit, d.maxLimit)
 	if err != nil {
 		return "", DeltaAnswer{}, err
 	}
-	prob, err := desc.Build()
-	if err != nil {
-		return "", DeltaAnswer{}, err
-	}
-	if err := prob.Validate(); err != nil {
-		return "", DeltaAnswer{}, err
-	}
-	opts, err := item.Options.BuildOptions(d.defaultLimit, d.maxLimit)
-	if err != nil {
-		return "", DeltaAnswer{}, err
-	}
-	opts.Monitors, err = desc.BuildMonitors()
-	if err != nil {
-		return "", DeltaAnswer{}, err
-	}
-	sess, res, err := d.mgr.Create(spec.FromCore(prob), opts)
+	sess, res, err := d.mgr.Create(in.SessionSpec(), in.Options)
 	if err != nil {
 		return "", DeltaAnswer{}, err
 	}

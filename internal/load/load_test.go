@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"rulefit/internal/bench"
 	"rulefit/internal/daemon"
 	"rulefit/internal/obs"
+	"rulefit/internal/spec"
 )
 
 // syncBuffer is a mutex-wrapped buffer safe for concurrent slog
@@ -114,6 +116,47 @@ func TestByteIdentityHTTPVsInProcess(t *testing.T) {
 	}
 	if httpRep.Workload.Fingerprint != inRep.Workload.Fingerprint {
 		t.Fatalf("fingerprints differ for identical configs")
+	}
+}
+
+// TestPlacersRefuseInvalidProblems: a problem that parses and builds
+// but fails core.Problem.Validate — two policies on one ingress, or a
+// policy on an ingress with no routing — is the client's fault on both
+// placers: 400 bad_request, in-process as over HTTP.
+func TestPlacersRefuseInvalidProblems(t *testing.T) {
+	base, _ := startDaemon(t, daemon.Config{MaxInFlight: 1})
+	wl, err := BuildWorkload(Config{Seed: 3, Requests: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req daemon.PlaceRequest
+	if err := json.Unmarshal(wl.Items[0].Body, &req); err != nil {
+		t.Fatal(err)
+	}
+	var desc spec.Problem
+	if err := json.Unmarshal(req.Problem, &desc); err != nil {
+		t.Fatal(err)
+	}
+	extra := desc.Policies[0]
+	unrouted := extra
+	unrouted.Ingress = 1 << 20
+	for name, pol := range map[string]spec.Policy{"duplicate ingress": extra, "unrouted ingress": unrouted} {
+		d := desc
+		d.Policies = append(append([]spec.Policy(nil), desc.Policies...), pol)
+		probJSON, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(daemon.PlaceRequest{Problem: probJSON, Options: req.Options})
+		if err != nil {
+			t.Fatal(err)
+		}
+		item := WorkItem{Body: body}
+		for placer, p := range map[string]Placer{"http": NewHTTPPlacer(base, nil), "in-process": NewInProcessPlacer(0, 0)} {
+			if res := p.Place(context.Background(), item); res.Code != http.StatusBadRequest || res.Status != "bad_request" {
+				t.Errorf("%s, %s placer: %d %s (%s), want 400 bad_request", name, placer, res.Code, res.Status, res.Err)
+			}
+		}
 	}
 }
 

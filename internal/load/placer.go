@@ -16,7 +16,6 @@ import (
 	"rulefit/internal/core"
 	"rulefit/internal/daemon"
 	"rulefit/internal/obs"
-	"rulefit/internal/spec"
 )
 
 // Result is one completed request observation.
@@ -159,9 +158,10 @@ func parseServerTiming(h string) []PhaseMS {
 	return out
 }
 
-// inprocPlacer replays through core.Place directly, mirroring the
-// daemon's request pipeline (same spec build, same option policy,
-// same wire projection) without HTTP. Used by CI and as the
+// inprocPlacer replays through core.Place directly, decoding each
+// item with the daemon's own decoder (daemon.DecodePlaceRequest: same
+// spec build, validation and option policy) and projecting through the
+// same wire encoding, without HTTP. Used by CI and as the
 // byte-identity reference: a served placement must hash identically
 // to the in-process placement of the same item.
 type inprocPlacer struct {
@@ -185,28 +185,14 @@ func (p *inprocPlacer) Place(_ context.Context, item WorkItem) Result {
 	}
 	traceID := obs.TraceIDFor(p.seq.Add(1), item.Body)
 	res := Result{TraceID: traceID}
-	desc, err := spec.LoadBytes(item.Problem)
+	in, err := daemon.DecodePlaceRequest(item.Body, p.defaultLimit, p.maxLimit)
 	if err != nil {
 		res.Code, res.Status, res.Err = http.StatusBadRequest, "bad_request", err.Error()
 		return finish(res)
 	}
-	prob, err := desc.Build()
-	if err != nil {
-		res.Code, res.Status, res.Err = http.StatusBadRequest, "bad_request", err.Error()
-		return finish(res)
-	}
-	opts, err := item.Options.BuildOptions(p.defaultLimit, p.maxLimit)
-	if err != nil {
-		res.Code, res.Status, res.Err = http.StatusBadRequest, "bad_request", err.Error()
-		return finish(res)
-	}
-	opts.Monitors, err = desc.BuildMonitors()
-	if err != nil {
-		res.Code, res.Status, res.Err = http.StatusBadRequest, "bad_request", err.Error()
-		return finish(res)
-	}
+	opts := in.Options
 	opts.Request = obs.NewRequestCtx(traceID)
-	pl, err := core.Place(prob, opts)
+	pl, err := core.Place(in.Problem, opts)
 	if err != nil {
 		res.Code, res.Status, res.Err = http.StatusInternalServerError, "error", err.Error()
 		return finish(res)

@@ -10,8 +10,8 @@ import (
 	"rulefit/internal/randgen"
 )
 
-// WorkItem is one replayable request: the marshaled wire body for
-// HTTP replay, the spec problem and options for in-process replay,
+// WorkItem is one replayable request: the marshaled wire body, which
+// HTTP and in-process replay both send through the daemon's decoder,
 // and the identity fields carried into the report.
 type WorkItem struct {
 	// Index is the item's position in the workload (not the issue
@@ -26,10 +26,6 @@ type WorkItem struct {
 	Rules int
 	// Body is the marshaled daemon.PlaceRequest.
 	Body []byte
-	// Problem is the spec problem JSON inside Body.
-	Problem json.RawMessage
-	// Options is the request options inside Body.
-	Options daemon.RequestOptions
 }
 
 // Workload is a deterministic request set: a pure function of
@@ -97,8 +93,6 @@ func BuildWorkload(cfg Config) (*Workload, error) {
 			Stratum: stratumOf(rules),
 			Rules:   rules,
 			Body:    body,
-			Problem: probJSON,
-			Options: opts,
 		})
 	}
 	wl.Fingerprint = fmt.Sprintf("%016x", fp.Sum64())

@@ -12,11 +12,12 @@ import (
 )
 
 // RequestCtx scopes one placement request's observability: a
-// deterministic trace ID and a span trace that carries it. Threaded
-// through core.Options.Request, the ID is stamped on every solver
-// event (Event.TraceID) and rendered in the span tree, so a request's
-// phase spans, B&B events, and log lines are joinable by ID. A nil
-// RequestCtx is a safe no-op everywhere it is accepted.
+// deterministic trace ID, a span trace that carries it, and optionally
+// a live-progress cell. Threaded through core.Options.Request, the ID
+// is stamped on every solver event (Event.TraceID) and rendered in the
+// span tree, so a request's phase spans, B&B events, and log lines are
+// joinable by ID. A nil RequestCtx is a safe no-op everywhere it is
+// accepted.
 type RequestCtx struct {
 	// TraceID identifies the request. Deterministic by construction
 	// (see TraceIDFor): identical request sequences produce identical
@@ -24,6 +25,11 @@ type RequestCtx struct {
 	TraceID string
 	// Trace collects the request's phase spans.
 	Trace *Trace
+	// Progress, when non-nil, receives live solve snapshots (phase,
+	// incumbent, bound, gap) published from the ILP solver's
+	// sequential sections. Read-only for the solver; the placement is
+	// byte-identical with or without it.
+	Progress *Progress
 }
 
 // NewRequestCtx returns a request context with a fresh span trace

@@ -59,13 +59,14 @@ var (
 	ErrNoSession = errors.New("state: no such session")
 )
 
+// memoEntries caps each session's L0 identity memo.
+const memoEntries = 64
+
 // Config bounds the Manager.
 type Config struct {
 	// MaxSessions caps live sessions; creating one past the cap
 	// evicts the least-recently-used session (logged). Default 64.
 	MaxSessions int
-	// MemoEntries caps each session's L0 identity memo. Default 64.
-	MemoEntries int
 	// Logger receives eviction and lifecycle lines (default: discard).
 	Logger *slog.Logger
 }
@@ -73,9 +74,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 64
-	}
-	if c.MemoEntries == 0 {
-		c.MemoEntries = 64
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -129,8 +127,7 @@ type Result struct {
 // Session is one live placement instance. All methods are safe for
 // concurrent use; deltas serialize on the session's lock.
 type Session struct {
-	id  string
-	mgr *Manager
+	id string
 
 	mu       sync.Mutex
 	version  uint64
@@ -152,9 +149,9 @@ func sessionID(seq uint64, canonical []byte) string {
 }
 
 // Create registers a session for an explicit-form instance and runs
-// the initial (cold) solve. opts' observational fields (Request,
-// Trace, SolverSink) apply to this first solve only; the remaining
-// fields are fixed for the session's lifetime.
+// the initial (cold) solve. opts' observational fields (Request and
+// its progress cell, Trace, SolverSink) apply to this first solve
+// only; the remaining fields are fixed for the session's lifetime.
 func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result, error) {
 	if err := sp.ExplicitOnly(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
@@ -162,11 +159,9 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	own := sp.Clone()
 	fixed := opts
 	fixed.Request, fixed.Trace, fixed.SolverSink = nil, nil, nil
-	fixed.Progress = nil      // live-progress cells are per-request, never per-session
 	fixed.EncodeCache = nil   // the session attaches its own
 	fixed.SolutionCache = nil // likewise
 	s := &Session{
-		mgr:   m,
 		opts:  fixed,
 		spec:  own,
 		cache: core.NewEncodeCache(),
@@ -279,8 +274,9 @@ func (s *Session) SolutionStats() core.SolutionCacheStats {
 
 // Delta applies a delta sequence atomically: every op validates and
 // the updated instance solves, or the session is left untouched and
-// the error wraps ErrBadDelta. req/sink scope observability to this
-// call only. Concurrent calls serialize on the session lock.
+// the error wraps ErrBadDelta. req (trace ID, spans, progress cell)
+// and sink scope observability to this call only. Concurrent calls
+// serialize on the session lock.
 func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("%w: empty delta list", ErrBadDelta)
@@ -344,7 +340,7 @@ func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Si
 	if used.PolicyHits > 0 || used.MergeHits > 0 || solUsed.Hits > 0 {
 		path = PathWarm
 	}
-	if len(s.memoFIFO) >= s.mgr.cfg.MemoEntries {
+	if len(s.memoFIFO) >= memoEntries {
 		oldest := s.memoFIFO[0]
 		s.memoFIFO = s.memoFIFO[1:]
 		delete(s.memo, oldest)

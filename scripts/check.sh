@@ -175,14 +175,21 @@ stage_smoke() {
     fi
     stop_daemon
 
-    step "session delta replay (warm/cold byte identity)"
-    start_daemon 18092
+    step "session delta replay (warm/cold byte identity, session trace file)"
+    mkdir -p "$work/traces"
+    start_daemon 18092 -trace-dir "$work/traces"
     "$work/ruleload" -target "$daemon_url" -delta -seed 7 \
         -delta-steps 6 -delta-ingresses 4 -delta-rules 20 -quiet -out "$work/delta.json"
     "$work/benchdiff" -check "$work/delta.json"
     "$work/benchdiff" "$work/delta.json" "$work/delta.json" > /dev/null
     expect "$work/delta.json" '"mismatched": 0'
     scrape /metrics 'rulefit_sessions_active 1'
+    # A session solve leaves the same -trace-dir file as /v1/place,
+    # named by the trace ID in its response.
+    curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/session" > "$work/session.json"
+    local trace_id
+    trace_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/session.json")
+    "$work/traceview" -check "$work/traces/trace-$trace_id.jsonl" > /dev/null
     stop_daemon
 
     step "Fig. 7 benchmark, one iteration"
