@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rulefit/internal/core"
+	"rulefit/internal/ilp"
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
 	"rulefit/internal/topology"
@@ -116,46 +117,16 @@ func Build(cfg Config) (*core.Problem, error) {
 	return &core.Problem{Network: topo, Routing: rt, Policies: policies}, nil
 }
 
-// Result is one measured placement run.
+// Result is one measured placement run. It embeds the solver's
+// ilp.Stats rather than core.Stats, whose SolveTime is wall clock:
+// every field but Time is a deterministic function of the instance.
 type Result struct {
 	Status      core.Status
 	TotalRules  int
 	Time        time.Duration
 	Variables   int
 	Constraints int
-	// Nodes and SimplexIters report ILP solver effort; Workers is the
-	// branch & bound parallelism the solve used.
-	Nodes        int
-	SimplexIters int
-	Workers      int
-	// LURefactors counts basis refactorizations; Branched..LostSubtrees
-	// break Nodes down by outcome (their sum equals Nodes); PrunedStale
-	// counts frontier items skipped before expansion; Incumbents counts
-	// incumbent improvements during the search.
-	LURefactors      int
-	Branched         int
-	PrunedBound      int
-	PrunedInfeasible int
-	IntegralLeaves   int
-	LostSubtrees     int
-	PrunedStale      int
-	Incumbents       int
-	// StrongBranchEvals counts reliability-branching trials;
-	// WarmStartReuses counts warm-started node LPs.
-	StrongBranchEvals int
-	WarmStartReuses   int
-	// StopReason says why the search ended early ("none" when the tree
-	// was exhausted). BestBound/Gap carry the proof state for anytime
-	// runs: Gap is 0 for proven optima, positive for time/node-limited
-	// incumbents, and -1 when undefined.
-	StopReason string
-	BestBound  float64
-	Gap        float64
-	// LastIncumbentAtNode is the B&B node that produced the final
-	// incumbent (0 when none); RootGap is the gap the tree had to close
-	// from the root relaxation (-1 undefined).
-	LastIncumbentAtNode int
-	RootGap             float64
+	ilp.Stats
 }
 
 // Run builds and solves one instance, measuring wall-clock solve time.
@@ -170,29 +141,12 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		Status:              pl.Status,
-		TotalRules:          pl.TotalRules,
-		Time:                time.Since(start),
-		Variables:           pl.Stats.Variables,
-		Constraints:         pl.Stats.Constraints,
-		Nodes:               pl.Stats.BnBNodes,
-		SimplexIters:        pl.Stats.SimplexIters,
-		Workers:             pl.Stats.Workers,
-		LURefactors:         pl.Stats.LURefactors,
-		Branched:            pl.Stats.Branched,
-		PrunedBound:         pl.Stats.PrunedBound,
-		PrunedInfeasible:    pl.Stats.PrunedInfeasible,
-		IntegralLeaves:      pl.Stats.IntegralLeaves,
-		LostSubtrees:        pl.Stats.LostSubtrees,
-		PrunedStale:         pl.Stats.PrunedStale,
-		Incumbents:          pl.Stats.Incumbents,
-		StrongBranchEvals:   pl.Stats.StrongBranchEvals,
-		WarmStartReuses:     pl.Stats.WarmStartReuses,
-		StopReason:          pl.Stats.StopReason.String(),
-		BestBound:           pl.Stats.BestBound,
-		Gap:                 pl.Stats.Gap,
-		LastIncumbentAtNode: pl.Stats.LastIncumbentAtNode,
-		RootGap:             pl.Stats.RootGap,
+		Status:      pl.Status,
+		TotalRules:  pl.TotalRules,
+		Time:        time.Since(start),
+		Variables:   pl.Stats.Variables,
+		Constraints: pl.Stats.Constraints,
+		Stats:       pl.Stats.Stats,
 	}, nil
 }
 

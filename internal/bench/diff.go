@@ -275,9 +275,9 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 			rd.OldStatus = o.Status
 		default:
 			rd.Verdict = opts.Classify(o.Status, n.Status, o.WallMS, n.WallMS)
-			if o.Nodes != n.Nodes || o.SimplexIters != n.SimplexIters {
+			if o.BnBNodes != n.BnBNodes || o.SimplexIters != n.SimplexIters {
 				rd.SearchDrift = true
-				rd.OldNodes, rd.NewNodes = o.Nodes, n.Nodes
+				rd.OldNodes, rd.NewNodes = o.BnBNodes, n.BnBNodes
 				rd.OldIters, rd.NewIters = o.SimplexIters, n.SimplexIters
 				d.Drifted++
 			}
@@ -299,8 +299,8 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 			sa.Runs++
 			sa.OldWallMS += o.WallMS
 			sa.NewWallMS += n.WallMS
-			sa.OldNodes += o.Nodes
-			sa.NewNodes += n.Nodes
+			sa.OldNodes += o.BnBNodes
+			sa.NewNodes += n.BnBNodes
 			sa.OldIters += o.SimplexIters
 			sa.NewIters += n.SimplexIters
 			if o.WallMS > 0 && n.WallMS > 0 {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rulefit/internal/ilp"
 )
 
 // unmarshalStrict decodes with unknown fields rejected, so the round
@@ -61,41 +63,45 @@ func goldenReport() *Report {
 				MinMS:  10,
 				MaxMS:  15,
 				Runs: []RunRecord{{
-					Seed:              1,
-					Status:            "OPTIMAL",
-					WallMS:            10,
-					TotalRules:        37,
-					Variables:         120,
-					Constraints:       260,
-					Nodes:             9,
-					SimplexIters:      431,
-					Workers:           1,
-					LURefactors:       3,
-					Branched:          4,
-					PrunedBound:       2,
-					PrunedInfeasible:  1,
-					IntegralLeaves:    2,
-					LostSubtrees:      0,
-					PrunedStale:       1,
-					Incumbents:        2,
-					StrongBranchEvals: 12,
-					WarmStartReuses:   7,
-					StopReason:        "none",
-					BestBound:         37,
-					Gap:               0,
+					Seed:        1,
+					Status:      "OPTIMAL",
+					WallMS:      10,
+					TotalRules:  37,
+					Variables:   120,
+					Constraints: 260,
+					Stats: ilp.Stats{
+						BnBNodes:          9,
+						SimplexIters:      431,
+						Workers:           1,
+						LURefactors:       3,
+						Branched:          4,
+						PrunedBound:       2,
+						PrunedInfeasible:  1,
+						IntegralLeaves:    2,
+						LostSubtrees:      0,
+						PrunedStale:       1,
+						Incumbents:        2,
+						StrongBranchEvals: 12,
+						WarmStartReuses:   7,
+						StopReason:        ilp.StopNone,
+						BestBound:         37,
+						Gap:               0,
+					},
 				}, {
 					Seed:       102,
 					Status:     "LIMIT",
 					WallMS:     15,
 					TotalRules: 41,
-					Nodes:      64,
-					Workers:    1,
-					Branched:   32, PrunedBound: 20, PrunedInfeasible: 6,
-					IntegralLeaves: 5, LostSubtrees: 1,
-					Incumbents: 1,
-					StopReason: "deadline",
-					BestBound:  39.5,
-					Gap:        0.0379746835443038,
+					Stats: ilp.Stats{
+						BnBNodes: 64,
+						Workers:  1,
+						Branched: 32, PrunedBound: 20, PrunedInfeasible: 6,
+						IntegralLeaves: 5, LostSubtrees: 1,
+						Incumbents: 1,
+						StopReason: ilp.StopDeadline,
+						BestBound:  39.5,
+						Gap:        0.0379746835443038,
+					},
 				}},
 			}},
 		}},

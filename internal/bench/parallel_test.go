@@ -89,7 +89,7 @@ func TestBuildReport(t *testing.T) {
 				t.Fatalf("runs = %d, want 2 seeds", len(p.Runs))
 			}
 			for _, r := range p.Runs {
-				if r.Status == "" || r.Nodes <= 0 || r.SimplexIters <= 0 || r.Workers != sr.Workers {
+				if r.Status == "" || r.BnBNodes <= 0 || r.SimplexIters <= 0 || r.Workers != sr.Workers {
 					t.Errorf("run not populated for workers=%d: %+v", sr.Workers, r)
 				}
 			}

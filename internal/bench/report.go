@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+
+	"rulefit/internal/ilp"
 )
 
 // ReportSchema identifies the BENCH_*.json layout; bump it on any
@@ -60,43 +62,19 @@ type PointRecord struct {
 	Runs   []RunRecord `json:"runs"`
 }
 
-// RunRecord is one measured solve. The prune/gap breakdown fields were
-// added after the schema's introduction; additions are backward
-// compatible, so the schema string is unchanged.
+// RunRecord is one measured solve: what the bench harness measured,
+// then the solver's ilp.Stats, whose JSON tags are this record's
+// remaining keys. A counter added to ilp.Stats is an additive schema
+// change (rerun the golden test with -update); the schema string is
+// unchanged.
 type RunRecord struct {
-	Seed         int64   `json:"seed"`
-	Status       string  `json:"status"`
-	WallMS       float64 `json:"wall_ms"`
-	TotalRules   int     `json:"total_rules"`
-	Variables    int     `json:"variables"`
-	Constraints  int     `json:"constraints"`
-	Nodes        int     `json:"nodes"`
-	SimplexIters int     `json:"simplex_iters"`
-	Workers      int     `json:"workers"`
-	// Node-outcome breakdown: branched + pruned_bound + pruned_infeasible
-	// + integral_leaves + lost_subtrees == nodes.
-	LURefactors      int `json:"lu_refactors"`
-	Branched         int `json:"branched"`
-	PrunedBound      int `json:"pruned_bound"`
-	PrunedInfeasible int `json:"pruned_infeasible"`
-	IntegralLeaves   int `json:"integral_leaves"`
-	LostSubtrees     int `json:"lost_subtrees"`
-	PrunedStale      int `json:"pruned_stale"`
-	Incumbents       int `json:"incumbents"`
-	// Solver-speed mechanisms (additive; absent in older reports):
-	// reliability strong-branch trials and warm-started node LPs.
-	StrongBranchEvals int    `json:"strong_branch_evals"`
-	WarmStartReuses   int    `json:"warm_start_reuses"`
-	StopReason        string `json:"stop_reason"`
-	// Gap is 0 for proven optima, positive for anytime incumbents, and
-	// -1 when undefined; best_bound is meaningful only when gap >= 0.
-	BestBound float64 `json:"best_bound"`
-	Gap       float64 `json:"gap"`
-	// Search-profile fields (additive): the node that produced the
-	// final incumbent (0 = none) and the root-relaxation gap the tree
-	// search closed (-1 undefined).
-	LastIncumbentAtNode int     `json:"last_incumbent_at_node"`
-	RootGap             float64 `json:"root_gap"`
+	Seed        int64   `json:"seed"`
+	Status      string  `json:"status"`
+	WallMS      float64 `json:"wall_ms"`
+	TotalRules  int     `json:"total_rules"`
+	Variables   int     `json:"variables"`
+	Constraints int     `json:"constraints"`
+	ilp.Stats
 }
 
 // SpeedupRecord compares one worker count's total sweep wall time
@@ -158,30 +136,13 @@ func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCou
 				}
 				for s, r := range p.Runs {
 					pr.Runs = append(pr.Runs, RunRecord{
-						Seed:                base.Seed + int64(s)*101,
-						Status:              r.Status.String(),
-						WallMS:              ms(r.Time),
-						TotalRules:          r.TotalRules,
-						Variables:           r.Variables,
-						Constraints:         r.Constraints,
-						Nodes:               r.Nodes,
-						SimplexIters:        r.SimplexIters,
-						Workers:             r.Workers,
-						LURefactors:         r.LURefactors,
-						Branched:            r.Branched,
-						PrunedBound:         r.PrunedBound,
-						PrunedInfeasible:    r.PrunedInfeasible,
-						IntegralLeaves:      r.IntegralLeaves,
-						LostSubtrees:        r.LostSubtrees,
-						PrunedStale:         r.PrunedStale,
-						Incumbents:          r.Incumbents,
-						StrongBranchEvals:   r.StrongBranchEvals,
-						WarmStartReuses:     r.WarmStartReuses,
-						StopReason:          r.StopReason,
-						BestBound:           r.BestBound,
-						Gap:                 r.Gap,
-						LastIncumbentAtNode: r.LastIncumbentAtNode,
-						RootGap:             r.RootGap,
+						Seed:        base.Seed + int64(s)*101,
+						Status:      r.Status.String(),
+						WallMS:      ms(r.Time),
+						TotalRules:  r.TotalRules,
+						Variables:   r.Variables,
+						Constraints: r.Constraints,
+						Stats:       r.Stats,
 					})
 					totals[w] += ms(r.Time)
 				}

@@ -258,9 +258,11 @@ func TestMergingSavesSlots(t *testing.T) {
 	verifyPlacement(t, prob, withMergeSAT)
 }
 
-func TestMergingMakesInfeasibleFeasible(t *testing.T) {
-	// One shared switch with capacity 1 and two policies with the same
-	// drop: infeasible unmerged, feasible merged (Table II's effect).
+// sharedDropProblem is one switch with capacity 1 and two ingresses
+// whose policies hold the same DROP. Unmerged it is infeasible; merged,
+// both DROPs share one slot.
+func sharedDropProblem(t *testing.T) *Problem {
+	t.Helper()
 	topo := topology.NewNetwork()
 	if err := topo.AddSwitch(topology.Switch{ID: 1, Capacity: 1}); err != nil {
 		t.Fatal(err)
@@ -278,10 +280,15 @@ func TestMergingMakesInfeasibleFeasible(t *testing.T) {
 	rt.Add(routing.Path{Ingress: 1, Egress: 3, Switches: []topology.SwitchID{1}})
 	rt.Add(routing.Path{Ingress: 2, Egress: 3, Switches: []topology.SwitchID{1}})
 	shared := mk("11******", policy.Drop, 1)
-	prob := &Problem{Network: topo, Routing: rt, Policies: []*policy.Policy{
+	return &Problem{Network: topo, Routing: rt, Policies: []*policy.Policy{
 		policy.MustNew(1, []policy.Rule{shared}),
 		policy.MustNew(2, []policy.Rule{shared}),
 	}}
+}
+
+func TestMergingMakesInfeasibleFeasible(t *testing.T) {
+	// Table II's effect: merging makes an infeasible instance feasible.
+	prob := sharedDropProblem(t)
 	noMerge := place(t, prob, Options{})
 	if noMerge.Status != StatusInfeasible {
 		t.Fatalf("unmerged status = %v, want infeasible", noMerge.Status)
@@ -507,6 +514,30 @@ func TestIncrementalReroute(t *testing.T) {
 	}
 	if v := verify.Exhaustive(net, newRt, re.Policies); len(v) > 0 {
 		t.Fatalf("rerouted policy broken: %v", v)
+	}
+}
+
+// TestIncrementalRerouteKeepsSharedMergedSlot: rerouting a policy
+// frees only the slots it held alone. The base placement puts both
+// ingresses' DROP in one merged slot; lifting ingress 1 leaves ingress
+// 2's rule in that slot, so the full switch cannot take ingress 1's
+// DROP back.
+func TestIncrementalRerouteKeepsSharedMergedSlot(t *testing.T) {
+	prob := sharedDropProblem(t)
+	pl := place(t, prob, Options{Merging: true})
+	if pl.Status != StatusOptimal || pl.TotalRules != 1 {
+		t.Fatalf("base placement %v with %d slots, want optimal with one merged slot", pl.Status, pl.TotalRules)
+	}
+	newPaths := &routing.PathSet{Ingress: 1, Paths: []routing.Path{
+		{Ingress: 1, Egress: 3, Switches: []topology.SwitchID{1}},
+	}}
+	re, err := IncrementalReroute(prob, pl, 1, newPaths, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Status != StatusInfeasible {
+		t.Fatalf("status = %v with %d rules beside ingress 2's kept rule on a capacity-1 switch, want infeasible",
+			re.Status, re.TotalRules)
 	}
 }
 

@@ -149,8 +149,10 @@ func stitch(frags []*Placement, opts Options) *Placement {
 		s, f := &pl.Stats, frag.Stats
 		s.Variables += f.Variables
 		s.Constraints += f.Constraints
-		s.SimplexIters += f.SimplexIters
+		// Every ilp.Stats counter needs a rule here; TestStitchStats
+		// fails on one without.
 		s.BnBNodes += f.BnBNodes
+		s.SimplexIters += f.SimplexIters
 		s.LURefactors += f.LURefactors
 		s.Branched += f.Branched
 		s.PrunedBound += f.PrunedBound
@@ -161,6 +163,7 @@ func stitch(frags []*Placement, opts Options) *Placement {
 		s.Incumbents += f.Incumbents
 		s.StrongBranchEvals += f.StrongBranchEvals
 		s.WarmStartReuses += f.WarmStartReuses
+		s.PresolveFix += f.PresolveFix
 		s.BestBound += f.BestBound
 		if f.Workers > s.Workers {
 			s.Workers = f.Workers

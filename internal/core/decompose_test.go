@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rulefit/internal/ilp"
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
 	"rulefit/internal/topology"
@@ -165,6 +166,52 @@ func TestDecomposedSolutionCacheByteIdentity(t *testing.T) {
 	warm.Stats.SolveTime, cold.Stats.SolveTime = 0, 0
 	if !reflect.DeepEqual(warm, cold) {
 		t.Errorf("warm and cold decomposed placements differ:\nwarm: %+v\ncold: %+v", warm, cold)
+	}
+}
+
+// TestStitchStats pins stitch's aggregation rule for every ilp.Stats
+// field, found by reflection: counters and BestBound add; Workers,
+// LastIncumbentAtNode and RootGap take the max; the stitch of proven
+// fragments is proven (Gap 0, StopNone). A field added to ilp.Stats
+// without a rule in stitch fails here.
+func TestStitchStats(t *testing.T) {
+	maxRule := map[string]bool{"Workers": true, "LastIncumbentAtNode": true, "RootGap": true}
+	var frags []*Placement
+	for _, scale := range []int64{10, 1} {
+		frag := &Placement{Policies: []*policy.Policy{nil}, Assign: [][][]topology.SwitchID{nil}}
+		v := reflect.ValueOf(&frag.Stats.Stats).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			// Distinct in every field; the first fragment holds the larger
+			// value, so a max is not the last value seen.
+			switch fv := v.Field(f); fv.Kind() {
+			case reflect.Int:
+				fv.SetInt(scale * int64(f+1))
+			case reflect.Float64:
+				fv.SetFloat(float64(scale*int64(f+1)) + 0.5)
+			default:
+				t.Fatalf("ilp.Stats.%s: no rule for kind %v", v.Type().Field(f).Name, fv.Kind())
+			}
+		}
+		frags = append(frags, frag)
+	}
+	got := reflect.ValueOf(stitch(frags, Options{}).Stats.Stats)
+	a, b := reflect.ValueOf(frags[0].Stats.Stats), reflect.ValueOf(frags[1].Stats.Stats)
+	want := reflect.New(reflect.TypeOf(ilp.Stats{})).Elem()
+	for f := 0; f < want.NumField(); f++ {
+		name, w := want.Type().Field(f).Name, want.Field(f)
+		switch {
+		case name == "Gap" || name == "StopReason":
+			// Zero: every fragment proved its optimum.
+		case maxRule[name]:
+			w.Set(a.Field(f))
+		case w.Kind() == reflect.Int:
+			w.SetInt(a.Field(f).Int() + b.Field(f).Int())
+		default:
+			w.SetFloat(a.Field(f).Float() + b.Field(f).Float())
+		}
+		if g := got.Field(f).Interface(); !reflect.DeepEqual(g, w.Interface()) {
+			t.Errorf("stitched %s = %v, want %v", name, g, w.Interface())
+		}
 	}
 }
 

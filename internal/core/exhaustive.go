@@ -51,7 +51,7 @@ func PlaceExhaustive(prob *Problem, opts Options, maxVars int) (*Placement, erro
 			Status:   StatusInfeasible,
 			Policies: enc.policies,
 			Groups:   enc.groups,
-			Stats:    Stats{Backend: opts.Backend, Gap: -1, RootGap: -1},
+			Stats:    Stats{Stats: ilp.Stats{Gap: -1, RootGap: -1}, Backend: opts.Backend},
 		}, nil
 	}
 	if maxVars <= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rulefit/internal/policy"
@@ -91,14 +92,18 @@ func IncrementalReroute(prob *Problem, existing *Placement, ingress int, newPath
 			spare[sw]++
 		}
 	}
+	// A merged slot the target shares stays taken while another member
+	// still occupies it. A group holds at most one rule per policy.
 	for g, sws := range existing.MergedAt {
 		for _, m := range existing.Groups[g].Members {
 			if m.Policy != target {
 				continue
 			}
-			// The merged slot stays (other members still use it), but
-			// this member contributed no extra slot; nothing to restore.
-			_ = sws
+			for _, sw := range sws {
+				if slices.Contains(existing.Assign[target][m.Rule], sw) && existing.membersAt(g, sw) > 1 {
+					spare[sw]--
+				}
+			}
 		}
 	}
 	rt := routing.NewRouting()

@@ -47,7 +47,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 			Status:   StatusInfeasible,
 			Policies: enc.policies,
 			Groups:   enc.groups,
-			Stats:    Stats{Backend: opts.Backend, Gap: -1, RootGap: -1},
+			Stats:    Stats{Stats: ilp.Stats{Gap: -1, RootGap: -1}, Backend: opts.Backend},
 		}, nil
 	}
 	if opts.Objective == ObjMinMaxLoad && opts.Backend != BackendILP && !opts.SatisfyOnly {
@@ -110,28 +110,10 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 		solveSp.End()
 		return nil, err
 	}
-	solveSp.SetCount("nodes", int64(sol.Stats.Nodes))
+	solveSp.SetCount("nodes", int64(sol.Stats.BnBNodes))
 	solveSp.SetCount("iters", int64(sol.Stats.SimplexIters))
 	solveSp.End()
-	pl := &Placement{Policies: enc.policies, Groups: enc.groups}
-	pl.Stats.SimplexIters = sol.Stats.SimplexIters
-	pl.Stats.BnBNodes = sol.Stats.Nodes
-	pl.Stats.Workers = sol.Stats.Workers
-	pl.Stats.LURefactors = sol.Stats.LURefactors
-	pl.Stats.Branched = sol.Stats.Branched
-	pl.Stats.PrunedBound = sol.Stats.PrunedBound
-	pl.Stats.PrunedInfeasible = sol.Stats.PrunedInfeasible
-	pl.Stats.IntegralLeaves = sol.Stats.IntegralLeaves
-	pl.Stats.LostSubtrees = sol.Stats.LostSubtrees
-	pl.Stats.PrunedStale = sol.Stats.PrunedStale
-	pl.Stats.Incumbents = sol.Stats.Incumbents
-	pl.Stats.StrongBranchEvals = sol.Stats.StrongBranchEvals
-	pl.Stats.WarmStartReuses = sol.Stats.WarmStartReuses
-	pl.Stats.StopReason = sol.Stats.StopReason
-	pl.Stats.BestBound = sol.Stats.BestBound
-	pl.Stats.Gap = sol.Stats.Gap
-	pl.Stats.LastIncumbentAtNode = sol.Stats.LastIncumbentAtNode
-	pl.Stats.RootGap = sol.Stats.RootGap
+	pl := &Placement{Policies: enc.policies, Groups: enc.groups, Stats: Stats{Stats: sol.Stats}}
 	switch sol.Status {
 	case ilp.Optimal:
 		pl.Status = StatusOptimal

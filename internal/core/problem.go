@@ -272,51 +272,17 @@ func (s Status) String() string {
 	}
 }
 
-// Stats reports solver effort.
+// Stats reports solver effort: the ILP backend's branch & bound
+// counters, passed unchanged from ilp.Solve (zero on the other
+// backends), plus what the encoding and the SAT backend add.
 type Stats struct {
+	ilp.Stats
 	Backend      Backend
 	Variables    int
 	Constraints  int
 	SolveTime    time.Duration
-	SimplexIters int
-	BnBNodes     int
-	// Workers is the branch & bound parallelism the ILP solve used.
-	Workers      int
 	SATConflicts int64
 	SATDecisions int64
-
-	// LURefactors counts basis LU refactorizations (ILP backend).
-	LURefactors int
-	// Branched..LostSubtrees break BnBNodes down by outcome; their sum
-	// equals BnBNodes. PrunedStale counts frontier items discarded
-	// before expansion. Incumbents counts incumbent improvements.
-	Branched         int
-	PrunedBound      int
-	PrunedInfeasible int
-	IntegralLeaves   int
-	LostSubtrees     int
-	PrunedStale      int
-	Incumbents       int
-	// StrongBranchEvals counts reliability-branching trials;
-	// WarmStartReuses counts node LPs solved from the parent's factored
-	// basis (both ILP backend).
-	StrongBranchEvals int
-	WarmStartReuses   int
-	// StopReason says why the ILP search ended early (ilp.StopNone when
-	// the tree was exhausted).
-	StopReason ilp.StopReason
-	// BestBound/Gap carry the solver's final proof state: Gap is 0 when
-	// optimality was proven, positive for time/node-limited anytime
-	// placements (the paper's Table 2 asterisk cells), and -1 when
-	// undefined. BestBound is meaningful only when Gap >= 0.
-	BestBound float64
-	Gap       float64
-	// LastIncumbentAtNode is the B&B node id that produced the final
-	// incumbent (0 when none); RootGap is the gap the tree search had to
-	// close from the root relaxation (-1 undefined). Both ILP
-	// backend.
-	LastIncumbentAtNode int
-	RootGap             float64
 }
 
 // Placement is the result of solving a placement problem.

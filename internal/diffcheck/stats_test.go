@@ -15,8 +15,8 @@ import (
 // time limits, and checks the documented Stats invariants:
 //
 //   - every expanded node has exactly one outcome, so the per-outcome
-//     counters sum to Nodes;
-//   - NodeLimit is a hard cap on Nodes;
+//     counters sum to BnBNodes;
+//   - NodeLimit is a hard cap on BnBNodes;
 //   - a StopReason is never reported for a limit that was not set;
 //   - a non-terminal status always carries a StopReason, and a cleanly
 //     proven answer carries StopNone (unless a subtree was lost);
@@ -55,11 +55,11 @@ func TestStatsAccountingRandomLimits(t *testing.T) {
 		st := sol.Stats
 
 		sum := st.Branched + st.PrunedBound + st.PrunedInfeasible + st.IntegralLeaves + st.LostSubtrees
-		if sum != st.Nodes {
-			t.Errorf("seed %d: outcome counters sum to %d, Nodes=%d (%+v)", seed, sum, st.Nodes, st)
+		if sum != st.BnBNodes {
+			t.Errorf("seed %d: outcome counters sum to %d, Nodes=%d (%+v)", seed, sum, st.BnBNodes, st)
 		}
-		if o.NodeLimit > 0 && st.Nodes > o.NodeLimit {
-			t.Errorf("seed %d: Nodes=%d exceeds NodeLimit=%d", seed, st.Nodes, o.NodeLimit)
+		if o.NodeLimit > 0 && st.BnBNodes > o.NodeLimit {
+			t.Errorf("seed %d: Nodes=%d exceeds NodeLimit=%d", seed, st.BnBNodes, o.NodeLimit)
 		}
 
 		// StopReason precedence: a reason can only cite a limit that was
@@ -163,8 +163,8 @@ func TestStatsNodeLimitPrecedence(t *testing.T) {
 			if r := sol.Stats.StopReason; r != ilp.StopNodeLimit {
 				t.Errorf("seed %d: status %v, StopReason=%v, want node-limit", seed, sol.Status, r)
 			}
-			if sol.Stats.Nodes > 1 {
-				t.Errorf("seed %d: NodeLimit=1 but Nodes=%d", seed, sol.Stats.Nodes)
+			if sol.Stats.BnBNodes > 1 {
+				t.Errorf("seed %d: NodeLimit=1 but Nodes=%d", seed, sol.Stats.BnBNodes)
 			}
 		}
 	}

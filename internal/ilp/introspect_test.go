@@ -39,9 +39,9 @@ func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
 		if !reflect.DeepEqual(inst.Values, bare.Values) {
 			t.Fatalf("workers=%d: solution vector differs with recorder attached", w)
 		}
-		if inst.Stats.Nodes != bare.Stats.Nodes || inst.Stats.SimplexIters != bare.Stats.SimplexIters {
+		if inst.Stats.BnBNodes != bare.Stats.BnBNodes || inst.Stats.SimplexIters != bare.Stats.SimplexIters {
 			t.Fatalf("workers=%d: search effort differs: (%d nodes, %d iters) with recorder vs (%d, %d) without",
-				w, inst.Stats.Nodes, inst.Stats.SimplexIters, bare.Stats.Nodes, bare.Stats.SimplexIters)
+				w, inst.Stats.BnBNodes, inst.Stats.SimplexIters, bare.Stats.BnBNodes, bare.Stats.SimplexIters)
 		}
 		if rec.Dump().Seen == 0 {
 			t.Fatalf("workers=%d: flight recorder saw no events", w)
@@ -90,8 +90,8 @@ func TestSolveProgressFinalSnapshot(t *testing.T) {
 	if s.TraceID != "req-000007" {
 		t.Fatalf("snapshot trace ID %q", s.TraceID)
 	}
-	if s.Nodes != sol.Stats.Nodes {
-		t.Fatalf("snapshot nodes %d, Stats.Nodes %d", s.Nodes, sol.Stats.Nodes)
+	if s.Nodes != sol.Stats.BnBNodes {
+		t.Fatalf("snapshot nodes %d, Stats.BnBNodes %d", s.Nodes, sol.Stats.BnBNodes)
 	}
 	if s.Workers != 2 {
 		t.Fatalf("snapshot workers %d", s.Workers)
@@ -145,8 +145,8 @@ func TestSolveSearchProfileStats(t *testing.T) {
 	if sol.Stats.RootGap < 0 {
 		t.Fatalf("RootGap = %g for an optimal solve with a root LP; want >= 0", sol.Stats.RootGap)
 	}
-	if sol.Stats.LastIncumbentAtNode < 0 || sol.Stats.LastIncumbentAtNode > sol.Stats.Nodes {
-		t.Fatalf("LastIncumbentAtNode = %d outside [0, %d]", sol.Stats.LastIncumbentAtNode, sol.Stats.Nodes)
+	if sol.Stats.LastIncumbentAtNode < 0 || sol.Stats.LastIncumbentAtNode > sol.Stats.BnBNodes {
+		t.Fatalf("LastIncumbentAtNode = %d outside [0, %d]", sol.Stats.LastIncumbentAtNode, sol.Stats.BnBNodes)
 	}
 	if sol.Stats.Incumbents == 0 {
 		t.Fatal("optimal solve recorded no incumbents")

@@ -238,61 +238,83 @@ func (r StopReason) String() string {
 	}
 }
 
-// Stats collects solver effort counters. SimplexIters and Nodes are
-// summed across branch & bound workers; Workers records the parallelism
-// the solve actually used.
+// MarshalText renders the stop reason by its String name, so JSON
+// reports carry "deadline" rather than a bare integer.
+func (r StopReason) MarshalText() ([]byte, error) {
+	return []byte(r.String()), nil
+}
+
+// UnmarshalText accepts exactly the names String produces.
+func (r *StopReason) UnmarshalText(text []byte) error {
+	for s := StopNone; s <= StopLostSubtree; s++ {
+		if string(text) == s.String() {
+			*r = s
+			return nil
+		}
+	}
+	return fmt.Errorf("ilp: unknown stop reason %q", text)
+}
+
+// Stats collects solver effort counters. It is their only declaration:
+// core.Stats, bench.Result and bench.RunRecord embed it, and its JSON
+// tags, in order, are the BENCH_*.json run record's keys. SimplexIters
+// and BnBNodes are summed across branch & bound workers; Workers
+// records the parallelism the solve actually used.
 //
 // Every expanded node gets exactly one outcome, so
 // Branched + PrunedBound + PrunedInfeasible + IntegralLeaves +
-// LostSubtrees == Nodes. PrunedStale counts deque items discarded
+// LostSubtrees == BnBNodes. PrunedStale counts deque items discarded
 // before expansion (bound dominated by a later incumbent); they are not
 // nodes and not in that sum.
 type Stats struct {
-	SimplexIters int
-	Nodes        int
-	PresolveFix  int
-	Workers      int
+	BnBNodes     int `json:"nodes"`
+	SimplexIters int `json:"simplex_iters"`
+	Workers      int `json:"workers"`
 	// LURefactors counts basis LU refactorizations across all node LPs.
-	LURefactors int
+	LURefactors int `json:"lu_refactors"`
 
 	// Per-outcome node counters (see invariant above).
-	Branched         int
-	PrunedBound      int
-	PrunedInfeasible int
-	IntegralLeaves   int
-	LostSubtrees     int
+	Branched         int `json:"branched"`
+	PrunedBound      int `json:"pruned_bound"`
+	PrunedInfeasible int `json:"pruned_infeasible"`
+	IntegralLeaves   int `json:"integral_leaves"`
+	LostSubtrees     int `json:"lost_subtrees"`
 	// PrunedStale counts items skipped at pop time, before becoming nodes.
-	PrunedStale int
+	PrunedStale int `json:"pruned_stale"`
 	// Incumbents counts incumbent improvements (first solution included).
-	Incumbents int
-	// LastIncumbentAtNode is the node id that produced the final
-	// incumbent (0 when no incumbent landed). A low value against a high
-	// Nodes total means the search found the eventual answer early and
-	// spent the rest of the tree proving it — the signal pseudocost
-	// branching is meant to improve.
-	LastIncumbentAtNode int
+	Incumbents int `json:"incumbents"`
 
 	// StrongBranchEvals counts reliability-initialization dual-simplex
 	// trials; WarmStartReuses counts node LPs solved from the parent's
 	// factored basis instead of the cold repair path.
-	StrongBranchEvals int
-	WarmStartReuses   int
+	StrongBranchEvals int `json:"strong_branch_evals"`
+	WarmStartReuses   int `json:"warm_start_reuses"`
 
 	// StopReason says why the search ended early (StopNone when the tree
 	// was exhausted cleanly).
-	StopReason StopReason
+	StopReason StopReason `json:"stop_reason"`
 	// BestBound is a valid lower bound on the optimal objective at the
 	// end of the solve. Meaningful only when Gap >= 0.
-	BestBound float64
+	BestBound float64 `json:"best_bound"`
 	// Gap is the relative optimality gap
 	// (Objective - BestBound) / max(|Objective|, 1e-9): 0 when
 	// optimality was proven, positive for anytime solutions, and -1 when
 	// undefined (no incumbent, infeasible, or unbounded) — a sentinel
 	// rather than NaN/Inf so Stats stays JSON-encodable.
-	Gap float64
+	Gap float64 `json:"gap"`
+	// LastIncumbentAtNode is the node id that produced the final
+	// incumbent (0 when no incumbent landed). A low value against a high
+	// BnBNodes total means the search found the eventual answer early and
+	// spent the rest of the tree proving it — the signal pseudocost
+	// branching is meant to improve.
+	LastIncumbentAtNode int `json:"last_incumbent_at_node"`
 	// RootGap is the relative gap the tree search had to close: the
 	// final objective against the root relaxation bound,
 	// (Objective - root) / max(|Objective|, 1e-9), >= 0. -1 when
 	// undefined (no incumbent, or the root LP never completed).
-	RootGap float64
+	RootGap float64 `json:"root_gap"`
+
+	// PresolveFix counts the variable bounds presolve tightened. The
+	// BENCH run record predates it and does not carry it.
+	PresolveFix int `json:"-"`
 }

@@ -116,9 +116,9 @@ func TestSolveWorkersMatchSequentialSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Stats.Nodes != s8.Stats.Nodes || s1.Stats.SimplexIters != s8.Stats.SimplexIters {
+	if s1.Stats.BnBNodes != s8.Stats.BnBNodes || s1.Stats.SimplexIters != s8.Stats.SimplexIters {
 		t.Errorf("search effort differs: workers=1 (%d nodes, %d iters) vs workers=8 (%d nodes, %d iters)",
-			s1.Stats.Nodes, s1.Stats.SimplexIters, s8.Stats.Nodes, s8.Stats.SimplexIters)
+			s1.Stats.BnBNodes, s1.Stats.SimplexIters, s8.Stats.BnBNodes, s8.Stats.SimplexIters)
 	}
 }
 

@@ -75,7 +75,7 @@ func Solve(m *Model, opts Options) (Solution, error) {
 	obs.Default.RecordSolve(obs.SolveSample{
 		Status:         sol.Status.String(),
 		Wall:           time.Since(start),
-		Nodes:          sol.Stats.Nodes,
+		Nodes:          sol.Stats.BnBNodes,
 		SimplexIters:   sol.Stats.SimplexIters,
 		LURefactors:    sol.Stats.LURefactors,
 		PresolveFixes:  sol.Stats.PresolveFix,
@@ -504,7 +504,7 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 	b.sbEvalsLeft = sbTotalBudget
 
 	b.incumbentObj = math.Inf(1)
-	b.stats.Nodes = 1 // root
+	b.stats.BnBNodes = 1 // root
 
 	rootRaw := s.structuralObjective()
 	if b.sink != nil {
@@ -541,7 +541,7 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 		b.enterPhase("search")
 		searchSp := b.span.Child("search")
 		err := b.search(s)
-		searchSp.SetCount("nodes", int64(b.stats.Nodes))
+		searchSp.SetCount("nodes", int64(b.stats.BnBNodes))
 		searchSp.End()
 		if err != nil {
 			return Solution{}, err
@@ -599,7 +599,7 @@ func (b *bnb) enterPhase(phase string) {
 // every field read here is stable.
 func (b *bnb) publishProgress(phase string) {
 	s := obs.ProgressSnapshot{TraceID: b.traceID, Phase: phase,
-		Nodes: b.stats.Nodes, Incumbents: b.stats.Incumbents,
+		Nodes: b.stats.BnBNodes, Incumbents: b.stats.Incumbents,
 		Workers: b.workers, Gap: -1,
 		ElapsedMS: msSince(b.start)} //lint:detsource timing telemetry, never read back into the search
 	bb := b.openBound()
@@ -665,13 +665,13 @@ func (b *bnb) noSolution(status Status) (Solution, error) {
 	b.stats.StopReason = b.stopReason()
 	b.stats.Gap = -1
 	if b.sink != nil {
-		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.Nodes, Outcome: status.String(),
+		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.BnBNodes, Outcome: status.String(),
 			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters,
 			BranchVar: -1, Gap: -1})
 	}
 	if b.progress != nil {
 		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.Nodes, Workers: b.workers, Gap: -1, Done: true,
+			Nodes: b.stats.BnBNodes, Workers: b.workers, Gap: -1, Done: true,
 			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search
 	}
 	return Solution{Status: status, Stats: b.stats}, nil
@@ -718,8 +718,8 @@ func (b *bnb) search(s *lpSolver) error {
 		for len(batch) < width && len(b.deque) > 0 {
 			// Check the cap before popping: every item that leaves the
 			// deque is either skipped (stale) or counted AND solved, so
-			// the per-outcome counters always sum to Nodes.
-			if b.nodeCap > 0 && b.stats.Nodes >= b.nodeCap {
+			// the per-outcome counters always sum to BnBNodes.
+			if b.nodeCap > 0 && b.stats.BnBNodes >= b.nodeCap {
 				b.hitNodeLimit = true
 				break
 			}
@@ -737,8 +737,8 @@ func (b *bnb) search(s *lpSolver) error {
 				}
 				continue
 			}
-			b.stats.Nodes++
-			it.id = b.stats.Nodes
+			b.stats.BnBNodes++
+			it.id = b.stats.BnBNodes
 			batch = append(batch, it)
 		}
 		res := results[:len(batch)]
@@ -757,7 +757,7 @@ func (b *bnb) search(s *lpSolver) error {
 			if ob := b.openBound(); ob < bb {
 				bb = ob
 			}
-			b.emit(obs.Event{Kind: obs.KindGap, Node: b.stats.Nodes, BranchVar: -1,
+			b.emit(obs.Event{Kind: obs.KindGap, Node: b.stats.BnBNodes, BranchVar: -1,
 				Incumbent: b.incumbentObj, BestBound: bb,
 				Gap: (b.incumbentObj - bb) / math.Max(math.Abs(b.incumbentObj), 1e-9)})
 		}
@@ -1210,13 +1210,13 @@ func (b *bnb) finish(x []float64, obj float64, proven bool) (Solution, error) {
 		b.stats.RootGap = rg
 	}
 	if b.sink != nil {
-		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.Nodes, Outcome: status.String(),
+		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.BnBNodes, Outcome: status.String(),
 			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters, BranchVar: -1,
 			Incumbent: obj, BestBound: b.stats.BestBound, Gap: b.stats.Gap})
 	}
 	if b.progress != nil {
 		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.Nodes, Incumbent: obj, HaveIncumbent: true,
+			Nodes: b.stats.BnBNodes, Incumbent: obj, HaveIncumbent: true,
 			BestBound: b.stats.BestBound, Gap: b.stats.Gap,
 			Incumbents: b.stats.Incumbents, Workers: b.workers, Done: true,
 			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search

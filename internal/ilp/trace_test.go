@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -62,14 +63,14 @@ func TestTracingDoesNotPerturbSolve(t *testing.T) {
 }
 
 // TestStatsOutcomeAccounting asserts the Stats invariant: per-outcome
-// counters sum to Nodes, and the trace's node events agree with Stats.
+// counters sum to BnBNodes, and the trace's node events agree with Stats.
 func TestStatsOutcomeAccounting(t *testing.T) {
 	for _, seed := range []int64{3, 7, 11, 42} {
 		sol, events := traceOf(t, parallelFixture(seed, 16), 2)
 		st := sol.Stats
 		sum := st.Branched + st.PrunedBound + st.PrunedInfeasible + st.IntegralLeaves + st.LostSubtrees
-		if sum != st.Nodes {
-			t.Fatalf("seed %d: outcome counters sum to %d, Stats.Nodes = %d (%+v)", seed, sum, st.Nodes, st)
+		if sum != st.BnBNodes {
+			t.Fatalf("seed %d: outcome counters sum to %d, Stats.BnBNodes = %d (%+v)", seed, sum, st.BnBNodes, st)
 		}
 		nodeEvents, skips, incumbents := 0, 0, 0
 		var done *obs.Event
@@ -85,8 +86,8 @@ func TestStatsOutcomeAccounting(t *testing.T) {
 				done = &events[i]
 			}
 		}
-		if nodeEvents != st.Nodes {
-			t.Fatalf("seed %d: %d node events, Stats.Nodes = %d", seed, nodeEvents, st.Nodes)
+		if nodeEvents != st.BnBNodes {
+			t.Fatalf("seed %d: %d node events, Stats.BnBNodes = %d", seed, nodeEvents, st.BnBNodes)
 		}
 		if skips != st.PrunedStale {
 			t.Fatalf("seed %d: %d skip events, Stats.PrunedStale = %d", seed, skips, st.PrunedStale)
@@ -143,12 +144,12 @@ func TestStopReasonNodeLimit(t *testing.T) {
 	if st.StopReason != StopNodeLimit {
 		t.Fatalf("StopReason = %v, want %v (status %v)", st.StopReason, StopNodeLimit, sol.Status)
 	}
-	if st.Nodes > 3 {
-		t.Fatalf("Nodes = %d exceeds the limit", st.Nodes)
+	if st.BnBNodes > 3 {
+		t.Fatalf("BnBNodes = %d exceeds the limit", st.BnBNodes)
 	}
 	sum := st.Branched + st.PrunedBound + st.PrunedInfeasible + st.IntegralLeaves + st.LostSubtrees
-	if sum != st.Nodes {
-		t.Fatalf("outcome counters sum to %d, Nodes = %d (%+v)", sum, st.Nodes, st)
+	if sum != st.BnBNodes {
+		t.Fatalf("outcome counters sum to %d, BnBNodes = %d (%+v)", sum, st.BnBNodes, st)
 	}
 }
 
@@ -168,6 +169,35 @@ func TestStopReasonDeadline(t *testing.T) {
 	//lint:exactfloat -1 is an exact sentinel, not a computed value
 	if sol.Stats.Gap != -1 {
 		t.Fatalf("Gap = %v, want the -1 sentinel", sol.Stats.Gap)
+	}
+}
+
+// TestStopReasonText: a stop reason travels through JSON by its String
+// name under the run record's key. A missing key reads as StopNone, and
+// an unknown name is refused rather than read as some other reason.
+func TestStopReasonText(t *testing.T) {
+	for _, r := range []StopReason{StopNone, StopDeadline, StopNodeLimit, StopLostSubtree} {
+		data, err := json.Marshal(Stats{StopReason: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key := `"stop_reason":"` + r.String() + `"`; !bytes.Contains(data, []byte(key)) {
+			t.Errorf("%v encodes as %s, want %s", r, data, key)
+		}
+		var back Stats
+		if err := json.Unmarshal(data, &back); err != nil || back.StopReason != r {
+			t.Errorf("%s decodes to %v, %v; want %v", data, back.StopReason, err, r)
+		}
+	}
+	var back Stats
+	if err := json.Unmarshal([]byte(`{"nodes": 3}`), &back); err != nil || back.StopReason != StopNone {
+		t.Errorf("missing key decodes to %v, %v; want none", back.StopReason, err)
+	}
+	for _, name := range []string{"time_limit", "", "Deadline", "StopReason(9)"} {
+		var st Stats
+		if err := json.Unmarshal([]byte(`{"stop_reason":"`+name+`"}`), &st); err == nil {
+			t.Errorf("stop reason %q accepted as %v", name, st.StopReason)
+		}
 	}
 }
 
@@ -207,8 +237,8 @@ func TestSearchStopsAtDeadline(t *testing.T) {
 		t.Fatalf("status %v, stop reason %v; want %v at %v", sol.Status, sol.Stats.StopReason,
 			LimitReached, StopDeadline)
 	}
-	if sol.Stats.Nodes > 2 {
-		t.Fatalf("expanded %d nodes; want the root plus at most one round after the deadline", sol.Stats.Nodes)
+	if sol.Stats.BnBNodes > 2 {
+		t.Fatalf("expanded %d nodes; want the root plus at most one round after the deadline", sol.Stats.BnBNodes)
 	}
 }
 

@@ -253,8 +253,8 @@ func finishDeltaReport(rep *Report, cfg Config, opts DeltaOpts, steps []DeltaSte
 		Paths: map[string]int{},
 	}
 	var warmMS, coldMS []float64
-	hist := obs.NewLabeledHistogram(cfg.Buckets)
-	all := obs.NewHistogram(cfg.Buckets)
+	hist := obs.NewLabeledHistogram(latencyBuckets)
+	all := obs.NewHistogram(latencyBuckets)
 	record := func(index int, stratum string, res Result) {
 		rep.Total++
 		switch {

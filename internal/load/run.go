@@ -43,17 +43,12 @@ type Config struct {
 	// (achieved RPS, in-flight, outcome counts, window percentiles).
 	Status io.Writer
 	// StatusInterval is the live-line and window-rotation cadence
-	// (default 1s).
+	// (default 1s). The live percentiles span the last 5 intervals.
 	StatusInterval time.Duration
-	// WindowIntervals is the sliding-window ring size for the live
-	// percentiles (default 5 intervals).
-	WindowIntervals int
-	// Buckets is the client latency histogram layout (default
-	// 0.1ms..~52s log-spaced).
-	Buckets obs.HistogramOpts
 }
 
-// latencyBuckets is the default client-side latency layout.
+// latencyBuckets is the client latency histogram layout: 0.1ms..~52s,
+// log-spaced.
 var latencyBuckets = obs.HistogramOpts{Start: 0.0001, Factor: 2, Count: 20}
 
 // withDefaults fills unset fields.
@@ -72,13 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StatusInterval <= 0 {
 		c.StatusInterval = time.Second
-	}
-	if c.WindowIntervals <= 0 {
-		c.WindowIntervals = 5
-	}
-	//lint:optzero zero-value comparison, not a histogram construction
-	if c.Buckets == (obs.HistogramOpts{}) {
-		c.Buckets = latencyBuckets
 	}
 	return c
 }
@@ -130,7 +118,7 @@ func Run(ctx context.Context, cfg Config, placer Placer) (*Report, error) {
 	}
 	total := cfg.Requests * cfg.Repeat
 	results := make([]Result, total)
-	pr := &progress{win: obs.NewWindow(obs.WindowOpts{Buckets: cfg.Buckets, Intervals: cfg.WindowIntervals})}
+	pr := &progress{win: obs.NewWindow(obs.WindowOpts{Buckets: latencyBuckets, Intervals: 5})}
 
 	start := time.Now()
 	stopStatus := startStatus(cfg, pr, start)
@@ -290,7 +278,7 @@ func finishReport(rep *Report, results []Result, elapsed time.Duration, latency 
 	rep.P99MS = latency.Quantile(0.99) * 1e3
 	rep.P999MS = latency.Quantile(0.999) * 1e3
 
-	strata := obs.NewLabeledHistogram(cfg.Buckets)
+	strata := obs.NewLabeledHistogram(latencyBuckets)
 	counts := map[string]int{}
 	for _, res := range results {
 		rep.Total++

@@ -57,7 +57,7 @@ func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, placer Placer) (*
 		return nil, err
 	}
 
-	acc := &sweepAccum{hist: obs.NewHistogram(cfg.Buckets)}
+	acc := &sweepAccum{hist: obs.NewHistogram(latencyBuckets)}
 	measured := map[int]SweepStep{}
 	var steps []SweepStep
 	measure := func(c int) SweepStep {

@@ -91,6 +91,9 @@ stage_test() {
 
     step "go test -tags rulefitdebug (runtime invariants)"
     go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/
+
+    step "perfbench go test -short (replay against a live daemon, reference and tamper checks)"
+    (cd perfbench && go test -short ./...)
 }
 
 stage_race() {
