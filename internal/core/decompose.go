@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rulefit/internal/lru"
 	"rulefit/internal/obs"
 	"rulefit/internal/policy"
 	"rulefit/internal/topology"
@@ -220,19 +221,16 @@ func subSolutionKey(prob *Problem, pol *policy.Policy, opts Options) string {
 // carry the deterministic solver-effort stats of the original solve.
 type SolutionCache struct {
 	mu      sync.Mutex
-	entries map[string]*Placement
-	order   []string
+	entries *lru.Cache[*Placement]
 
 	hits, misses int64
 }
 
-// maxSolutionEntries bounds a cache to roughly one entry per live
-// policy plus churn; the oldest entries are evicted first.
-const maxSolutionEntries = 512
-
-// NewSolutionCache returns an empty fragment cache.
-func NewSolutionCache() *SolutionCache {
-	return &SolutionCache{entries: make(map[string]*Placement)}
+// NewSolutionCache returns an empty fragment cache sized, like
+// EncodeCache, to versionsPerPolicy fragments per policy of instances
+// with the given policy count.
+func NewSolutionCache(policies int) *SolutionCache {
+	return &SolutionCache{entries: lru.New[*Placement](versionsPerPolicy * max(policies, 1))}
 }
 
 // SolutionCacheStats is a point-in-time snapshot of the hit counters.
@@ -248,11 +246,18 @@ func (c *SolutionCache) Stats() SolutionCacheStats {
 	return SolutionCacheStats{Hits: c.hits, Misses: c.misses}
 }
 
+// Len counts the cached fragments.
+func (c *SolutionCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries.Len()
+}
+
 // lookup serves a deep copy of the cached fragment, or reports a miss.
 func (c *SolutionCache) lookup(key string) (*Placement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	frag, ok := c.entries[key]
+	frag, ok := c.entries.Get(key)
 	if !ok {
 		c.misses++
 		return nil, false
@@ -266,16 +271,7 @@ func (c *SolutionCache) lookup(key string) (*Placement, bool) {
 func (c *SolutionCache) store(key string, frag *Placement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	if len(c.order) >= maxSolutionEntries {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
-	}
-	c.entries[key] = cloneFragment(frag)
-	c.order = append(c.order, key)
+	c.entries.Put(key, cloneFragment(frag))
 }
 
 // cloneFragment deep-copies a single-policy fragment placement. The

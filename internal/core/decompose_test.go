@@ -139,8 +139,8 @@ func TestDecomposedSolutionCacheByteIdentity(t *testing.T) {
 
 	// Warm run: solve the base instance to fill the cache, then the
 	// edited instance (one policy changed, the rest served from cache).
-	cache := NewSolutionCache()
 	base := build()
+	cache := NewSolutionCache(len(base.Policies))
 	if _, err := Place(base, Options{SolutionCache: cache}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rulefit/internal/deps"
+	"rulefit/internal/lru"
 	"rulefit/internal/policy"
 )
 
@@ -25,10 +26,8 @@ import (
 // with and without a cache attached.
 type EncodeCache struct {
 	mu       sync.Mutex
-	policies map[string]policyArtifacts
-	polOrder []string
-	merges   map[string][]deps.MergeGroup
-	mrgOrder []string
+	policies *lru.Cache[policyArtifacts]
+	merges   *lru.Cache[[]deps.MergeGroup]
 
 	policyHits, policyMisses int64
 	mergeHits, mergeMisses   int64
@@ -40,23 +39,29 @@ type policyArtifacts struct {
 	graph   *deps.Graph
 }
 
-// Cache bounds: a session's working set is one entry per live policy
-// (plus churn); the caps only matter under adversarial policy churn,
-// where the oldest entries are evicted first (deterministically).
+// Cache bounds, shared with SolutionCache. A decomposed solve looks up
+// every policy's current fragment and a joint solve encodes every
+// policy, so a least-recently-used table keeps the live versions, and
+// versionsPerPolicy entries per policy keep the recent versions a
+// revert can bring back. The merge key spans the whole instance, like
+// the session's identity memo, so the merge table keeps the memo's
+// depth; on merging-on session streams it serves every hit a 64-entry
+// table does (DESIGN.md §15).
 const (
-	maxPolicyEntries = 512
-	maxMergeEntries  = 64
+	versionsPerPolicy = 8
+	maxMergeEntries   = 4
 )
 
-// NewEncodeCache returns an empty cache. One cache must only be
-// shared by solves that tolerate each other's content: keying is by
-// policy bytes and the RemoveRedundant flag, so differing objectives,
-// routings, or capacities may share a cache safely (those inputs do
-// not enter the cached stages).
-func NewEncodeCache() *EncodeCache {
+// NewEncodeCache returns an empty cache sized for instances of the
+// given policy count. One cache must only be shared by solves that
+// tolerate each other's content: keying is by policy bytes and the
+// RemoveRedundant flag, so differing objectives, routings, or
+// capacities may share a cache safely (those inputs do not enter the
+// cached stages).
+func NewEncodeCache(policies int) *EncodeCache {
 	return &EncodeCache{
-		policies: make(map[string]policyArtifacts),
-		merges:   make(map[string][]deps.MergeGroup),
+		policies: lru.New[policyArtifacts](versionsPerPolicy * max(policies, 1)),
+		merges:   lru.New[[]deps.MergeGroup](maxMergeEntries),
 	}
 }
 
@@ -78,6 +83,13 @@ func (c *EncodeCache) Stats() EncodeCacheStats {
 		MergeHits:    c.mergeHits,
 		MergeMisses:  c.mergeMisses,
 	}
+}
+
+// Len counts the entries held in the per-policy and merge tables.
+func (c *EncodeCache) Len() (policies, merges int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.policies.Len(), c.merges.Len()
 }
 
 // policyKey renders a policy to its canonical cache key. Ingress is
@@ -104,7 +116,7 @@ func (c *EncodeCache) lookupPolicy(pol *policy.Policy, removeRedundant bool) (*p
 	key := policyKey(pol, removeRedundant)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	art, ok := c.policies[key]
+	art, ok := c.policies.Get(key)
 	if !ok {
 		c.policyMisses++
 		return nil, nil, false
@@ -120,16 +132,7 @@ func (c *EncodeCache) storePolicy(pol *policy.Policy, removeRedundant bool, redu
 	key := policyKey(pol, removeRedundant)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.policies[key]; ok {
-		return
-	}
-	if len(c.polOrder) >= maxPolicyEntries {
-		oldest := c.polOrder[0]
-		c.polOrder = c.polOrder[1:]
-		delete(c.policies, oldest)
-	}
-	c.policies[key] = policyArtifacts{reduced: reduced.Clone(), graph: g}
-	c.polOrder = append(c.polOrder, key)
+	c.policies.Put(key, policyArtifacts{reduced: reduced.Clone(), graph: g})
 }
 
 // mergeKey renders the full (already reduced) policy list to the
@@ -151,7 +154,7 @@ func (c *EncodeCache) lookupMerge(policies []*policy.Policy) ([]deps.MergeGroup,
 	key := mergeKey(policies)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	groups, ok := c.merges[key]
+	groups, ok := c.merges.Get(key)
 	if !ok {
 		c.mergeMisses++
 		return nil, false
@@ -165,14 +168,5 @@ func (c *EncodeCache) storeMerge(policies []*policy.Policy, groups []deps.MergeG
 	key := mergeKey(policies)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.merges[key]; ok {
-		return
-	}
-	if len(c.mrgOrder) >= maxMergeEntries {
-		oldest := c.mrgOrder[0]
-		c.mrgOrder = c.mrgOrder[1:]
-		delete(c.merges, oldest)
-	}
-	c.merges[key] = groups
-	c.mrgOrder = append(c.mrgOrder, key)
+	c.merges.Put(key, groups)
 }

@@ -79,7 +79,7 @@ func TestEncodeCacheArtifactsMatchFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := NewEncodeCache()
+	cache := NewEncodeCache(len(prob.Policies))
 	opts.EncodeCache = cache
 	if _, err := buildEncoding(prob, opts, nil); err != nil {
 		t.Fatal(err) // populates the cache
@@ -127,7 +127,7 @@ func TestEncodeCacheByteIdentity(t *testing.T) {
 				cold := place(t, prob, tc.opts)
 
 				warmOpts := tc.opts
-				warmOpts.EncodeCache = NewEncodeCache()
+				warmOpts.EncodeCache = NewEncodeCache(len(prob.Policies))
 				place(t, prob, warmOpts) // populate
 				warm := place(t, prob, warmOpts)
 
@@ -147,7 +147,7 @@ func TestEncodeCacheByteIdentity(t *testing.T) {
 // equal to a fresh computation.
 func TestEncodeCacheServesClones(t *testing.T) {
 	prob := twoIngressProblem(t, 10)
-	cache := NewEncodeCache()
+	cache := NewEncodeCache(len(prob.Policies))
 	opts := Options{Merging: true, EncodeCache: cache}.withDefaults()
 	if _, err := buildEncoding(prob, opts, nil); err != nil {
 		t.Fatal(err)

@@ -8,8 +8,9 @@
 // deterministic, so the only safe accelerations are memoizations of
 // bit-identical computations — the fallback ladder is
 //
-//	L0 "identity": the post-delta model canonicalizes to bytes solved
-//	    before in this session → return the memoized placement;
+//	L0 "identity": the post-delta model canonicalizes to the bytes of
+//	    one of the session's last few proven answers (none a deadline
+//	    cut short) → return the memoized placement;
 //	L1 "warm": a deterministic solve runs, but parts of it are served
 //	    from the session's caches — per-policy encode artifacts
 //	    (redundancy removal, dependency graphs, merge search) from the
@@ -38,6 +39,7 @@ import (
 	"sync"
 
 	"rulefit/internal/core"
+	"rulefit/internal/lru"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 )
@@ -59,20 +61,24 @@ var (
 	ErrNoSession = errors.New("state: no such session")
 )
 
-// memoEntries caps each session's L0 identity memo.
-const memoEntries = 64
+// memoEntries caps each session's L0 identity memo. A revert restores
+// a recent instance (perfbench's go back two edits), and each entry's
+// key is the whole canonical instance, so the memo keeps only the last
+// few proven answers.
+const memoEntries = 4
 
 // Config bounds the Manager.
 type Config struct {
 	// MaxSessions caps live sessions; creating one past the cap
-	// evicts the least-recently-used session (logged). Default 64.
+	// evicts the least-recently-used session (logged). Zero or less
+	// means 64.
 	MaxSessions int
 	// Logger receives eviction and lifecycle lines (default: discard).
 	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxSessions == 0 {
+	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
 	if c.Logger == nil {
@@ -83,13 +89,10 @@ func (c Config) withDefaults() Config {
 
 // Manager owns the live sessions.
 type Manager struct {
-	cfg Config
 	log *slog.Logger
 
 	mu       sync.Mutex
-	sessions map[string]*Session
-	touch    map[string]uint64 // LRU clock per session
-	clock    uint64
+	sessions *lru.Cache[*Session] // by ID; Get refreshes, Create evicts
 	seq      uint64
 }
 
@@ -97,10 +100,8 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
-		cfg:      cfg,
 		log:      cfg.Logger,
-		sessions: make(map[string]*Session),
-		touch:    make(map[string]uint64),
+		sessions: lru.New[*Session](cfg.MaxSessions),
 	}
 }
 
@@ -129,15 +130,14 @@ type Result struct {
 type Session struct {
 	id string
 
-	mu       sync.Mutex
-	version  uint64
-	spec     *spec.Problem // authoritative, fully explicit
-	opts     core.Options  // fixed at create (observational fields set per call)
-	cache    *core.EncodeCache
-	sols     *core.SolutionCache
-	memo     map[string]*core.Placement // L0: canonical spec bytes → placement
-	memoFIFO []string
-	current  *core.Placement
+	mu      sync.Mutex
+	version uint64
+	spec    *spec.Problem // authoritative, fully explicit
+	opts    core.Options  // fixed at create (observational fields set per call)
+	cache   *core.EncodeCache
+	sols    *core.SolutionCache
+	memo    *lru.Cache[*core.Placement] // L0: canonical spec bytes → proven placement
+	current *core.Placement
 }
 
 // sessionID derives the deterministic ID for the seq-th session from
@@ -161,12 +161,14 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	fixed.Request, fixed.Trace, fixed.SolverSink = nil, nil, nil
 	fixed.EncodeCache = nil   // the session attaches its own
 	fixed.SolutionCache = nil // likewise
+	// No delta adds or removes a policy, so the count sizing the caches
+	// holds for the session's life.
 	s := &Session{
 		opts:  fixed,
 		spec:  own,
-		cache: core.NewEncodeCache(),
-		sols:  core.NewSolutionCache(),
-		memo:  make(map[string]*core.Placement),
+		cache: core.NewEncodeCache(len(own.Policies)),
+		sols:  core.NewSolutionCache(len(own.Policies)),
+		memo:  lru.New[*core.Placement](memoEntries),
 	}
 
 	m.mu.Lock()
@@ -185,41 +187,24 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	s.mu.Unlock()
 
 	m.mu.Lock()
-	m.evictLocked()
-	m.clock++
-	m.sessions[s.id] = s
-	m.touch[s.id] = m.clock
-	live := len(m.sessions)
+	victim, evicted := m.sessions.Put(s.id, s)
+	live := m.sessions.Len()
 	m.mu.Unlock()
+	if evicted {
+		m.log.Info("session evicted", "session", victim, "reason", "max_sessions", "live", live-1)
+	}
 	m.log.Info("session created", "session", s.id, "live", live)
 	return s, res, nil
-}
-
-// evictLocked makes room for one more session, logging the victim.
-func (m *Manager) evictLocked() {
-	for len(m.sessions) >= m.cfg.MaxSessions {
-		victim, oldest := "", uint64(0)
-		for id, t := range m.touch {
-			if victim == "" || t < oldest {
-				victim, oldest = id, t
-			}
-		}
-		delete(m.sessions, victim)
-		delete(m.touch, victim)
-		m.log.Info("session evicted", "session", victim, "reason", "max_sessions", "live", len(m.sessions))
-	}
 }
 
 // Get returns a live session, refreshing its LRU position.
 func (m *Manager) Get(id string) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
+	s, ok := m.sessions.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSession, id)
 	}
-	m.clock++
-	m.touch[id] = m.clock
 	return s, nil
 }
 
@@ -227,12 +212,10 @@ func (m *Manager) Get(id string) (*Session, error) {
 func (m *Manager) Delete(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.sessions[id]; !ok {
+	if !m.sessions.Remove(id) {
 		return false
 	}
-	delete(m.sessions, id)
-	delete(m.touch, id)
-	m.log.Info("session deleted", "session", id, "live", len(m.sessions))
+	m.log.Info("session deleted", "session", id, "live", m.sessions.Len())
 	return true
 }
 
@@ -240,7 +223,7 @@ func (m *Manager) Delete(id string) bool {
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions)
+	return m.sessions.Len()
 }
 
 // ID returns the session's identifier.
@@ -297,11 +280,27 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	return res, nil
 }
 
+// proven reports whether a solve proved what it was asked, so its
+// answer is a pure function of the instance that L0 may replay: an
+// optimum, infeasibility, or under SatisfyOnly the SAT backend's first
+// model (the SAT solver has no randomness and reports a deadline as
+// limit). Any other feasible or limit answer may be what a deadline
+// cut short, at a different point each time.
+func (s *Session) proven(pl *core.Placement) bool {
+	switch pl.Status {
+	case core.StatusOptimal, core.StatusInfeasible:
+		return true
+	case core.StatusFeasible:
+		return s.opts.SatisfyOnly && s.opts.Backend == core.BackendSAT
+	}
+	return false
+}
+
 // solveLocked answers for an instance via the fallback ladder and
 // commits the placement as current. Callers hold s.mu.
 func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
 	key := string(sp.Canonical())
-	if pl, ok := s.memo[key]; ok {
+	if pl, ok := s.memo.Get(key); ok {
 		//lint:sharedmut caller holds s.mu (see doc)
 		s.current = pl
 		return &Result{Path: PathIdentity, Placement: pl}, nil
@@ -340,13 +339,9 @@ func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Si
 	if used.PolicyHits > 0 || used.MergeHits > 0 || solUsed.Hits > 0 {
 		path = PathWarm
 	}
-	if len(s.memoFIFO) >= memoEntries {
-		oldest := s.memoFIFO[0]
-		s.memoFIFO = s.memoFIFO[1:]
-		delete(s.memo, oldest)
+	if s.proven(pl) {
+		s.memo.Put(key, pl)
 	}
-	s.memo[key] = pl
-	s.memoFIFO = append(s.memoFIFO, key)
 	//lint:sharedmut caller holds s.mu (see doc)
 	s.current = pl
 	return &Result{Path: path, Placement: pl, CacheStats: used, SolStats: solUsed}, nil

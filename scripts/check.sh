@@ -90,7 +90,7 @@ stage_test() {
     go test ./...
 
     step "go test -tags rulefitdebug (runtime invariants)"
-    go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/
+    go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/ ./internal/lru/ ./internal/state/
 
     step "perfbench go test -short (replay against a live daemon, reference and tamper checks)"
     (cd perfbench && go test -short ./...)
