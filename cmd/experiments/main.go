@@ -214,6 +214,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	be, err := core.ParseBackend(*backend)
+	if err != nil {
+		return err
+	}
 	if *pprofAddr != "" {
 		servePprof(*pprofAddr)
 	}
@@ -250,10 +254,6 @@ func run() error {
 		}()
 	}
 
-	be := core.BackendILP
-	if *backend == "sat" {
-		be = core.BackendSAT
-	}
 	p, err := presets(*scale, *k, *timeout, be)
 	if err != nil {
 		return err

@@ -124,8 +124,13 @@ func run() error {
 		TimeLimit:       *timeout,
 		Monitors:        monitors,
 	}
+	if opts.Backend, err = core.ParseBackend(*backend); err != nil {
+		return err
+	}
+	if opts.Objective, err = core.ParseObjective(*objective); err != nil {
+		return err
+	}
 	var (
-		rec       obs.Recorder
 		traceFile *os.File
 		traceJW   *obs.JSONLWriter
 	)
@@ -136,7 +141,7 @@ func run() error {
 		}
 		traceFile = f
 		traceJW = obs.NewJSONLWriter(f)
-		opts.SolverSink = obs.Multi(&rec, traceJW)
+		opts.SolverSink = traceJW
 	}
 	var flightRec *obs.FlightRecorder
 	if *flightOut != "" {
@@ -144,26 +149,6 @@ func run() error {
 		opts.SolverSink = obs.Multi(opts.SolverSink, flightRec)
 	}
 	opts.Trace = spanTrace
-	switch *backend {
-	case "ilp":
-		opts.Backend = core.BackendILP
-	case "sat":
-		opts.Backend = core.BackendSAT
-	default:
-		return fmt.Errorf("unknown backend %q", *backend)
-	}
-	switch *objective {
-	case "rules":
-		opts.Objective = core.ObjTotalRules
-	case "traffic":
-		opts.Objective = core.ObjTraffic
-	case "weighted":
-		opts.Objective = core.ObjWeightedSwitches
-	case "minmaxload":
-		opts.Objective = core.ObjMinMaxLoad
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
-	}
 
 	if *smtOut != "" {
 		f, err := os.Create(*smtOut)
@@ -192,7 +177,15 @@ func run() error {
 		if err := traceFile.Close(); err != nil {
 			return err
 		}
-		sum := traceview.Of(rec.Events())
+		f, err := os.Open(*traceOut)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sum, err := traceview.Summarize(f)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("trace       : %d events -> %s\n", sum.Events, *traceOut)
 		fmt.Print(sum.Render())
 		if err := sum.Check(); err != nil {

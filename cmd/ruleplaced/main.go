@@ -32,7 +32,7 @@
 // gets the same treatment: an X-Rulefit-Trace-Id header (joinable with
 // the daemon's log lines and trace files) and a Server-Timing header
 // attributing wall time to pipeline phases (queue_wait, parse, encode,
-// model_build, solve, extract); a /debug/solvez progress cell from
+// model_build, solve, extract); a /debug/solvez progress view from
 // arrival; the flight rings; a -trace-dir event file
 // (trace-<trace_id>.jsonl); and a -profile-threshold profile.
 //
@@ -48,8 +48,8 @@
 // relevant ring is dumped to -flight-dir (default: -trace-dir) as
 // flight-<trace_id>.jsonl — readable with cmd/traceview. With
 // -profile-threshold set, solves outrunning the threshold get a CPU
-// profile captured into -profile-dir until they finish, labeled by
-// trace_id/phase. Placements are byte-identical to running core.Place
+// profile captured into -profile-dir until they finish, with every
+// solve's samples labeled by trace_id. Placements are byte-identical to running core.Place
 // in-process: the daemon only adds observability around the solve,
 // never inside it.
 package main

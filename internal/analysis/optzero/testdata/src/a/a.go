@@ -18,7 +18,6 @@ func positives() {
 	// Attaching observability does not bound the search.
 	_ = ilp.Options{Sink: nil}             // want "ilp.Options without TimeLimit or NodeLimit"
 	_ = ilp.Options{Span: nil, Workers: 2} // want "ilp.Options without TimeLimit or NodeLimit"
-	_ = ilp.Options{TraceID: "req-000001"} // want "ilp.Options without TimeLimit or NodeLimit"
 	_ = verify.Config{}                    // want "zero-value verify.Config"
 	_ = daemon.Config{}                    // want "daemon.Config without MaxInFlight"
 	_ = daemon.Config{MaxQueue: 64}        // want "daemon.Config without MaxInFlight"

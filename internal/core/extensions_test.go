@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +166,45 @@ func TestObjectiveStringsForExtensions(t *testing.T) {
 	}
 	if ObjMinMaxLoad.String() != "min-max-load" {
 		t.Error(ObjMinMaxLoad.String())
+	}
+}
+
+// TestParseBackendAndObjective pins the one name parser the daemon and
+// the command-line tools share: every accepted name, the empty default,
+// and the rejection of anything else, case included.
+func TestParseBackendAndObjective(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Backend
+		ok   bool
+	}{
+		{"", BackendILP, true}, {"ilp", BackendILP, true}, {"sat", BackendSAT, true},
+		{"SAT", 0, false}, {"cplex", 0, false}, {" ilp", 0, false},
+	} {
+		got, err := ParseBackend(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+			t.Errorf("ParseBackend(%q) error %q does not name the backend", tc.name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want Objective
+		ok   bool
+	}{
+		{"", ObjTotalRules, true}, {"rules", ObjTotalRules, true}, {"traffic", ObjTraffic, true},
+		{"weighted", ObjWeightedSwitches, true}, {"minmaxload", ObjMinMaxLoad, true},
+		{"total-rules", 0, false}, {"Rules", 0, false}, {"latency", 0, false},
+	} {
+		got, err := ParseObjective(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+			t.Errorf("ParseObjective(%q) error %q does not name the objective", tc.name, err)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestPlaceFlightRecorderDoesNotPerturb is the pipeline-level
 // introspection invariant: running the full placement with a flight
-// recorder, a live progress cell, pprof labels, and a trace ID attached
+// recorder and a live progress view attached, stamped with a trace ID,
 // produces the identical placement — assignments, merges, objective,
 // and search effort — as a bare run, for Workers ∈ {1, 2, 8}.
 func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
@@ -24,12 +24,10 @@ func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 					t.Fatalf("workers=%d bare: %v", w, err)
 				}
 				rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 512})
-				var prog obs.Progress
-				req := obs.NewRequestCtx("req-000051")
-				req.Progress = &prog
+				prog := obs.NewProgress("req-000051")
 				inst, err := Place(fx.build(t), Options{
 					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					SolverSink: rec, ProfileLabels: true, Request: req,
+					SolverSink: obs.Tag("req-000051", obs.Multi(rec, prog)),
 				})
 				if err != nil {
 					t.Fatalf("workers=%d instrumented: %v", w, err)
@@ -51,9 +49,8 @@ func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 				if d.Seen == 0 {
 					t.Errorf("workers=%d: flight recorder saw no solver events", w)
 				}
-				s, ok := prog.Snapshot()
-				if !ok || !s.Done {
-					t.Errorf("workers=%d: no terminal progress snapshot: %+v", w, s)
+				if s := prog.Snapshot(); !s.Done {
+					t.Errorf("workers=%d: no terminal progress view: %+v", w, s)
 				}
 			}
 		})

@@ -101,10 +101,7 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 		DisablePresolve: opts.DisablePresolve,
 		Workers:         opts.Workers,
 		Sink:            opts.SolverSink,
-		TraceID:         opts.traceID(),
 		Span:            solveSp,
-		Progress:        opts.progress(),
-		ProfileLabels:   opts.ProfileLabels,
 	})
 	if err != nil {
 		solveSp.End()

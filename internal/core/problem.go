@@ -48,6 +48,18 @@ func (b Backend) String() string {
 	}
 }
 
+// ParseBackend maps a wire or flag backend name to its Backend: "ilp"
+// (or empty, the default) or "sat".
+func ParseBackend(name string) (Backend, error) {
+	switch name {
+	case "", "ilp":
+		return BackendILP, nil
+	case "sat":
+		return BackendSAT, nil
+	}
+	return 0, fmt.Errorf("unknown backend %q", name)
+}
+
 // Objective selects what the placement minimizes (§IV-A4).
 type Objective int
 
@@ -84,6 +96,23 @@ func (o Objective) String() string {
 	default:
 		return fmt.Sprintf("Objective(%d)", int(o))
 	}
+}
+
+// ParseObjective maps a wire or flag objective name to its Objective:
+// "rules" (or empty, the default), "traffic", "weighted" or
+// "minmaxload".
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "", "rules":
+		return ObjTotalRules, nil
+	case "traffic":
+		return ObjTraffic, nil
+	case "weighted":
+		return ObjWeightedSwitches, nil
+	case "minmaxload":
+		return ObjMinMaxLoad, nil
+	}
+	return 0, fmt.Errorf("unknown objective %q", name)
 }
 
 // Options configures a placement run.
@@ -127,17 +156,6 @@ type Options struct {
 	// (nil disables tracing). The placement is byte-identical with the
 	// sink attached or not.
 	SolverSink obs.Sink
-	// ProfileLabels attaches pprof goroutine labels (trace_id, phase)
-	// around ILP solve phases so CPU profiles attribute samples to
-	// requests. Observational only.
-	ProfileLabels bool
-	// Request, when non-nil, scopes the run to one operational request:
-	// its Trace collects the phase spans when Options.Trace is unset,
-	// its TraceID is stamped on every solver event so spans, B&B
-	// events, and log lines join by ID, and its Progress cell receives
-	// live solve snapshots. Purely observational — the placement is
-	// byte-identical with or without it.
-	Request *obs.RequestCtx
 	// EncodeCache, when non-nil, memoizes the pure per-policy encode
 	// stages (redundancy removal, dependency graphs) and the
 	// cross-policy merge search across solves, keyed by policy content.
@@ -155,22 +173,6 @@ type Options struct {
 	SolutionCache *SolutionCache
 }
 
-// traceID returns the request trace ID ("" when unscoped).
-func (o Options) traceID() string {
-	if o.Request == nil {
-		return ""
-	}
-	return o.Request.TraceID
-}
-
-// progress returns the request's live-progress cell (nil when unscoped).
-func (o Options) progress() *obs.Progress {
-	if o.Request == nil {
-		return nil
-	}
-	return o.Request.Progress
-}
-
 // withDefaults fills in unset options.
 func (o Options) withDefaults() Options {
 	if o.Backend == 0 {
@@ -178,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Objective == 0 {
 		o.Objective = ObjTotalRules
-	}
-	if o.Request != nil && o.Trace == nil {
-		o.Trace = o.Request.Trace
 	}
 	return o
 }

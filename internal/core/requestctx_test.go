@@ -9,10 +9,11 @@ import (
 )
 
 // TestPlaceRequestCtxDoesNotPerturb is the acceptance gate for
-// request-scoped observability: attaching a RequestCtx (trace ID +
-// span trace) must leave the placement byte-identical to an unscoped
-// run, while stamping the ID on every solver event and adopting the
-// request's span trace.
+// request-scoped observability as the daemon wires it: the request's
+// span trace as Options.Trace and its ID stamped on the solver sink by
+// obs.Tag must leave the placement byte-identical to an unscoped run,
+// while every solver event carries the ID and the request's trace
+// collects the spans.
 func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 	const id = "req-000001-00000000cafebabe"
 	for _, w := range []int{1, 4} {
@@ -22,11 +23,11 @@ func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		var rec obs.Recorder
+		rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
 		rc := obs.NewRequestCtx(id)
 		scoped, err := Place(determinismProblem(t), Options{
 			Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-			Request: rc, SolverSink: &rec,
+			Trace: rc.Trace, SolverSink: obs.Tag(rc.TraceID, rec),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d scoped: %v", w, err)
@@ -37,7 +38,7 @@ func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 			t.Fatalf("workers=%d: request-scoped placement differs from unscoped:\n%+v\nvs\n%+v",
 				w, plain, scoped)
 		}
-		events := rec.Events()
+		events := fullTrace(t, rec)
 		if len(events) == 0 {
 			t.Fatalf("workers=%d: sink saw no events", w)
 		}
@@ -50,24 +51,5 @@ func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 		if len(rc.Trace.Roots()) != 1 || rc.Trace.Roots()[0].Name() != "place" {
 			t.Fatalf("workers=%d: request trace roots = %v", w, rc.Trace.Roots())
 		}
-	}
-}
-
-// TestPlaceExplicitTraceWinsOverRequest asserts precedence: when both
-// Options.Trace and a RequestCtx are set, spans land in the explicit
-// trace and the request's own trace stays empty.
-func TestPlaceExplicitTraceWinsOverRequest(t *testing.T) {
-	rc := obs.NewRequestCtx("req-000002-0000000000000001")
-	tr := obs.NewTrace()
-	if _, err := Place(determinismProblem(t), Options{
-		Merging: true, TimeLimit: 60 * time.Second, Trace: tr, Request: rc,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Roots()) != 1 {
-		t.Fatalf("explicit trace got %d roots", len(tr.Roots()))
-	}
-	if len(rc.Trace.Roots()) != 0 {
-		t.Fatalf("request trace unexpectedly collected %d roots", len(rc.Trace.Roots()))
 	}
 }

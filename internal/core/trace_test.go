@@ -24,11 +24,11 @@ func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
-				var rec obs.Recorder
+				rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 64})
 				tr := obs.NewTrace()
 				traced, err := Place(fx.build(t), Options{
 					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					Trace: tr, SolverSink: &rec,
+					Trace: tr, SolverSink: rec,
 				})
 				if err != nil {
 					t.Fatalf("workers=%d traced: %v", w, err)
@@ -40,7 +40,7 @@ func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 					t.Fatalf("workers=%d: traced placement differs from untraced:\n%+v\nvs\n%+v",
 						w, plain, traced)
 				}
-				if len(rec.Events()) == 0 {
+				if rec.Dump().Seen == 0 {
 					t.Fatalf("workers=%d: sink saw no events", w)
 				}
 				if len(tr.Roots()) != 1 || tr.Roots()[0].Name() != "place" {
@@ -49,6 +49,17 @@ func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fullTrace returns every event an oversized flight ring saw, failing
+// the test if the ring wrapped or dropped any.
+func fullTrace(t *testing.T, rec *obs.FlightRecorder) []obs.Event {
+	t.Helper()
+	d := rec.Dump()
+	if d.Dropped != 0 || d.Seen != uint64(len(d.Events)) {
+		t.Fatalf("ring lost events: seen %d, retained %d, dropped %d", d.Seen, len(d.Events), d.Dropped)
+	}
+	return d.Events
 }
 
 // TestPlaceEndsEverySpan: when Place returns, every span it opened has
@@ -105,14 +116,14 @@ func TestPlaceEndsEverySpan(t *testing.T) {
 // through core is identical (modulo timing) across worker counts.
 func TestPlaceTraceEventsDeterministic(t *testing.T) {
 	events := func(workers int) []obs.Event {
-		var rec obs.Recorder
+		rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
 		_, err := Place(determinismProblem(t), Options{
-			Merging: true, TimeLimit: 60 * time.Second, Workers: workers, SolverSink: &rec,
+			Merging: true, TimeLimit: 60 * time.Second, Workers: workers, SolverSink: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		evs := rec.Events()
+		evs := fullTrace(t, rec)
 		for i := range evs {
 			evs[i] = evs[i].Normalize()
 		}

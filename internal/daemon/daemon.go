@@ -92,8 +92,8 @@ type Config struct {
 	// ProfileThreshold, when positive, arms a per-request watchdog:
 	// solves still running after the threshold get a CPU profile
 	// captured until they finish (one at a time process-wide), written
-	// as <ProfileDir>/profile-<trace_id>.pprof, and every solve gets
-	// pprof goroutine labels (trace_id, phase). Zero disables both.
+	// as <ProfileDir>/profile-<trace_id>.pprof, and every solve runs
+	// under a trace_id pprof label. Zero disables both.
 	ProfileThreshold time.Duration
 	// ProfileDir is where threshold profiles land (default: TraceDir).
 	ProfileDir string
@@ -168,7 +168,7 @@ type Server struct {
 	// on-demand /debug/flightz dump shows what the whole daemon was
 	// doing lately.
 	flight *obs.FlightRecorder
-	// solves registers live requests' progress cells for /debug/solvez.
+	// solves registers live requests' progress views for /debug/solvez.
 	solves *solveReg
 	// shedDumpSec rate-limits shed-triggered flight dumps to 1/sec.
 	shedDumpSec atomic.Int64
@@ -302,25 +302,12 @@ func (ro RequestOptions) BuildOptions(defaultLimit, maxLimit time.Duration) (cor
 		SatisfyOnly:     ro.SatisfyOnly,
 		Workers:         ro.Workers,
 	}
-	switch ro.Backend {
-	case "", "ilp":
-		opts.Backend = core.BackendILP
-	case "sat":
-		opts.Backend = core.BackendSAT
-	default:
-		return opts, fmt.Errorf("unknown backend %q", ro.Backend)
+	var err error
+	if opts.Backend, err = core.ParseBackend(ro.Backend); err != nil {
+		return opts, err
 	}
-	switch ro.Objective {
-	case "", "rules":
-		opts.Objective = core.ObjTotalRules
-	case "traffic":
-		opts.Objective = core.ObjTraffic
-	case "weighted":
-		opts.Objective = core.ObjWeightedSwitches
-	case "minmaxload":
-		opts.Objective = core.ObjMinMaxLoad
-	default:
-		return opts, fmt.Errorf("unknown objective %q", ro.Objective)
+	if opts.Objective, err = core.ParseObjective(ro.Objective); err != nil {
+		return opts, err
 	}
 	if ro.TimeLimitSec < 0 {
 		return opts, fmt.Errorf("negative timeLimitSec %g", ro.TimeLimitSec)
@@ -360,7 +347,7 @@ type PlaceInput struct {
 // client's: the daemon answers it 400.
 func DecodePlaceRequest(body []byte, defaultLimit, maxLimit time.Duration) (*PlaceInput, error) {
 	var req PlaceRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := spec.DecodeStrict(bytes.NewReader(body), &req); err != nil {
 		return nil, err
 	}
 	if len(req.Problem) == 0 {
@@ -396,14 +383,6 @@ func (in *PlaceInput) SessionSpec() *spec.Problem {
 	explicit := spec.FromCore(in.Problem)
 	explicit.Monitors = append([]spec.Monitor(nil), in.Spec.Monitors...)
 	return explicit
-}
-
-// decodeStrict decodes one JSON request body into v, rejecting
-// unknown fields.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // PlaceResponse is the POST /v1/place reply. Placement is the
@@ -497,7 +476,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		}
 		return func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error {
 			opts := in.Options
-			opts.Request, opts.SolverSink = req, sink
+			opts.Trace, opts.SolverSink = req.Trace, sink
 			pl, err := core.Place(in.Problem, opts)
 			st.code, st.placement = http.StatusOK, pl
 			return err
@@ -506,15 +485,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodePlace runs DecodePlaceRequest under the daemon's time-limit
-// policy. With threshold profiling on, the solve runs under pprof
-// labels; a session keeps the flag, so its delta solves do too.
+// policy.
 func (s *Server) decodePlace(body []byte) (*PlaceInput, error) {
-	in, err := DecodePlaceRequest(body, s.cfg.DefaultTimeLimit, s.cfg.MaxTimeLimit)
-	if err != nil {
-		return nil, err
-	}
-	in.Options.ProfileLabels = s.cfg.ProfileThreshold > 0
-	return in, nil
+	return DecodePlaceRequest(body, s.cfg.DefaultTimeLimit, s.cfg.MaxTimeLimit)
 }
 
 // A solveStep is a solve endpoint's own part of serveSolve: it decodes
@@ -523,19 +496,21 @@ func (s *Server) decodePlace(body []byte) (*PlaceInput, error) {
 type solveStep func(body []byte) (solveFunc, error)
 
 // A solveFunc runs a decoded request's solve under the request's
-// context (trace ID, spans, progress cell) and solver sink, and fills
-// st's code and placement, plus body where the endpoint has its own
-// reply shape. An error answers 500 unless it names another class.
+// context (trace ID, spans) and solver sink, and fills st's code and
+// placement, plus body where the endpoint has its own reply shape. An
+// error answers 500 unless it names another class.
 type solveFunc func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error
 
 // serveSolve is the request pipeline of every solve endpoint:
 // /v1/place, /v1/session and /v1/session/{id}/delta. It reads the body
-// and derives the trace ID, registers the request's progress cell from
+// and derives the trace ID, registers the request's progress view from
 // arrival, runs admission, then the endpoint's decode (timed as the
-// parse phase) and solve. The solve feeds a per-request flight ring,
-// the global ring and the -trace-dir event file, under the profile
-// watchdog; a solve that panics or stops on its budget leaves a flight
-// dump. finish answers exactly once.
+// parse phase) and solve. The solve's events, stamped with the trace
+// ID, feed the progress view, a per-request flight ring, the global
+// ring and the -trace-dir event file. It runs under the profile
+// watchdog, with a trace_id pprof label when profiling is on; a solve
+// that panics or stops on its budget leaves a flight dump. finish
+// answers exactly once.
 func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, step solveStep) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -555,13 +530,11 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 		return
 	}
 
-	// Register the request's live-progress cell before admission so
-	// /debug/solvez sees it through queue wait and solve alike; the
-	// solver overwrites the cell from its sequential sections.
-	req := obs.NewRequestCtx(traceID)
-	req.Progress = &obs.Progress{}
-	req.Progress.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, req.Progress)
+	// Register the request's progress view before admission so
+	// /debug/solvez sees it through queue wait and solve alike; it
+	// folds the solve's events as they arrive.
+	progress := obs.NewProgress(traceID)
+	s.solves.add(traceID, progress)
 	defer s.solves.remove(traceID)
 
 	release, ok := s.acquireSlot(r, &st)
@@ -579,14 +552,15 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 		s.finish(w, r, st)
 		return
 	}
+	req := obs.NewRequestCtx(traceID)
 	st.trace = req.Trace
 
-	// Every solve feeds a per-request flight ring (post-mortem scoped to
-	// this request) and the server's global ring, on top of the optional
-	// full trace file. Sinks never feed back: the placement is
-	// byte-identical whatever is attached.
+	// Every solve feeds the progress view, a per-request flight ring
+	// (post-mortem scoped to this request) and the server's global ring,
+	// on top of the optional full trace file. Sinks never feed back: the
+	// placement is byte-identical whatever is attached.
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	sinks := []obs.Sink{rec, s.flight}
+	sinks := []obs.Sink{progress, rec, s.flight}
 	var traceFile *os.File
 	var traceJW *obs.JSONLWriter
 	if s.cfg.TraceDir != "" {
@@ -608,7 +582,8 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 		}
 	}()
 
-	err = solve(req, obs.Multi(sinks...), &st)
+	sink := obs.Tag(traceID, obs.Multi(sinks...))
+	s.profiled(r.Context(), traceID, func() { err = solve(req, sink, &st) })
 	if traceFile != nil {
 		if ferr := traceJW.Flush(); ferr != nil && err == nil {
 			err = ferr

@@ -486,7 +486,8 @@ func TestDaemonGracefulDrain(t *testing.T) {
 }
 
 // TestDaemonTraceDir checks each solve endpoint's JSONL solver trace
-// lands on disk, keyed and stamped by the response's trace ID.
+// lands on disk, keyed and stamped by the response's trace ID, and that
+// every event in the global flight ring carries a trace ID too.
 func TestDaemonTraceDir(t *testing.T) {
 	for _, ep := range solveEndpoints {
 		t.Run(ep.name, func(t *testing.T) {
@@ -517,6 +518,24 @@ func TestDaemonTraceDir(t *testing.T) {
 			for i, e := range events {
 				if e.TraceID != got.TraceID {
 					t.Fatalf("event %d trace ID %q, want %q", i, e.TraceID, got.TraceID)
+				}
+			}
+			// The global flight ring is stamped at the same sink root.
+			fz, err := http.Get(base + "/debug/flightz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fz.Body.Close()
+			ring, err := obs.ReadEvents(fz.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ring) < 2 {
+				t.Fatalf("flightz dump holds %d lines, want the meta header and events", len(ring))
+			}
+			for i, e := range ring[1:] {
+				if e.TraceID == "" {
+					t.Fatalf("flightz event %d has no trace ID: %+v", i, e)
 				}
 			}
 		})
@@ -569,6 +588,10 @@ func invalidProblems(t *testing.T) (dupIngress, unrouted string) {
 func TestDaemonRejectsBadRequests(t *testing.T) {
 	_, base := startDaemon(t, Config{MaxInFlight: 1})
 	dupIngress, unrouted := invalidProblems(t)
+	valid, err := json.Marshal(PlaceRequest{Problem: testSpec(t, 4), Options: sessionOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
@@ -582,6 +605,12 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		"place unrouted ingress":    {http.MethodPost, "/v1/place", unrouted, http.StatusBadRequest},
 		"session duplicate ingress": {http.MethodPost, "/v1/session", dupIngress, http.StatusBadRequest},
 		"session unrouted ingress":  {http.MethodPost, "/v1/session", unrouted, http.StatusBadRequest},
+		// A valid body followed by anything but whitespace.
+		"place trailing object":   {http.MethodPost, "/v1/place", string(valid) + ` {"junk": true}`, http.StatusBadRequest},
+		"place trailing garbage":  {http.MethodPost, "/v1/place", string(valid) + " trailing garbage", http.StatusBadRequest},
+		"place stray brace":       {http.MethodPost, "/v1/place", string(valid) + "}", http.StatusBadRequest},
+		"session trailing object": {http.MethodPost, "/v1/session", string(valid) + ` {"junk": true}`, http.StatusBadRequest},
+		"place trailing space":    {http.MethodPost, "/v1/place", string(valid) + " \n\t", http.StatusOK},
 	} {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 
 // This file is the daemon's solve-introspection layer:
 //
-//   - a registry of live solves, each publishing obs.ProgressSnapshot
-//     cells that /debug/solvez (and /statusz) read lock-free;
+//   - a registry of live solves, each an obs.Progress view folding the
+//     request's solver events, that /debug/solvez (and /statusz) read;
 //   - flight-recorder plumbing: every solve feeds a per-request ring
 //     and the server's global always-on ring; rings are dumped as
 //     JSONL (traceview-parseable) when a solve dies hard — deadline,
@@ -27,46 +27,44 @@ import (
 //     /debug/flightz;
 //   - threshold-triggered profiling: a per-request watchdog that
 //     captures a CPU profile for solves outrunning
-//     Config.ProfileThreshold, labeled by trace_id/phase.
+//     Config.ProfileThreshold, with samples labeled by trace_id.
 //
 // Everything here is observational. Placements are byte-identical
 // with the whole layer on or off (TestIntrospectionNoPlacementEffect).
 
-// solveReg tracks the progress cells of requests currently inside the
+// solveReg tracks the progress views of requests currently inside the
 // daemon. Registration is cheap (one map insert per request); reads
-// copy the latest snapshot of each cell without blocking writers.
+// copy the current snapshot of each view.
 type solveReg struct {
 	mu    sync.Mutex
-	cells map[string]*obs.Progress
+	views map[string]*obs.Progress
 }
 
 func newSolveReg() *solveReg {
-	return &solveReg{cells: make(map[string]*obs.Progress)}
+	return &solveReg{views: make(map[string]*obs.Progress)}
 }
 
-// add registers a request's progress cell under its trace ID.
+// add registers a request's progress view under its trace ID.
 func (g *solveReg) add(traceID string, p *obs.Progress) {
 	g.mu.Lock()
-	g.cells[traceID] = p
+	g.views[traceID] = p
 	g.mu.Unlock()
 }
 
 // remove deregisters a finished request.
 func (g *solveReg) remove(traceID string) {
 	g.mu.Lock()
-	delete(g.cells, traceID)
+	delete(g.views, traceID)
 	g.mu.Unlock()
 }
 
-// snapshots returns the latest snapshot of every live cell, sorted by
+// snapshots returns the current snapshot of every live view, sorted by
 // trace ID so the JSON is stable for tests and scrapes.
 func (g *solveReg) snapshots() []obs.ProgressSnapshot {
 	g.mu.Lock()
-	out := make([]obs.ProgressSnapshot, 0, len(g.cells))
-	for _, p := range g.cells { //lint:mapdet output is sorted by trace ID below
-		if snap, ok := p.Snapshot(); ok {
-			out = append(out, snap)
-		}
+	out := make([]obs.ProgressSnapshot, 0, len(g.views))
+	for _, p := range g.views { //lint:mapdet output is sorted by trace ID below
+		out = append(out, p.Snapshot())
 	}
 	g.mu.Unlock()
 	if len(out) == 0 {
@@ -154,6 +152,17 @@ func (s *Server) dumpOnShed(traceID string) {
 		return
 	}
 	s.dumpFlight(s.flight, "shed-"+traceID, "shed")
+}
+
+// profiled runs f, under a trace_id pprof label when threshold
+// profiling is on, so a profile's samples name the request they came
+// from. Goroutines f starts (the node-LP workers) inherit the label.
+func (s *Server) profiled(ctx context.Context, traceID string, f func()) {
+	if s.cfg.ProfileThreshold <= 0 {
+		f()
+		return
+	}
+	pprof.Do(ctx, pprof.Labels("trace_id", traceID), func(context.Context) { f() })
 }
 
 // cpuProfileActive guards the one CPU profile the runtime allows per

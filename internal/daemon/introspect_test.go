@@ -116,7 +116,7 @@ func TestSolvezIdle(t *testing.T) {
 // TestSolvezDuringSolve scrapes /debug/solvez while two requests to
 // each solve endpoint are inside the daemon — one holding the only
 // solve slot (stretched by SolveDelay), one queued behind it — and
-// expects a live snapshot for both: the progress cell is registered
+// expects a live snapshot for both: the progress view is registered
 // from arrival. The in-CI smoke does the same against a real
 // ruleplaced process.
 func TestSolvezDuringSolve(t *testing.T) {

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strings"
@@ -68,7 +69,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		explicit := in.SessionSpec()
 		return func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error {
 			opts := in.Options
-			opts.Request, opts.SolverSink = req, sink
+			opts.Trace, opts.SolverSink = req.Trace, sink
 			sess, res, err := s.sessions.Create(explicit, opts)
 			if err != nil {
 				return err
@@ -84,7 +85,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request, id string) {
 	s.serveSolve(w, r, "session_delta", func(body []byte) (solveFunc, error) {
 		var dr DeltaRequest
-		if err := decodeStrict(body, &dr); err != nil {
+		if err := spec.DecodeStrict(bytes.NewReader(body), &dr); err != nil {
 			return nil, err
 		}
 		sess, err := s.sessions.Get(id)

@@ -377,16 +377,30 @@ func TestSessionBadDeltas(t *testing.T) {
 	specJSON := testSpec(t, 4)
 	_, base := startDaemon(t, Config{MaxInFlight: 1})
 	sr, _ := createSession(t, base, specJSON)
+	// valid is a batch that adds a fresh rule, so a case built on it
+	// can fail only on what follows it.
+	explicit := explicitSpec(t, specJSON)
+	valid := func(prio int) string {
+		b, err := json.Marshal(DeltaRequest{Deltas: []spec.Delta{addRuleDelta(explicit, prio)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 
 	for name, tc := range map[string]struct {
 		body string
 		want int
 	}{
-		"invalid json":  {"{", http.StatusBadRequest},
-		"unknown field": {`{"bogus":1}`, http.StatusBadRequest},
-		"empty deltas":  {`{"deltas":[]}`, http.StatusBadRequest},
-		"unknown op":    {`{"deltas":[{"op":"teleport"}]}`, http.StatusBadRequest},
-		"bad ingress":   {`{"deltas":[{"op":"add_rule","ingress":424242,"rule":{"pattern":"1*","action":"drop","priority":1}}]}`, http.StatusBadRequest},
+		// A valid batch followed by anything but whitespace.
+		"trailing object":  {valid(1000) + ` {"junk": true}`, http.StatusBadRequest},
+		"trailing garbage": {valid(1001) + " trailing garbage", http.StatusBadRequest},
+		"stray brace":      {valid(1002) + "}", http.StatusBadRequest},
+		"invalid json":     {"{", http.StatusBadRequest},
+		"unknown field":    {`{"bogus":1}`, http.StatusBadRequest},
+		"empty deltas":     {`{"deltas":[]}`, http.StatusBadRequest},
+		"unknown op":       {`{"deltas":[{"op":"teleport"}]}`, http.StatusBadRequest},
+		"bad ingress":      {`{"deltas":[{"op":"add_rule","ingress":424242,"rule":{"pattern":"1*","action":"drop","priority":1}}]}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(base+"/v1/session/"+sr.SessionID+"/delta", "application/json", strings.NewReader(tc.body))
 		if err != nil {

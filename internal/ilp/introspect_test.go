@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,21 +11,21 @@ import (
 )
 
 // TestSolveIntrospectionDoesNotPerturb pins the flight-recorder
-// invariant at the solver layer: attaching the full introspection stack
-// (flight ring, live progress cell, pprof labels, trace ID) returns the
-// same status, objective, solution vector, and search effort as a bare
-// solve — for every worker count. Exact comparison is intentional.
+// invariant at the solver layer: attaching the daemon's sink stack
+// (flight ring and live progress view, stamped with a trace ID) returns
+// the same status, objective, solution vector, and search effort as a
+// bare solve — for every worker count. Exact comparison is intentional.
 func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
+	const id = "req-000042"
 	for _, w := range []int{1, 2, 8} {
 		bare, err := Solve(parallelFixture(7, 16), Options{TimeLimit: 60 * time.Second, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d bare: %v", w, err)
 		}
 		rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 256})
-		var prog obs.Progress
 		inst, err := Solve(parallelFixture(7, 16), Options{
 			TimeLimit: 60 * time.Second, Workers: w,
-			Sink: rec, Progress: &prog, ProfileLabels: true, TraceID: "req-000042",
+			Sink: obs.Tag(id, obs.Multi(rec, obs.NewProgress(id))),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d instrumented: %v", w, err)
@@ -51,83 +52,87 @@ func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
 
 // TestSolveFlightRecorderMatchesFullTrace checks the ring is a faithful
 // pass-through when it does not wrap: an oversized ring retains exactly
-// the event stream a full Recorder sees, in the same order.
+// the full event stream the JSONL trace records, in the same order.
 func TestSolveFlightRecorderMatchesFullTrace(t *testing.T) {
-	var full obs.Recorder
+	var buf bytes.Buffer
+	jw := obs.NewJSONLWriter(&buf)
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
 	if _, err := Solve(parallelFixture(3, 12), Options{
-		TimeLimit: 60 * time.Second, Workers: 1, Sink: obs.Multi(&full, rec),
+		TimeLimit: 60 * time.Second, Workers: 1, Sink: obs.Multi(jw, rec),
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := obs.ReadEvents(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	d := rec.Dump()
 	if d.Dropped != 0 {
 		t.Fatalf("single-writer unwrapped ring lost events: dropped=%d", d.Dropped)
 	}
-	if !reflect.DeepEqual(d.Events, full.Events()) {
+	if !reflect.DeepEqual(d.Events, full) {
 		t.Fatalf("ring retained %d events, full trace has %d — streams differ",
-			len(d.Events), len(full.Events()))
+			len(d.Events), len(full))
 	}
 }
 
-// TestSolveProgressFinalSnapshot checks the live-progress contract: the
-// last published snapshot is the done snapshot and agrees with Stats.
+// TestSolveProgressFinalSnapshot checks the live-progress contract: a
+// Progress sink's final view is the done view and agrees with Stats,
+// for every worker count.
 func TestSolveProgressFinalSnapshot(t *testing.T) {
-	var prog obs.Progress
-	sol, err := Solve(parallelFixture(7, 16), Options{
-		TimeLimit: 60 * time.Second, Workers: 2, Progress: &prog, TraceID: "req-000007",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := prog.Snapshot()
-	if !ok {
-		t.Fatal("no progress snapshot published")
-	}
-	if !s.Done || s.Phase != "done" {
-		t.Fatalf("final snapshot not done: %+v", s)
-	}
-	if s.TraceID != "req-000007" {
-		t.Fatalf("snapshot trace ID %q", s.TraceID)
-	}
-	if s.Nodes != sol.Stats.BnBNodes {
-		t.Fatalf("snapshot nodes %d, Stats.BnBNodes %d", s.Nodes, sol.Stats.BnBNodes)
-	}
-	if s.Workers != 2 {
-		t.Fatalf("snapshot workers %d", s.Workers)
-	}
-	if sol.Status == Optimal {
-		if !s.HaveIncumbent || s.Incumbent != sol.Objective {
-			t.Fatalf("done snapshot incumbent %+v disagrees with objective %g", s, sol.Objective)
+	const id = "req-000007"
+	for _, w := range []int{1, 2, 8} {
+		prog := obs.NewProgress(id)
+		sol, err := Solve(parallelFixture(7, 16), Options{
+			TimeLimit: 60 * time.Second, Workers: w, Sink: prog,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Gap != sol.Stats.Gap {
-			t.Fatalf("snapshot gap %g, Stats.Gap %g", s.Gap, sol.Stats.Gap)
+		if sol.Status != Optimal {
+			t.Fatalf("workers=%d: status %v", w, sol.Status)
+		}
+		s := prog.Snapshot()
+		if !s.Done || s.Phase != "done" || s.TraceID != id {
+			t.Fatalf("workers=%d: final view not done: %+v", w, s)
+		}
+		if s.Nodes != sol.Stats.BnBNodes || s.Incumbents != sol.Stats.Incumbents {
+			t.Fatalf("workers=%d: view nodes/incumbents %d/%d, Stats %d/%d",
+				w, s.Nodes, s.Incumbents, sol.Stats.BnBNodes, sol.Stats.Incumbents)
+		}
+		//lint:exactfloat the done event carries the exact Stats values
+		if !s.HaveIncumbent || s.Incumbent != sol.Objective || s.Gap != sol.Stats.Gap {
+			t.Fatalf("workers=%d: done view %+v disagrees with objective %g, gap %g",
+				w, s, sol.Objective, sol.Stats.Gap)
 		}
 	}
 }
 
-// TestSolveProgressInfeasible: a proven-infeasible solve still publishes
-// a terminal done snapshot, with the -1 gap sentinel and no incumbent.
+// TestSolveProgressInfeasible: a proven-infeasible solve still closes
+// the view, with the -1 gap sentinel and no incumbent.
 func TestSolveProgressInfeasible(t *testing.T) {
 	m := NewModel()
 	a := m.AddBinary("a", 1)
 	b := m.AddBinary("b", 1)
 	m.AddConstraint([]Term{{a, 1}, {b, 1}}, GE, 2, "both")
 	m.AddConstraint([]Term{{a, 1}, {b, 1}}, LE, 1, "atmost1")
-	var prog obs.Progress
-	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Progress: &prog})
+	prog := obs.NewProgress("")
+	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Sink: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != Infeasible {
 		t.Fatalf("status %v", sol.Status)
 	}
-	s, ok := prog.Snapshot()
-	if !ok || !s.Done {
-		t.Fatalf("no terminal snapshot for infeasible solve: %+v", s)
+	s := prog.Snapshot()
+	if !s.Done {
+		t.Fatalf("no terminal view for infeasible solve: %+v", s)
 	}
 	if s.HaveIncumbent || s.Gap != -1 {
-		t.Fatalf("infeasible done snapshot should carry no incumbent and gap -1: %+v", s)
+		t.Fatalf("infeasible done view should carry no incumbent and gap -1: %+v", s)
 	}
 }
 
@@ -169,9 +174,9 @@ func TestSolveSearchProfileStats(t *testing.T) {
 }
 
 // TestDisabledIntrospectionOverheadSmoke extends the nil-sink gate to
-// the whole introspection stack: a solve with recorder, progress, and
-// labels all off must not be grossly slower than one with them on —
-// i.e. the off path really is just branches. Same wide 1.5x margin as
+// the whole introspection stack: a solve with recorder and progress
+// both off must not be grossly slower than one with them on — i.e. the
+// off path really is just branches. Same wide 1.5x margin as
 // TestDisabledSinkOverheadSmoke to absorb CI noise.
 func TestDisabledIntrospectionOverheadSmoke(t *testing.T) {
 	if testing.Short() {
@@ -195,9 +200,8 @@ func TestDisabledIntrospectionOverheadSmoke(t *testing.T) {
 		return Options{TimeLimit: 60 * time.Second, Workers: 1}
 	})
 	on := median(func() Options {
-		var prog obs.Progress
 		return Options{TimeLimit: 60 * time.Second, Workers: 1,
-			Sink: obs.NewFlightRecorder(obs.FlightOpts{Size: 4096}), Progress: &prog, ProfileLabels: true}
+			Sink: obs.Multi(obs.NewFlightRecorder(obs.FlightOpts{Size: 4096}), obs.NewProgress(""))}
 	})
 	if off > on*3/2 {
 		t.Fatalf("introspection-off median %v exceeds 1.5x the introspection-on median %v", off, on)

@@ -1,11 +1,9 @@
 package ilp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,27 +39,9 @@ type Options struct {
 	// solution — is byte-identical with tracing on or off and the event
 	// sequence is identical (modulo Event.TimeMS) for any worker count.
 	Sink obs.Sink
-	// TraceID, when non-empty, is stamped on every event emitted to
-	// Sink (Event.TraceID), joining the solve's event stream to the
-	// request that triggered it. Purely observational: it never feeds
-	// back into the search.
-	TraceID string
 	// Span, when non-nil, is the parent under which the solver opens
 	// presolve / root_lp / search timing child spans.
 	Span *obs.Span
-	// Progress, when non-nil, receives atomically-published live
-	// snapshots (phase, incumbent, best bound, gap, nodes, elapsed) from
-	// the solver's sequential sections — the daemon's /debug/solvez
-	// feed. Like Sink, nothing is ever read back: the search and the
-	// returned solution are byte-identical with or without it, and a nil
-	// Progress costs one branch per publish site.
-	Progress *obs.Progress
-	// ProfileLabels, when set, applies runtime/pprof goroutine labels
-	// (trace_id, phase) around the solve phases, so CPU profiles of a
-	// busy daemon attribute samples to requests and phases. Worker
-	// goroutines inherit the labels. Off by default: label swaps
-	// allocate, and unprofiled paths should not pay for them.
-	ProfileLabels bool
 }
 
 // Solve minimizes the model. The returned solution's Values are rounded
@@ -94,9 +74,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 	if err := m.Validate(); err != nil {
 		return Solution{}, err
 	}
-	// Request-scoped tracing: stamp the trace ID on every emitted event.
-	// Tag returns nil for a nil sink, so the disabled fast path holds.
-	opts.Sink = obs.Tag(opts.TraceID, opts.Sink)
 	var deadline time.Time
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)
@@ -112,20 +89,9 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.ProfileLabels {
-		// Restore the goroutine's label set on exit so a request
-		// handler's labels don't leak past its solve.
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
 	stats := Stats{Workers: workers, Gap: -1, RootGap: -1}
 	work := m
 	if !opts.DisablePresolve {
-		solvePhaseLabels(opts.ProfileLabels, opts.TraceID, "presolve")
-		if opts.Progress != nil {
-			opts.Progress.Publish(obs.ProgressSnapshot{TraceID: opts.TraceID,
-				Phase: "presolve", Gap: -1, Workers: workers,
-				ElapsedMS: msSince(start)}) //lint:detsource timing telemetry, never read back into the search
-		}
 		pre := opts.Span.Child("presolve")
 		res := presolve(m, lo, hi, &stats)
 		pre.SetCount("fixes", int64(stats.PresolveFix))
@@ -138,11 +104,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 			if opts.Sink != nil {
 				opts.Sink.Event(obs.Event{Kind: obs.KindDone, Outcome: Infeasible.String(),
 					Reason: StopNone.String(), BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
-			}
-			if opts.Progress != nil {
-				opts.Progress.Publish(obs.ProgressSnapshot{TraceID: opts.TraceID,
-					Phase: "done", Gap: -1, Workers: workers, Done: true,
-					ElapsedMS: msSince(start)}) //lint:detsource timing telemetry, never read back into the search
 			}
 			return Solution{Status: Infeasible, Stats: stats}, nil
 		}
@@ -169,9 +130,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 		sink:        opts.Sink,
 		span:        opts.Span,
 		start:       start,
-		progress:    opts.Progress,
-		traceID:     opts.TraceID,
-		labels:      opts.ProfileLabels,
 		lostBound:   math.Inf(1),
 	}
 	sol, err := bb.run(lo, hi)
@@ -185,19 +143,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 // never read back into the search.
 func msSince(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1e3
-}
-
-// solvePhaseLabels applies pprof goroutine labels (trace_id, phase) for
-// one solve phase when enabled; worker goroutines spawned during the
-// phase inherit them, so profile samples from parallel node LPs
-// attribute to the owning solve. Purely observational — labels are
-// profiler metadata and never influence the search.
-func solvePhaseLabels(enabled bool, traceID, phase string) {
-	if !enabled {
-		return
-	}
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("trace_id", traceID, "phase", phase)))
 }
 
 type presolveResult int
@@ -306,10 +251,6 @@ const (
 	// be a pure function of the instance for Workers=1/2/8 to return
 	// identical results. Workers beyond batchNodes cannot be kept busy.
 	batchNodes = 16
-	// progressEveryNodes is roughly how many nodes pass between live
-	// progress snapshots (one is also published after every round that
-	// improves the incumbent).
-	progressEveryNodes = 64
 	// lexTol is the per-component tolerance of the lexicographic
 	// incumbent comparison; integer components are rounded before the
 	// comparison, so distinct placements differ by at least 1.
@@ -359,18 +300,13 @@ type bnb struct {
 
 	// sink/span/start feed the observability layer. All emission happens
 	// in the sequential sections (run and the merge loop), and nothing is
-	// read back, so they cannot perturb the search. progress/traceID/
-	// labels extend the same contract to live snapshots and pprof labels.
-	sink     obs.Sink
-	span     *obs.Span
-	start    time.Time
-	progress *obs.Progress
-	traceID  string
-	labels   bool
+	// read back, so they cannot perturb the search.
+	sink  obs.Sink
+	span  *obs.Span
+	start time.Time
 
 	// rootBound is the root relaxation bound (ceiled when the objective
-	// is integral); haveRoot marks it valid. Feeds Stats.RootGap and
-	// progress snapshots before the first incumbent.
+	// is integral); haveRoot marks it valid. Feeds Stats.RootGap.
 	rootBound float64
 	haveRoot  bool
 
@@ -467,7 +403,6 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 			break
 		}
 	}
-	b.enterPhase("root_lp")
 	rootSp := b.span.Child("root_lp")
 	s := newLPSolver(m, lo, hi)
 	s.deadline = b.deadline
@@ -538,7 +473,6 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 				Bound: rootBound, BranchVar: frac, Frac: math.Min(f, 1-f), Gap: -1})
 		}
 		b.deque = b.makeChildren(root, &rootRes, frac)
-		b.enterPhase("search")
 		searchSp := b.span.Child("search")
 		err := b.search(s)
 		searchSp.SetCount("nodes", int64(b.stats.BnBNodes))
@@ -580,42 +514,6 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 func (b *bnb) emit(e obs.Event) {
 	e.TimeMS = msSince(b.start)
 	b.sink.Event(e)
-}
-
-// enterPhase marks a solve-phase transition for the introspection
-// layer: pprof labels when profiling is enabled, and a progress
-// snapshot when one is attached. Called only from sequential sections;
-// costs two branches when introspection is off.
-func (b *bnb) enterPhase(phase string) {
-	solvePhaseLabels(b.labels, b.traceID, phase)
-	if b.progress != nil {
-		b.publishProgress(phase)
-	}
-}
-
-// publishProgress posts one live snapshot. Callers guard with
-// b.progress != nil (the snapshot assembly walks the open deque, which
-// the disabled path must not pay for). Sequential sections only, so
-// every field read here is stable.
-func (b *bnb) publishProgress(phase string) {
-	s := obs.ProgressSnapshot{TraceID: b.traceID, Phase: phase,
-		Nodes: b.stats.BnBNodes, Incumbents: b.stats.Incumbents,
-		Workers: b.workers, Gap: -1,
-		ElapsedMS: msSince(b.start)} //lint:detsource timing telemetry, never read back into the search
-	bb := b.openBound()
-	if b.haveInc {
-		if bb > b.incumbentObj {
-			bb = b.incumbentObj
-		}
-		s.Incumbent, s.HaveIncumbent = b.incumbentObj, true
-		s.BestBound = bb
-		s.Gap = (b.incumbentObj - bb) / math.Max(math.Abs(b.incumbentObj), 1e-9)
-	} else if !math.IsInf(bb, 0) {
-		s.BestBound = bb
-	} else if b.haveRoot {
-		s.BestBound = b.rootBound
-	}
-	b.progress.Publish(s)
 }
 
 // stopReason derives the stop reason from the limit flags, in
@@ -669,11 +567,6 @@ func (b *bnb) noSolution(status Status) (Solution, error) {
 			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters,
 			BranchVar: -1, Gap: -1})
 	}
-	if b.progress != nil {
-		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.BnBNodes, Workers: b.workers, Gap: -1, Done: true,
-			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search
-	}
 	return Solution{Status: status, Stats: b.stats}, nil
 }
 
@@ -708,7 +601,6 @@ func (b *bnb) search(s *lpSolver) error {
 
 	batch := make([]*workItem, 0, batchNodes)
 	results := make([]nodeResult, batchNodes)
-	sinceProgress := 0
 	for len(b.deque) > 0 {
 		width := 1
 		if b.haveInc {
@@ -749,7 +641,6 @@ func (b *bnb) search(s *lpSolver) error {
 				return err
 			}
 		}
-		sinceProgress += len(batch)
 		improved := b.haveInc && (!hadInc || b.incumbentObj < prevObj)
 		if improved && b.sink != nil {
 			// One point of the bound-gap time series per improving round.
@@ -770,10 +661,6 @@ func (b *bnb) search(s *lpSolver) error {
 		if b.deadlineExpired() {
 			b.hitDeadline = true
 			return nil
-		}
-		if b.progress != nil && (sinceProgress >= progressEveryNodes || improved) {
-			sinceProgress = 0
-			b.publishProgress("search")
 		}
 	}
 	return nil
@@ -1213,13 +1100,6 @@ func (b *bnb) finish(x []float64, obj float64, proven bool) (Solution, error) {
 		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.BnBNodes, Outcome: status.String(),
 			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters, BranchVar: -1,
 			Incumbent: obj, BestBound: b.stats.BestBound, Gap: b.stats.Gap})
-	}
-	if b.progress != nil {
-		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.BnBNodes, Incumbent: obj, HaveIncumbent: true,
-			BestBound: b.stats.BestBound, Gap: b.stats.Gap,
-			Incumbents: b.stats.Incumbents, Workers: b.workers, Done: true,
-			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search
 	}
 	return Solution{Status: status, Objective: obj, Values: vals, Stats: b.stats}, nil
 }

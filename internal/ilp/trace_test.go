@@ -10,16 +10,33 @@ import (
 	"rulefit/internal/obs"
 )
 
-// traceOf solves a fixture with a recorder attached and returns the
+// fullRing returns a flight ring far larger than any fixture's event
+// stream, so it holds the whole stream (see fullTrace).
+func fullRing() *obs.FlightRecorder {
+	return obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
+}
+
+// fullTrace returns every event a fullRing saw, failing the test if
+// the ring wrapped or dropped any.
+func fullTrace(t *testing.T, rec *obs.FlightRecorder) []obs.Event {
+	t.Helper()
+	d := rec.Dump()
+	if d.Dropped != 0 || d.Seen != uint64(len(d.Events)) {
+		t.Fatalf("ring lost events: seen %d, retained %d, dropped %d", d.Seen, len(d.Events), d.Dropped)
+	}
+	return d.Events
+}
+
+// traceOf solves a fixture with a full ring attached and returns the
 // solution plus the normalized (timing-stripped) event sequence.
 func traceOf(t *testing.T, m *Model, workers int) (Solution, []obs.Event) {
 	t.Helper()
-	var rec obs.Recorder
-	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: workers, Sink: &rec})
+	rec := fullRing()
+	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: workers, Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := rec.Events()
+	events := fullTrace(t, rec)
 	for i := range events {
 		events[i] = events[i].Normalize()
 	}
@@ -113,11 +130,11 @@ func TestStatsOutcomeAccounting(t *testing.T) {
 // TestTraceJSONLRoundTrip streams a solve through the JSONL writer and
 // checks the re-read trace matches the in-memory recording.
 func TestTraceJSONLRoundTrip(t *testing.T) {
-	var rec obs.Recorder
+	rec := fullRing()
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
 	_, err := Solve(parallelFixture(7, 14),
-		Options{TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Multi(&rec, w)})
+		Options{TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Multi(rec, w)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +145,8 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rec.Events()) {
-		t.Fatalf("JSONL round trip differs from recorder (%d vs %d events)", len(got), len(rec.Events()))
+	if want := fullTrace(t, rec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONL round trip differs from recorder (%d vs %d events)", len(got), len(want))
 	}
 }
 

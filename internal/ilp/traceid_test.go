@@ -9,20 +9,20 @@ import (
 )
 
 // TestTraceIDStampsEveryEvent asserts the request-scoping contract at
-// the solver layer: Options.TraceID appears on every emitted event, and
-// stamping changes nothing else — neither the solution nor any other
-// event field.
+// the solver layer: a sink wrapped by obs.Tag sees the trace ID on
+// every event, and stamping changes nothing else — neither the
+// solution nor any other event field.
 func TestTraceIDStampsEveryEvent(t *testing.T) {
 	const id = "req-000042-00000000deadbeef"
 	solve := func(traceID string) (Solution, []obs.Event) {
-		var rec obs.Recorder
+		rec := fullRing()
 		sol, err := Solve(parallelFixture(5, 16), Options{
-			TimeLimit: 60 * time.Second, Workers: 2, Sink: &rec, TraceID: traceID,
+			TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Tag(traceID, rec),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		events := rec.Events()
+		events := fullTrace(t, rec)
 		for i := range events {
 			events[i] = events[i].Normalize()
 		}
@@ -44,24 +44,5 @@ func TestTraceIDStampsEveryEvent(t *testing.T) {
 		if e != plain[i] {
 			t.Fatalf("event %d differs beyond TraceID:\n%+v\nvs\n%+v", i, e, plain[i])
 		}
-	}
-}
-
-// TestTraceIDWithoutSinkKeepsFastPath asserts a TraceID alone does not
-// enable event emission: with a nil sink the solve stays on the
-// disabled-sink fast path and still succeeds.
-func TestTraceIDWithoutSinkKeepsFastPath(t *testing.T) {
-	plain, err := Solve(parallelFixture(3, 12), Options{TimeLimit: 60 * time.Second, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagged, err := Solve(parallelFixture(3, 12), Options{
-		TimeLimit: 60 * time.Second, Workers: 1, TraceID: "req-000001-0123456789abcdef",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, tagged) {
-		t.Fatalf("sinkless trace ID perturbed the solution:\n%+v\nvs\n%+v", plain, tagged)
 	}
 }

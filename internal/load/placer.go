@@ -191,7 +191,7 @@ func (p *inprocPlacer) Place(_ context.Context, item WorkItem) Result {
 		return finish(res)
 	}
 	opts := in.Options
-	opts.Request = obs.NewRequestCtx(traceID)
+	opts.Trace = obs.NewTrace()
 	pl, err := core.Place(in.Problem, opts)
 	if err != nil {
 		res.Code, res.Status, res.Err = http.StatusInternalServerError, "error", err.Error()
@@ -205,7 +205,7 @@ func (p *inprocPlacer) Place(_ context.Context, item WorkItem) Result {
 	res.Code, res.Status = http.StatusOK, pl.Status.String()
 	res.PlacementJSON = placement
 	res.PlacementHash = hashPlacement(placement)
-	for _, root := range opts.Request.Trace.Roots() {
+	for _, root := range opts.Trace.Roots() {
 		if root.Name() != "place" {
 			continue
 		}

@@ -141,57 +141,3 @@ func TestFlightOptsDefaults(t *testing.T) {
 		t.Fatalf("default ring size %d, want 4096", len(r.ring))
 	}
 }
-
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Publish(ProgressSnapshot{Phase: "search"}) // must not panic
-	if s, ok := p.Snapshot(); ok || s != (ProgressSnapshot{}) {
-		t.Fatalf("nil Progress returned a snapshot: %+v", s)
-	}
-}
-
-func TestProgressPublishSnapshot(t *testing.T) {
-	var p Progress
-	if _, ok := p.Snapshot(); ok {
-		t.Fatal("fresh Progress reported a snapshot before any Publish")
-	}
-	p.Publish(ProgressSnapshot{Phase: "root_lp", Nodes: 0, Gap: -1})
-	p.Publish(ProgressSnapshot{Phase: "search", Nodes: 12, Incumbent: 7, HaveIncumbent: true, Gap: 0.25})
-	s, ok := p.Snapshot()
-	if !ok {
-		t.Fatal("Snapshot reported none after Publish")
-	}
-	if s.Phase != "search" || s.Nodes != 12 || !s.HaveIncumbent || s.Gap != 0.25 {
-		t.Fatalf("snapshot did not reflect latest publish: %+v", s)
-	}
-}
-
-// TestProgressConcurrentReaders hammers one writer against many readers;
-// under -race the atomic pointer cell must be clean and every observed
-// snapshot internally consistent (Nodes never exceeds the published max).
-func TestProgressConcurrentReaders(t *testing.T) {
-	var p Progress
-	const max = 1000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i <= max; i++ {
-			p.Publish(ProgressSnapshot{Phase: "search", Nodes: i})
-		}
-	}()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				if s, ok := p.Snapshot(); ok && (s.Nodes < 0 || s.Nodes > max) {
-					t.Errorf("torn snapshot: %+v", s)
-					return
-				}
-			}
-		}()
-	}
-	<-done
-	wg.Wait()
-}

@@ -31,8 +31,6 @@
 // instance.
 package obs
 
-import "sync"
-
 // Event kinds, in the order a solve emits them.
 const (
 	// KindPresolve reports bound-propagation presolve (Fixes).
@@ -148,7 +146,7 @@ func (e Event) Normalize() Event {
 // back into the solver; the solve's behavior never depends on the sink.
 // Events arrive from a single goroutine per solve, but separate
 // concurrent solves may share a sink, so implementations that aggregate
-// must lock (Recorder and JSONLWriter do).
+// must lock (FlightRecorder, JSONLWriter and Progress do).
 //
 // A nil Sink means observability is off: hot paths call methods only
 // behind a `!= nil` guard so the fast path stays allocation-free.
@@ -156,27 +154,6 @@ func (e Event) Normalize() Event {
 //lint:sinkguard-iface nil when observability is off; guard every call
 type Sink interface {
 	Event(Event)
-}
-
-// Recorder is a Sink that stores events in memory, for tests and
-// post-run summaries.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Event appends one event.
-func (r *Recorder) Event(e Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-// Events returns the recorded events in arrival order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
 }
 
 // multiSink fans each event out to several sinks.

@@ -10,23 +10,24 @@ import (
 )
 
 func TestRecorderAndMulti(t *testing.T) {
-	var a, b Recorder
-	s := Multi(nil, &a, nil, &b)
+	a := NewFlightRecorder(FlightOpts{Size: 8})
+	b := NewFlightRecorder(FlightOpts{Size: 8})
+	s := Multi(nil, a, nil, b)
 	if s == nil {
 		t.Fatal("Multi with live sinks returned nil")
 	}
 	e := Event{Kind: KindNode, Node: 1, Outcome: OutcomeBranched, Bound: 2.5}
 	s.Event(e)
-	if got := a.Events(); len(got) != 1 || got[0] != e {
+	if got := a.Dump().Events; len(got) != 1 || got[0] != e {
 		t.Fatalf("recorder a got %v", got)
 	}
-	if got := b.Events(); len(got) != 1 || got[0] != e {
+	if got := b.Dump().Events; len(got) != 1 || got[0] != e {
 		t.Fatalf("recorder b got %v", got)
 	}
 	if Multi(nil, nil) != nil {
 		t.Fatal("Multi of all-nil sinks should be nil so the solver fast path applies")
 	}
-	if Multi(&a) != Sink(&a) {
+	if Multi(a) != Sink(a) {
 		t.Fatal("Multi of one sink should return it unwrapped")
 	}
 }

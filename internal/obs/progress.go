@@ -1,17 +1,15 @@
 package obs
 
-import "sync/atomic"
+import "sync"
 
-// ProgressSnapshot is one point-in-time view of a running solve,
-// published from the solver's sequential sections and read by the
-// daemon's /debug/solvez endpoint. All fields are observational; the
-// solver never reads a snapshot back, so attaching a Progress cannot
-// perturb the search (the same contract as Sink).
+// ProgressSnapshot is one point-in-time view of a running solve, as
+// folded from its event stream by Progress and read by the daemon's
+// /debug/solvez endpoint. All fields are observational.
 type ProgressSnapshot struct {
 	// TraceID joins the snapshot to its request ("" when unscoped).
 	TraceID string `json:"trace_id,omitempty"`
-	// Phase is where the solve currently is: "admitted" (daemon slot
-	// held, solver not yet entered), "presolve", "root_lp", "search",
+	// Phase is where the solve currently is: "admitted" (no solver
+	// event yet), "root_lp" (presolve done), "search" (root LP done),
 	// or "done".
 	Phase string `json:"phase"`
 	// Nodes is the branch & bound nodes expanded so far.
@@ -20,48 +18,72 @@ type ProgressSnapshot struct {
 	// when HaveIncumbent.
 	Incumbent     float64 `json:"incumbent"`
 	HaveIncumbent bool    `json:"have_incumbent"`
-	// BestBound is the current valid lower bound on the optimum.
+	// BestBound is a valid lower bound on the optimum: the root bound
+	// until the first improving round, then that of the latest one.
 	BestBound float64 `json:"best_bound"`
-	// Gap is the relative optimality gap at the snapshot (-1 undefined,
-	// e.g. before the first incumbent — the same sentinel as ilp.Stats).
+	// Gap is the relative optimality gap at the latest improving round
+	// (-1 undefined, e.g. before the first incumbent — the same
+	// sentinel as ilp.Stats).
 	Gap float64 `json:"gap"`
 	// Incumbents counts incumbent improvements so far.
 	Incumbents int `json:"incumbents"`
-	// Workers is the branch & bound parallelism of the solve.
-	Workers int `json:"workers"`
-	// ElapsedMS is wall time since solve start. Timing field:
-	// informational only, never a solver input.
+	// ElapsedMS is the latest event's TimeMS. Timing field:
+	// informational only.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Done marks the final snapshot of a finished solve.
 	Done bool `json:"done"`
 }
 
-// Progress is an atomically-published ProgressSnapshot cell. The solver
-// (single writer, sequential sections only) Publishes; any number of
-// readers Snapshot concurrently without locks. A nil *Progress is a
-// no-op on both sides, mirroring the nil-Sink fast path: hot paths
-// guard with `!= nil` and pay one branch when introspection is off.
+// Progress is a Sink that folds one request's solver events into a
+// live ProgressSnapshot. Every ILP solve opens with a presolve event
+// (a root_lp event when presolve is disabled), which starts a fresh
+// view, so each sub-solve of a decomposed placement shows on its own.
+// Event updates the view in place under a mutex without allocating;
+// any number of readers call Snapshot concurrently.
 type Progress struct {
-	p atomic.Pointer[ProgressSnapshot]
+	mu sync.Mutex
+	s  ProgressSnapshot
 }
 
-// Publish replaces the current snapshot. Nil-receiver-safe.
-func (p *Progress) Publish(s ProgressSnapshot) {
-	if p == nil {
-		return
-	}
-	p.p.Store(&s)
+// NewProgress returns a progress view in phase "admitted", before any
+// solver event.
+func NewProgress(traceID string) *Progress {
+	return &Progress{s: ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1}}
 }
 
-// Snapshot returns the latest published snapshot, and whether one has
-// been published yet. Nil-receiver-safe.
-func (p *Progress) Snapshot() (ProgressSnapshot, bool) {
-	if p == nil {
-		return ProgressSnapshot{}, false
+// Event folds one solver event into the view.
+func (p *Progress) Event(e Event) {
+	ms := e.TimeMS
+	p.mu.Lock()
+	s := &p.s
+	switch e.Kind {
+	case KindPresolve:
+		*s = ProgressSnapshot{TraceID: s.TraceID, Phase: "root_lp", Gap: -1}
+	case KindRootLP:
+		*s = ProgressSnapshot{TraceID: s.TraceID, Phase: "search", BestBound: e.Bound, Gap: -1}
+	case KindNode:
+		s.Nodes = e.Node
+		if e.Node == 1 {
+			// The root node's bound is ceiled when the objective is
+			// integral; the root_lp event's is raw.
+			s.BestBound = e.Bound
+		}
+	case KindIncumbent:
+		s.Incumbent, s.HaveIncumbent = e.Incumbent, true
+		s.Incumbents++
+	case KindGap:
+		s.Nodes, s.BestBound, s.Gap = e.Node, e.BestBound, e.Gap
+	case KindDone:
+		s.Phase, s.Done = "done", true
+		s.Nodes, s.BestBound, s.Gap = e.Node, e.BestBound, e.Gap
 	}
-	s := p.p.Load()
-	if s == nil {
-		return ProgressSnapshot{}, false
-	}
-	return *s, true
+	s.ElapsedMS = ms
+	p.mu.Unlock()
+}
+
+// Snapshot returns the current view.
+func (p *Progress) Snapshot() ProgressSnapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.s
 }

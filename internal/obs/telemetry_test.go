@@ -193,14 +193,14 @@ func TestTagSink(t *testing.T) {
 	if Tag("id", nil) != nil {
 		t.Fatal("Tag of nil sink must stay nil (solver fast path)")
 	}
-	var rec Recorder
-	if Tag("", &rec) != Sink(&rec) {
+	rec := NewFlightRecorder(FlightOpts{Size: 8})
+	if Tag("", rec) != Sink(rec) {
 		t.Fatal("Tag with empty ID must return the sink unwrapped")
 	}
-	s := Tag("req-000001-abc", &rec)
+	s := Tag("req-000001-abc", rec)
 	s.Event(Event{Kind: KindNode, Node: 1})
 	s.Event(Event{Kind: KindDone, TraceID: "overwritten"})
-	got := rec.Events()
+	got := rec.Dump().Events
 	if len(got) != 2 || got[0].TraceID != "req-000001-abc" || got[1].TraceID != "req-000001-abc" {
 		t.Fatalf("events not tagged: %+v", got)
 	}

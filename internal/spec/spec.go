@@ -7,6 +7,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -134,12 +135,29 @@ type Rule struct {
 // Load reads a JSON problem description.
 func Load(r io.Reader) (*Problem, error) {
 	var p Problem
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := DecodeStrict(r, &p); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	return &p, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v. Unknown
+// fields are rejected, and so is anything but whitespace after the
+// value.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil:
+		return errors.New("trailing data after JSON value")
+	}
+	return fmt.Errorf("after JSON value: %w", err)
 }
 
 // LoadBytes reads a JSON problem description from a byte slice (the

@@ -154,6 +154,20 @@ func TestUnknownFieldRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected: Load takes exactly one JSON value, with
+// only whitespace after it.
+func TestTrailingDataRejected(t *testing.T) {
+	const valid = `{"topology": {"type": "fig3", "capacity": 4}, "routing": {"pairs": [{"in":1,"out":2}]}, "policies": []}`
+	for _, tail := range []string{` {"junk": true}`, " trailing garbage", "}", "]"} {
+		if _, err := Load(strings.NewReader(valid + tail)); err == nil {
+			t.Errorf("Load accepted a body followed by %q", tail)
+		}
+	}
+	if _, err := Load(strings.NewReader(valid + " \n\t\n")); err != nil {
+		t.Errorf("Load rejected trailing whitespace: %v", err)
+	}
+}
+
 func TestParseCIDR(t *testing.T) {
 	ip, plen, err := parseCIDR("10.1.2.3/24")
 	if err != nil || ip != 0x0A010203 || plen != 24 {

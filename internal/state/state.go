@@ -149,16 +149,16 @@ func sessionID(seq uint64, canonical []byte) string {
 }
 
 // Create registers a session for an explicit-form instance and runs
-// the initial (cold) solve. opts' observational fields (Request and
-// its progress cell, Trace, SolverSink) apply to this first solve
-// only; the remaining fields are fixed for the session's lifetime.
+// the initial (cold) solve. opts' observational fields (Trace,
+// SolverSink) apply to this first solve only; the remaining fields are
+// fixed for the session's lifetime.
 func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result, error) {
 	if err := sp.ExplicitOnly(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	own := sp.Clone()
 	fixed := opts
-	fixed.Request, fixed.Trace, fixed.SolverSink = nil, nil, nil
+	fixed.Trace, fixed.SolverSink = nil, nil
 	fixed.EncodeCache = nil   // the session attaches its own
 	fixed.SolutionCache = nil // likewise
 	// No delta adds or removes a policy, so the count sizing the caches
@@ -177,7 +177,7 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	m.mu.Unlock()
 
 	s.mu.Lock()
-	res, err := s.solveLocked(own, opts.Request, opts.SolverSink)
+	res, err := s.solveLocked(own, opts.Trace, opts.SolverSink)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
@@ -257,9 +257,9 @@ func (s *Session) SolutionStats() core.SolutionCacheStats {
 
 // Delta applies a delta sequence atomically: every op validates and
 // the updated instance solves, or the session is left untouched and
-// the error wraps ErrBadDelta. req (trace ID, spans, progress cell)
-// and sink scope observability to this call only. Concurrent calls
-// serialize on the session lock.
+// the error wraps ErrBadDelta. req's span trace and sink scope
+// observability to this call only. Concurrent calls serialize on the
+// session lock.
 func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("%w: empty delta list", ErrBadDelta)
@@ -270,7 +270,11 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	if err := next.ApplyAll(deltas); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
-	res, err := s.solveLocked(next, req, sink)
+	var trace *obs.Trace
+	if req != nil {
+		trace = req.Trace
+	}
+	res, err := s.solveLocked(next, trace, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +302,7 @@ func (s *Session) proven(pl *core.Placement) bool {
 
 // solveLocked answers for an instance via the fallback ladder and
 // commits the placement as current. Callers hold s.mu.
-func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
+func (s *Session) solveLocked(sp *spec.Problem, trace *obs.Trace, sink obs.Sink) (*Result, error) {
 	key := string(sp.Canonical())
 	if pl, ok := s.memo.Get(key); ok {
 		//lint:sharedmut caller holds s.mu (see doc)
@@ -315,7 +319,7 @@ func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Si
 	opts := s.opts
 	opts.EncodeCache = s.cache
 	opts.SolutionCache = s.sols
-	opts.Request = req
+	opts.Trace = trace
 	opts.SolverSink = sink
 	before := s.cache.Stats()
 	solBefore := s.sols.Stats()

@@ -143,9 +143,10 @@ stage_smoke() {
     done
     stop_daemon
 
-    step "introspection (solvez mid-solve, deadline flight dump, traceview)"
-    mkdir -p "$work/flight"
-    start_daemon 18093 -max-inflight 1 -solve-delay 3s -flight-dir "$work/flight"
+    step "introspection (solvez mid-solve, deadline flight dump, profile label, traceview)"
+    mkdir -p "$work/flight" "$work/prof"
+    start_daemon 18093 -max-inflight 1 -solve-delay 3s -flight-dir "$work/flight" \
+        -profile-threshold 50ms -profile-dir "$work/prof"
     curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/place" > "$work/place.json" &
     local curl_pid=$!
     # Scrape /debug/solvez while the request occupies its (delayed)
@@ -175,6 +176,17 @@ stage_smoke() {
         expect "$work/dump-check.txt" partial
     else
         echo "solve beat the 250ms deadline; skipping dump assertions"
+    fi
+    # A solve that outran the 50ms threshold left a CPU profile whose
+    # samples carry its trace ID as a pprof label.
+    local tight_id
+    tight_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/tight.json")
+    if [ -f "$work/prof/profile-$tight_id.pprof" ]; then
+        go tool pprof -tags "$work/prof/profile-$tight_id.pprof" > "$work/tags.txt"
+        expect "$work/tags.txt" trace_id
+        expect "$work/tags.txt" "$tight_id"
+    else
+        echo "solve beat the 50ms profile threshold; skipping profile label assertions"
     fi
     stop_daemon
 
