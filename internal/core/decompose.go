@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -186,30 +185,50 @@ func stitch(frags []*Placement, opts Options) *Placement {
 // the solve options, the policy (content + ingress + default), its
 // path set (switch sequences and traffic slices), and the capacities
 // of every switch on those paths. Switches off the policy's paths
-// cannot host its variables, so they are not part of the key. Full
-// renderings (not hashes) make collisions impossible.
+// cannot host its variables, so they are not part of the key. Every
+// variable-length part is length-prefixed, so the key is a full
+// injective rendering (not a hash) and collisions are impossible.
 func subSolutionKey(prob *Problem, pol *policy.Policy, opts Options) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "o=%d b=%d rr=%t ps=%t dp=%t w=%d tl=%d\x00",
-		opts.Objective, opts.Backend, opts.RemoveRedundant, opts.PathSlicing,
-		opts.DisablePresolve, opts.Workers, int64(opts.TimeLimit))
-	sb.WriteString(pol.String())
-	sb.WriteByte(0)
+	var b []byte
+	for _, v := range [...]int64{
+		int64(opts.Objective), int64(opts.Backend), boolKey(opts.RemoveRedundant),
+		boolKey(opts.PathSlicing), boolKey(opts.DisablePresolve), int64(opts.Workers),
+		int64(opts.TimeLimit),
+	} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = pol.AppendKey(b)
 	ps := prob.Routing.Sets[topology.PortID(pol.Ingress)]
+	b = binary.AppendUvarint(b, uint64(len(ps.Paths)))
 	for _, p := range ps.Paths {
-		fmt.Fprintf(&sb, "path %d->%d %v", p.Ingress, p.Egress, p.Switches)
+		b = binary.AppendVarint(b, int64(p.Ingress))
+		b = binary.AppendVarint(b, int64(p.Egress))
+		b = binary.AppendUvarint(b, uint64(len(p.Switches)))
+		for _, sw := range p.Switches {
+			b = binary.AppendVarint(b, int64(sw))
+		}
+		b = binary.AppendVarint(b, boolKey(p.HasTraffic))
 		if p.HasTraffic {
-			fmt.Fprintf(&sb, " traffic=%s", p.Traffic)
-		}
-		sb.WriteByte('\n')
-	}
-	sb.WriteByte(0)
-	for _, id := range ps.Switches() {
-		if sw, ok := prob.Network.Switch(id); ok {
-			fmt.Fprintf(&sb, "s%d=%d ", id, sw.Capacity)
+			b = p.Traffic.AppendKey(b)
 		}
 	}
-	return sb.String()
+	// Place has validated the problem, so every path switch exists.
+	sws := ps.Switches()
+	b = binary.AppendUvarint(b, uint64(len(sws)))
+	for _, id := range sws {
+		sw, _ := prob.Network.Switch(id)
+		b = binary.AppendVarint(b, int64(id))
+		b = binary.AppendVarint(b, int64(sw.Capacity))
+	}
+	return string(b)
+}
+
+// boolKey renders a flag as a key varint.
+func boolKey(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // SolutionCache memoizes per-policy placement fragments produced by

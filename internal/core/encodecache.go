@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 
 	"rulefit/internal/deps"
@@ -92,21 +91,19 @@ func (c *EncodeCache) Len() (policies, merges int) {
 	return c.policies.Len(), c.merges.Len()
 }
 
-// policyKey renders a policy to its canonical cache key. Ingress is
-// part of the key: the served artifact carries the ingress, so two
-// otherwise identical policies on different ingresses must not share
-// an entry. The rendering includes width (via the match strings),
-// priorities, actions, and the default action, so it is a faithful
-// fingerprint of everything RemoveRedundant and BuildGraph read.
+// policyKey renders a policy to its canonical cache key: one byte for
+// the RemoveRedundant flag, then the policy's key (Policy.AppendKey).
+// Ingress is part of the key: the served artifact carries the ingress,
+// so two otherwise identical policies on different ingresses must not
+// share an entry. The key covers width, priorities, actions, matches
+// and the default action, so it is a faithful fingerprint of
+// everything RemoveRedundant and BuildGraph read.
 func policyKey(pol *policy.Policy, removeRedundant bool) string {
-	var sb strings.Builder
+	b := []byte{0}
 	if removeRedundant {
-		sb.WriteString("rr1\x00")
-	} else {
-		sb.WriteString("rr0\x00")
+		b[0] = 1
 	}
-	sb.WriteString(pol.String())
-	return sb.String()
+	return string(pol.AppendKey(b))
 }
 
 // lookupPolicy serves the cached (reduced policy, dependency graph)
@@ -136,14 +133,14 @@ func (c *EncodeCache) storePolicy(pol *policy.Policy, removeRedundant bool, redu
 }
 
 // mergeKey renders the full (already reduced) policy list to the
-// canonical key of its mergeable-group search.
+// canonical key of its mergeable-group search: the policies' keys in
+// order, each self-delimiting.
 func mergeKey(policies []*policy.Policy) string {
-	var sb strings.Builder
+	var b []byte
 	for _, pol := range policies {
-		sb.WriteString(pol.String())
-		sb.WriteByte(0)
+		b = pol.AppendKey(b)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // lookupMerge serves the cached FindMergeable result for a policy

@@ -131,11 +131,11 @@ func FuzzSessionDelta(f *testing.F) {
 		}
 		lastVersion = sr.Version
 
-		_, pl, spNow := sess.Snapshot()
+		_, pl := sess.Snapshot()
 		if pl.Status != core.StatusOptimal && pl.Status != core.StatusFeasible {
 			return
 		}
-		prob, err := spNow.Build()
+		prob, err := sess.Spec().Build()
 		if err != nil {
 			t.Fatalf("committed spec no longer builds: %v", err)
 		}

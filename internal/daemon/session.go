@@ -155,7 +155,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request, id str
 		s.finish(w, r, st)
 		return
 	}
-	version, pl, _ := sess.Snapshot()
+	version, pl := sess.Snapshot()
 	st.code, st.status = http.StatusOK, pl.Status.String()
 	st.body = &SessionResponse{
 		TraceID:   traceID,

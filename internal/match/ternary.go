@@ -8,6 +8,7 @@
 package match
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -47,15 +48,17 @@ func NewTernary(width int) Ternary {
 // the conventional written form of match patterns. Underscores and spaces
 // are ignored so callers can group bits for readability.
 func ParseTernary(s string) (Ternary, error) {
-	cleaned := strings.Map(func(r rune) rune {
-		if r == '_' || r == ' ' {
-			return -1
-		}
-		return r
-	}, s)
-	t := NewTernary(len(cleaned))
-	for i, r := range cleaned {
-		bit := len(cleaned) - 1 - i
+	if strings.ContainsAny(s, "_ ") {
+		s = strings.Map(func(r rune) rune {
+			if r == '_' || r == ' ' {
+				return -1
+			}
+			return r
+		}, s)
+	}
+	t := NewTernary(len(s))
+	for i, r := range s {
+		bit := len(s) - 1 - i
 		switch r {
 		case '*':
 			// Wildcard: leave care and value at zero.
@@ -213,15 +216,23 @@ func (t Ternary) Equal(o Ternary) bool {
 }
 
 // Key returns a compact string usable as a map key identifying the exact
-// match set of t. Unlike String it is O(words), not O(bits).
+// match set of t: the bytes of AppendKey.
 func (t Ternary) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(t.care)*34 + 8)
-	fmt.Fprintf(&sb, "%d:", t.width)
+	return string(t.AppendKey(make([]byte, 0, binary.MaxVarintLen64+16*len(t.care))))
+}
+
+// AppendKey appends t's binary key to b: the width as a uvarint, then
+// each care word and value word as 8 little-endian bytes. The width
+// fixes the word count, so the key is self-delimiting and a run of
+// keys decodes one way; two ternaries share a key exactly when Equal.
+// Every cache key in the solver is built from it (Policy.AppendKey).
+func (t Ternary) AppendKey(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(t.width))
 	for i := range t.care {
-		fmt.Fprintf(&sb, "%x.%x;", t.care[i], t.value[i])
+		b = binary.LittleEndian.AppendUint64(b, t.care[i])
+		b = binary.LittleEndian.AppendUint64(b, t.value[i])
 	}
-	return sb.String()
+	return b
 }
 
 // Overlaps reports whether some header matches both t and o, i.e. whether

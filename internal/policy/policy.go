@@ -7,8 +7,10 @@
 package policy
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -174,6 +176,30 @@ func (p *Policy) String() string {
 		fmt.Fprintf(&sb, "  %s\n", r)
 	}
 	return sb.String()
+}
+
+// AppendKey appends p's binary key to b: the ingress and default action
+// as varints, a uvarint rule count, then each rule's priority and
+// action as varints and its match key (match.Ternary.AppendKey). Every
+// part is self-delimiting, so two policies share a key exactly when
+// their String renderings are equal, and a run of keys decodes one
+// way. It is the cache key the solver's encode and fragment caches use.
+func (p *Policy) AppendKey(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(p.Ingress))
+	b = binary.AppendVarint(b, int64(p.Default))
+	b = binary.AppendUvarint(b, uint64(len(p.Rules)))
+	for i, r := range p.Rules {
+		start := len(b)
+		b = binary.AppendVarint(b, int64(r.Priority))
+		b = binary.AppendVarint(b, int64(r.Action))
+		b = r.Match.AppendKey(b)
+		if i == 0 {
+			// Rules share a width and priorities fall, so the first
+			// rule's key sizes the rest: one growth per policy.
+			b = slices.Grow(b, (len(p.Rules)-1)*(len(b)-start+1))
+		}
+	}
+	return b
 }
 
 // Equivalent reports whether two policies make the same decision for every

@@ -1,10 +1,13 @@
 package spec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"rulefit/internal/core"
+	"rulefit/internal/invariant"
 	"rulefit/internal/policy"
 )
 
@@ -335,12 +338,32 @@ func (p *Problem) applyLink(d Delta, add bool) error {
 	return nil
 }
 
-// Clone deep-copies the problem via its JSON form (the struct is pure
-// data, so the round trip is exact).
+// Clone returns a deep copy of p: every slice reachable from it, and
+// the Generate pointee, is copied. Nil stays nil and empty stays empty
+// (policies and a path's switches render them as null and []), so the
+// clone's Canonical bytes equal p's.
 func (p *Problem) Clone() *Problem {
-	var out Problem
-	if err := json.Unmarshal(p.Canonical(), &out); err != nil {
-		panic(fmt.Sprintf("spec: clone round-trip: %v", err))
+	out := *p
+	out.Topology.SwitchList = slices.Clone(p.Topology.SwitchList)
+	out.Topology.Links = slices.Clone(p.Topology.Links)
+	out.Topology.Ports = slices.Clone(p.Topology.Ports)
+	out.Routing.Pairs = slices.Clone(p.Routing.Pairs)
+	out.Routing.Paths = slices.Clone(p.Routing.Paths)
+	for i := range out.Routing.Paths {
+		out.Routing.Paths[i].Switches = slices.Clone(out.Routing.Paths[i].Switches)
+	}
+	out.Policies = slices.Clone(p.Policies)
+	for i := range out.Policies {
+		pol := &out.Policies[i]
+		pol.Rules = slices.Clone(pol.Rules)
+		if pol.Generate != nil {
+			gen := *pol.Generate
+			pol.Generate = &gen
+		}
+	}
+	out.Monitors = slices.Clone(p.Monitors)
+	if invariant.Enabled {
+		invariant.Assert(bytes.Equal(out.Canonical(), p.Canonical()), "spec: clone renders differently from its source")
 	}
 	return &out
 }

@@ -236,12 +236,18 @@ func (s *Session) Version() uint64 {
 	return s.version
 }
 
-// Snapshot returns the current version, placement, and a copy of the
-// authoritative instance.
-func (s *Session) Snapshot() (uint64, *core.Placement, *spec.Problem) {
+// Snapshot returns the current version and placement.
+func (s *Session) Snapshot() (uint64, *core.Placement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.version, s.current, s.spec.Clone()
+	return s.version, s.current
+}
+
+// Spec returns a copy of the authoritative instance.
+func (s *Session) Spec() *spec.Problem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.spec.Clone()
 }
 
 // CacheStats snapshots the session's cumulative encode-cache counters.

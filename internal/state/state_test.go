@@ -137,12 +137,25 @@ func TestBadDeltaLeavesSessionUntouched(t *testing.T) {
 			t.Fatalf("deltas %v: err=%v, want ErrBadDelta", deltas, err)
 		}
 	}
-	version, pl, got := s.Snapshot()
+	version, pl := s.Snapshot()
 	if version != 1 || fp(pl) != before {
 		t.Fatalf("failed deltas mutated the session: version=%d", version)
 	}
-	if !bytes.Equal(got.Canonical(), sp.Clone().Canonical()) {
+	if !bytes.Equal(s.Spec().Canonical(), sp.Clone().Canonical()) {
 		t.Fatal("failed deltas mutated the authoritative spec")
+	}
+}
+
+// TestSnapshotAllocatesNothing pins that GET /v1/session/{id}, which
+// reads Snapshot under the session lock, copies nothing; a copy of the
+// instance is Spec's job.
+func TestSnapshotAllocatesNothing(t *testing.T) {
+	s, _, err := NewManager(Config{}).Create(testSpec(t, 1), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot allocates %.0f times per call, want 0", n)
 	}
 }
 
@@ -239,7 +252,7 @@ func TestConcurrentDeltasSerialize(t *testing.T) {
 			t.Fatalf("concurrent delta %d: %v", i, err)
 		}
 	}
-	version, pl, _ := s.Snapshot()
+	version, pl := s.Snapshot()
 	if version != 1+n {
 		t.Fatalf("version = %d, want %d", version, 1+n)
 	}

@@ -90,7 +90,8 @@ stage_test() {
     go test ./...
 
     step "go test -tags rulefitdebug (runtime invariants)"
-    go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/ ./internal/lru/ ./internal/state/
+    go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/ ./internal/lru/ ./internal/state/ \
+        ./internal/spec/
 
     step "perfbench go test -short (replay against a live daemon, reference and tamper checks)"
     (cd perfbench && go test -short ./...)
@@ -104,7 +105,8 @@ stage_race() {
 stage_fuzz() {
     local target
     for target in FuzzTernaryOverlap:./internal/match/ FuzzSpecParse:./internal/spec/ \
-        FuzzPlaceDifferential:./internal/diffcheck/ FuzzSessionDelta:./internal/daemon/; do
+        FuzzPlaceDifferential:./internal/diffcheck/ FuzzSessionDelta:./internal/daemon/ \
+        FuzzPolicyKey:./internal/policy/; do
         step "fuzz ${target%%:*} (30s)"
         go test -fuzz "${target%%:*}" -fuzztime 30s -run '^$' "${target#*:}"
     done
