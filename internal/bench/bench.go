@@ -126,6 +126,7 @@ type Result struct {
 	Time        time.Duration
 	Variables   int
 	Constraints int
+	SolvePath   core.SolvePath
 	ilp.Stats
 }
 
@@ -146,6 +147,7 @@ func Run(cfg Config) (Result, error) {
 		Time:        time.Since(start),
 		Variables:   pl.Stats.Variables,
 		Constraints: pl.Stats.Constraints,
+		SolvePath:   pl.Stats.SolvePath,
 		Stats:       pl.Stats.Stats,
 	}, nil
 }

@@ -69,6 +69,7 @@ func goldenReport() *Report {
 					TotalRules:  37,
 					Variables:   120,
 					Constraints: 260,
+					SolvePath:   "decomposed",
 					Stats: ilp.Stats{
 						BnBNodes:          9,
 						SimplexIters:      431,
@@ -92,6 +93,7 @@ func goldenReport() *Report {
 					Status:     "LIMIT",
 					WallMS:     15,
 					TotalRules: 41,
+					SolvePath:  "joint",
 					Stats: ilp.Stats{
 						BnBNodes: 64,
 						Workers:  1,

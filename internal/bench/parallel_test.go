@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"rulefit/internal/core"
 )
 
 // TestRunJobsMatchesSequential asserts the fan-out contract: a parallel
@@ -60,10 +62,12 @@ func TestRunJobsFirstErrorByIndex(t *testing.T) {
 // TestBuildReport exercises the machine-readable perf report end to end
 // on a tiny sweep: schema, series layout, per-run counters, and the
 // speedup summary must all be populated and JSON-round-trippable.
+// TestBuildReport runs a slack capacity, where every run is certified
+// by counting, and a binding one (C=4), where some runs need a MILP.
 func TestBuildReport(t *testing.T) {
 	base := tiny()
 	base.Parallel = 2
-	rep, err := BuildReport(base, []int{4, 6}, []int{50}, 2, []int{1, 2}, "small")
+	rep, err := BuildReport(base, []int{4, 6}, []int{4, 50}, 2, []int{1, 2}, "small")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +80,11 @@ func TestBuildReport(t *testing.T) {
 	if rep.NumCPU <= 0 || rep.GOMAXPROCS <= 0 || rep.GoVersion == "" {
 		t.Errorf("host fields not populated: %+v", rep)
 	}
-	// 1 capacity x 2 worker counts.
-	if len(rep.Series) != 2 {
-		t.Fatalf("series = %d, want 2", len(rep.Series))
+	// 2 capacities x 2 worker counts.
+	if len(rep.Series) != 4 {
+		t.Fatalf("series = %d, want 4", len(rep.Series))
 	}
+	var certified, milp int
 	for _, sr := range rep.Series {
 		if len(sr.Points) != 2 {
 			t.Fatalf("points = %d, want 2", len(sr.Points))
@@ -89,11 +94,25 @@ func TestBuildReport(t *testing.T) {
 				t.Fatalf("runs = %d, want 2 seeds", len(p.Runs))
 			}
 			for _, r := range p.Runs {
-				if r.Status == "" || r.BnBNodes <= 0 || r.SimplexIters <= 0 || r.Workers != sr.Workers {
+				if r.SolvePath == string(core.SolveCertified) {
+					// Proven by counting: no LP ran, and the bound is the total.
+					certified++
+					//lint:exactfloat a counting proof reports the exact 0 gap and an integral bound
+					if r.Status != "optimal" || r.BnBNodes != 0 || r.SimplexIters != 0 || r.Workers != 0 ||
+						r.Gap != 0 || r.BestBound != float64(r.TotalRules) {
+						t.Errorf("certified run reports solver effort for workers=%d: %+v", sr.Workers, r)
+					}
+					continue
+				}
+				milp++
+				if r.Status == "" || r.SolvePath == "" || r.BnBNodes <= 0 || r.SimplexIters <= 0 || r.Workers != sr.Workers {
 					t.Errorf("run not populated for workers=%d: %+v", sr.Workers, r)
 				}
 			}
 		}
+	}
+	if certified == 0 || milp == 0 {
+		t.Errorf("%d certified and %d MILP runs, want some of each", certified, milp)
 	}
 	if len(rep.Speedups) != 1 || rep.Speedups[0].Workers != 2 || rep.Speedups[0].BaselineWorkers != 1 {
 		t.Errorf("speedups = %+v", rep.Speedups)

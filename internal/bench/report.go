@@ -74,6 +74,9 @@ type RunRecord struct {
 	TotalRules  int     `json:"total_rules"`
 	Variables   int     `json:"variables"`
 	Constraints int     `json:"constraints"`
+	// SolvePath is the route Place took: certified, decomposed,
+	// fallback or joint (core.SolvePath).
+	SolvePath string `json:"solve_path"`
 	ilp.Stats
 }
 
@@ -142,6 +145,7 @@ func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCou
 						TotalRules:  r.TotalRules,
 						Variables:   r.Variables,
 						Constraints: r.Constraints,
+						SolvePath:   string(r.SolvePath),
 						Stats:       r.Stats,
 					})
 					totals[w] += ms(r.Time)

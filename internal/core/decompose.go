@@ -2,9 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"rulefit/internal/invariant"
 	"rulefit/internal/lru"
 	"rulefit/internal/obs"
 	"rulefit/internal/policy"
@@ -30,6 +33,15 @@ import (
 // SolutionCache: a single-rule delta re-solves one subproblem and
 // serves the rest from cache, with the exact bytes a from-scratch
 // decomposed solve would produce — solver-effort stats included.
+//
+// Certified fragments: in this regime every rule that has a variable
+// must be installed at least once — a DROP by its Eq. 2 cover rows, a
+// PERMIT by the Eq. 1 rows of the DROP that needs it — so a sub-
+// problem's optimum is at least len(enc.byRule). When the greedy
+// ingress-first pass places each such rule exactly once it meets that
+// bound, and its placement is returned as the proven optimum without
+// building the sub-MILP (certify). The certificate is a pure function
+// of the sub-problem's encoding, so it keeps the determinism above.
 //
 // Note on time limits: each subproblem inherits the full
 // Options.TimeLimit (a shared wall-clock budget would make the
@@ -89,13 +101,18 @@ func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement
 	// Stitch acceptance: the independent optima must jointly respect
 	// every switch capacity (no merging, so each slot counts 1).
 	usage := make(map[topology.SwitchID]int)
+	certified := 0
 	for _, frag := range frags {
+		if frag.Stats.SolvePath == SolveCertified {
+			certified++
+		}
 		for ri := range frag.Assign[0] {
 			for _, sw := range frag.Assign[0][ri] {
 				usage[sw]++
 			}
 		}
 	}
+	dSp.SetCount("certified", int64(certified))
 	for _, sw := range prob.Network.Switches() {
 		if usage[sw.ID] > sw.Capacity {
 			dSp.SetCount("stitch_rejected", 1)
@@ -110,8 +127,10 @@ func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement
 }
 
 // solveSub solves one policy's subproblem: the full network and
-// routing, one policy. Per-policy encode artifacts still flow through
-// opts.EncodeCache; the observational solver sink is inherited.
+// routing, one policy. The counting certificate answers it when it
+// can; otherwise the sub-MILP does. Per-policy encode artifacts still
+// flow through opts.EncodeCache; the observational solver sink is
+// inherited (a certified fragment emits no solver events).
 func solveSub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (*Placement, error) {
 	sub := &Problem{Network: prob.Network, Routing: prob.Routing, Policies: []*policy.Policy{pol}}
 	subSp := span.Child("sub_solve")
@@ -120,14 +139,78 @@ func solveSub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (
 	if err != nil {
 		return nil, err
 	}
-	pl, err := solveILP(enc, opts, subSp)
-	if err != nil {
-		return nil, err
+	pl, ok := certify(enc)
+	if !ok {
+		if pl, err = solveILP(enc, opts, subSp); err != nil {
+			return nil, err
+		}
+		pl.Stats.SolvePath = SolveDecomposed
 	}
 	pl.Stats.Backend = opts.Backend
 	pl.Stats.Variables = len(enc.vars)
 	pl.Stats.Constraints = enc.numConstraints()
 	return pl, nil
+}
+
+// certify runs the greedy pass on a sub-problem's encoding and returns
+// its placement as a proven optimum when it meets the counting bound:
+// greedy is feasible and installs each of the len(enc.byRule) rules
+// that have a variable exactly once. The fragment reports status
+// optimal, gap 0, BestBound = total, and no nodes, iterations or
+// workers.
+func certify(enc *encoding) (*Placement, bool) {
+	pl := greedy(enc)
+	if pl.Status != StatusFeasible || pl.TotalRules != len(enc.byRule) {
+		return nil, false
+	}
+	if invariant.Enabled {
+		v := encodingViolation(enc, pl)
+		invariant.Assert(v == "", "core: certified greedy placement breaks its encoding: %s", v)
+	}
+	pl.Status = StatusOptimal
+	pl.Stats.BestBound = pl.Objective
+	pl.Stats.SolvePath = SolveCertified
+	return pl, true
+}
+
+// encodingViolation names the first variable, cover, implication or
+// capacity row of a merging-free encoding that a placement breaks, or
+// returns "" when the placement meets them all.
+func encodingViolation(enc *encoding, pl *Placement) string {
+	on := make([]bool, len(enc.vars))
+	for pi := range pl.Assign {
+		for ri, sws := range pl.Assign[pi] {
+			for _, sw := range sws {
+				id, ok := enc.index[evar{kind: varRule, pol: pi, rule: ri, sw: sw}]
+				if !ok {
+					return fmt.Sprintf("p%d/r%d placed at switch %d without a variable", pi, ri, sw)
+				}
+				on[id] = true
+			}
+		}
+	}
+	for _, cover := range enc.covers {
+		if !slices.ContainsFunc(cover, func(id int) bool { return on[id] }) {
+			return fmt.Sprintf("cover %v unmet", cover)
+		}
+	}
+	for _, imp := range enc.imps {
+		if on[imp[0]] && !on[imp[1]] {
+			return fmt.Sprintf("implication v%d -> v%d unmet", imp[0], imp[1])
+		}
+	}
+	for _, row := range enc.capRows {
+		used := 0
+		for _, id := range row.ruleVars {
+			if on[id] {
+				used++
+			}
+		}
+		if used > row.cap {
+			return fmt.Sprintf("switch %d holds %d rules, capacity %d", row.sw, used, row.cap)
+		}
+	}
+	return ""
 }
 
 // stitch concatenates per-policy fragments into the joint placement.
@@ -140,6 +223,7 @@ func stitch(frags []*Placement, opts Options) *Placement {
 		Policies: make([]*policy.Policy, len(frags)),
 		Assign:   make([][][]topology.SwitchID, len(frags)),
 		MergedAt: make([][]topology.SwitchID, 0),
+		Stats:    Stats{SolvePath: SolveCertified},
 	}
 	for i, frag := range frags {
 		pl.Policies[i] = frag.Policies[0]
@@ -165,6 +249,9 @@ func stitch(frags []*Placement, opts Options) *Placement {
 		s.WarmStartReuses += f.WarmStartReuses
 		s.PresolveFix += f.PresolveFix
 		s.BestBound += f.BestBound
+		if f.SolvePath != SolveCertified {
+			s.SolvePath = SolveDecomposed
+		}
 		if f.Workers > s.Workers {
 			s.Workers = f.Workers
 		}

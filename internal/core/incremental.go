@@ -133,6 +133,15 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return greedy(enc), nil
+}
+
+// greedy is the ingress-first pass behind GreedyPlace and the
+// decomposed path's certificate (certify). It reads the encoding's
+// (reduced) policies, dependency graphs and path relevance, never its
+// variables, so it ignores monitors.
+func greedy(enc *encoding) *Placement {
+	prob := enc.prob
 	spare := make(map[topology.SwitchID]int, prob.Network.NumSwitches())
 	for _, sw := range prob.Network.Switches() {
 		spare[sw.ID] = sw.Capacity
@@ -143,17 +152,7 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 	for pi, pol := range enc.policies {
 		pl.Assign[pi] = make([][]topology.SwitchID, len(pol.Rules))
 	}
-	placedAt := make(map[[2]int]map[topology.SwitchID]bool) // (pi,ri) -> switches
-	has := func(pi, ri int, sw topology.SwitchID) bool {
-		m := placedAt[[2]int{pi, ri}]
-		return m != nil && m[sw]
-	}
 	put := func(pi, ri int, sw topology.SwitchID) {
-		key := [2]int{pi, ri}
-		if placedAt[key] == nil {
-			placedAt[key] = make(map[topology.SwitchID]bool)
-		}
-		placedAt[key][sw] = true
 		pl.Assign[pi][ri] = append(pl.Assign[pi][ri], sw)
 		spare[sw]--
 		pl.TotalRules++
@@ -168,14 +167,9 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 					continue
 				}
 				// Already satisfied on this path?
-				done := false
-				for _, sw := range path.Switches {
-					if has(pi, w, sw) {
-						done = true
-						break
-					}
-				}
-				if done {
+				if slices.ContainsFunc(path.Switches, func(sw topology.SwitchID) bool {
+					return containsSwitch(pl.Assign[pi][w], sw)
+				}) {
 					continue
 				}
 				placed := false
@@ -183,7 +177,7 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 					need := 1
 					var missingPermits []int
 					for _, u := range g.Dependents(w) {
-						if !has(pi, u, sw) {
+						if !containsSwitch(pl.Assign[pi][u], sw) {
 							need++
 							missingPermits = append(missingPermits, u)
 						}
@@ -200,7 +194,7 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 				}
 				if !placed {
 					pl.Status = StatusInfeasible
-					return pl, nil
+					return pl
 				}
 			}
 		}
@@ -208,7 +202,7 @@ func GreedyPlace(prob *Problem, opts Options) (*Placement, error) {
 	pl.Status = StatusFeasible
 	pl.Objective = float64(pl.TotalRules)
 	sortAssign(pl)
-	return pl, nil
+	return pl
 }
 
 // sortAssign normalizes switch lists for deterministic output.

@@ -27,6 +27,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 	// basis of the stateful delta path's per-policy fragment reuse.
 	// Deterministic: whether it applies and whether the stitch is
 	// accepted are pure functions of (prob, opts).
+	path := SolveJoint
 	if decomposable(prob, opts) {
 		pl, ok, err := placeDecomposed(prob, opts, place)
 		if err != nil {
@@ -35,6 +36,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 		if ok {
 			return pl, nil
 		}
+		path = SolveFallback
 	}
 	enc, err := encodeTraced(prob, opts, place)
 	if err != nil {
@@ -47,7 +49,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 			Status:   StatusInfeasible,
 			Policies: enc.policies,
 			Groups:   enc.groups,
-			Stats:    Stats{Stats: ilp.Stats{Gap: -1, RootGap: -1}, Backend: opts.Backend},
+			Stats:    Stats{Stats: ilp.Stats{Gap: -1, RootGap: -1}, Backend: opts.Backend, SolvePath: path},
 		}, nil
 	}
 	if opts.Objective == ObjMinMaxLoad && opts.Backend != BackendILP && !opts.SatisfyOnly {
@@ -70,6 +72,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 	pl.Stats.Variables = len(enc.vars)
 	pl.Stats.Constraints = enc.numConstraints()
 	pl.Stats.SolveTime = time.Since(start)
+	pl.Stats.SolvePath = path
 	return pl, nil
 }
 

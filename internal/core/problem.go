@@ -271,9 +271,29 @@ func (s Status) String() string {
 	}
 }
 
+// SolvePath names the route through Place that produced a placement.
+type SolvePath string
+
+// Solve paths.
+const (
+	// SolveCertified: decomposed, and every per-policy fragment was
+	// proven optimal by the counting bound, with no LP (see certify).
+	SolveCertified SolvePath = "certified"
+	// SolveDecomposed: decomposed, with at least one fragment solved by
+	// its sub-MILP.
+	SolveDecomposed SolvePath = "decomposed"
+	// SolveFallback: the decomposition was tried and given up, and the
+	// joint solve answered.
+	SolveFallback SolvePath = "fallback"
+	// SolveJoint: the instance does not qualify for decomposition, and
+	// the joint solve answered.
+	SolveJoint SolvePath = "joint"
+)
+
 // Stats reports solver effort: the ILP backend's branch & bound
 // counters, passed unchanged from ilp.Solve (zero on the other
-// backends), plus what the encoding and the SAT backend add.
+// backends and on certified fragments), plus what the encoding and
+// the SAT backend add, and the path the answer took.
 type Stats struct {
 	ilp.Stats
 	Backend      Backend
@@ -282,6 +302,7 @@ type Stats struct {
 	SolveTime    time.Duration
 	SATConflicts int64
 	SATDecisions int64
+	SolvePath    SolvePath
 }
 
 // Placement is the result of solving a placement problem.
