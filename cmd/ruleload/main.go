@@ -1,7 +1,8 @@
 // Command ruleload is the deterministic load harness for the
 // placement daemon: it replays a randgen-seeded workload against a
-// live ruleplaced (or in-process against the core placer), prints one
-// live status line per interval, and writes a machine-readable
+// live ruleplaced (or in-process, through the daemon's decoder, the
+// library and the daemon's wire encoding), prints one live status line
+// per interval, and writes a machine-readable
 // rulefit-load/v1 report for cmd/benchdiff.
 //
 // Usage:
@@ -61,8 +62,8 @@ func main() {
 
 func run() error {
 	var (
-		target    = flag.String("target", "", "base URL of a live ruleplaced (e.g. http://localhost:8080)")
-		inprocess = flag.Bool("inprocess", false, "replay through the in-process placer instead of HTTP")
+		targetURL = flag.String("target", "", "base URL of a live ruleplaced (e.g. http://localhost:8080)")
+		inprocess = flag.Bool("inprocess", false, "replay through the daemon's decoder and the library in-process instead of HTTP")
 
 		seed        = flag.Int64("seed", 1, "workload seed")
 		requests    = flag.Int("requests", 16, "distinct workload instances")
@@ -92,15 +93,15 @@ func run() error {
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", flag.Args())
 	}
-	if (*target == "") == !*inprocess {
+	if (*targetURL == "") == !*inprocess {
 		return fmt.Errorf("exactly one of -target or -inprocess is required")
 	}
 
-	var placer load.Placer
+	var target load.Target
 	if *inprocess {
-		placer = load.NewInProcessPlacer(0, 0)
+		target = load.NewInProcessTarget(0, 0)
 	} else {
-		placer = load.NewHTTPPlacer(*target, nil)
+		target = load.NewHTTPTarget(*targetURL, nil)
 	}
 
 	cfg := load.Config{
@@ -129,26 +130,20 @@ func run() error {
 	var err error
 	switch {
 	case *delta:
-		var driver load.SessionDriver
-		if *inprocess {
-			driver = load.NewInProcessSessionDriver(0, 0)
-		} else {
-			driver = load.NewHTTPSessionDriver(*target, nil)
-		}
 		rep, err = load.RunDelta(ctx, cfg, load.DeltaOpts{
 			Steps:          *deltaSteps,
 			Ingresses:      *deltaIngress,
 			RulesPerPolicy: *deltaRules,
 			FatTreeK:       *deltaK,
-		}, driver, placer)
+		}, target)
 	case *sweep:
 		rep, err = load.RunSweep(ctx, cfg, load.SweepOpts{
 			ShedThreshold:  *shedThreshold,
 			StepRequests:   *stepRequests,
 			MaxConcurrency: *maxConc,
-		}, placer)
+		}, target)
 	default:
-		rep, err = load.Run(ctx, cfg, placer)
+		rep, err = load.Run(ctx, cfg, target)
 	}
 	if err != nil {
 		return err

@@ -52,12 +52,6 @@ var checkedTypes = []checked{
 	},
 	{
 		pkgPath:   "rulefit/internal/obs",
-		name:      "WindowOpts",
-		emptyOnly: true,
-		message:   "zero-value obs.WindowOpts adopts the implicit default layout and interval count; state Buckets/Intervals",
-	},
-	{
-		pkgPath:   "rulefit/internal/obs",
 		name:      "FlightOpts",
 		emptyOnly: true,
 		message:   "zero-value obs.FlightOpts adopts the implicit default ring size; state Size",

@@ -23,7 +23,6 @@ func positives() {
 	_ = daemon.Config{MaxQueue: 64}        // want "daemon.Config without MaxInFlight"
 	_ = daemon.Config{TraceDir: "/tmp/tr"} // want "daemon.Config without MaxInFlight"
 	_ = obs.HistogramOpts{}                // want "zero-value obs.HistogramOpts"
-	_ = obs.WindowOpts{}                   // want "zero-value obs.WindowOpts"
 	_ = obs.FlightOpts{}                   // want "zero-value obs.FlightOpts"
 	// The introspection fields do not bound admission.
 	_ = daemon.Config{FlightEvents: 4096}            // want "daemon.Config without MaxInFlight"
@@ -49,7 +48,6 @@ func negatives() {
 	_ = ilp.Options{}
 	//lint:optzero smoke tool: shedding bound irrelevant for one request
 	_ = daemon.Config{}
-	_ = obs.WindowOpts{Intervals: 5} // non-empty: a window shape was considered
 	_ = obs.FlightOpts{Size: 1024}
 	//lint:optzero test recorder: default ring size acceptable
 	_ = obs.FlightOpts{}

@@ -224,6 +224,28 @@ func TestSessionLifecycle(t *testing.T) {
 	if got := s.met.Snapshot().SessionsActive; got != 0 {
 		t.Fatalf("sessions_active after delete = %d", got)
 	}
+
+	// With merging off the session decomposes per policy, and a
+	// delta's fragment-cache lookups land in the same counter under
+	// kind "solution".
+	code, body = doJSON(t, http.MethodPost, base+"/v1/session",
+		PlaceRequest{Problem: specJSON, Options: RequestOptions{TimeLimitSec: 60}})
+	if code != http.StatusCreated {
+		t.Fatalf("decomposed create status %d: %s", code, body)
+	}
+	dsr, _ := decodeSession(t, body)
+	code, body = doJSON(t, http.MethodPost, base+"/v1/session/"+dsr.SessionID+"/delta",
+		DeltaRequest{Deltas: []spec.Delta{delta}})
+	if code != http.StatusOK {
+		t.Fatalf("decomposed delta status %d: %s", code, body)
+	}
+	metText.Reset()
+	if err := s.met.WritePrometheus(&metText); err != nil {
+		t.Fatal(err)
+	}
+	if want := `rulefit_encode_cache_total{kind="solution",outcome="hit"}`; !strings.Contains(metText.String(), want) {
+		t.Fatalf("metrics missing %q after a decomposed delta:\n%s", want, metText.String())
+	}
 }
 
 // TestSessionNotFound asserts unknown/expired sessions answer 404

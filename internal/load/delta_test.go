@@ -21,8 +21,7 @@ var smallDelta = DeltaOpts{Steps: 4, Ingresses: 3, RulesPerPolicy: 8, FatTreeK: 
 // warm/cold request records.
 func TestRunDeltaInProcess(t *testing.T) {
 	cfg := Config{Seed: 21}
-	rep, err := RunDelta(context.Background(), cfg, smallDelta,
-		NewInProcessSessionDriver(0, 0), NewInProcessPlacer(0, 0))
+	rep, err := RunDelta(context.Background(), cfg, smallDelta, NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +67,11 @@ func TestRunDeltaHTTPMatchesInProcess(t *testing.T) {
 	base, _ := startDaemon(t, daemon.Config{MaxInFlight: 2})
 	cfg := Config{Seed: 21}
 
-	httpRep, err := RunDelta(context.Background(), cfg, smallDelta,
-		NewHTTPSessionDriver(base, nil), NewHTTPPlacer(base, nil))
+	httpRep, err := RunDelta(context.Background(), cfg, smallDelta, NewHTTPTarget(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inRep, err := RunDelta(context.Background(), cfg, smallDelta,
-		NewInProcessSessionDriver(0, 0), NewInProcessPlacer(0, 0))
+	inRep, err := RunDelta(context.Background(), cfg, smallDelta, NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +97,7 @@ func TestRunDeltaHTTPMatchesInProcess(t *testing.T) {
 // report write/read cycle (what cmd/benchdiff -check consumes).
 func TestDeltaReportRoundTrip(t *testing.T) {
 	rep, err := RunDelta(context.Background(), Config{Seed: 3},
-		DeltaOpts{Steps: 2, Ingresses: 2, RulesPerPolicy: 6, FatTreeK: 4},
-		NewInProcessSessionDriver(0, 0), NewInProcessPlacer(0, 0))
+		DeltaOpts{Steps: 2, Ingresses: 2, RulesPerPolicy: 6, FatTreeK: 4}, NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +118,30 @@ func TestDeltaReportRoundTrip(t *testing.T) {
 	}
 	if got.Delta.Class != rep.Delta.Class || got.Delta.SpeedupP99 != rep.Delta.SpeedupP99 {
 		t.Errorf("delta record drifted in round trip: %+v vs %+v", got.Delta, rep.Delta)
+	}
+}
+
+// TestExactQuantileNearestRank pins the delta record's estimator: the
+// p-quantile of n samples is the nearest-rank order statistic, the
+// ceil(p*n)-th smallest.
+func TestExactQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{1, 0.5, 1}, {1, 0.99, 1},
+		{6, 0.5, 3}, {6, 0.99, 6},
+		{20, 0.5, 10}, {20, 0.99, 20},
+		{100, 0.5, 50}, {100, 0.99, 99},
+	} {
+		// Samples n..1, so the k-th smallest is k and the sort matters.
+		xs := make([]float64, tc.n)
+		for i := range xs {
+			xs[i] = float64(tc.n - i)
+		}
+		if got := exactQuantile(xs, tc.p); got != tc.want {
+			t.Errorf("n=%d p=%v: got the %vth smallest, want the %vth", tc.n, tc.p, got, tc.want)
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -90,11 +92,11 @@ func TestByteIdentityHTTPVsInProcess(t *testing.T) {
 	base, _ := startDaemon(t, daemon.Config{MaxInFlight: 2})
 	cfg := Config{Seed: 11, Requests: 5, Concurrency: 2}
 
-	httpRep, err := Run(context.Background(), cfg, NewHTTPPlacer(base, nil))
+	httpRep, err := Run(context.Background(), cfg, NewHTTPTarget(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inRep, err := Run(context.Background(), cfg, NewInProcessPlacer(0, 0))
+	inRep, err := Run(context.Background(), cfg, NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestPlacersRefuseInvalidProblems(t *testing.T) {
 			t.Fatal(err)
 		}
 		item := WorkItem{Body: body}
-		for placer, p := range map[string]Placer{"http": NewHTTPPlacer(base, nil), "in-process": NewInProcessPlacer(0, 0)} {
+		for placer, p := range map[string]Target{"http": NewHTTPTarget(base, nil), "in-process": NewInProcessTarget(0, 0)} {
 			if res := p.Place(context.Background(), item); res.Code != http.StatusBadRequest || res.Status != "bad_request" {
 				t.Errorf("%s, %s placer: %d %s (%s), want 400 bad_request", name, placer, res.Code, res.Status, res.Err)
 			}
@@ -167,7 +169,7 @@ func TestPlacersRefuseInvalidProblems(t *testing.T) {
 func TestTraceIDJoin(t *testing.T) {
 	base, logs := startDaemon(t, daemon.Config{MaxInFlight: 2})
 	rep, err := Run(context.Background(), Config{Seed: 3, Requests: 6, Concurrency: 2},
-		NewHTTPPlacer(base, nil))
+		NewHTTPTarget(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +222,7 @@ func TestSweepKneeReproducible(t *testing.T) {
 
 	runs := make([]*Report, 2)
 	for i := range runs {
-		rep, err := RunSweep(context.Background(), cfg, opts, NewHTTPPlacer(base, nil))
+		rep, err := RunSweep(context.Background(), cfg, opts, NewHTTPTarget(base, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +251,7 @@ func TestSweepKneeReproducible(t *testing.T) {
 // comparator: zero regressions, zero drift, PASS trailer.
 func TestSelfDiffPasses(t *testing.T) {
 	rep, err := Run(context.Background(), Config{Seed: 9, Requests: 4},
-		NewInProcessPlacer(0, 0))
+		NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestRunShedAgainstTinyDaemon(t *testing.T) {
 		SolveDelay:  10 * time.Millisecond,
 	})
 	rep, err := Run(context.Background(), Config{Seed: 2, Requests: 6, Concurrency: 3},
-		NewHTTPPlacer(base, nil))
+		NewHTTPTarget(base, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +357,7 @@ func TestRunShedAgainstTinyDaemon(t *testing.T) {
 // full workload with per-request records intact.
 func TestOpenLoopRun(t *testing.T) {
 	rep, err := Run(context.Background(), Config{Seed: 4, Requests: 4, RPS: 500},
-		NewInProcessPlacer(0, 0))
+		NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,9 +389,58 @@ func TestLiveStatusLines(t *testing.T) {
 	}
 }
 
-// slowPlacer fakes a placer with a fixed service time, for driving
-// the status loop without a solver.
+// TestStatusTickCoversOneInterval drives the live line's tick by
+// hand: a line's rate and percentiles cover only the requests that
+// completed in the interval it ends, while its outcome counts stay
+// cumulative.
+func TestStatusTickCoversOneInterval(t *testing.T) {
+	fields := func(line string) map[string]string {
+		out := map[string]string{}
+		for _, m := range regexp.MustCompile(`(\w+)=\s*(\S+)`).FindAllStringSubmatch(line, -1) {
+			out[m[1]] = m[2]
+		}
+		return out
+	}
+	p99 := func(f map[string]string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(f["p99"], "ms"), 64)
+		if err != nil {
+			t.Fatalf("p99 field %q: %v", f["p99"], err)
+		}
+		return v
+	}
+
+	pr := newProgress()
+	for i := 0; i < 10; i++ {
+		pr.record(Result{Code: 200, WallMS: 2000})
+	}
+	slow := fields(pr.tick(time.Second, time.Second))
+	pr.record(Result{Code: 200, WallMS: 1})
+	fast := fields(pr.tick(2*time.Second, time.Second))
+	idle := fields(pr.tick(3*time.Second, time.Second))
+
+	if got := p99(slow); got < 1000 {
+		t.Errorf("slow interval p99 = %vms, want the 2s samples", got)
+	}
+	if got := p99(fast); got > 10 {
+		t.Errorf("fast interval p99 = %vms: the previous interval's slow samples leaked in", got)
+	}
+	if got := p99(idle); got != 0 {
+		t.Errorf("idle interval p99 = %vms, want 0", got)
+	}
+	for _, c := range []struct {
+		line      map[string]string
+		rps, done string
+	}{{slow, "10.0", "10"}, {fast, "1.0", "11"}, {idle, "0.0", "11"}} {
+		if c.line["rps"] != c.rps || c.line["done"] != c.done {
+			t.Errorf("rps=%s done=%s, want rps=%s done=%s", c.line["rps"], c.line["done"], c.rps, c.done)
+		}
+	}
+}
+
+// slowPlacer fakes a target's Place with a fixed service time, for
+// driving the status loop without a solver.
 type slowPlacer struct {
+	Target
 	delay time.Duration
 }
 
@@ -402,7 +453,7 @@ func (p slowPlacer) Place(_ context.Context, item WorkItem) Result {
 // TestReportRoundTrip writes a report and reads it back through the
 // schema check.
 func TestReportRoundTrip(t *testing.T) {
-	rep, err := Run(context.Background(), Config{Seed: 1, Requests: 2}, NewInProcessPlacer(0, 0))
+	rep, err := Run(context.Background(), Config{Seed: 1, Requests: 2}, NewInProcessTarget(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 // Package load is the deterministic load harness behind cmd/ruleload:
-// it replays randgen-seeded placement workloads against a live
-// ruleplaced daemon (or in-process, for CI) in closed-loop
-// (fixed-concurrency) or open-loop (fixed-RPS) mode, records
-// client-side latency into rolling windowed histograms for live
-// status, and emits a machine-readable rulefit-load/v1 report whose
-// per-request trace IDs join 1:1 with the daemon's request logs.
+// it replays randgen-seeded placement workloads through one Target, a
+// live ruleplaced daemon or the same decode/solve/encode path
+// in-process (for CI), in closed-loop (fixed-concurrency) or open-loop
+// (fixed-RPS) mode. It prints the latency percentiles of each status
+// interval live, and emits a machine-readable rulefit-load/v1 report
+// whose per-request trace IDs join 1:1 with the daemon's request logs.
 // A sweep mode steps offered concurrency up to the admission knee and
-// records served capacity (see sweep.go).
+// records served capacity (see sweep.go); a delta mode measures
+// session deltas against cold re-solves (see delta.go).
 //
 // Determinism story: the workload is a pure function of the seed, and
 // every response's placement is hashed so two runs of the same

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rulefit/internal/bench"
 	"rulefit/internal/obs"
-	"rulefit/internal/randgen"
 )
 
 // Config tunes one load run. The zero value is not a useful workload:
@@ -39,11 +39,11 @@ type Config struct {
 	// (TimeLimitSec default 60).
 	Merging      bool
 	TimeLimitSec float64
-	// Status, when non-nil, receives one live line per StatusInterval
-	// (achieved RPS, in-flight, outcome counts, window percentiles).
+	// Status, when non-nil, receives one live line per StatusInterval:
+	// the run's cumulative outcome counts and in-flight requests, and
+	// the rate and latency percentiles of the interval just ended.
 	Status io.Writer
-	// StatusInterval is the live-line and window-rotation cadence
-	// (default 1s). The live percentiles span the last 5 intervals.
+	// StatusInterval is the live-line cadence (default 1s).
 	StatusInterval time.Duration
 }
 
@@ -71,38 +71,102 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// progress is the shared live-status state of one run.
-type progress struct {
-	win      *obs.Window
-	inflight atomic.Int64
-	done     atomic.Int64
-	ok       atomic.Int64
-	shed     atomic.Int64
-	errs     atomic.Int64
-}
+// outcomes counts results by class, the one classification every
+// mode's report, sweep step and live line read: a 200 is ok, a "shed"
+// status shed, anything else an error.
+type outcomes struct{ total, ok, shed, errors int }
 
-// record folds one result into the counters and the latency window.
-func (pr *progress) record(res Result) {
-	pr.win.Observe(res.WallMS / 1e3)
-	pr.done.Add(1)
+func (o *outcomes) add(res Result) {
+	o.total++
 	switch {
-	case res.Code == 200:
-		pr.ok.Add(1)
+	case res.Code == http.StatusOK:
+		o.ok++
 	case res.Status == "shed":
-		pr.shed.Add(1)
+		o.shed++
 	default:
-		pr.errs.Add(1)
+		o.errors++
 	}
 }
 
-// statusLine renders one live interval line.
-func (pr *progress) statusLine(elapsed time.Duration, intervalDone int64, interval time.Duration) string {
-	snap := pr.win.Snapshot()
+// tally is a run's outcome counts and cumulative client latency. Safe
+// for concurrent use.
+type tally struct {
+	mu      sync.Mutex
+	counts  outcomes
+	latency *obs.Histogram
+}
+
+func newTally() *tally { return &tally{latency: obs.NewHistogram(latencyBuckets)} }
+
+// record folds one result into the counts and the latency histogram.
+func (t *tally) record(res Result) {
+	t.latency.Observe(res.WallMS / 1e3)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.counts.add(res)
+}
+
+// snapshot reads the outcome counts.
+func (t *tally) snapshot() outcomes {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts
+}
+
+// fill writes the run length, throughput, outcome counts and latency
+// percentiles into the report.
+func (t *tally) fill(rep *Report, elapsed time.Duration) {
+	c := t.snapshot()
+	rep.Total, rep.OK, rep.Shed, rep.Errors = c.total, c.ok, c.shed, c.errors
+	//lint:detsource measured run length is the point of this field
+	rep.ElapsedSec = elapsed.Seconds()
+	if rep.ElapsedSec > 0 {
+		rep.AchievedRPS = float64(rep.Total) / rep.ElapsedSec
+	}
+	rep.Latency = t.latency.Snapshot()
+	rep.P50MS = rep.Latency.Quantile(0.50) * 1e3
+	rep.P90MS = rep.Latency.Quantile(0.90) * 1e3
+	rep.P99MS = rep.Latency.Quantile(0.99) * 1e3
+	rep.P999MS = rep.Latency.Quantile(0.999) * 1e3
+}
+
+// progress is the shared live state of one run: the cumulative tally
+// and the latency of the current status interval.
+type progress struct {
+	all      *tally
+	inflight atomic.Int64
+
+	mu       sync.Mutex
+	interval *obs.Histogram
+}
+
+func newProgress() *progress {
+	return &progress{all: newTally(), interval: obs.NewHistogram(latencyBuckets)}
+}
+
+// record folds one result into the tally and the current interval.
+func (pr *progress) record(res Result) {
+	pr.all.record(res)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	pr.interval.Observe(res.WallMS / 1e3)
+}
+
+// tick ends the current interval and renders its live line: the rate
+// and percentiles of the requests that completed within it, beside the
+// run's cumulative counts.
+func (pr *progress) tick(elapsed, interval time.Duration) string {
+	pr.mu.Lock()
+	ended := pr.interval
+	pr.interval = obs.NewHistogram(latencyBuckets)
+	pr.mu.Unlock()
+	snap := ended.Snapshot()
 	q := func(p float64) float64 { return snap.Quantile(p) * 1e3 }
+	c := pr.all.snapshot()
 	return fmt.Sprintf(
 		"t=%5.1fs rps=%6.1f inflight=%-3d done=%-5d ok=%-5d shed=%-4d err=%-3d p50=%.1fms p90=%.1fms p99=%.1fms p999=%.1fms",
-		elapsed.Seconds(), float64(intervalDone)/interval.Seconds(),
-		pr.inflight.Load(), pr.done.Load(), pr.ok.Load(), pr.shed.Load(), pr.errs.Load(),
+		elapsed.Seconds(), float64(snap.Count)/interval.Seconds(),
+		pr.inflight.Load(), c.total, c.ok, c.shed, c.errors,
 		q(0.50), q(0.90), q(0.99), q(0.999))
 }
 
@@ -110,7 +174,7 @@ func (pr *progress) statusLine(elapsed time.Duration, intervalDone int64, interv
 // Closed-loop mode (RPS == 0) keeps Concurrency requests in flight;
 // open-loop mode paces arrivals at RPS. ctx cancellation stops
 // issuing and returns the partial report.
-func Run(ctx context.Context, cfg Config, placer Placer) (*Report, error) {
+func Run(ctx context.Context, cfg Config, target Target) (*Report, error) {
 	cfg = cfg.withDefaults()
 	wl, err := BuildWorkload(cfg)
 	if err != nil {
@@ -118,14 +182,14 @@ func Run(ctx context.Context, cfg Config, placer Placer) (*Report, error) {
 	}
 	total := cfg.Requests * cfg.Repeat
 	results := make([]Result, total)
-	pr := &progress{win: obs.NewWindow(obs.WindowOpts{Buckets: latencyBuckets, Intervals: 5})}
+	pr := newProgress()
 
 	start := time.Now()
 	stopStatus := startStatus(cfg, pr, start)
 	issue := func(i int) {
 		item := wl.Items[i%len(wl.Items)]
 		pr.inflight.Add(1)
-		res := placer.Place(ctx, item)
+		res := target.Place(ctx, item)
 		pr.inflight.Add(-1)
 		res.Index = i
 		results[i] = res
@@ -144,8 +208,12 @@ func Run(ctx context.Context, cfg Config, placer Placer) (*Report, error) {
 	if cfg.RPS > 0 {
 		mode = "open"
 	}
-	rep := newReport(cfg, wl, mode, targetOf(placer))
-	finishReport(rep, results[:int(pr.done.Load())], elapsed, pr.win.Total(), cfg)
+	rep := newReport(cfg, wl, mode, targetOf(target))
+	pr.all.fill(rep, elapsed)
+	for _, res := range results[:rep.Total] {
+		rep.Requests = append(rep.Requests, requestRecord(res.Index, wl.Items[res.Index%len(wl.Items)], res))
+	}
+	rep.Strata = strata(rep.Requests)
 	return rep, nil
 }
 
@@ -216,25 +284,21 @@ func startStatus(cfg Config, pr *progress, start time.Time) func() {
 		defer wg.Done()
 		tick := time.NewTicker(cfg.StatusInterval)
 		defer tick.Stop()
-		var last int64
 		for {
 			select {
 			case <-done:
 				return
 			case <-tick.C:
-				cur := pr.done.Load()
-				fmt.Fprintln(cfg.Status, pr.statusLine(time.Since(start), cur-last, cfg.StatusInterval))
-				last = cur
-				pr.win.Rotate()
+				fmt.Fprintln(cfg.Status, pr.tick(time.Since(start), cfg.StatusInterval))
 			}
 		}
 	}()
 	return func() { close(done); wg.Wait() }
 }
 
-// targetOf names the placer kind for the report config.
-func targetOf(p Placer) string {
-	if _, ok := p.(*inprocPlacer); ok {
+// targetOf names the target kind for the report config.
+func targetOf(t Target) string {
+	if _, ok := t.(*inprocTarget); ok {
 		return "inprocess"
 	}
 	return "http"
@@ -265,95 +329,37 @@ func newReport(cfg Config, wl *Workload, mode, target string) *Report {
 	}
 }
 
-// finishReport folds the measured results into the report body.
-func finishReport(rep *Report, results []Result, elapsed time.Duration, latency obs.HistogramSnapshot, cfg Config) {
-	//lint:detsource measured run length is the point of this field
-	rep.ElapsedSec = elapsed.Seconds()
-	if rep.ElapsedSec > 0 {
-		rep.AchievedRPS = float64(len(results)) / rep.ElapsedSec
+// requestRecord is the report record of res, issued at index for
+// item: the item supplies the request's seed and stratum.
+func requestRecord(index int, item WorkItem, res Result) RequestRecord {
+	return RequestRecord{
+		Index:   index,
+		Seed:    item.Seed,
+		Stratum: item.Stratum,
+		TraceID: res.TraceID,
+		Code:    res.Code,
+		Status:  res.Status,
+		//lint:detsource measured latency is the point of this field
+		WallMS:        res.WallMS,
+		PlacementHash: res.PlacementHash,
+		Phases:        res.Phases,
+		Error:         res.Err,
 	}
-	rep.Latency = latency
-	rep.P50MS = latency.Quantile(0.50) * 1e3
-	rep.P90MS = latency.Quantile(0.90) * 1e3
-	rep.P99MS = latency.Quantile(0.99) * 1e3
-	rep.P999MS = latency.Quantile(0.999) * 1e3
+}
 
-	strata := obs.NewLabeledHistogram(latencyBuckets)
-	counts := map[string]int{}
-	for _, res := range results {
-		rep.Total++
-		switch {
-		case res.Code == 200:
-			rep.OK++
-		case res.Status == "shed":
-			rep.Shed++
-		default:
-			rep.Errors++
-		}
-		item := itemIdentity(cfg, res.Index)
-		strata.Observe(item.stratum, res.WallMS/1e3)
-		counts[item.stratum]++
-		rep.Requests = append(rep.Requests, RequestRecord{
-			Index:   res.Index,
-			Seed:    item.seed,
-			Stratum: item.stratum,
-			TraceID: res.TraceID,
-			Code:    res.Code,
-			Status:  res.Status,
-			//lint:detsource measured latency is the point of this field
-			WallMS:        res.WallMS,
-			PlacementHash: res.PlacementHash,
-			Phases:        res.Phases,
-			Error:         res.Err,
-		})
+// strata breaks the recorded requests' latency down by stratum.
+func strata(reqs []RequestRecord) []StratumRecord {
+	hist := obs.NewLabeledHistogram(latencyBuckets)
+	for _, r := range reqs {
+		hist.Observe(r.Stratum, r.WallMS/1e3)
 	}
-	for _, member := range strata.Snapshot() {
-		rep.Strata = append(rep.Strata, StratumRecord{
+	var out []StratumRecord
+	for _, member := range hist.Snapshot() {
+		out = append(out, StratumRecord{
 			Stratum:  member.Label,
-			Requests: counts[member.Label],
+			Requests: int(member.Hist.Count),
 			Latency:  member.Hist,
 		})
 	}
-}
-
-// itemIdentity recomputes a request's workload identity from its
-// issue index (cheap: seed arithmetic plus the stratum bucketing of
-// BuildWorkload, no instance generation).
-type identity struct {
-	seed    int64
-	stratum string
-}
-
-func itemIdentity(cfg Config, index int) identity {
-	i := index % cfg.Requests
-	seed := cfg.Seed + int64(i)*seedStride
-	return identity{seed: seed, stratum: stratumSeed(seed)}
-}
-
-// stratumCache memoizes stratumSeed: regenerating an instance per
-// result would dominate report assembly.
-var (
-	stratumMu    sync.Mutex
-	stratumCache = map[int64]string{}
-)
-
-// stratumSeed computes the stratum of the instance a seed generates.
-func stratumSeed(seed int64) string {
-	stratumMu.Lock()
-	s, ok := stratumCache[seed]
-	stratumMu.Unlock()
-	if ok {
-		return s
-	}
-	rules := 0
-	if inst, err := randgen.Generate(randgen.FromSeed(seed)); err == nil {
-		for _, p := range inst.Problem.Policies {
-			rules += len(p.Rules)
-		}
-	}
-	s = stratumOf(rules)
-	stratumMu.Lock()
-	stratumCache[seed] = s
-	stratumMu.Unlock()
-	return s
+	return out
 }

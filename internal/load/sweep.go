@@ -6,8 +6,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"rulefit/internal/obs"
 )
 
 // SweepOpts tunes a shed-point sweep.
@@ -49,7 +47,7 @@ func (o SweepOpts) withDefaults() SweepOpts {
 // and therefore the knee — is a function of the admission limits, not
 // of scheduling luck. The same seed and daemon limits reproduce the
 // same knee.
-func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, placer Placer) (*Report, error) {
+func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, target Target) (*Report, error) {
 	cfg = cfg.withDefaults()
 	opts = opts.withDefaults()
 	wl, err := BuildWorkload(cfg)
@@ -57,14 +55,22 @@ func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, placer Placer) (*
 		return nil, err
 	}
 
-	acc := &sweepAccum{hist: obs.NewHistogram(latencyBuckets)}
+	all := newTally()
+	var wall time.Duration
 	measured := map[int]SweepStep{}
 	var steps []SweepStep
 	measure := func(c int) SweepStep {
 		if s, ok := measured[c]; ok {
 			return s
 		}
-		s := measureStep(ctx, wl, placer, c, opts.StepRequests, acc)
+		start := time.Now()
+		s := measureStep(ctx, wl, target, c, opts.StepRequests, all)
+		elapsed := time.Since(start)
+		wall += elapsed
+		if sec := elapsed.Seconds(); sec > 0 {
+			//lint:detsource measured throughput is the point of this field
+			s.AchievedRPS = float64(s.Requests) / sec
+		}
 		measured[c] = s
 		steps = append(steps, s)
 		if cfg.Status != nil {
@@ -108,8 +114,8 @@ func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, placer Placer) (*
 	if s, ok := measured[good]; ok {
 		capacity = s.AchievedRPS
 	}
-	rep := newReport(cfg, wl, "sweep", targetOf(placer))
-	acc.finish(rep)
+	rep := newReport(cfg, wl, "sweep", targetOf(target))
+	all.fill(rep, wall)
 	rep.Sweep = &SweepRecord{
 		ShedThreshold:   opts.ShedThreshold,
 		StepRequests:    opts.StepRequests,
@@ -122,64 +128,14 @@ func RunSweep(ctx context.Context, cfg Config, opts SweepOpts, placer Placer) (*
 	return rep, nil
 }
 
-// sweepAccum folds every sweep request into the report-level latency
-// histogram and outcome counts.
-type sweepAccum struct {
-	mu     sync.Mutex
-	hist   *obs.Histogram
-	total  int
-	ok     int
-	shed   int
-	errors int
-	wall   time.Duration
-}
-
-func (a *sweepAccum) record(res Result) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.hist.Observe(res.WallMS / 1e3)
-	a.total++
-	switch {
-	case res.Code == 200:
-		a.ok++
-	case res.Status == "shed":
-		a.shed++
-	default:
-		a.errors++
-	}
-}
-
-// finish folds the accumulated counts into the report. It snapshots
-// under the lock and writes the (single-goroutine) report outside it,
-// so Report fields are never mutex-guarded anywhere.
-func (a *sweepAccum) finish(rep *Report) {
-	a.mu.Lock()
-	total, ok, shed, errs := a.total, a.ok, a.shed, a.errors
-	wall := a.wall
-	snap := a.hist.Snapshot()
-	a.mu.Unlock()
-
-	rep.Total, rep.OK, rep.Shed, rep.Errors = total, ok, shed, errs
-	//lint:detsource measured run length is the point of this field
-	rep.ElapsedSec = wall.Seconds()
-	if rep.ElapsedSec > 0 {
-		rep.AchievedRPS = float64(total) / rep.ElapsedSec
-	}
-	rep.Latency = snap
-	rep.P50MS = snap.Quantile(0.50) * 1e3
-	rep.P90MS = snap.Quantile(0.90) * 1e3
-	rep.P99MS = snap.Quantile(0.99) * 1e3
-	rep.P999MS = snap.Quantile(0.999) * 1e3
-}
-
 // measureStep offers `requests` requests (rounded up to whole waves)
 // at concurrency c: each wave releases exactly c goroutines at once
-// and drains completely before the next starts.
-func measureStep(ctx context.Context, wl *Workload, placer Placer, c, requests int, acc *sweepAccum) SweepStep {
+// and drains completely before the next starts. Every result also
+// lands in the sweep's tally; the caller times the step.
+func measureStep(ctx context.Context, wl *Workload, target Target, c, requests int, all *tally) SweepStep {
 	waves := (requests + c - 1) / c
-	step := SweepStep{Concurrency: c}
+	var step outcomes
 	idx := 0
-	start := time.Now()
 	for w := 0; w < waves && ctx.Err() == nil; w++ {
 		release := make(chan struct{})
 		results := make([]Result, c)
@@ -191,34 +147,21 @@ func measureStep(ctx context.Context, wl *Workload, placer Placer, c, requests i
 			go func(k int, item WorkItem) {
 				defer wg.Done()
 				<-release
-				results[k] = placer.Place(ctx, item)
+				results[k] = target.Place(ctx, item)
 			}(k, item)
 		}
 		close(release)
 		wg.Wait()
 		for _, res := range results {
-			step.Requests++
-			switch {
-			case res.Status == "shed":
-				step.Shed++
-			case res.Code != 200:
-				step.Errors++
-			}
-			acc.record(res)
+			step.add(res)
+			all.record(res)
 		}
 	}
-	elapsed := time.Since(start)
-	acc.mu.Lock()
-	acc.wall += elapsed
-	acc.mu.Unlock()
-	if step.Requests > 0 {
-		step.ShedRate = float64(step.Shed) / float64(step.Requests)
+	s := SweepStep{Concurrency: c, Requests: step.total, Shed: step.shed, Errors: step.errors}
+	if step.total > 0 {
+		s.ShedRate = float64(step.shed) / float64(step.total)
 	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		//lint:detsource measured throughput is the point of this field
-		step.AchievedRPS = float64(step.Requests) / sec
-	}
-	return step
+	return s
 }
 
 // writeStepStatus prints one live line per measured sweep step.

@@ -177,6 +177,46 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
+// Quantile estimates the q-quantile (q in [0, 1]) from the cumulative
+// snapshot by linear interpolation inside the first bucket whose
+// cumulative count reaches q*Count. Values in the +Inf bucket clamp to
+// the largest finite bound. Returns 0 for an empty snapshot. The
+// estimate is deterministic: a pure function of the snapshot.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 || len(s.Buckets) == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := q * float64(s.Count)
+	lower := 0.0
+	var below uint64
+	for _, b := range s.Buckets {
+		if float64(b.Count) >= rank {
+			if math.IsInf(b.LE, 1) {
+				// Observations beyond the finite layout: report the
+				// largest finite bound rather than inventing a value.
+				return lower
+			}
+			in := float64(b.Count - below)
+			if in <= 0 {
+				return b.LE
+			}
+			frac := (rank - float64(below)) / in
+			return lower + frac*(b.LE-lower)
+		}
+		if !math.IsInf(b.LE, 1) {
+			lower = b.LE
+		}
+		below = b.Count
+	}
+	return lower
+}
+
 // Gauge is an instantaneous-value instrument (in-flight requests,
 // queue depth). The zero value is ready to use.
 type Gauge struct {

@@ -66,7 +66,7 @@ type Metrics struct {
 	// Session-layer instruments (the daemon's stateful delta path).
 	sessions    Gauge          // live placement sessions
 	deltas      LabeledCounter // delta answers by solve path (identity/warm/cold)
-	encodeCache LabeledCounter // encode-cache lookups by (kind, outcome)
+	encodeCache LabeledCounter // session cache lookups by (kind, outcome)
 }
 
 // Default is the process-wide registry.
@@ -268,8 +268,9 @@ func (m *Metrics) RecordDelta(path string) {
 	m.deltas.Add(1, path)
 }
 
-// RecordEncodeCache folds encode-cache lookup counts for one solve
-// into the (kind, outcome) counter. kind is "policy" or "merge".
+// RecordEncodeCache folds a session solve's cache lookup counts into
+// the (kind, outcome) counter. kind is "policy" or "merge" for the
+// encode cache, or "solution" for the per-policy fragment cache.
 func (m *Metrics) RecordEncodeCache(kind string, hits, misses int64) {
 	if hits > 0 {
 		m.encodeCache.Add(hits, kind, "hit")
@@ -333,10 +334,10 @@ type DeltaCount struct {
 	Count int64  `json:"count"`
 }
 
-// EncodeCacheCount is one (kind, outcome) series of the encode-cache
-// lookup counter.
+// EncodeCacheCount is one (kind, outcome) series of the session
+// cache lookup counter.
 type EncodeCacheCount struct {
-	Kind    string `json:"kind"`    // "policy" or "merge"
+	Kind    string `json:"kind"`    // "policy", "merge" or "solution"
 	Outcome string `json:"outcome"` // "hit" or "miss"
 	Count   int64  `json:"count"`
 }
@@ -588,7 +589,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		})
 	}
 	families = append(families, deltaFamily)
-	cacheFamily := family{name: "rulefit_encode_cache_total", help: "Encode-cache lookups by artifact kind and outcome.", typ: "counter"}
+	cacheFamily := family{name: "rulefit_encode_cache_total", help: "Session cache lookups by kind (policy and merge encodes, solution fragments) and outcome.", typ: "counter"}
 	for _, ec := range s.EncodeCache {
 		cacheFamily.series = append(cacheFamily.series, series{
 			labels: fmt.Sprintf(`{kind="%s",outcome="%s"}`, escapeLabel(ec.Kind), escapeLabel(ec.Outcome)),

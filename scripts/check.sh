@@ -32,6 +32,14 @@ expect() {
     grep -q -- "$2" "$1" || { echo "expected $2 in $1"; return 1; }
 }
 
+# reject FILE PATTERN: fail if FILE contains PATTERN.
+reject() {
+    if grep -q -- "$2" "$1"; then
+        echo "unexpected $2 in $1"
+        return 1
+    fi
+}
+
 # scrape PATH PATTERN: GET a daemon endpoint and expect PATTERN in it.
 scrape() {
     curl -sf "$daemon_url$1" > "$work/scrape.out"
@@ -132,6 +140,14 @@ stage_smoke() {
     "$work/ruleload" -target "$daemon_url" -seed 7 -requests 8 -rps 50 -quiet -out "$work/load.json"
     "$work/benchdiff" -check "$work/load.json"
     "$work/benchdiff" "$work/load.json" "$work/load.json" > /dev/null
+    # One closed-loop request at a time cannot shed against
+    # -max-inflight 2, so the in-process target must answer every
+    # request with the served placement bytes.
+    "$work/ruleload" -target "$daemon_url" -seed 7 -requests 8 -concurrency 1 -quiet -out "$work/load-live.json"
+    "$work/ruleload" -inprocess -seed 7 -requests 8 -quiet -out "$work/load-inprocess.json"
+    "$work/benchdiff" -advisory -json "$work/load-live.json" "$work/load-inprocess.json" > "$work/inprocess-diff.json"
+    expect "$work/inprocess-diff.json" '"drifted": 0'
+    reject "$work/inprocess-diff.json" '"workload_mismatch"'
     scrape /statusz '"requests_1m"'
     scrape /metrics 'rulefit_request_phase_seconds_bucket{phase="solve"'
     stop_daemon
