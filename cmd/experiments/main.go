@@ -33,9 +33,11 @@
 //
 // -trace appends every solve's event stream to one JSONL file (lines
 // from concurrent solves interleave; use -parallel 1 for a readable
-// single-solve trace). -metrics prints the process-wide Prometheus-text
-// solver counters when the run finishes. -pprof serves net/http/pprof
-// plus /metrics on the given address while the experiments run.
+// single-solve trace). -metrics and -pprof attach one metrics registry
+// to every solve's event stream, the way -trace attaches its writer:
+// -metrics prints the registry's Prometheus-text solver counters when
+// the run finishes, and -pprof serves net/http/pprof plus the registry
+// at /metrics on the given address while the experiments run.
 package main
 
 import (
@@ -218,12 +220,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	var reg *obs.Metrics
+	if *metrics || *pprofAddr != "" {
+		reg = obs.NewMetrics()
+	}
 	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
+		servePprof(*pprofAddr, reg)
 	}
 	if *metrics {
 		defer func() {
-			if err := obs.Default.WritePrometheus(os.Stdout); err != nil {
+			if err := reg.WritePrometheus(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 			}
 		}()
@@ -281,6 +287,9 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 			}
 		}()
+	}
+	if reg != nil {
+		p.base.Opts.SolverSink = obs.Multi(p.base.Opts.SolverSink, reg)
 	}
 
 	if *jsonOut != "" {
@@ -378,12 +387,12 @@ func run() error {
 	return nil
 }
 
-// servePprof exposes net/http/pprof (via the default mux) plus the
-// process-wide solver counters at /metrics, for profiling long sweeps.
-func servePprof(addr string) {
+// servePprof exposes net/http/pprof (via the default mux) plus reg's
+// solver counters at /metrics, for profiling long sweeps.
+func servePprof(addr string, reg *obs.Metrics) {
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := obs.Default.WritePrometheus(w); err != nil {
+		if err := reg.WritePrometheus(w); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: /metrics:", err)
 		}
 	})

@@ -15,9 +15,12 @@
 // ring (-flight-events, default 4096) and dumps it after the solve —
 // the same bounded-memory recorder the daemon keeps always-on; useful
 // for solves whose full trace would be gigabytes.
-// -metrics prints the pipeline phase spans and Prometheus-text counters
-// after the run. -pprof serves net/http/pprof plus /metrics on the given
-// address for the duration of the solve.
+// -metrics and -pprof attach a metrics registry to the solver's event
+// stream, the way -trace attaches its writer (so they too pay for the
+// events): -metrics prints the pipeline phase spans and the registry's
+// Prometheus-text counters after the run, and -pprof serves
+// net/http/pprof plus the registry at /metrics on the given address
+// for the duration of the solve.
 package main
 
 import (
@@ -44,12 +47,12 @@ func main() {
 	}
 }
 
-// servePprof exposes net/http/pprof (via the default mux) plus the
-// process-wide solver counters at /metrics, for profiling long solves.
-func servePprof(addr string) {
+// servePprof exposes net/http/pprof (via the default mux) plus reg's
+// solver counters at /metrics, for profiling long solves.
+func servePprof(addr string, reg *obs.Metrics) {
 	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := obs.Default.WritePrometheus(w); err != nil {
+		if err := reg.WritePrometheus(w); err != nil {
 			fmt.Fprintln(os.Stderr, "ruleplace: /metrics:", err)
 		}
 	})
@@ -84,8 +87,12 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("-in is required")
 	}
+	var reg *obs.Metrics
+	if *metrics || *pprofAddr != "" {
+		reg = obs.NewMetrics()
+	}
 	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
+		servePprof(*pprofAddr, reg)
 	}
 	var spanTrace *obs.Trace
 	if *metrics {
@@ -94,7 +101,7 @@ func run() error {
 		// (table compilation, verification).
 		defer func() {
 			fmt.Print(spanTrace.Render())
-			if err := obs.Default.WritePrometheus(os.Stdout); err != nil {
+			if err := reg.WritePrometheus(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "ruleplace: metrics:", err)
 			}
 		}()
@@ -147,6 +154,9 @@ func run() error {
 	if *flightOut != "" {
 		flightRec = obs.NewFlightRecorder(obs.FlightOpts{Size: *flightSize})
 		opts.SolverSink = obs.Multi(opts.SolverSink, flightRec)
+	}
+	if reg != nil {
+		opts.SolverSink = obs.Multi(opts.SolverSink, reg)
 	}
 	opts.Trace = spanTrace
 

@@ -20,8 +20,7 @@
 //	POST   /v1/session/{id}/delta apply deltas: {"deltas": [{"op": "add_rule", ...}, ...]}
 //	DELETE /v1/session/{id}       drop the session
 //	GET    /metrics               Prometheus text exposition (counters, gauges, histograms)
-//	GET    /metrics/json          JSON metrics snapshot
-//	GET    /statusz               saturation snapshot: in-flight, queue depth, 1m/5m request and shed rates, live solves
+//	GET    /statusz               saturation snapshot: in-flight, queue depth, 1m/5m request and shed rates, live solves, slowest trace per phase
 //	GET    /healthz               liveness (200 while the process runs)
 //	GET    /readyz                readiness (503 during drain)
 //	GET    /debug/solvez          live solve introspection: one progress snapshot per in-flight request
@@ -33,8 +32,10 @@
 // the daemon's log lines and trace files) and a Server-Timing header
 // attributing wall time to pipeline phases (queue_wait, parse, encode,
 // model_build, solve, extract); a /debug/solvez progress view from
-// arrival; the flight rings; a -trace-dir event file
-// (trace-<trace_id>.jsonl); and a -profile-threshold profile.
+// arrival; the flight rings; the daemon's metrics registry, which
+// folds the solver counters on /metrics from the same events; a
+// -trace-dir event file (trace-<trace_id>.jsonl); and a
+// -profile-threshold profile.
 //
 // -debug-addr serves net/http/pprof plus /metrics, /debug/solvez, and
 // /debug/flightz mirrors, intended for a loopback-only bind.

@@ -63,9 +63,6 @@ type Config struct {
 	// Logger receives one structured line per request (default: JSON
 	// to stderr).
 	Logger *slog.Logger
-	// Metrics is the instrument registry the daemon records into and
-	// /metrics exposes (default obs.Default).
-	Metrics *obs.Metrics
 	// SolveDelay artificially extends each request's solve-slot
 	// occupancy (applied after slot acquisition, before parsing).
 	// Production daemons leave it zero; load experiments set it so the
@@ -126,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
-	if c.Metrics == nil {
-		c.Metrics = obs.Default
-	}
 	if c.FlightEvents <= 0 {
 		c.FlightEvents = 4096
 	}
@@ -147,7 +141,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	log      *slog.Logger
-	met      *obs.Metrics
+	met      *obs.Metrics // this server's registry, fed by every request and solve
 	sem      chan struct{}
 	seq      atomic.Uint64
 	queued   atomic.Int64
@@ -180,7 +174,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		met:      cfg.Metrics,
+		met:      obs.NewMetrics(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
@@ -195,7 +189,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/session", s.handleSessionCreate)
 	s.mux.HandleFunc("/v1/session/", s.handleSession)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics/json", s.handleMetricsJSON)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -507,10 +500,10 @@ type solveFunc func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error
 // arrival, runs admission, then the endpoint's decode (timed as the
 // parse phase) and solve. The solve's events, stamped with the trace
 // ID, feed the progress view, a per-request flight ring, the global
-// ring and the -trace-dir event file. It runs under the profile
-// watchdog, with a trace_id pprof label when profiling is on; a solve
-// that panics or stops on its budget leaves a flight dump. finish
-// answers exactly once.
+// ring, the metrics registry and the -trace-dir event file. It runs
+// under the profile watchdog, with a trace_id pprof label when
+// profiling is on; a solve that panics or stops on its budget leaves a
+// flight dump. finish answers exactly once.
 func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, step solveStep) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -556,11 +549,12 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 	st.trace = req.Trace
 
 	// Every solve feeds the progress view, a per-request flight ring
-	// (post-mortem scoped to this request) and the server's global ring,
-	// on top of the optional full trace file. Sinks never feed back: the
-	// placement is byte-identical whatever is attached.
+	// (post-mortem scoped to this request), the server's global ring
+	// and the server's metrics registry, on top of the optional full
+	// trace file. Sinks never feed back: the placement is
+	// byte-identical whatever is attached.
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	sinks := []obs.Sink{progress, rec, s.flight}
+	sinks := []obs.Sink{progress, rec, s.flight, s.met}
 	var traceFile *os.File
 	var traceJW *obs.JSONLWriter
 	if s.cfg.TraceDir != "" {
@@ -823,16 +817,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	if err := s.met.WritePrometheus(w); err != nil {
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "metrics",
-			slog.String("error", err.Error()))
-	}
-}
-
-// handleMetricsJSON serves the JSON snapshot.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
-	if err := s.met.WriteJSON(w); err != nil {
-		s.log.LogAttrs(context.Background(), slog.LevelWarn, "metrics_json",
 			slog.String("error", err.Error()))
 	}
 }

@@ -61,15 +61,11 @@ func testSpec(t *testing.T, rules int) []byte {
 func quietLogger() *slog.Logger { return slog.New(slog.NewJSONHandler(io.Discard, nil)) }
 
 // startDaemon runs a server on an ephemeral port and tears it down with
-// the test. Each daemon gets its own Metrics instance to avoid
-// cross-test bleed through obs.Default.
+// the test.
 func startDaemon(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quietLogger()
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &obs.Metrics{}
 	}
 	s := New(cfg)
 	if err := s.Start("127.0.0.1:0"); err != nil {
@@ -326,24 +322,84 @@ func TestDaemonMetricsConformant(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
 	}
-	// The JSON mirror parses and agrees on the request count.
-	jresp, err := http.Get(base + "/metrics/json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	var snap obs.MetricsSnapshot
-	if err := json.NewDecoder(jresp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Requests) != 1 || snap.Requests[0].Count != 1 {
-		t.Fatalf("json snapshot requests = %+v", snap.Requests)
-	}
 	// The debug mux mirrors /metrics and serves pprof.
 	rec := httptest.NewRecorder()
 	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pprof cmdline status %d", rec.Code)
+	}
+}
+
+// scrapeMetrics GETs /metrics and returns the exposition.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(payload)
+}
+
+// metricValue reads one series' sample from an exposition.
+func metricValue(t *testing.T, exposition, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			var f float64
+			if _, err := fmt.Sscan(v, &f); err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no series %s in:\n%s", series, exposition)
+	return 0
+}
+
+// TestDaemonSolverCounters: a daemon's /metrics counts the solves it
+// ran, folded from their events into the registry the daemon built
+// for itself, and no other daemon's.
+func TestDaemonSolverCounters(t *testing.T) {
+	_, base := startDaemon(t, Config{MaxInFlight: 1})
+	_, other := startDaemon(t, Config{MaxInFlight: 1})
+	code, body := postPlace(t, base, PlaceRequest{
+		Problem: testSpec(t, 8),
+		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("place status %d: %s", code, body)
+	}
+	var resp PlaceResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Placement.Status != "optimal" {
+		t.Fatalf("placement status %q, want optimal", resp.Placement.Status)
+	}
+	out := scrapeMetrics(t, base)
+	for _, c := range []struct {
+		series string
+		want   int
+	}{
+		{`rulefit_solves_total{status="optimal"}`, 1},
+		{"rulefit_bnb_nodes_total", resp.Placement.Stats.Nodes},
+		{"rulefit_simplex_iters_total", resp.Placement.Stats.SimplexIters},
+		{"rulefit_solve_nodes_count", 1},
+	} {
+		if got := metricValue(t, out, c.series); got != float64(c.want) {
+			t.Errorf("%s = %g, want %d", c.series, got, c.want)
+		}
+	}
+	if resp.Placement.Stats.SimplexIters == 0 {
+		t.Fatal("the solve ran no simplex iterations, so the check above proves little")
+	}
+	if got := metricValue(t, scrapeMetrics(t, other), `rulefit_solves_total{status="optimal"}`); got != 0 {
+		t.Fatalf("an idle daemon counts %g optimal solves", got)
 	}
 }
 
@@ -411,7 +467,7 @@ func TestDaemonSheddingAndCancel(t *testing.T) {
 // request: a request waiting for the solve slot survives the drain,
 // solves, and returns 200 while readiness reports 503.
 func TestDaemonGracefulDrain(t *testing.T) {
-	cfg := Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{}}
+	cfg := Config{MaxInFlight: 1, Logger: quietLogger()}
 	s := New(cfg)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rulefit/internal/core"
-	"rulefit/internal/obs"
 	"rulefit/internal/randgen"
 	"rulefit/internal/spec"
 	"rulefit/internal/verify"
@@ -44,7 +43,7 @@ func FuzzSessionDelta(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 
-	s := New(Config{MaxInFlight: 2, Logger: quietLogger(), Metrics: &obs.Metrics{}})
+	s := New(Config{MaxInFlight: 2, Logger: quietLogger()})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		f.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"rulefit/internal/obs"
 	"rulefit/internal/obs/traceview"
 )
 
@@ -55,7 +54,7 @@ func serveJSON(t *testing.T, s *Server, method, path string, body []byte) (int, 
 // then a 400-second jump of the fake clock expires the 1m window (and
 // keeps the 5m one) without any wall time passing.
 func TestStatuszClockInjection(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{}})
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger()})
 	s.ready.Store(true)
 	fake := time.Unix(3_000_000, 0)
 	s.now = func() time.Time { return fake }
@@ -99,7 +98,7 @@ func TestStatuszClockInjection(t *testing.T) {
 // TestSolvezIdle: the endpoint answers an empty-but-well-formed body
 // when no solve is in flight.
 func TestSolvezIdle(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{}})
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger()})
 	code, body := serveJSON(t, s, http.MethodGet, "/debug/solvez", nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -211,7 +210,7 @@ func TestFlightDumpOnDeadline(t *testing.T) {
 // TestFlightzEndpoint: after a request, the global ring serves a
 // traceview-parseable JSONL dump on demand.
 func TestFlightzEndpoint(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{}})
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger()})
 	s.ready.Store(true)
 	body, err := json.Marshal(PlaceRequest{
 		Problem: testSpec(t, 4),
@@ -255,7 +254,6 @@ func TestIntrospectionNoPlacementEffect(t *testing.T) {
 	place := func(t *testing.T, cfg Config) json.RawMessage {
 		t.Helper()
 		cfg.Logger = quietLogger()
-		cfg.Metrics = &obs.Metrics{}
 		s := New(cfg)
 		s.ready.Store(true)
 		code, body := serveJSON(t, s, http.MethodPost, "/v1/place", req)
@@ -284,7 +282,7 @@ func TestIntrospectionNoPlacementEffect(t *testing.T) {
 // stopped before the threshold leaves nothing behind.
 func TestWatchProfileThreshold(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{},
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger(),
 		ProfileThreshold: 10 * time.Millisecond, ProfileDir: dir})
 
 	// Fast request: stopped before the threshold, no profile.
@@ -329,7 +327,7 @@ func TestWatchProfileThreshold(t *testing.T) {
 // TestWatchProfileDisabled: zero threshold (or no directory) arms
 // nothing and the returned stop is a safe no-op.
 func TestWatchProfileDisabled(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{}})
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger()})
 	stop := s.watchProfile("noop-0001")
 	stop()
 	stop() // idempotent
@@ -339,7 +337,7 @@ func TestWatchProfileDisabled(t *testing.T) {
 // second of the injected clock.
 func TestDumpOnShedRateLimit(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(), Metrics: &obs.Metrics{},
+	s := New(Config{MaxInFlight: 1, Logger: quietLogger(),
 		FlightDir: dir})
 	fake := time.Unix(4_000_000, 0)
 	s.now = func() time.Time { return fake }

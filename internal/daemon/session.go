@@ -145,7 +145,8 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionGet serves GET /v1/session/{id}: the current version
-// and placement, no solve.
+// and placement, no solve. The request counts as "fetched", not as the
+// stored placement's status, which its solve already counted.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request, id string) {
 	traceID := obs.TraceIDFor(s.seq.Add(1), []byte(r.URL.Path))
 	st := requestState{traceID: traceID, op: "session_get", start: time.Now()}
@@ -156,7 +157,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request, id str
 		return
 	}
 	version, pl := sess.Snapshot()
-	st.code, st.status = http.StatusOK, pl.Status.String()
+	st.code, st.status = http.StatusOK, "fetched"
 	st.body = &SessionResponse{
 		TraceID:   traceID,
 		SessionID: sess.ID(),

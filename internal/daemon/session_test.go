@@ -248,6 +248,29 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionGetCountsAsFetched: a session GET solves nothing, so the
+// request counter files it under its own status rather than as
+// another placement with the stored answer's status.
+func TestSessionGetCountsAsFetched(t *testing.T) {
+	_, base := startDaemon(t, Config{MaxInFlight: 1})
+	sr, _ := createSession(t, base, testSpec(t, 4))
+	for i := 0; i < 3; i++ {
+		if code, body := doJSON(t, http.MethodGet, base+"/v1/session/"+sr.SessionID, nil); code != http.StatusOK {
+			t.Fatalf("get status %d: %s", code, body)
+		}
+	}
+	out := scrapeMetrics(t, base)
+	for series, want := range map[string]float64{
+		`rulefit_requests_total{status="optimal",stop_reason="none"}`: 1,
+		`rulefit_requests_total{status="fetched",stop_reason="none"}`: 3,
+		"rulefit_installed_rules_count":                               1,
+	} {
+		if got := metricValue(t, out, series); got != want {
+			t.Errorf("%s = %g, want %g", series, got, want)
+		}
+	}
+}
+
 // TestSessionNotFound asserts unknown/expired sessions answer 404
 // with a trace ID on every session route.
 func TestSessionNotFound(t *testing.T) {

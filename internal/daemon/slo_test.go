@@ -17,9 +17,8 @@ import (
 func TestMetricsEndpointHeaders(t *testing.T) {
 	_, base := startDaemon(t, Config{MaxInFlight: 1})
 	for path, wantCT := range map[string]string{
-		"/metrics":      "text/plain; version=0.0.4",
-		"/metrics/json": "application/json",
-		"/statusz":      "application/json",
+		"/metrics": "text/plain; version=0.0.4",
+		"/statusz": "application/json",
 	} {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -218,5 +217,41 @@ func TestStatusz(t *testing.T) {
 	}
 	if snap.UptimeSec < 0 {
 		t.Fatalf("uptime %g", snap.UptimeSec)
+	}
+}
+
+// TestStatuszPhaseExemplars: /statusz names the trace behind each
+// phase's slowest observation, here the only request's.
+func TestStatuszPhaseExemplars(t *testing.T) {
+	_, base := startDaemon(t, Config{MaxInFlight: 1})
+	code, body := postPlace(t, base, PlaceRequest{
+		Problem: testSpec(t, 4),
+		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("place status %d: %s", code, body)
+	}
+	var placed PlaceResponse
+	if err := json.Unmarshal(body, &placed); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(base + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap StatusSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]bool{}
+	for _, ex := range snap.PhaseExemplars {
+		if ex.TraceID != placed.TraceID {
+			t.Fatalf("phase %s exemplar names trace %q, want %q", ex.Phase, ex.TraceID, placed.TraceID)
+		}
+		phases[ex.Phase] = true
+	}
+	if !phases["parse"] || !phases["solve"] {
+		t.Fatalf("exemplars cover phases %v, want parse and solve among them", phases)
 	}
 }

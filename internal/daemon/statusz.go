@@ -107,6 +107,10 @@ type StatusSnapshot struct {
 	// ActiveSolves is the live-progress snapshot of every request
 	// currently inside the daemon (the same data /debug/solvez serves).
 	ActiveSolves []obs.ProgressSnapshot `json:"active_solves,omitempty"`
+	// PhaseExemplars names, per request phase, the trace whose
+	// observation was slowest: the request behind the top bucket of
+	// /metrics' rulefit_request_phase_seconds.
+	PhaseExemplars []obs.PhaseExemplar `json:"phase_exemplars,omitempty"`
 }
 
 // statusAt assembles the snapshot for the given unix second.
@@ -130,6 +134,7 @@ func (s *Server) statusAt(sec int64, uptime time.Duration) StatusSnapshot {
 		snap.ShedRate5m = float64(snap.Shed5m) / float64(snap.Requests5m)
 	}
 	snap.ActiveSolves = s.solves.snapshots()
+	snap.PhaseExemplars = s.met.PhaseExemplars()
 	return snap
 }
 

@@ -1,0 +1,177 @@
+package ilp
+
+import (
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"rulefit/internal/obs"
+	"rulefit/internal/obs/traceview"
+)
+
+// foldFixture is one solve the event consumers are checked on.
+type foldFixture struct {
+	name string
+	m    *Model
+	opts Options
+}
+
+// foldFixtures covers every way a solve ends: proven optimal (with
+// strong-branch trials and stale skips), presolve fixes, a node limit
+// with and without an incumbent, infeasibility proven by presolve and
+// by the root LP, unbounded, and a solve with presolve off.
+func foldFixtures() []foldFixture {
+	limit := 60 * time.Second
+	presolveFixed := NewModel()
+	x := presolveFixed.AddBinary("x", 5)
+	presolveFixed.AddBinary("y", 1)
+	presolveFixed.AddConstraint([]Term{{x, 1}}, GE, 1, "fix")
+
+	presolveInfeasible := NewModel()
+	a := presolveInfeasible.AddBinary("a", 1)
+	b := presolveInfeasible.AddBinary("b", 1)
+	presolveInfeasible.AddConstraint([]Term{{a, 1}, {b, 1}}, GE, 2, "both")
+	presolveInfeasible.AddConstraint([]Term{{a, 1}, {b, 1}}, LE, 1, "atmost1")
+
+	// Pairwise covers force x+y+z >= 1.5 in the LP, which the capacity
+	// row forbids; bound propagation alone fixes nothing.
+	rootInfeasible := NewModel()
+	p := rootInfeasible.AddBinary("p", 1)
+	q := rootInfeasible.AddBinary("q", 1)
+	r := rootInfeasible.AddBinary("r", 1)
+	rootInfeasible.AddConstraint([]Term{{p, 1}, {q, 1}}, GE, 1, "pq")
+	rootInfeasible.AddConstraint([]Term{{q, 1}, {r, 1}}, GE, 1, "qr")
+	rootInfeasible.AddConstraint([]Term{{p, 1}, {r, 1}}, GE, 1, "pr")
+	rootInfeasible.AddConstraint([]Term{{p, 1}, {q, 1}, {r, 1}}, LE, 1.4, "cap")
+
+	unbounded := NewModel()
+	u := unbounded.AddVar("u", 0, Inf, -1)
+	unbounded.AddConstraint([]Term{{u, -1}}, LE, 0, "noop")
+
+	return []foldFixture{
+		{"branching s11/n20", parallelFixture(11, 20), Options{TimeLimit: limit}},
+		{"branching s11/n24", parallelFixture(11, 24), Options{TimeLimit: limit}},
+		{"branching s9/n20", parallelFixture(9, 20), Options{TimeLimit: limit}},
+		{"node limit, incumbent", parallelFixture(9, 20), Options{NodeLimit: 3}},
+		{"node limit, none", parallelFixture(11, 20), Options{NodeLimit: 3}},
+		{"presolve off", parallelFixture(7, 16), Options{TimeLimit: limit, DisablePresolve: true}},
+		{"presolve fixed", presolveFixed, Options{TimeLimit: limit}},
+		{"presolve infeasible", presolveInfeasible, Options{TimeLimit: limit}},
+		{"root LP infeasible", rootInfeasible, Options{TimeLimit: limit}},
+		{"unbounded", unbounded, Options{TimeLimit: limit}},
+	}
+}
+
+// wantFold sums sols' Stats into the solver counters a registry fed
+// their events must hold.
+func wantFold(sols []Solution) map[string]int64 {
+	w := map[string]int64{}
+	for _, sol := range sols {
+		st := sol.Stats
+		w["solves "+sol.Status.String()]++
+		w["nodes"] += int64(st.BnBNodes)
+		w["simplex iterations"] += int64(st.SimplexIters)
+		w["LU refactorizations"] += int64(st.LURefactors)
+		w["presolve fixes"] += int64(st.PresolveFix)
+		w["incumbents"] += int64(st.Incumbents)
+		w["branched"] += int64(st.Branched)
+		w["pruned bound"] += int64(st.PrunedBound)
+		w["pruned infeasible"] += int64(st.PrunedInfeasible)
+		w["integral"] += int64(st.IntegralLeaves)
+		w["lost"] += int64(st.LostSubtrees)
+		w["stale skips"] += int64(st.PrunedStale)
+	}
+	return w
+}
+
+// TestMetricsFoldMatchesStats: a registry fed the event streams of
+// concurrent solves holds exactly their summed Stats, for every
+// worker count. Each solve's refactorizations and iterations reach
+// it only through the done event's totals.
+func TestMetricsFoldMatchesStats(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		reg := obs.NewMetrics()
+		fixtures := foldFixtures()
+		sols := make([]Solution, len(fixtures))
+		errs := make([]error, len(fixtures))
+		var wg sync.WaitGroup
+		for i, f := range fixtures {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opts := f.opts
+				opts.Workers, opts.Sink = w, reg
+				sols[i], errs[i] = Solve(f.m, opts)
+			}()
+		}
+		wg.Wait()
+		seen := map[Status]bool{}
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", w, fixtures[i].name, err)
+			}
+			seen[sols[i].Status] = true
+		}
+		for _, st := range []Status{Optimal, Feasible, Infeasible, LimitReached, Unbounded} {
+			if !seen[st] {
+				t.Fatalf("workers=%d: no fixture ends %v", w, st)
+			}
+		}
+		s := reg.Snapshot()
+		want := wantFold(sols)
+		for name, got := range map[string]int64{
+			"solves optimal": s.SolvesOptimal, "solves feasible": s.SolvesFeasible,
+			"solves infeasible": s.SolvesInfeasible, "solves limit": s.SolvesLimit,
+			"solves unbounded": s.SolvesUnbounded, "nodes": s.Nodes,
+			"simplex iterations": s.SimplexIters, "LU refactorizations": s.LURefactors,
+			"presolve fixes": s.PresolveFixes, "incumbents": s.Incumbents,
+			"branched": s.Branched, "pruned bound": s.PrunedBound,
+			"pruned infeasible": s.PrunedInfeasible, "integral": s.IntegralLeaves,
+			"lost": s.LostSubtrees, "stale skips": s.PrunedStale,
+		} {
+			if got != want[name] {
+				t.Errorf("workers=%d: registry holds %d %s, Stats sum to %d", w, got, name, want[name])
+			}
+		}
+		for _, name := range []string{"LU refactorizations", "presolve fixes", "stale skips", "incumbents"} {
+			if want[name] == 0 {
+				t.Errorf("workers=%d: no fixture exercises %s", w, name)
+			}
+		}
+	}
+}
+
+// TestTraceEffortMatchesStats: the effort traceview reports for a
+// full trace is the solve's own, strong-branch trials and a root LP
+// that proves infeasibility included.
+func TestTraceEffortMatchesStats(t *testing.T) {
+	for _, f := range foldFixtures() {
+		var buf strings.Builder
+		jw := obs.NewJSONLWriter(&buf)
+		opts := f.opts
+		opts.Workers, opts.Sink = 2, jw
+		sol, err := Solve(f.m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := traceview.Summarize(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Check(); err != nil {
+			t.Errorf("%s: %v", f.name, err)
+		}
+		st := sol.Stats
+		if sum.Nodes != st.BnBNodes || sum.SimplexIters != st.SimplexIters || sum.LURefactors != st.LURefactors {
+			t.Errorf("%s: trace reports %d nodes, %d iters, %d refactors; Stats %d, %d, %d", f.name,
+				sum.Nodes, sum.SimplexIters, sum.LURefactors, st.BnBNodes, st.SimplexIters, st.LURefactors)
+		}
+		if f.name == "branching s11/n24" && st.StrongBranchEvals == 0 {
+			t.Errorf("%s: no strong-branch trials, so the check above proves less", f.name)
+		}
+	}
+}

@@ -48,29 +48,6 @@ type Options struct {
 // to integers for integer variables when a solution is found.
 func Solve(m *Model, opts Options) (Solution, error) {
 	start := time.Now()
-	sol, err := solve(m, opts, start)
-	if err != nil {
-		return sol, err
-	}
-	obs.Default.RecordSolve(obs.SolveSample{
-		Status:         sol.Status.String(),
-		Wall:           time.Since(start),
-		Nodes:          sol.Stats.BnBNodes,
-		SimplexIters:   sol.Stats.SimplexIters,
-		LURefactors:    sol.Stats.LURefactors,
-		PresolveFixes:  sol.Stats.PresolveFix,
-		Incumbents:     sol.Stats.Incumbents,
-		Branched:       sol.Stats.Branched,
-		PrunedBound:    sol.Stats.PrunedBound,
-		PrunedInfeas:   sol.Stats.PrunedInfeasible,
-		IntegralLeaves: sol.Stats.IntegralLeaves,
-		LostSubtrees:   sol.Stats.LostSubtrees,
-		PrunedStale:    sol.Stats.PrunedStale,
-	})
-	return sol, nil
-}
-
-func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 	if err := m.Validate(); err != nil {
 		return Solution{}, err
 	}
@@ -103,7 +80,8 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 		if res == presolveInfeasible {
 			if opts.Sink != nil {
 				opts.Sink.Event(obs.Event{Kind: obs.KindDone, Outcome: Infeasible.String(),
-					Reason: StopNone.String(), BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
+					Reason: StopNone.String(), Iters: stats.SimplexIters, Refactors: stats.LURefactors,
+					BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
 			}
 			return Solution{Status: Infeasible, Stats: stats}, nil
 		}
@@ -132,11 +110,7 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 		start:       start,
 		lostBound:   math.Inf(1),
 	}
-	sol, err := bb.run(lo, hi)
-	if err != nil {
-		return Solution{}, err
-	}
-	return sol, nil
+	return bb.run(lo, hi)
 }
 
 // msSince is the wall-clock offset stamped on events. Timing only —
@@ -565,7 +539,7 @@ func (b *bnb) noSolution(status Status) (Solution, error) {
 	if b.sink != nil {
 		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.BnBNodes, Outcome: status.String(),
 			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters,
-			BranchVar: -1, Gap: -1})
+			Refactors: b.stats.LURefactors, BranchVar: -1, Gap: -1})
 	}
 	return Solution{Status: status, Stats: b.stats}, nil
 }
@@ -1098,7 +1072,8 @@ func (b *bnb) finish(x []float64, obj float64, proven bool) (Solution, error) {
 	}
 	if b.sink != nil {
 		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.BnBNodes, Outcome: status.String(),
-			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters, BranchVar: -1,
+			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters,
+			Refactors: b.stats.LURefactors, BranchVar: -1,
 			Incumbent: obj, BestBound: b.stats.BestBound, Gap: b.stats.Gap})
 	}
 	return Solution{Status: status, Objective: obj, Values: vals, Stats: b.stats}, nil

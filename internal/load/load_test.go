@@ -18,7 +18,6 @@ import (
 
 	"rulefit/internal/bench"
 	"rulefit/internal/daemon"
-	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 )
 
@@ -47,7 +46,6 @@ func startDaemon(t *testing.T, cfg daemon.Config) (string, *syncBuffer) {
 	t.Helper()
 	logs := &syncBuffer{}
 	cfg.Logger = slog.New(slog.NewJSONHandler(logs, nil))
-	cfg.Metrics = &obs.Metrics{}
 	srv := httptest.NewServer(daemon.New(cfg).Handler())
 	t.Cleanup(srv.Close)
 	return srv.URL, logs

@@ -92,16 +92,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
-// reset zeroes all observations, keeping the layout.
-func (h *Histogram) reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.sum, h.count = 0, 0
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram in
 // cumulative (Prometheus) form: Buckets[i].Count counts observations
 // with value <= Buckets[i].LE, and the final bucket is +Inf with
@@ -288,13 +278,6 @@ func (c *LabeledCounter) Snapshot() []LabeledCount {
 	return out
 }
 
-// reset drops all series.
-func (c *LabeledCounter) reset() {
-	c.mu.Lock()
-	c.vals = nil
-	c.mu.Unlock()
-}
-
 // LabeledHistogram is a histogram family keyed by one label value
 // (request phase, workload stratum); every member shares one bucket
 // layout so family members merge and compare exactly. The zero value
@@ -355,13 +338,6 @@ func (l *LabeledHistogram) Snapshot() []LabeledHist {
 		out[i] = LabeledHist{Label: k, Hist: hists[k].Snapshot()}
 	}
 	return out
-}
-
-// reset drops all members (the layout stays).
-func (l *LabeledHistogram) reset() {
-	l.mu.Lock()
-	l.vals = nil
-	l.mu.Unlock()
 }
 
 // splitLabels undoes the Add key join.

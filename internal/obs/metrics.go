@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -12,17 +11,14 @@ import (
 	"time"
 )
 
-// Metrics is a process-wide registry of solver and request
-// instruments. Unlike event sinks it is always on: internal/ilp records
-// one SolveSample per solve and the placement daemon one RequestSample
-// per request (a handful of atomic adds and histogram observations,
-// nowhere near any hot path), so long-lived processes can expose
-// cumulative solver effort and request latency distributions without
-// enabling tracing. Default is the registry the solver records into and
-// the -metrics / -pprof / daemon endpoints expose; tests should use an
-// instance (`var m Metrics`) or call Reset to avoid cross-test bleed.
+// Metrics is a registry of solver and request instruments, exposed as
+// Prometheus text. It is a Sink: attached to a solve's sink fan-out
+// beside the flight rings and the trace writer, it folds the solver's
+// events into cumulative counters and per-solve histograms (see
+// Event). Serving frontends add one RequestSample per request. Build
+// one with NewMetrics: each daemon owns its registry, and the CLIs
+// attach one for -metrics and -pprof.
 type Metrics struct {
-	solves          atomic.Int64
 	solvesOptimal   atomic.Int64
 	solvesFeasible  atomic.Int64
 	solvesInfeas    atomic.Int64
@@ -41,11 +37,12 @@ type Metrics struct {
 	prunedStale     atomic.Int64
 	wallMicros      atomic.Int64
 
-	// Distribution instruments, fed by RecordSolve / RecordRequest.
-	solveWallHist  Histogram
-	solveNodesHist Histogram
-	solveItersHist Histogram
-	placedRules    Histogram
+	// Per-solve distributions, fed by done events.
+	solveWallHist  *Histogram
+	solveNodesHist *Histogram
+	solveItersHist *Histogram
+	// placedRules is fed by RecordRequest.
+	placedRules *Histogram
 
 	// Request-level instruments (the placement daemon).
 	requests Gauge // in-flight
@@ -55,7 +52,7 @@ type Metrics struct {
 	// phaseWall attributes request wall time to pipeline phases
 	// (queue_wait, parse, encode, model_build, solve, extract), fed by
 	// RecordPhase from the daemon's per-request span tree.
-	phaseWall LabeledHistogram
+	phaseWall *LabeledHistogram
 
 	// phaseSlow keeps, per phase, the slowest observation's trace ID —
 	// the exemplar that turns a p99 histogram reading into a concrete
@@ -68,9 +65,6 @@ type Metrics struct {
 	deltas      LabeledCounter // delta answers by solve path (identity/warm/cold)
 	encodeCache LabeledCounter // session cache lookups by (kind, outcome)
 }
-
-// Default is the process-wide registry.
-var Default = &Metrics{}
 
 // Histogram layouts. Log-spaced so one layout spans sub-millisecond
 // root-LP solves and multi-minute branch & bound runs.
@@ -88,34 +82,67 @@ var (
 	phaseWallBuckets = HistogramOpts{Start: 0.00005, Factor: 2, Count: 20}
 )
 
-// initHists sets the non-default layouts once, before first use. It is
-// idempotent under the histogram locks (init only when unset).
-func (m *Metrics) initHists() {
-	m.solveWallHist.mu.Lock()
-	if m.solveWallHist.bounds == nil {
-		m.solveWallHist.init(solveWallBuckets)
+// NewMetrics returns an empty registry with its histogram layouts set.
+func NewMetrics() *Metrics {
+	return &Metrics{
+		solveWallHist:  NewHistogram(solveWallBuckets),
+		solveNodesHist: NewHistogram(solveNodesBuckets),
+		solveItersHist: NewHistogram(solveItersBuckets),
+		placedRules:    NewHistogram(placedRulesBuckets),
+		phaseWall:      NewLabeledHistogram(phaseWallBuckets),
 	}
-	m.solveWallHist.mu.Unlock()
-	m.solveNodesHist.mu.Lock()
-	if m.solveNodesHist.bounds == nil {
-		m.solveNodesHist.init(solveNodesBuckets)
+}
+
+// Event folds one solver event into the solver counters, so each
+// family keeps its per-ilp.Solve meaning: presolve events carry the
+// presolve fixes, node events their outcome, skip and incumbent events
+// count themselves, and the done event that closes every solve
+// carries its status, wall time and node, iteration and LU
+// refactorization totals, which also feed the per-solve histograms.
+// Atomics and the histogram locks make the fold lossless under
+// concurrent solves sharing one registry.
+func (m *Metrics) Event(e Event) {
+	switch e.Kind {
+	case KindPresolve:
+		m.presolveFixes.Add(int64(e.Fixes))
+	case KindNode:
+		switch e.Outcome {
+		case OutcomeBranched:
+			m.branched.Add(1)
+		case OutcomeBound:
+			m.prunedBound.Add(1)
+		case OutcomeInfeasible:
+			m.prunedInfeas.Add(1)
+		case OutcomeIntegral:
+			m.integralLeaves.Add(1)
+		case OutcomeLost:
+			m.lostSubtrees.Add(1)
+		}
+	case KindSkip:
+		m.prunedStale.Add(1)
+	case KindIncumbent:
+		m.incumbents.Add(1)
+	case KindDone:
+		switch e.Outcome {
+		case "optimal":
+			m.solvesOptimal.Add(1)
+		case "feasible":
+			m.solvesFeasible.Add(1)
+		case "infeasible":
+			m.solvesInfeas.Add(1)
+		case "limit":
+			m.solvesLimit.Add(1)
+		case "unbounded":
+			m.solvesUnbounded.Add(1)
+		}
+		m.nodes.Add(int64(e.Node))
+		m.simplexIters.Add(int64(e.Iters))
+		m.luRefactors.Add(int64(e.Refactors))
+		m.wallMicros.Add(int64(math.Round(e.TimeMS * 1e3)))
+		m.solveWallHist.Observe(e.TimeMS / 1e3)
+		m.solveNodesHist.Observe(float64(e.Node))
+		m.solveItersHist.Observe(float64(e.Iters))
 	}
-	m.solveNodesHist.mu.Unlock()
-	m.solveItersHist.mu.Lock()
-	if m.solveItersHist.bounds == nil {
-		m.solveItersHist.init(solveItersBuckets)
-	}
-	m.solveItersHist.mu.Unlock()
-	m.placedRules.mu.Lock()
-	if m.placedRules.bounds == nil {
-		m.placedRules.init(placedRulesBuckets)
-	}
-	m.placedRules.mu.Unlock()
-	m.phaseWall.mu.Lock()
-	if !m.phaseWall.set {
-		m.phaseWall.opts, m.phaseWall.set = phaseWallBuckets, true
-	}
-	m.phaseWall.mu.Unlock()
 }
 
 // RecordPhase attributes d of request wall time to one pipeline phase
@@ -123,7 +150,6 @@ func (m *Metrics) initHists() {
 // daemon records one observation per phase per request, read from the
 // request's span tree after the solve.
 func (m *Metrics) RecordPhase(phase string, d time.Duration) {
-	m.initHists()
 	m.phaseWall.Observe(phase, d.Seconds())
 }
 
@@ -180,65 +206,15 @@ func (m *Metrics) PhaseExemplars() []PhaseExemplar {
 	return out
 }
 
-// SolveSample is the per-solve bulk update recorded into a Metrics.
-type SolveSample struct {
-	Status         string // "optimal", "feasible", "infeasible", "limit", "unbounded"
-	Wall           time.Duration
-	Nodes          int
-	SimplexIters   int
-	LURefactors    int
-	PresolveFixes  int
-	Incumbents     int
-	Branched       int
-	PrunedBound    int
-	PrunedInfeas   int
-	IntegralLeaves int
-	LostSubtrees   int
-	PrunedStale    int
-}
-
-// RecordSolve folds one finished solve into the counters and the
-// solve-level histograms (latency, nodes, simplex iterations).
-func (m *Metrics) RecordSolve(s SolveSample) {
-	m.solves.Add(1)
-	switch s.Status {
-	case "optimal":
-		m.solvesOptimal.Add(1)
-	case "feasible":
-		m.solvesFeasible.Add(1)
-	case "infeasible":
-		m.solvesInfeas.Add(1)
-	case "limit":
-		m.solvesLimit.Add(1)
-	case "unbounded":
-		m.solvesUnbounded.Add(1)
-	}
-	m.wallMicros.Add(s.Wall.Microseconds())
-	m.nodes.Add(int64(s.Nodes))
-	m.simplexIters.Add(int64(s.SimplexIters))
-	m.luRefactors.Add(int64(s.LURefactors))
-	m.presolveFixes.Add(int64(s.PresolveFixes))
-	m.incumbents.Add(int64(s.Incumbents))
-	m.branched.Add(int64(s.Branched))
-	m.prunedBound.Add(int64(s.PrunedBound))
-	m.prunedInfeas.Add(int64(s.PrunedInfeas))
-	m.integralLeaves.Add(int64(s.IntegralLeaves))
-	m.lostSubtrees.Add(int64(s.LostSubtrees))
-	m.prunedStale.Add(int64(s.PrunedStale))
-	m.initHists()
-	m.solveWallHist.Observe(s.Wall.Seconds())
-	m.solveNodesHist.Observe(float64(s.Nodes))
-	m.solveItersHist.Observe(float64(s.SimplexIters))
-}
-
 // RequestSample is the per-request bulk update recorded by a serving
 // frontend (cmd/ruleplaced). Status and StopReason label the request
 // counter; InstalledRules feeds the placement-size histogram when the
 // request produced a placement (Placed).
 type RequestSample struct {
 	// Status is the request outcome: a placement status ("optimal",
-	// "feasible", "infeasible", "limit"), or a frontend outcome
-	// ("shed", "bad_request", "error", "canceled").
+	// "feasible", "infeasible", "limit"), a frontend outcome ("shed",
+	// "bad_request", "error", "canceled", "not_found"), or a session
+	// read or removal that solved nothing ("fetched", "deleted").
 	Status string
 	// StopReason is the solver stop reason ("none" when the tree was
 	// exhausted; "" for requests that never reached the solver).
@@ -257,7 +233,6 @@ func (m *Metrics) RecordRequest(s RequestSample) {
 	}
 	m.byStatus.Add(1, s.Status, reason)
 	if s.Placed {
-		m.initHists()
 		m.placedRules.Observe(float64(s.InstalledRules))
 	}
 }
@@ -290,102 +265,67 @@ func (m *Metrics) InFlight() *Gauge { return &m.requests }
 // solve slot.
 func (m *Metrics) QueueDepth() *Gauge { return &m.queue }
 
-// Reset zeroes every instrument (counters, gauges, histograms, labeled
-// series), so tests can use Default without cross-test bleed. Resetting
-// a live registry mid-scrape is safe but produces a mixed snapshot;
-// production processes have no reason to call it.
-func (m *Metrics) Reset() {
-	for _, c := range []*atomic.Int64{
-		&m.solves, &m.solvesOptimal, &m.solvesFeasible, &m.solvesInfeas,
-		&m.solvesLimit, &m.solvesUnbounded, &m.nodes, &m.simplexIters,
-		&m.luRefactors, &m.presolveFixes, &m.incumbents, &m.branched,
-		&m.prunedBound, &m.prunedInfeas, &m.integralLeaves,
-		&m.lostSubtrees, &m.prunedStale, &m.wallMicros,
-	} {
-		c.Store(0)
-	}
-	m.solveWallHist.reset()
-	m.solveNodesHist.reset()
-	m.solveItersHist.reset()
-	m.placedRules.reset()
-	m.requests.Set(0)
-	m.queue.Set(0)
-	m.byStatus.reset()
-	m.phaseWall.reset()
-	m.phaseSlowMu.Lock()
-	m.phaseSlow = nil
-	m.phaseSlowMu.Unlock()
-	m.sessions.Set(0)
-	m.deltas.reset()
-	m.encodeCache.reset()
-}
-
 // RequestCount is one (status, stop_reason) series of the request
 // counter.
 type RequestCount struct {
-	Status     string `json:"status"`
-	StopReason string `json:"stop_reason"`
-	Count      int64  `json:"count"`
+	Status     string
+	StopReason string
+	Count      int64
 }
 
 // DeltaCount is one solve-path series of the session delta counter.
 type DeltaCount struct {
-	Path  string `json:"path"`
-	Count int64  `json:"count"`
+	Path  string
+	Count int64
 }
 
 // EncodeCacheCount is one (kind, outcome) series of the session
 // cache lookup counter.
 type EncodeCacheCount struct {
-	Kind    string `json:"kind"`    // "policy", "merge" or "solution"
-	Outcome string `json:"outcome"` // "hit" or "miss"
-	Count   int64  `json:"count"`
+	Kind    string // "policy", "merge" or "solution"
+	Outcome string // "hit" or "miss"
+	Count   int64
 }
 
-// MetricsSnapshot is a point-in-time JSON-encodable copy of a Metrics.
+// MetricsSnapshot is a point-in-time copy of a Metrics, the input of
+// WritePrometheus.
 type MetricsSnapshot struct {
-	Solves           int64   `json:"solves"`
-	SolvesOptimal    int64   `json:"solves_optimal"`
-	SolvesFeasible   int64   `json:"solves_feasible"`
-	SolvesInfeasible int64   `json:"solves_infeasible"`
-	SolvesLimit      int64   `json:"solves_limit"`
-	SolvesUnbounded  int64   `json:"solves_unbounded"`
-	SolveWallSec     float64 `json:"solve_wall_sec"`
-	Nodes            int64   `json:"nodes"`
-	SimplexIters     int64   `json:"simplex_iters"`
-	LURefactors      int64   `json:"lu_refactors"`
-	PresolveFixes    int64   `json:"presolve_fixes"`
-	Incumbents       int64   `json:"incumbents"`
-	Branched         int64   `json:"branched"`
-	PrunedBound      int64   `json:"pruned_bound"`
-	PrunedInfeasible int64   `json:"pruned_infeasible"`
-	IntegralLeaves   int64   `json:"integral_leaves"`
-	LostSubtrees     int64   `json:"lost_subtrees"`
-	PrunedStale      int64   `json:"pruned_stale"`
+	SolvesOptimal    int64
+	SolvesFeasible   int64
+	SolvesInfeasible int64
+	SolvesLimit      int64
+	SolvesUnbounded  int64
+	SolveWallSec     float64
+	Nodes            int64
+	SimplexIters     int64
+	LURefactors      int64
+	PresolveFixes    int64
+	Incumbents       int64
+	Branched         int64
+	PrunedBound      int64
+	PrunedInfeasible int64
+	IntegralLeaves   int64
+	LostSubtrees     int64
+	PrunedStale      int64
 
-	InFlightRequests int64              `json:"in_flight_requests"`
-	QueueDepth       int64              `json:"queue_depth"`
-	SessionsActive   int64              `json:"sessions_active"`
-	Deltas           []DeltaCount       `json:"session_deltas,omitempty"`
-	EncodeCache      []EncodeCacheCount `json:"encode_cache,omitempty"`
-	Requests         []RequestCount     `json:"requests,omitempty"`
-	SolveWallHist    HistogramSnapshot  `json:"solve_wall_seconds_hist"`
-	SolveNodesHist   HistogramSnapshot  `json:"solve_nodes_hist"`
-	SolveItersHist   HistogramSnapshot  `json:"solve_simplex_iters_hist"`
-	InstalledRules   HistogramSnapshot  `json:"installed_rules_hist"`
+	InFlightRequests int64
+	QueueDepth       int64
+	SessionsActive   int64
+	Deltas           []DeltaCount
+	EncodeCache      []EncodeCacheCount
+	Requests         []RequestCount
+	SolveWallHist    HistogramSnapshot
+	SolveNodesHist   HistogramSnapshot
+	SolveItersHist   HistogramSnapshot
+	InstalledRules   HistogramSnapshot
 	// PhaseWall attributes request wall time per pipeline phase
 	// (absent until the daemon records a request).
-	PhaseWall []LabeledHist `json:"request_phase_seconds_hist,omitempty"`
-	// PhaseExemplars names, per phase, the trace whose observation was
-	// slowest — the concrete request behind the histogram's top bucket.
-	PhaseExemplars []PhaseExemplar `json:"phase_exemplars,omitempty"`
+	PhaseWall []LabeledHist
 }
 
 // Snapshot copies the current instrument values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.initHists()
 	s := MetricsSnapshot{
-		Solves:           m.solves.Load(),
 		SolvesOptimal:    m.solvesOptimal.Load(),
 		SolvesFeasible:   m.solvesFeasible.Load(),
 		SolvesInfeasible: m.solvesInfeas.Load(),
@@ -405,14 +345,13 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		PrunedStale:      m.prunedStale.Load(),
 		InFlightRequests: m.requests.Value(),
 		QueueDepth:       m.queue.Value(),
+		SessionsActive:   m.sessions.Value(),
 		SolveWallHist:    m.solveWallHist.Snapshot(),
 		SolveNodesHist:   m.solveNodesHist.Snapshot(),
 		SolveItersHist:   m.solveItersHist.Snapshot(),
 		InstalledRules:   m.placedRules.Snapshot(),
 		PhaseWall:        m.phaseWall.Snapshot(),
-		PhaseExemplars:   m.PhaseExemplars(),
 	}
-	s.SessionsActive = m.sessions.Value()
 	for _, lc := range m.byStatus.Snapshot() {
 		rc := RequestCount{Count: lc.Value}
 		if len(lc.Labels) > 0 {
@@ -441,13 +380,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		s.EncodeCache = append(s.EncodeCache, ec)
 	}
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.Snapshot())
 }
 
 // series is one exposition line: optional label set and a value.

@@ -20,9 +20,11 @@
 //     guards, and span mutation is mutex-serialized so parallel sweeps
 //     can share a Trace.
 //
-//   - Metrics exposition: cheap process-wide atomic counters (always
-//     on; one bulk update per solve) with Prometheus-text and JSON
-//     snapshot encoders.
+//   - Metrics exposition: a registry (NewMetrics) that is one more
+//     Sink. It folds solver events into atomic counters and per-solve
+//     histograms, takes the daemon's per-request samples, and renders
+//     Prometheus text. Each process that exposes counters builds and
+//     attaches its own; the solver writes no process-global state.
 //
 // Determinism rule: timing fields (Event.TimeMS, span wall times,
 // alloc deltas) are observational only. No consumer may route them
@@ -57,7 +59,10 @@ const (
 	// Incumbent, BestBound, Gap.
 	KindGap = "gap"
 	// KindDone closes the trace: final status (Outcome), stop reason
-	// (Reason), node/iteration totals, Incumbent, BestBound, Gap.
+	// (Reason), the solve's node, simplex iteration and LU
+	// refactorization totals (Node, Iters, Refactors), Incumbent,
+	// BestBound, Gap. Only the totals count the strong-branch trials
+	// and a root LP that ends the solve.
 	KindDone = "done"
 	// KindFlightMeta heads a flight-recorder dump (see FlightRecorder):
 	// Node carries the retained event count, Seen/Dropped the loss
@@ -111,9 +116,11 @@ type Event struct {
 	BranchVar int `json:"branch_var"`
 	// Frac is the branching variable's fractional part distance.
 	Frac float64 `json:"frac"`
-	// Iters is the simplex iteration delta attributed to this event.
+	// Iters is the simplex iteration delta attributed to this event
+	// (KindDone: the solve's total).
 	Iters int `json:"iters"`
-	// Refactors is the LU refactorization delta for this event.
+	// Refactors is the LU refactorization delta for this event
+	// (KindDone: the solve's total).
 	Refactors int `json:"refactors"`
 	// Fixes is the presolve bound-tightening count (KindPresolve).
 	Fixes int `json:"fixes"`
@@ -146,7 +153,8 @@ func (e Event) Normalize() Event {
 // back into the solver; the solve's behavior never depends on the sink.
 // Events arrive from a single goroutine per solve, but separate
 // concurrent solves may share a sink, so implementations that aggregate
-// must lock (FlightRecorder, JSONLWriter and Progress do).
+// must lock (FlightRecorder, JSONLWriter and Progress do) or add
+// atomically (Metrics does).
 //
 // A nil Sink means observability is off: hot paths call methods only
 // behind a `!= nil` guard so the fast path stays allocation-free.

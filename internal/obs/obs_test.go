@@ -147,24 +147,46 @@ func TestSpanMeasuresWall(t *testing.T) {
 	}
 }
 
+// TestMetricsRecordAndEncoders feeds a registry two solves' event
+// streams: per-event counters fold from their kinds, and the totals
+// (solves, nodes, iterations, refactorizations, wall) from the done
+// events alone, which also count the effort no other event carries.
 func TestMetricsRecordAndEncoders(t *testing.T) {
-	var m Metrics
-	m.RecordSolve(SolveSample{
-		Status: "optimal", Wall: 1500 * time.Microsecond,
-		Nodes: 5, SimplexIters: 40, LURefactors: 2, PresolveFixes: 3,
-		Incumbents: 1, Branched: 2, PrunedBound: 1, PrunedInfeas: 1,
-		IntegralLeaves: 1, LostSubtrees: 0, PrunedStale: 1,
-	})
-	m.RecordSolve(SolveSample{Status: "limit", Nodes: 10, Branched: 10})
+	m := NewMetrics()
+	for _, e := range []Event{
+		{Kind: KindPresolve, Fixes: 3},
+		{Kind: KindRootLP, Iters: 12, Refactors: 1},
+		{Kind: KindNode, Node: 1, Outcome: OutcomeBranched},
+		{Kind: KindNode, Node: 2, Outcome: OutcomeBranched, Iters: 5},
+		{Kind: KindNode, Node: 3, Outcome: OutcomeBound, Iters: 5},
+		{Kind: KindSkip},
+		{Kind: KindNode, Node: 4, Outcome: OutcomeInfeasible, Iters: 5},
+		{Kind: KindNode, Node: 5, Outcome: OutcomeIntegral, Iters: 5},
+		{Kind: KindIncumbent, Node: 5},
+		{Kind: KindDone, Node: 5, Outcome: "optimal", Iters: 40, Refactors: 2, TimeMS: 1.5},
+	} {
+		m.Event(e)
+	}
+	for i := 1; i <= 10; i++ {
+		m.Event(Event{Kind: KindNode, Node: i, Outcome: OutcomeBranched})
+	}
+	m.Event(Event{Kind: KindDone, Node: 10, Outcome: "limit"})
 	s := m.Snapshot()
-	if s.Solves != 2 || s.SolvesOptimal != 1 || s.SolvesLimit != 1 {
+	if s.SolvesOptimal != 1 || s.SolvesLimit != 1 || s.SolvesFeasible+s.SolvesInfeasible+s.SolvesUnbounded != 0 {
 		t.Fatalf("solve counts wrong: %+v", s)
 	}
-	if s.Nodes != 15 || s.Branched != 12 || s.PrunedStale != 1 {
+	if s.Nodes != 15 || s.Branched != 12 || s.PrunedBound != 1 || s.PrunedInfeasible != 1 ||
+		s.IntegralLeaves != 1 || s.PrunedStale != 1 || s.Incumbents != 1 {
 		t.Fatalf("node counts wrong: %+v", s)
+	}
+	if s.SimplexIters != 40 || s.LURefactors != 2 || s.PresolveFixes != 3 {
+		t.Fatalf("effort wrong: %+v", s)
 	}
 	if s.SolveWallSec < 0.001 || s.SolveWallSec > 0.01 {
 		t.Fatalf("wall = %v", s.SolveWallSec)
+	}
+	if s.SolveNodesHist.Count != 2 || s.SolveItersHist.Sum != 40 {
+		t.Fatalf("per-solve histograms wrong: %+v %+v", s.SolveNodesHist, s.SolveItersHist)
 	}
 
 	var prom bytes.Buffer
@@ -181,13 +203,5 @@ func TestMetricsRecordAndEncoders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
-	}
-
-	var js bytes.Buffer
-	if err := m.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), `"nodes": 15`) {
-		t.Fatalf("json output missing nodes:\n%s", js.String())
 	}
 }

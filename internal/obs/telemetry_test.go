@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHistogramCumulativeSnapshot(t *testing.T) {
@@ -96,9 +95,9 @@ func TestGauge(t *testing.T) {
 }
 
 func TestPrometheusExpositionConformance(t *testing.T) {
-	var m Metrics
-	m.RecordSolve(SolveSample{Status: "optimal", Wall: 2 * time.Millisecond, Nodes: 9, SimplexIters: 120})
-	m.RecordSolve(SolveSample{Status: "limit", Wall: 40 * time.Millisecond, Nodes: 500, SimplexIters: 9000})
+	m := NewMetrics()
+	m.Event(Event{Kind: KindDone, Outcome: "optimal", Node: 9, Iters: 120, TimeMS: 2})
+	m.Event(Event{Kind: KindDone, Outcome: "limit", Node: 500, Iters: 9000, TimeMS: 40})
 	m.RecordRequest(RequestSample{Status: "optimal", Placed: true, InstalledRules: 42})
 	m.RecordRequest(RequestSample{Status: "shed"})
 	m.InFlight().Add(1)
@@ -150,25 +149,6 @@ func TestCheckPrometheusTextRejections(t *testing.T) {
 	valid := "# HELP c a counter\n# TYPE c counter\nc 1\n"
 	if err := CheckPrometheusText(strings.NewReader(valid)); err != nil {
 		t.Errorf("rejected valid payload: %v", err)
-	}
-}
-
-func TestMetricsReset(t *testing.T) {
-	var m Metrics
-	m.RecordSolve(SolveSample{Status: "optimal", Wall: time.Millisecond, Nodes: 3})
-	m.RecordRequest(RequestSample{Status: "optimal", Placed: true, InstalledRules: 5})
-	m.InFlight().Add(1)
-	m.Reset()
-	s := m.Snapshot()
-	if s.Solves != 0 || s.Nodes != 0 || s.InFlightRequests != 0 || len(s.Requests) != 0 {
-		t.Fatalf("Reset left residue: %+v", s)
-	}
-	if s.SolveWallHist.Count != 0 || s.InstalledRules.Count != 0 {
-		t.Fatalf("Reset left histogram residue: %+v", s)
-	}
-	// Layout survives a reset.
-	if len(s.SolveWallHist.Buckets) != solveWallBuckets.Count+1 {
-		t.Fatalf("Reset dropped bucket layout: %d buckets", len(s.SolveWallHist.Buckets))
 	}
 }
 

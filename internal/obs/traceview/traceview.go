@@ -1,7 +1,7 @@
 // Package traceview summarizes JSONL solver traces produced by the
 // obs.JSONLWriter sink: prune-reason histogram, gap-convergence table,
-// and internal-consistency checks (outcome counts must sum to the node
-// total; the final gap must match the done event).
+// solver effort, and an internal-consistency check (the node events'
+// outcomes must sum to the done events' node total).
 package traceview
 
 import (
@@ -23,7 +23,13 @@ type GapPoint struct {
 	TimeMS    float64 `json:"time_ms"`
 }
 
-// Summary aggregates one solver trace.
+// Summary aggregates one solver trace, which may hold several solves
+// (a decomposed placement's sub-solves). Nodes, SimplexIters and
+// LURefactors are the done events' totals summed over solves, which
+// count strong-branch trials and a root LP that ends its solve. A
+// partial dump may have lost its done events, so it reports the node
+// events it retained and the iterations and refactorizations those and
+// the root_lp events carry.
 type Summary struct {
 	Events        int            `json:"events"`
 	Nodes         int            `json:"nodes"`
@@ -50,6 +56,10 @@ type Summary struct {
 	hasDone       bool
 }
 
+// effort is one way of counting a trace's nodes, simplex iterations
+// and LU refactorizations.
+type effort struct{ nodes, iters, refactors int }
+
 // Summarize reads a JSONL trace and aggregates it.
 func Summarize(r io.Reader) (*Summary, error) {
 	events, err := obs.ReadEvents(r)
@@ -62,6 +72,7 @@ func Summarize(r io.Reader) (*Summary, error) {
 // Of aggregates an in-memory event slice.
 func Of(events []obs.Event) *Summary {
 	s := &Summary{Outcomes: map[string]int{}, FinalGap: -1}
+	var perEvent, done effort
 	for _, e := range events {
 		s.Events++
 		switch e.Kind {
@@ -69,13 +80,13 @@ func Of(events []obs.Event) *Summary {
 			s.PresolveFixes += e.Fixes
 		case obs.KindRootLP:
 			s.RootBound = e.Bound
-			s.SimplexIters += e.Iters
-			s.LURefactors += e.Refactors
+			perEvent.iters += e.Iters
+			perEvent.refactors += e.Refactors
 		case obs.KindNode:
-			s.Nodes++
 			s.Outcomes[e.Outcome]++
-			s.SimplexIters += e.Iters
-			s.LURefactors += e.Refactors
+			perEvent.nodes++
+			perEvent.iters += e.Iters
+			perEvent.refactors += e.Refactors
 			if e.Depth > s.MaxDepth {
 				s.MaxDepth = e.Depth
 			}
@@ -90,6 +101,9 @@ func Of(events []obs.Event) *Summary {
 			})
 		case obs.KindDone:
 			s.hasDone = true
+			done.nodes += e.Node
+			done.iters += e.Iters
+			done.refactors += e.Refactors
 			s.FinalStatus = e.Outcome
 			s.StopReason = e.Reason
 			s.FinalObj = e.Incumbent
@@ -101,26 +115,32 @@ func Of(events []obs.Event) *Summary {
 			s.DroppedEvents = e.Dropped
 		}
 	}
+	counted := done
+	if s.Partial {
+		counted = perEvent
+	}
+	s.Nodes, s.SimplexIters, s.LURefactors = counted.nodes, counted.iters, counted.refactors
 	return s
 }
 
-// Check verifies the trace's internal accounting: every expanded node
-// carries exactly one outcome (so outcome counts sum to the node
-// total), and the trace is closed by a done event. Partial
-// flight-recorder dumps keep the outcome consistency check (it holds
-// over whatever tail the ring retained) but are excused from the
-// done-event requirement — a ring dumped mid-solve, or after the ring
-// overwrote the beginning, has no reason to contain one.
+// Check verifies the trace's internal accounting: it is closed by a
+// done event, and its node events carry exactly one outcome per node
+// the done events count. Partial flight-recorder dumps are excused: a
+// ring dumped mid-solve, or after it overwrote the beginning, holds a
+// tail of the stream that no done total describes.
 func (s *Summary) Check() error {
+	if s.Partial {
+		return nil
+	}
+	if !s.hasDone {
+		return fmt.Errorf("trace has no done event")
+	}
 	sum := 0
 	for _, n := range s.Outcomes {
 		sum += n
 	}
 	if sum != s.Nodes {
-		return fmt.Errorf("outcome counts sum to %d, want %d nodes", sum, s.Nodes)
-	}
-	if !s.hasDone && !s.Partial {
-		return fmt.Errorf("trace has no done event")
+		return fmt.Errorf("node events carry %d outcomes, done events count %d nodes", sum, s.Nodes)
 	}
 	return nil
 }

@@ -8,6 +8,10 @@ import (
 	"rulefit/internal/obs"
 )
 
+// sampleEvents is one solve's stream. Its done event carries the
+// solve's totals, which exceed the root_lp and node events' sums
+// (29 iterations, 1 refactorization) by the strong-branch trials no
+// other event counts.
 func sampleEvents() []obs.Event {
 	return []obs.Event{
 		{Kind: obs.KindPresolve, Fixes: 2, Gap: -1},
@@ -18,7 +22,8 @@ func sampleEvents() []obs.Event {
 		{Kind: obs.KindGap, Node: 2, Incumbent: 5, BestBound: 4, Gap: 0.2},
 		{Kind: obs.KindNode, Node: 3, Parent: 1, Depth: 1, Outcome: obs.OutcomeBound, Bound: 5, BranchVar: -1, Iters: 2, Gap: -1},
 		{Kind: obs.KindSkip, Node: 0, Bound: 6, Gap: -1},
-		{Kind: obs.KindDone, Node: 3, Outcome: "optimal", Reason: "none", Incumbent: 5, BestBound: 5, Gap: 0},
+		{Kind: obs.KindDone, Node: 3, Outcome: "optimal", Reason: "none", Iters: 40, Refactors: 3,
+			Incumbent: 5, BestBound: 5, Gap: 0},
 	}
 }
 
@@ -30,7 +35,7 @@ func TestOfAggregates(t *testing.T) {
 	if s.Outcomes[obs.OutcomeBranched] != 1 || s.Outcomes[obs.OutcomeIntegral] != 1 || s.Outcomes[obs.OutcomeBound] != 1 {
 		t.Fatalf("outcomes wrong: %v", s.Outcomes)
 	}
-	if s.SimplexIters != 12+12+3+2 || s.LURefactors != 1 || s.PresolveFixes != 2 {
+	if s.SimplexIters != 40 || s.LURefactors != 3 || s.PresolveFixes != 2 {
 		t.Fatalf("effort wrong: %+v", s)
 	}
 	if len(s.GapCurve) != 1 || s.GapCurve[0].Gap != 0.2 {
@@ -46,14 +51,46 @@ func TestOfAggregates(t *testing.T) {
 
 func TestCheckCatchesBadAccounting(t *testing.T) {
 	ev := sampleEvents()
-	s := Of(ev)
-	s.Nodes++ // outcome counts now undercount the node total
-	if err := s.Check(); err == nil {
-		t.Fatal("Check missed an outcome/node mismatch")
+	for i, e := range ev {
+		if e.Kind != obs.KindNode {
+			continue
+		}
+		lost := append(append([]obs.Event(nil), ev[:i]...), ev[i+1:]...)
+		if err := Of(lost).Check(); err == nil {
+			t.Fatalf("Check missed node event %d's removal", e.Node)
+		}
 	}
 	s2 := Of(ev[:len(ev)-1]) // no done event
 	if err := s2.Check(); err == nil {
 		t.Fatal("Check missed a missing done event")
+	}
+}
+
+// TestMultiSolveTotals: a trace of several solves sums their done
+// totals.
+func TestMultiSolveTotals(t *testing.T) {
+	ev := append(sampleEvents(), sampleEvents()...)
+	s := Of(ev)
+	if s.Nodes != 6 || s.SimplexIters != 80 || s.LURefactors != 6 {
+		t.Fatalf("two solves: %d nodes, %d iters, %d refactors; want 6, 80, 6", s.Nodes, s.SimplexIters, s.LURefactors)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartialDumpCountsEvents: a flight dump's tail has no done total
+// to trust, so it reports what its events carry and passes Check
+// without a done event.
+func TestPartialDumpCountsEvents(t *testing.T) {
+	ev := sampleEvents()
+	dump := append([]obs.Event{{Kind: obs.KindFlightMeta, Node: len(ev) - 1, Seen: len(ev)}}, ev[:len(ev)-1]...)
+	s := Of(dump)
+	if !s.Partial || s.Nodes != 3 || s.SimplexIters != 29 || s.LURefactors != 1 {
+		t.Fatalf("partial dump: %+v", s)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatalf("partial dump failed Check: %v", err)
 	}
 }
 

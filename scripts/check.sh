@@ -137,6 +137,9 @@ stage_smoke() {
     curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/place" > "$work/place.json"
     expect "$work/place.json" '"status":"optimal"'
     scrape /metrics 'rulefit_requests_total{status="optimal"'
+    # The merging request ran one joint solve, whose events the
+    # daemon's own registry folds.
+    scrape /metrics 'rulefit_solves_total{status="optimal"} [1-9]'
     "$work/ruleload" -target "$daemon_url" -seed 7 -requests 8 -rps 50 -quiet -out "$work/load.json"
     "$work/benchdiff" -check "$work/load.json"
     "$work/benchdiff" "$work/load.json" "$work/load.json" > /dev/null
