@@ -10,7 +10,11 @@
 //	          [-flight out.jsonl] [-flight-events N]
 //
 // -trace writes the solver's structured event stream (node expansions,
-// prunes, incumbents, bound gap) as JSONL and prints a search summary.
+// prunes, incumbents, bound gap) as JSONL, prints a search summary, and
+// checks that the trace's totals equal the answer's nodes, simplex
+// iterations and LU refactorizations. An answer runs at most one ILP
+// solve; one that runs none (a certified decomposition, the SAT
+// backend) leaves an empty trace.
 // -flight instead retains only the tail of the stream in a fixed-size
 // ring (-flight-events, default 4096) and dumps it after the solve —
 // the same bounded-memory recorder the daemon keeps always-on; useful
@@ -200,6 +204,10 @@ func run() error {
 		fmt.Print(sum.Render())
 		if err := sum.Check(); err != nil {
 			return fmt.Errorf("trace self-check: %w", err)
+		}
+		if st := pl.Stats; sum.Nodes != st.BnBNodes || sum.SimplexIters != st.SimplexIters || sum.LURefactors != st.LURefactors {
+			return fmt.Errorf("trace self-check: trace counts %d nodes, %d iters, %d refactors; the answer %d, %d, %d",
+				sum.Nodes, sum.SimplexIters, sum.LURefactors, st.BnBNodes, st.SimplexIters, st.LURefactors)
 		}
 	}
 	if flightRec != nil {

@@ -13,9 +13,10 @@
 //
 // -json emits the summary as JSON instead of the human report.
 // -check exits nonzero if a full trace fails its internal-consistency
-// accounting: it must end in a done event, and its node events'
-// outcomes must sum to the done events' node totals. Partial flight
-// dumps are recognized by their flight_meta header and excused.
+// accounting: it must be empty (the answer ran no ILP solve) or end in
+// a done event, and its node events' outcomes must sum to the done
+// events' node totals. Partial flight dumps are recognized by their
+// flight_meta header and excused.
 // The effort line reads the done events' iteration and LU
 // refactorization totals, summed over the trace's solves.
 package main

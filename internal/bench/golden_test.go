@@ -69,7 +69,7 @@ func goldenReport() *Report {
 					TotalRules:  37,
 					Variables:   120,
 					Constraints: 260,
-					SolvePath:   "decomposed",
+					SolvePath:   "fallback",
 					Stats: ilp.Stats{
 						BnBNodes:          9,
 						SimplexIters:      431,

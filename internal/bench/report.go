@@ -74,8 +74,10 @@ type RunRecord struct {
 	TotalRules  int     `json:"total_rules"`
 	Variables   int     `json:"variables"`
 	Constraints int     `json:"constraints"`
-	// SolvePath is the route Place took: certified, decomposed,
-	// fallback or joint (core.SolvePath).
+	// SolvePath is the route Place took (core.SolvePath): certified
+	// (every per-policy fragment proven by counting, no solve),
+	// fallback (the decomposition gave up and the joint MILP
+	// answered) or joint (not decomposable).
 	SolvePath string `json:"solve_path"`
 	ilp.Stats
 }

@@ -30,9 +30,9 @@ import (
 // (problem, options) pair, so cold solves and the stateful delta path
 // produce byte-identical placements. That determinism is what lets the
 // session layer (internal/state) cache per-policy fragments in a
-// SolutionCache: a single-rule delta re-solves one subproblem and
+// SolutionCache: a single-rule delta re-certifies one subproblem and
 // serves the rest from cache, with the exact bytes a from-scratch
-// decomposed solve would produce — solver-effort stats included.
+// decomposed solve would produce.
 //
 // Certified fragments: in this regime every rule that has a variable
 // must be installed at least once — a DROP by its Eq. 2 cover rows, a
@@ -42,19 +42,16 @@ import (
 // bound, and its placement is returned as the proven optimum without
 // building the sub-MILP (certify). The certificate is a pure function
 // of the sub-problem's encoding, so it keeps the determinism above.
-//
-// Note on time limits: each subproblem inherits the full
-// Options.TimeLimit (a shared wall-clock budget would make the
-// cache-hit pattern observable in the answer, breaking byte identity),
-// so a decomposed solve can take up to len(Policies) times the limit
-// in the worst case. Any subproblem that fails to prove optimality
-// falls back to the joint solve.
+// The first policy it cannot prove ends the decomposition and Place
+// answers with the joint MILP, so an answer runs at most one ilp.Solve.
 
 // decomposable reports whether the instance/options pair qualifies for
 // per-policy decomposition. Merging couples policies through shared
 // merged variables, ObjMinMaxLoad through the z variable, and other
 // objectives are excluded conservatively; monitors are excluded to
 // keep the encode-proven-infeasible path on the joint solver.
+// Single-policy instances stay on the joint MILP, so the answer among
+// their tied optima does not move.
 func decomposable(prob *Problem, opts Options) bool {
 	return opts.Backend == BackendILP &&
 		opts.Objective == ObjTotalRules &&
@@ -65,10 +62,11 @@ func decomposable(prob *Problem, opts Options) bool {
 }
 
 // placeDecomposed tries the per-policy decomposition. ok=false means
-// the caller must fall back to the joint solve (a subproblem did not
-// prove optimality, a sub-encode failed, or the stitched optima
-// violate a shared capacity); the decision is deterministic.
-func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement, ok bool, err error) {
+// the caller must fall back to the joint solve: a policy's sub-problem
+// failed its encode or the certificate (the span's "uncertified"
+// counter), or the stitched optima violate a shared capacity
+// ("stitch_rejected"). The decision is deterministic.
+func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement, ok bool) {
 	dSp := span.Child("decompose")
 	defer dSp.End()
 	start := time.Now()
@@ -83,14 +81,10 @@ func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement
 				continue
 			}
 		}
-		frag, err := solveSub(prob, pol, opts, dSp)
-		if err != nil {
-			// The joint encode reproduces the condition with the
-			// canonical (whole-instance) error message.
-			return nil, false, nil
-		}
-		if frag.Status != StatusOptimal {
-			return nil, false, nil
+		frag, ok := certifySub(prob, pol, opts, dSp)
+		if !ok {
+			dSp.SetCount("uncertified", 1)
+			return nil, false
 		}
 		if cache != nil {
 			cache.store(key, frag)
@@ -101,55 +95,47 @@ func placeDecomposed(prob *Problem, opts Options, span *obs.Span) (pl *Placement
 	// Stitch acceptance: the independent optima must jointly respect
 	// every switch capacity (no merging, so each slot counts 1).
 	usage := make(map[topology.SwitchID]int)
-	certified := 0
 	for _, frag := range frags {
-		if frag.Stats.SolvePath == SolveCertified {
-			certified++
-		}
 		for ri := range frag.Assign[0] {
 			for _, sw := range frag.Assign[0][ri] {
 				usage[sw]++
 			}
 		}
 	}
-	dSp.SetCount("certified", int64(certified))
 	for _, sw := range prob.Network.Switches() {
 		if usage[sw.ID] > sw.Capacity {
 			dSp.SetCount("stitch_rejected", 1)
-			return nil, false, nil
+			return nil, false
 		}
 	}
 
 	pl = stitch(frags, opts)
 	pl.Stats.SolveTime = time.Since(start)
 	dSp.SetCount("fragments", int64(len(frags)))
-	return pl, true, nil
+	return pl, true
 }
 
-// solveSub solves one policy's subproblem: the full network and
-// routing, one policy. The counting certificate answers it when it
-// can; otherwise the sub-MILP does. Per-policy encode artifacts still
-// flow through opts.EncodeCache; the observational solver sink is
-// inherited (a certified fragment emits no solver events).
-func solveSub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (*Placement, error) {
+// certifySub encodes one policy's subproblem (the full network and
+// routing, one policy) and runs the counting certificate on it.
+// ok=false means the encode failed or the certificate did not fire;
+// the joint encode reproduces an encode error with the canonical
+// (whole-instance) message. Per-policy encode artifacts still flow
+// through opts.EncodeCache.
+func certifySub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (*Placement, bool) {
 	sub := &Problem{Network: prob.Network, Routing: prob.Routing, Policies: []*policy.Policy{pol}}
 	subSp := span.Child("sub_solve")
 	defer subSp.End()
 	enc, err := encodeTraced(sub, opts, subSp)
 	if err != nil {
-		return nil, err
+		return nil, false
 	}
 	pl, ok := certify(enc)
 	if !ok {
-		if pl, err = solveILP(enc, opts, subSp); err != nil {
-			return nil, err
-		}
-		pl.Stats.SolvePath = SolveDecomposed
+		return nil, false
 	}
-	pl.Stats.Backend = opts.Backend
 	pl.Stats.Variables = len(enc.vars)
 	pl.Stats.Constraints = enc.numConstraints()
-	return pl, nil
+	return pl, true
 }
 
 // certify runs the greedy pass on a sub-problem's encoding and returns
@@ -213,75 +199,42 @@ func encodingViolation(enc *encoding, pl *Placement) string {
 	return ""
 }
 
-// stitch concatenates per-policy fragments into the joint placement.
-// Every field the wire projection (daemon.EncodePlacement) carries is
-// a deterministic aggregate of fragment state, so a cache-served
-// fragment is indistinguishable from a fresh sub-solve.
+// stitch concatenates certified per-policy fragments into the joint
+// placement. Every fragment is a proven optimum that ran no solver, so
+// the stitch carries no solver counters: it sums the totals and the
+// encoding sizes, and its bound is its objective.
 func stitch(frags []*Placement, opts Options) *Placement {
 	pl := &Placement{
 		Status:   StatusOptimal,
 		Policies: make([]*policy.Policy, len(frags)),
 		Assign:   make([][][]topology.SwitchID, len(frags)),
 		MergedAt: make([][]topology.SwitchID, 0),
-		Stats:    Stats{SolvePath: SolveCertified},
+		Stats:    Stats{Backend: opts.Backend, SolvePath: SolveCertified},
 	}
 	for i, frag := range frags {
 		pl.Policies[i] = frag.Policies[0]
 		pl.Assign[i] = frag.Assign[0]
 		pl.TotalRules += frag.TotalRules
 		pl.Objective += frag.Objective
-		s, f := &pl.Stats, frag.Stats
-		s.Variables += f.Variables
-		s.Constraints += f.Constraints
-		// Every ilp.Stats counter needs a rule here; TestStitchStats
-		// fails on one without.
-		s.BnBNodes += f.BnBNodes
-		s.SimplexIters += f.SimplexIters
-		s.LURefactors += f.LURefactors
-		s.Branched += f.Branched
-		s.PrunedBound += f.PrunedBound
-		s.PrunedInfeasible += f.PrunedInfeasible
-		s.IntegralLeaves += f.IntegralLeaves
-		s.LostSubtrees += f.LostSubtrees
-		s.PrunedStale += f.PrunedStale
-		s.Incumbents += f.Incumbents
-		s.StrongBranchEvals += f.StrongBranchEvals
-		s.WarmStartReuses += f.WarmStartReuses
-		s.PresolveFix += f.PresolveFix
-		s.BestBound += f.BestBound
-		if f.SolvePath != SolveCertified {
-			s.SolvePath = SolveDecomposed
-		}
-		if f.Workers > s.Workers {
-			s.Workers = f.Workers
-		}
-		// Per-fragment trees are independent; report the hardest one.
-		if f.LastIncumbentAtNode > s.LastIncumbentAtNode {
-			s.LastIncumbentAtNode = f.LastIncumbentAtNode
-		}
-		if f.RootGap > s.RootGap {
-			s.RootGap = f.RootGap
-		}
+		pl.Stats.Variables += frag.Stats.Variables
+		pl.Stats.Constraints += frag.Stats.Constraints
 	}
-	pl.Stats.Backend = opts.Backend
-	pl.Stats.Gap = 0
+	pl.Stats.BestBound = pl.Objective
 	return pl
 }
 
-// subSolutionKey renders everything a subproblem's solve can observe:
-// the solve options, the policy (content + ingress + default), its
-// path set (switch sequences and traffic slices), and the capacities
-// of every switch on those paths. Switches off the policy's paths
-// cannot host its variables, so they are not part of the key. Every
-// variable-length part is length-prefixed, so the key is a full
-// injective rendering (not a hash) and collisions are impossible.
+// subSolutionKey renders everything a certified fragment depends on:
+// the encode options it reads (RemoveRedundant, PathSlicing), the
+// policy (content + ingress + default), its path set (switch sequences
+// and traffic slices), and the capacities of every switch on those
+// paths. decomposable pins the objective and backend, and greedy reads
+// no solver option. Switches off the policy's paths cannot host its
+// variables, so they are not part of the key. Every variable-length
+// part is length-prefixed, so the key is a full injective rendering
+// (not a hash) and collisions are impossible.
 func subSolutionKey(prob *Problem, pol *policy.Policy, opts Options) string {
 	var b []byte
-	for _, v := range [...]int64{
-		int64(opts.Objective), int64(opts.Backend), boolKey(opts.RemoveRedundant),
-		boolKey(opts.PathSlicing), boolKey(opts.DisablePresolve), int64(opts.Workers),
-		int64(opts.TimeLimit),
-	} {
+	for _, v := range [...]int64{boolKey(opts.RemoveRedundant), boolKey(opts.PathSlicing)} {
 		b = binary.AppendVarint(b, v)
 	}
 	b = pol.AppendKey(b)
@@ -318,13 +271,13 @@ func boolKey(v bool) int64 {
 	return 0
 }
 
-// SolutionCache memoizes per-policy placement fragments produced by
-// the decomposed solve path, keyed by a full canonical rendering of
+// SolutionCache memoizes the certified per-policy placement fragments
+// of the decomposed solve path, keyed by a full canonical rendering of
 // the subproblem. The stateful session layer (internal/state) attaches
-// one per session so a small delta re-solves only the subproblems it
-// actually changed. A cache hit is indistinguishable from a fresh
-// sub-solve: fragments are stored and served as deep copies, and they
-// carry the deterministic solver-effort stats of the original solve.
+// one per session so a small delta re-certifies only the subproblems
+// it actually changed. A cache hit is indistinguishable from a fresh
+// certification: fragments are stored and served as deep copies, and
+// they carry the encoding sizes of the original one.
 type SolutionCache struct {
 	mu      sync.Mutex
 	entries *lru.Cache[*Placement]
@@ -372,8 +325,8 @@ func (c *SolutionCache) lookup(key string) (*Placement, bool) {
 	return cloneFragment(frag), true
 }
 
-// store records a freshly solved fragment (deep-copied, so the served
-// placement cannot alias cache-owned memory).
+// store records a freshly certified fragment (deep-copied, so the
+// served placement cannot alias cache-owned memory).
 func (c *SolutionCache) store(key string, frag *Placement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"rulefit/internal/ilp"
 	"rulefit/internal/obs"
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
@@ -30,9 +29,9 @@ func jointSolve(t *testing.T, prob *Problem, opts Options) *Placement {
 
 // mixedProblem is determinismProblem with policy 0's ingress switch
 // full (capacity 0). The two policies entering there have paths that
-// split right after it, so they need at least two copies of some
-// rules and their fragments take the sub-MILP; the other two policies
-// are certified by counting, and the stitch is accepted.
+// split right after it, so they need at least two copies of some rules
+// and fail the counting certificate, while the other two policies
+// certify. Policy 0 ends the decomposition, and the joint MILP answers.
 func mixedProblem(t *testing.T) *Problem {
 	t.Helper()
 	prob := determinismProblem(t)
@@ -43,35 +42,35 @@ func mixedProblem(t *testing.T) *Problem {
 	return prob
 }
 
-// decomposedFixtures are the accepted-stitch fixtures: one whose
-// fragments are all certified and one that mixes certified and MILP
-// fragments.
+// decomposedFixtures are the decomposable fixtures: one whose fragments
+// all certify, and one where policy 0 fails the certificate and the
+// joint MILP answers.
 var decomposedFixtures = []struct {
 	name  string
 	build func(*testing.T) *Problem
 	path  SolvePath
 }{
 	{"certified", determinismProblem, SolveCertified},
-	{"mixed", mixedProblem, SolveDecomposed},
+	{"mixed", mixedProblem, SolveFallback},
 }
 
 // decomposeCounts reads a traced Place's decompose span: the fragments
-// stitched, how many of them are certified, and the sub-solves run
-// (cache misses).
-func decomposeCounts(t *testing.T, tr *obs.Trace) (fragments, certified, subSolves int64) {
+// stitched (0 on a fallback), whether a policy failed the certificate,
+// and the sub-problems certified or tried (cache misses).
+func decomposeCounts(t *testing.T, tr *obs.Trace) (fragments, uncertified, subSolves int64) {
 	t.Helper()
 	for _, sp := range tr.Roots()[0].Children() {
 		if sp.Name() != "decompose" {
 			continue
 		}
 		fragments, _ = sp.Counter("fragments")
-		certified, _ = sp.Counter("certified")
+		uncertified, _ = sp.Counter("uncertified")
 		for _, ch := range sp.Children() {
 			if ch.Name() == "sub_solve" {
 				subSolves++
 			}
 		}
-		return fragments, certified, subSolves
+		return fragments, uncertified, subSolves
 	}
 	t.Fatal("no decompose span")
 	return 0, 0, 0
@@ -80,8 +79,9 @@ func decomposeCounts(t *testing.T, tr *obs.Trace) (fragments, certified, subSolv
 // TestDecomposedMatchesJoint: the decomposed solve must prove the same
 // optimum as the joint MILP — the soundness claim behind the stitch
 // acceptance rule — and the stitched placement must respect every
-// capacity. It runs on certified fragments alone and on a mix of
-// certified and MILP fragments.
+// capacity. A certified stitch runs no solver; a policy that fails the
+// certificate ends the decomposition, and the one joint solve answers
+// with the joint MILP's placement.
 func TestDecomposedMatchesJoint(t *testing.T) {
 	for _, fx := range decomposedFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -91,19 +91,39 @@ func TestDecomposedMatchesJoint(t *testing.T) {
 				t.Fatal("fixture unexpectedly not decomposable")
 			}
 			tr := obs.NewTrace()
-			pl, err := Place(prob, Options{Trace: tr})
+			rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
+			pl, err := Place(prob, Options{Trace: tr, SolverSink: rec})
 			if err != nil {
 				t.Fatal(err)
+			}
+			solves := 0
+			for _, e := range fullTrace(t, rec) {
+				if e.Kind == obs.KindDone {
+					solves++
+				}
 			}
 			if pl.Status != StatusOptimal {
 				t.Fatalf("decomposed status %v", pl.Status)
 			}
-			fragments, certified, _ := decomposeCounts(t, tr)
-			if pl.Stats.SolvePath != fx.path || fragments != int64(len(prob.Policies)) {
-				t.Fatalf("solve path %q with %d fragments, want %q with %d", pl.Stats.SolvePath, fragments, fx.path, len(prob.Policies))
+			fragments, uncertified, subSolves := decomposeCounts(t, tr)
+			if pl.Stats.SolvePath != fx.path {
+				t.Fatalf("solve path %q, want %q", pl.Stats.SolvePath, fx.path)
 			}
-			if fx.path == SolveDecomposed && (certified == 0 || certified == fragments) {
-				t.Fatalf("%d of %d fragments certified, want a mix", certified, fragments)
+			switch fx.path {
+			case SolveCertified:
+				if fragments != int64(len(prob.Policies)) || uncertified != 0 || solves != 0 {
+					t.Fatalf("%d fragments, uncertified %d, %d solves; want %d, 0, 0",
+						fragments, uncertified, solves, len(prob.Policies))
+				}
+				//lint:exactfloat a counting proof reports the exact 0 gap and an integral bound
+				if st := pl.Stats; st.BestBound != pl.Objective || st.Gap != 0 || st.BnBNodes != 0 || st.Variables == 0 {
+					t.Fatalf("certified stitch stats %+v, objective %g", st, pl.Objective)
+				}
+			case SolveFallback:
+				if fragments != 0 || uncertified != 1 || subSolves != 1 || solves != 1 {
+					t.Fatalf("%d fragments, uncertified %d, %d sub-problems tried, %d solves; want 0, 1, 1, 1",
+						fragments, uncertified, subSolves, solves)
+				}
 			}
 			joint := jointSolve(t, prob, opts)
 			if joint.Status != StatusOptimal {
@@ -112,6 +132,9 @@ func TestDecomposedMatchesJoint(t *testing.T) {
 			if pl.Objective != joint.Objective || pl.TotalRules != joint.TotalRules {
 				t.Errorf("decomposed (obj %g, %d rules) != joint (obj %g, %d rules)",
 					pl.Objective, pl.TotalRules, joint.Objective, joint.TotalRules)
+			}
+			if fx.path == SolveFallback && !reflect.DeepEqual(pl.Assign, joint.Assign) {
+				t.Errorf("fallback placement differs from the joint MILP's")
 			}
 			for _, sw := range prob.Network.Switches() {
 				if used := pl.RuleCountAt(sw.ID); used > sw.Capacity {
@@ -122,9 +145,9 @@ func TestDecomposedMatchesJoint(t *testing.T) {
 	}
 }
 
-// TestDecomposedDeterministicAcrossWorkers: certified and mixed
-// decomposed answers place the same bytes for Workers ∈ {1, 2, 8}. A
-// certified answer reports no workers, since no LP ran.
+// TestDecomposedDeterministicAcrossWorkers: certified and fallback
+// answers place the same bytes for Workers ∈ {1, 2, 8}. A certified
+// answer reports no workers, since no LP ran.
 func TestDecomposedDeterministicAcrossWorkers(t *testing.T) {
 	for _, fx := range decomposedFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -190,8 +213,8 @@ func greedyAboveOptimumProblem(t *testing.T) *Problem {
 
 // TestCertificateRejectsGreedyAboveOptimum: where greedy is feasible
 // but above the counting bound, the certificate must not fire, and
-// Place must return the sub-MILPs' optimum. A certificate that accepts
-// any total above the bound returns greedy's 4 rules here.
+// Place must fall back to the joint MILP's optimum. A certificate that
+// accepts any total above the bound returns greedy's 4 rules here.
 func TestCertificateRejectsGreedyAboveOptimum(t *testing.T) {
 	prob := greedyAboveOptimumProblem(t)
 	gr, err := GreedyPlace(prob, Options{})
@@ -205,12 +228,12 @@ func TestCertificateRejectsGreedyAboveOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Status != StatusOptimal || pl.TotalRules != 2 || pl.Stats.SolvePath != SolveDecomposed {
+	if pl.Status != StatusOptimal || pl.TotalRules != 2 || pl.Stats.SolvePath != SolveFallback {
 		t.Fatalf("Place: %v with %d rules on path %q, want optimal with 2 on %q",
-			pl.Status, pl.TotalRules, pl.Stats.SolvePath, SolveDecomposed)
+			pl.Status, pl.TotalRules, pl.Stats.SolvePath, SolveFallback)
 	}
 	if joint := jointSolve(t, prob, Options{}); joint.TotalRules != pl.TotalRules {
-		t.Errorf("joint optimum %d rules, decomposed %d", joint.TotalRules, pl.TotalRules)
+		t.Errorf("joint optimum %d rules, Place %d", joint.TotalRules, pl.TotalRules)
 	}
 	verifyPlacement(t, prob, pl)
 }
@@ -315,10 +338,11 @@ func TestDecomposedFallbackOnSharedCapacity(t *testing.T) {
 
 // TestDecomposedSolutionCacheByteIdentity is the contract the stateful
 // delta path rests on: re-solving a lightly-edited instance with a
-// warmed SolutionCache must reproduce the cold decomposed answer byte
-// for byte — assignments AND the deterministic solver-effort stats the
-// daemon serializes. On the mixed fixture, MILP fragments pass through
-// the cache too.
+// warmed SolutionCache must reproduce the cold answer byte for byte —
+// assignments AND the deterministic stats the daemon serializes. On
+// the certified fixture the cache serves every unedited policy; on the
+// fallback fixture the edited policy 0 still fails the certificate
+// first, so nothing is served and the joint MILP answers.
 func TestDecomposedSolutionCacheByteIdentity(t *testing.T) {
 	edit := func(prob *Problem) {
 		pol := prob.Policies[0]
@@ -351,19 +375,19 @@ func TestDecomposedSolutionCacheByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := cache.Stats()
-			if want := int64(len(edited.Policies) - 1); st.Hits != want {
-				t.Errorf("warm solve hit %d fragments, want %d (misses %d)", st.Hits, want, st.Misses)
+			wantHits := int64(len(edited.Policies) - 1)
+			if fx.path == SolveFallback {
+				wantHits = 0
+			}
+			if st := cache.Stats(); st.Hits != wantHits {
+				t.Errorf("warm solve hit %d fragments, want %d (misses %d)", st.Hits, wantHits, st.Misses)
 			}
 			if warm.Stats.SolvePath != fx.path {
 				t.Fatalf("warm solve path %q, want %q", warm.Stats.SolvePath, fx.path)
 			}
-			// More MILP fragments than sub-solves: at least one came
-			// from the cache.
-			if fragments, certified, subSolves := decomposeCounts(t, tr); fx.path == SolveDecomposed &&
-				(certified == 0 || fragments-certified <= subSolves) {
-				t.Fatalf("%d fragments, %d certified, %d solved: no certified and cached MILP mix",
-					fragments, certified, subSolves)
+			// One sub-problem certified or tried afresh: the edited one.
+			if _, _, subSolves := decomposeCounts(t, tr); subSolves != 1 {
+				t.Fatalf("warm solve tried %d sub-problems, want 1", subSolves)
 			}
 
 			// Cold run of the identical edited instance, no cache.
@@ -376,80 +400,9 @@ func TestDecomposedSolutionCacheByteIdentity(t *testing.T) {
 
 			warm.Stats.SolveTime, cold.Stats.SolveTime = 0, 0
 			if !reflect.DeepEqual(warm, cold) {
-				t.Errorf("warm and cold decomposed placements differ:\nwarm: %+v\ncold: %+v", warm, cold)
+				t.Errorf("warm and cold placements differ:\nwarm: %+v\ncold: %+v", warm, cold)
 			}
 		})
-	}
-}
-
-// TestStitchSolvePath: a stitch is certified only when every fragment
-// is.
-func TestStitchSolvePath(t *testing.T) {
-	frag := func(path SolvePath) *Placement {
-		return &Placement{Policies: []*policy.Policy{nil}, Assign: [][][]topology.SwitchID{nil}, Stats: Stats{SolvePath: path}}
-	}
-	for _, tc := range []struct {
-		frags []SolvePath
-		want  SolvePath
-	}{
-		{[]SolvePath{SolveCertified, SolveCertified}, SolveCertified},
-		{[]SolvePath{SolveCertified, SolveDecomposed}, SolveDecomposed},
-		{[]SolvePath{SolveDecomposed, SolveCertified}, SolveDecomposed},
-		{[]SolvePath{SolveDecomposed, SolveDecomposed}, SolveDecomposed},
-	} {
-		var frags []*Placement
-		for _, p := range tc.frags {
-			frags = append(frags, frag(p))
-		}
-		if got := stitch(frags, Options{}).Stats.SolvePath; got != tc.want {
-			t.Errorf("stitch of %v: path %q, want %q", tc.frags, got, tc.want)
-		}
-	}
-}
-
-// TestStitchStats pins stitch's aggregation rule for every ilp.Stats
-// field, found by reflection: counters and BestBound add; Workers,
-// LastIncumbentAtNode and RootGap take the max; the stitch of proven
-// fragments is proven (Gap 0, StopNone). A field added to ilp.Stats
-// without a rule in stitch fails here.
-func TestStitchStats(t *testing.T) {
-	maxRule := map[string]bool{"Workers": true, "LastIncumbentAtNode": true, "RootGap": true}
-	var frags []*Placement
-	for _, scale := range []int64{10, 1} {
-		frag := &Placement{Policies: []*policy.Policy{nil}, Assign: [][][]topology.SwitchID{nil}}
-		v := reflect.ValueOf(&frag.Stats.Stats).Elem()
-		for f := 0; f < v.NumField(); f++ {
-			// Distinct in every field; the first fragment holds the larger
-			// value, so a max is not the last value seen.
-			switch fv := v.Field(f); fv.Kind() {
-			case reflect.Int:
-				fv.SetInt(scale * int64(f+1))
-			case reflect.Float64:
-				fv.SetFloat(float64(scale*int64(f+1)) + 0.5)
-			default:
-				t.Fatalf("ilp.Stats.%s: no rule for kind %v", v.Type().Field(f).Name, fv.Kind())
-			}
-		}
-		frags = append(frags, frag)
-	}
-	got := reflect.ValueOf(stitch(frags, Options{}).Stats.Stats)
-	a, b := reflect.ValueOf(frags[0].Stats.Stats), reflect.ValueOf(frags[1].Stats.Stats)
-	want := reflect.New(reflect.TypeOf(ilp.Stats{})).Elem()
-	for f := 0; f < want.NumField(); f++ {
-		name, w := want.Type().Field(f).Name, want.Field(f)
-		switch {
-		case name == "Gap" || name == "StopReason":
-			// Zero: every fragment proved its optimum.
-		case maxRule[name]:
-			w.Set(a.Field(f))
-		case w.Kind() == reflect.Int:
-			w.SetInt(a.Field(f).Int() + b.Field(f).Int())
-		default:
-			w.SetFloat(a.Field(f).Float() + b.Field(f).Float())
-		}
-		if g := got.Field(f).Interface(); !reflect.DeepEqual(g, w.Interface()) {
-			t.Errorf("stitched %s = %v, want %v", name, g, w.Interface())
-		}
 	}
 }
 

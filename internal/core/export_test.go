@@ -23,3 +23,7 @@ func CertifySub(prob *Problem, pol *policy.Policy, opts Options) (sub *Problem, 
 	milp, err = solveILP(enc, opts, nil)
 	return sub, cert, milp, err
 }
+
+// MixedProblem is the decomposable fixture whose policy 0 fails the
+// counting certificate.
+var MixedProblem = mixedProblem

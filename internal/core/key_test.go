@@ -34,8 +34,8 @@ const keyProblem = `{
     {"ingress": 12, "rules": [{"pattern": "0*******", "action": "drop", "priority": 1}]}]
 }`
 
-// TestSubSolutionKeyDistinguishes changes one thing a subproblem's
-// solve can observe at a time and checks the fragment key moves, and
+// TestSubSolutionKeyDistinguishes changes one thing a certified
+// fragment can read at a time and checks the fragment key moves, and
 // that an off-path capacity leaves it alone.
 func TestSubSolutionKeyDistinguishes(t *testing.T) {
 	base := func() (*core.Problem, *policy.Policy, *core.Options) {
@@ -90,13 +90,8 @@ func TestSubSolutionKeyDistinguishes(t *testing.T) {
 			prob.Routing.Sets[10].Paths[1].Traffic = match.MustParseTernary("00******")
 		}},
 		{"on-path capacity", capacity(3)},
-		{"objective", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.Objective = core.ObjTraffic }},
-		{"backend", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.Backend = core.BackendSAT }},
 		{"remove redundant", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.RemoveRedundant = true }},
 		{"path slicing", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.PathSlicing = true }},
-		{"disable presolve", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.DisablePresolve = true }},
-		{"workers", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.Workers = 2 }},
-		{"time limit", func(_ *core.Problem, _ *policy.Policy, o *core.Options) { o.TimeLimit += time.Nanosecond }},
 	}
 	for _, c := range changes {
 		prob, pol, opts := base()

@@ -22,18 +22,15 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 		return nil, err
 	}
 	// Per-policy decomposition: when policies couple only through the
-	// capacity rows, solve them independently and stitch — provably
-	// optimal when the stitched optima respect every capacity, and the
-	// basis of the stateful delta path's per-policy fragment reuse.
+	// capacity rows, certify each optimum by counting and stitch —
+	// provably optimal when the stitched optima respect every capacity,
+	// and the basis of the stateful delta path's per-policy fragment
+	// reuse. It runs no solver, so an answer runs at most one solve.
 	// Deterministic: whether it applies and whether the stitch is
 	// accepted are pure functions of (prob, opts).
 	path := SolveJoint
 	if decomposable(prob, opts) {
-		pl, ok, err := placeDecomposed(prob, opts, place)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
+		if pl, ok := placeDecomposed(prob, opts, place); ok {
 			return pl, nil
 		}
 		path = SolveFallback

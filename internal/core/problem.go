@@ -141,7 +141,8 @@ type Options struct {
 	// reaches it, so monitored packets are observed before being
 	// dropped (the paper's §VII future-work constraint).
 	Monitors []Monitor
-	// TimeLimit bounds the solve (0 = no limit).
+	// TimeLimit bounds the one solve a placement runs, give or take
+	// that solve's deadline overshoot (0 = no limit).
 	TimeLimit time.Duration
 	// DisablePresolve turns off ILP presolve (ablation).
 	DisablePresolve bool
@@ -164,12 +165,13 @@ type Options struct {
 	// policies. The placement is byte-identical with or without it
 	// (TestEncodeCacheByteIdentity).
 	EncodeCache *EncodeCache
-	// SolutionCache, when non-nil, memoizes per-policy placement
-	// fragments on the decomposed solve path (see decompose.go), keyed
-	// by the full subproblem rendering. The stateful session layer
-	// attaches one per session so small deltas re-solve only the
-	// subproblems they changed. The placement is byte-identical with or
-	// without it (TestDecomposedSolutionCacheByteIdentity).
+	// SolutionCache, when non-nil, memoizes certified per-policy
+	// placement fragments on the decomposed solve path (see
+	// decompose.go), keyed by the full subproblem rendering. The
+	// stateful session layer attaches one per session so small deltas
+	// re-certify only the subproblems they changed. The placement is
+	// byte-identical with or without it
+	// (TestDecomposedSolutionCacheByteIdentity).
 	SolutionCache *SolutionCache
 }
 
@@ -279,10 +281,8 @@ const (
 	// SolveCertified: decomposed, and every per-policy fragment was
 	// proven optimal by the counting bound, with no LP (see certify).
 	SolveCertified SolvePath = "certified"
-	// SolveDecomposed: decomposed, with at least one fragment solved by
-	// its sub-MILP.
-	SolveDecomposed SolvePath = "decomposed"
-	// SolveFallback: the decomposition was tried and given up, and the
+	// SolveFallback: the decomposition was tried and given up (a policy
+	// failed the certificate, or the stitch broke a capacity), and the
 	// joint solve answered.
 	SolveFallback SolvePath = "fallback"
 	// SolveJoint: the instance does not qualify for decomposition, and

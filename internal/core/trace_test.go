@@ -64,9 +64,9 @@ func fullTrace(t *testing.T, rec *obs.FlightRecorder) []obs.Event {
 
 // TestPlaceEndsEverySpan: when Place returns, every span it opened has
 // ended, so Trace.Render and its consumers never read a zero wall time.
-// Covers the three span layouts: a decomposed answer (per-policy
-// sub-solves), a rejected stitch that falls back to the joint solve,
-// and a merging answer (joint solve only).
+// Covers the three span layouts: a certified answer (per-policy
+// sub-problems, no solve), a rejected stitch that falls back to the
+// joint solve, and a merging answer (joint solve only).
 func TestPlaceEndsEverySpan(t *testing.T) {
 	cases := []struct {
 		name    string

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rulefit/internal/bench"
 	"rulefit/internal/core"
 	"rulefit/internal/obs"
 	"rulefit/internal/routing"
@@ -363,40 +364,62 @@ func metricValue(t *testing.T, exposition, series string) float64 {
 
 // TestDaemonSolverCounters: a daemon's /metrics counts the solves it
 // ran, folded from their events into the registry the daemon built
-// for itself, and no other daemon's.
+// for itself, and no other daemon's. An answer runs one solve, so the
+// metrics equal the served stats: for a merging request, and for a
+// merging-off request whose decomposition falls back to the joint
+// MILP (Table II's m3/C=8 cell, where a policy fails the counting
+// certificate).
 func TestDaemonSolverCounters(t *testing.T) {
-	_, base := startDaemon(t, Config{MaxInFlight: 1})
 	_, other := startDaemon(t, Config{MaxInFlight: 1})
-	code, body := postPlace(t, base, PlaceRequest{
-		Problem: testSpec(t, 8),
-		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
-	})
-	if code != http.StatusOK {
-		t.Fatalf("place status %d: %s", code, body)
-	}
-	var resp PlaceResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	prob, err := bench.Build(bench.Config{K: 4, Ingresses: 8, PathsPerIngress: 4, Rules: 8, Capacity: 8, Mergeable: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Placement.Status != "optimal" {
-		t.Fatalf("placement status %q, want optimal", resp.Placement.Status)
+	if pl, err := core.Place(prob, core.Options{}); err != nil || pl.Stats.SolvePath != core.SolveFallback {
+		t.Fatalf("m3/C=8 merging off: %v, want the %q path", err, core.SolveFallback)
 	}
-	out := scrapeMetrics(t, base)
-	for _, c := range []struct {
-		series string
-		want   int
+	fallbackSpec, err := json.Marshal(spec.FromCore(prob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		req  PlaceRequest
 	}{
-		{`rulefit_solves_total{status="optimal"}`, 1},
-		{"rulefit_bnb_nodes_total", resp.Placement.Stats.Nodes},
-		{"rulefit_simplex_iters_total", resp.Placement.Stats.SimplexIters},
-		{"rulefit_solve_nodes_count", 1},
+		{"merging", PlaceRequest{Problem: testSpec(t, 8), Options: RequestOptions{Merging: true, TimeLimitSec: 60}}},
+		{"fallback", PlaceRequest{Problem: fallbackSpec, Options: RequestOptions{TimeLimitSec: 60}}},
 	} {
-		if got := metricValue(t, out, c.series); got != float64(c.want) {
-			t.Errorf("%s = %g, want %d", c.series, got, c.want)
-		}
-	}
-	if resp.Placement.Stats.SimplexIters == 0 {
-		t.Fatal("the solve ran no simplex iterations, so the check above proves little")
+		t.Run(tc.name, func(t *testing.T) {
+			_, base := startDaemon(t, Config{MaxInFlight: 1})
+			code, body := postPlace(t, base, tc.req)
+			if code != http.StatusOK {
+				t.Fatalf("place status %d: %s", code, body)
+			}
+			var resp PlaceResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Placement.Status != "optimal" {
+				t.Fatalf("placement status %q, want optimal", resp.Placement.Status)
+			}
+			out := scrapeMetrics(t, base)
+			for _, c := range []struct {
+				series string
+				want   int
+			}{
+				{`rulefit_solves_total{status="optimal"}`, 1},
+				{"rulefit_bnb_nodes_total", resp.Placement.Stats.Nodes},
+				{"rulefit_simplex_iters_total", resp.Placement.Stats.SimplexIters},
+				{"rulefit_solve_nodes_count", 1},
+			} {
+				if got := metricValue(t, out, c.series); got != float64(c.want) {
+					t.Errorf("%s = %g, want %d", c.series, got, c.want)
+				}
+			}
+			if resp.Placement.Stats.SimplexIters == 0 {
+				t.Fatal("the solve ran no simplex iterations, so the check above proves little")
+			}
+		})
 	}
 	if got := metricValue(t, scrapeMetrics(t, other), `rulefit_solves_total{status="optimal"}`); got != 0 {
 		t.Fatalf("an idle daemon counts %g optimal solves", got)

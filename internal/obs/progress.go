@@ -37,7 +37,9 @@ type ProgressSnapshot struct {
 // Progress is a Sink that folds one request's solver events into a
 // live ProgressSnapshot. Every ILP solve opens with a presolve event
 // (a root_lp event when presolve is disabled), which starts a fresh
-// view, so each sub-solve of a decomposed placement shows on its own.
+// view. A placement runs at most one ILP solve, so the view follows
+// that solve; an answer that runs none (a certified decomposition,
+// the SAT backend) leaves it in phase "admitted".
 // Event updates the view in place under a mutex without allocating;
 // any number of readers call Snapshot concurrently.
 type Progress struct {

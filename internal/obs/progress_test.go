@@ -6,8 +6,8 @@ import (
 )
 
 // TestProgressFoldsEvents drives one Progress through a solve's event
-// stream, then into a second sub-solve, checking the whole snapshot
-// after every event.
+// stream, then into a second solve, checking the whole snapshot after
+// every event.
 func TestProgressFoldsEvents(t *testing.T) {
 	const id = "req-000001-00000000deadbeef"
 	p := NewProgress(id)

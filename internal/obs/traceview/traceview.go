@@ -23,13 +23,15 @@ type GapPoint struct {
 	TimeMS    float64 `json:"time_ms"`
 }
 
-// Summary aggregates one solver trace, which may hold several solves
-// (a decomposed placement's sub-solves). Nodes, SimplexIters and
-// LURefactors are the done events' totals summed over solves, which
-// count strong-branch trials and a root LP that ends its solve. A
-// partial dump may have lost its done events, so it reports the node
-// events it retained and the iterations and refactorizations those and
-// the root_lp events carry.
+// Summary aggregates one solver trace. A placement runs at most one
+// ILP solve, so a per-answer trace holds one solve or none (a certified
+// decomposition, an encode-proven infeasibility or the SAT backend
+// emits no event); a trace shared by several answers holds several.
+// Nodes, SimplexIters and LURefactors are the done events' totals
+// summed over solves, which count strong-branch trials and a root LP
+// that ends its solve. A partial dump may have lost its done events,
+// so it reports the node events it retained and the iterations and
+// refactorizations those and the root_lp events carry.
 type Summary struct {
 	Events        int            `json:"events"`
 	Nodes         int            `json:"nodes"`
@@ -123,13 +125,14 @@ func Of(events []obs.Event) *Summary {
 	return s
 }
 
-// Check verifies the trace's internal accounting: it is closed by a
-// done event, and its node events carry exactly one outcome per node
-// the done events count. Partial flight-recorder dumps are excused: a
-// ring dumped mid-solve, or after it overwrote the beginning, holds a
-// tail of the stream that no done total describes.
+// Check verifies the trace's internal accounting: it is empty (no
+// solve ran) or closed by a done event, and its node events carry
+// exactly one outcome per node the done events count. Partial
+// flight-recorder dumps are excused: a ring dumped mid-solve, or after
+// it overwrote the beginning, holds a tail of the stream that no done
+// total describes.
 func (s *Summary) Check() error {
-	if s.Partial {
+	if s.Partial || s.Events == 0 {
 		return nil
 	}
 	if !s.hasDone {
@@ -150,6 +153,9 @@ func (s *Summary) HasDone() bool { return s.hasDone }
 
 // Render formats the summary as a human-readable report.
 func (s *Summary) Render() string {
+	if s.Events == 0 {
+		return "trace: 0 events, no ILP solve ran\n"
+	}
 	var sb strings.Builder
 	if s.Partial {
 		fmt.Fprintf(&sb, "partial flight dump: %d of %d events retained (%d dropped under contention)\n",

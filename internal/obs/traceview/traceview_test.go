@@ -66,6 +66,28 @@ func TestCheckCatchesBadAccounting(t *testing.T) {
 	}
 }
 
+// TestEmptyTrace: an answer that ran no ILP solve leaves an empty
+// stream, which passes Check and renders as such; a stream that has
+// events but no done event still fails.
+func TestEmptyTrace(t *testing.T) {
+	s, err := Summarize(strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Events != 0 || s.Nodes != 0 || s.HasDone() || s.Partial {
+		t.Fatalf("empty trace: %+v", s)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatalf("empty trace failed Check: %v", err)
+	}
+	if out := s.Render(); !strings.Contains(out, "no ILP solve ran") {
+		t.Fatalf("empty trace renders %q", out)
+	}
+	if err := Of(sampleEvents()[:1]).Check(); err == nil {
+		t.Fatal("Check passed a presolve event with no done event")
+	}
+}
+
 // TestMultiSolveTotals: a trace of several solves sums their done
 // totals.
 func TestMultiSolveTotals(t *testing.T) {

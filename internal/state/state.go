@@ -15,9 +15,11 @@
 //	    from the session's caches — per-policy encode artifacts
 //	    (redundancy removal, dependency graphs, merge search) from the
 //	    EncodeCache, and, on core.Place's decomposed path (merging
-//	    off, total-rules objective), whole per-policy placement
-//	    fragments from the SolutionCache, so a single-rule delta
-//	    re-solves only the one subproblem it changed;
+//	    off, total-rules objective), whole certified per-policy
+//	    placement fragments from the SolutionCache, so a single-rule
+//	    delta re-certifies only the one subproblem it changed (and a
+//	    policy that fails the certificate sends the answer to the
+//	    joint MILP);
 //	L2 "cold": nothing hits; everything is recomputed (and cached).
 //
 // Solver-level warm starts (incumbent injection, basis reuse across
@@ -26,8 +28,8 @@
 // delta oracle would (correctly) flag as drift. The fragment cache is
 // different in kind: the decomposition is part of core.Place's
 // deterministic contract, so a cold solve of the updated instance
-// performs the identical per-policy solves and stitches the identical
-// bytes — the cache only skips re-deriving them.
+// performs the identical per-policy certifications and stitches the
+// identical bytes — the cache only skips re-deriving them.
 package state
 
 import (

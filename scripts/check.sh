@@ -131,6 +131,14 @@ stage_smoke() {
     go run ./cmd/benchgen -k 4 -rules 8 -capacity 9 -paths-per-ingress 4 -out "$work/trace-problem.json"
     go run ./cmd/ruleplace -in "$work/trace-problem.json" -merge -trace "$work/trace.jsonl" -metrics -timeout 60s
     test -s "$work/trace.jsonl"
+    # Merging off on the slack problem, every policy certifies by
+    # counting: no ILP solve runs, the trace stays empty, and the
+    # self-check still passes.
+    go run ./cmd/ruleplace -in "$work/problem.json" -trace "$work/certified-trace.jsonl" -timeout 60s \
+        > "$work/certified-place.txt"
+    expect "$work/certified-place.txt" 'status      : optimal'
+    test -f "$work/certified-trace.jsonl"
+    test ! -s "$work/certified-trace.jsonl"
 
     step "daemon (serve, place, fixed-RPS replay, scrape, drain)"
     start_daemon 18090 -max-inflight 2
@@ -225,6 +233,14 @@ stage_smoke() {
     curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/session" > "$work/session.json"
     local trace_id
     trace_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/session.json")
+    "$work/traceview" -check "$work/traces/trace-$trace_id.jsonl" > /dev/null
+    # A merging-off session of the slack problem certifies every policy,
+    # runs no solve, and leaves an empty trace file that still checks.
+    printf '{"problem": %s, "options": {"timeLimitSec": 60}}' "$(cat "$work/problem.json")" \
+        | curl -sf -X POST --data @- "$daemon_url/v1/session" > "$work/session-off.json"
+    trace_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/session-off.json")
+    test -f "$work/traces/trace-$trace_id.jsonl"
+    test ! -s "$work/traces/trace-$trace_id.jsonl"
     "$work/traceview" -check "$work/traces/trace-$trace_id.jsonl" > /dev/null
     stop_daemon
 
