@@ -20,7 +20,7 @@
 //	POST   /v1/session/{id}/delta apply deltas: {"deltas": [{"op": "add_rule", ...}, ...]}
 //	DELETE /v1/session/{id}       drop the session
 //	GET    /metrics               Prometheus text exposition (counters, gauges, histograms)
-//	GET    /statusz               saturation snapshot: in-flight, queue depth, 1m/5m request and shed rates, live solves, slowest trace per phase
+//	GET    /statusz               saturation snapshot: in-flight, queue depth, 1m/5m request and shed rates, slowest trace per phase
 //	GET    /healthz               liveness (200 while the process runs)
 //	GET    /readyz                readiness (503 during drain)
 //	GET    /debug/solvez          live solve introspection: one progress snapshot per in-flight request
@@ -37,8 +37,9 @@
 // -trace-dir event file (trace-<trace_id>.jsonl); and a
 // -profile-threshold profile.
 //
-// -debug-addr serves net/http/pprof plus /metrics, /debug/solvez, and
-// /debug/flightz mirrors, intended for a loopback-only bind.
+// -debug-addr serves net/http/pprof (/debug/pprof/) and nothing else,
+// intended for a loopback-only bind; /metrics, /debug/solvez and
+// /debug/flightz are served on -addr only.
 // -solve-delay artificially extends each solve-slot occupancy for load
 // experiments (cmd/ruleload -sweep calibration); leave it zero in
 // production.
@@ -79,7 +80,7 @@ func main() {
 func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "API listen address")
-		debugAddr    = flag.String("debug-addr", "", "pprof/debug listen address (empty disables; bind loopback in production)")
+		debugAddr    = flag.String("debug-addr", "", "net/http/pprof listen address (empty disables; bind loopback in production)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently solving requests (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("max-queue", 0, "max requests waiting for a solve slot before 429 shedding")
 		maxSessions  = flag.Int("max-sessions", 0, "max live stateful sessions before LRU eviction (0 = 64)")

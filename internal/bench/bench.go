@@ -176,31 +176,6 @@ func (p Point) Feasible() bool {
 	return true
 }
 
-// sweepRules measures runtime across rule counts for fixed capacity.
-// The (ruleCount, seed) grid fans out across base.Parallel goroutines;
-// aggregation is by grid index, so the output is order-independent.
-func sweepRules(base Config, ruleCounts []int, capacity, seeds int) ([]Point, error) {
-	var cfgs []Config
-	for _, r := range ruleCounts {
-		for s := 0; s < seeds; s++ {
-			cfg := base
-			cfg.Rules = r
-			cfg.Capacity = capacity
-			cfg.Seed = base.Seed + int64(s)*101
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := runJobs(cfgs, base.Parallel, Run)
-	if err != nil {
-		return nil, err
-	}
-	var out []Point
-	for i, r := range ruleCounts {
-		out = append(out, aggregate(r, capacity, results[i*seeds:(i+1)*seeds]))
-	}
-	return out, nil
-}
-
 // Experiment1 reproduces Figures 7–9: runtime vs rule count for two
 // capacities at a fixed topology and path count. The full (capacity,
 // ruleCount, seed) grid is solved with at most base.Parallel instances

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -29,27 +30,37 @@ func TestMetricsFoldMatchesJointSolve(t *testing.T) {
 			t.Fatalf("workers=%d: want an optimal joint solve with strong branching, got %v via %v, %d trials",
 				w, pl.Status, pl.Stats.SolvePath, st.StrongBranchEvals)
 		}
-		s := reg.Snapshot()
+		var exposition strings.Builder
+		if err := reg.WritePrometheus(&exposition); err != nil {
+			t.Fatal(err)
+		}
+		s, err := obs.PrometheusSamples(strings.NewReader(exposition.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, c := range []struct {
-			name      string
-			got, want int64
+			series string
+			want   int
 		}{
-			{"solves optimal", s.SolvesOptimal, 1},
-			{"other solves", s.SolvesFeasible + s.SolvesInfeasible + s.SolvesLimit + s.SolvesUnbounded, 0},
-			{"nodes", s.Nodes, int64(st.BnBNodes)},
-			{"simplex iterations", s.SimplexIters, int64(st.SimplexIters)},
-			{"LU refactorizations", s.LURefactors, int64(st.LURefactors)},
-			{"presolve fixes", s.PresolveFixes, int64(st.PresolveFix)},
-			{"incumbents", s.Incumbents, int64(st.Incumbents)},
-			{"branched", s.Branched, int64(st.Branched)},
-			{"pruned bound", s.PrunedBound, int64(st.PrunedBound)},
-			{"pruned infeasible", s.PrunedInfeasible, int64(st.PrunedInfeasible)},
-			{"integral", s.IntegralLeaves, int64(st.IntegralLeaves)},
-			{"lost", s.LostSubtrees, int64(st.LostSubtrees)},
-			{"stale skips", s.PrunedStale, int64(st.PrunedStale)},
+			{`rulefit_solves_total{status="optimal"}`, 1},
+			{`rulefit_solves_total{status="feasible"}`, 0},
+			{`rulefit_solves_total{status="infeasible"}`, 0},
+			{`rulefit_solves_total{status="limit"}`, 0},
+			{`rulefit_solves_total{status="unbounded"}`, 0},
+			{"rulefit_solve_nodes_sum", st.BnBNodes},
+			{"rulefit_solve_simplex_iters_sum", st.SimplexIters},
+			{"rulefit_lu_refactorizations_total", st.LURefactors},
+			{"rulefit_presolve_fixes_total", st.PresolveFix},
+			{"rulefit_incumbents_total", st.Incumbents},
+			{`rulefit_node_outcomes_total{outcome="branched"}`, st.Branched},
+			{`rulefit_node_outcomes_total{outcome="pruned_bound"}`, st.PrunedBound},
+			{`rulefit_node_outcomes_total{outcome="pruned_infeasible"}`, st.PrunedInfeasible},
+			{`rulefit_node_outcomes_total{outcome="integral"}`, st.IntegralLeaves},
+			{`rulefit_node_outcomes_total{outcome="lost"}`, st.LostSubtrees},
+			{"rulefit_stale_skips_total", st.PrunedStale},
 		} {
-			if c.got != c.want {
-				t.Errorf("workers=%d: registry holds %d %s, Stats %d", w, c.got, c.name, c.want)
+			if got, ok := s[c.series]; !ok || got != float64(c.want) {
+				t.Errorf("workers=%d: /metrics %s reads %g (present %v), Stats %d", w, c.series, got, ok, c.want)
 			}
 		}
 	}

@@ -195,24 +195,21 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/solvez", s.handleSolvez)
 	s.mux.HandleFunc("/debug/flightz", s.handleFlightz)
 
-	// The debug mux carries pprof (and a metrics mirror) so profiling
-	// endpoints can be bound to a loopback-only address in production.
+	// The debug mux carries only pprof, so profiling endpoints can be
+	// bound to a loopback-only address in production.
 	s.debug = http.NewServeMux()
 	s.debug.HandleFunc("/debug/pprof/", pprof.Index)
 	s.debug.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.debug.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.debug.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.debug.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.debug.HandleFunc("/metrics", s.handleMetrics)
-	s.debug.HandleFunc("/debug/solvez", s.handleSolvez)
-	s.debug.HandleFunc("/debug/flightz", s.handleFlightz)
 	return s
 }
 
 // Handler returns the API handler (place, metrics, health).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// DebugHandler returns the pprof/debug handler.
+// DebugHandler returns the net/http/pprof handler.
 func (s *Server) DebugHandler() http.Handler { return s.debug }
 
 // Start binds addr (":0" for an ephemeral port) and marks the server

@@ -323,11 +323,25 @@ func TestDaemonMetricsConformant(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
 	}
-	// The debug mux mirrors /metrics and serves pprof.
-	rec := httptest.NewRecorder()
-	s.DebugHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("pprof cmdline status %d", rec.Code)
+	// The debug mux serves pprof and nothing else: /metrics,
+	// /debug/solvez and /debug/flightz are the API mux's alone.
+	get := func(h http.Handler, path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		if code := get(s.DebugHandler(), path); code != http.StatusOK {
+			t.Fatalf("debug mux %s status %d", path, code)
+		}
+	}
+	for _, path := range []string{"/metrics", "/debug/solvez", "/debug/flightz"} {
+		if code := get(s.DebugHandler(), path); code != http.StatusNotFound {
+			t.Fatalf("debug mux %s status %d, want 404", path, code)
+		}
+		if code := get(s.Handler(), path); code != http.StatusOK {
+			t.Fatalf("API mux %s status %d", path, code)
+		}
 	}
 }
 
@@ -346,20 +360,24 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return string(payload)
 }
 
+// metricSamples reads an exposition's samples as a scraper does.
+func metricSamples(t *testing.T, exposition string) map[string]float64 {
+	t.Helper()
+	samples, err := obs.PrometheusSamples(strings.NewReader(exposition))
+	if err != nil {
+		t.Fatalf("%v in:\n%s", err, exposition)
+	}
+	return samples
+}
+
 // metricValue reads one series' sample from an exposition.
 func metricValue(t *testing.T, exposition, series string) float64 {
 	t.Helper()
-	for _, line := range strings.Split(exposition, "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			var f float64
-			if _, err := fmt.Sscan(v, &f); err != nil {
-				t.Fatalf("series %s: %v", series, err)
-			}
-			return f
-		}
+	v, ok := metricSamples(t, exposition)[series]
+	if !ok {
+		t.Fatalf("no series %s in:\n%s", series, exposition)
 	}
-	t.Fatalf("no series %s in:\n%s", series, exposition)
-	return 0
+	return v
 }
 
 // TestDaemonSolverCounters: a daemon's /metrics counts the solves it
@@ -408,8 +426,8 @@ func TestDaemonSolverCounters(t *testing.T) {
 				want   int
 			}{
 				{`rulefit_solves_total{status="optimal"}`, 1},
-				{"rulefit_bnb_nodes_total", resp.Placement.Stats.Nodes},
-				{"rulefit_simplex_iters_total", resp.Placement.Stats.SimplexIters},
+				{"rulefit_solve_nodes_sum", resp.Placement.Stats.Nodes},
+				{"rulefit_solve_simplex_iters_sum", resp.Placement.Stats.SimplexIters},
 				{"rulefit_solve_nodes_count", 1},
 			} {
 				if got := metricValue(t, out, c.series); got != float64(c.want) {
@@ -476,13 +494,14 @@ func TestDaemonSheddingAndCancel(t *testing.T) {
 	waitFor(t, func() bool { return s.met.QueueDepth().Value() == 0 })
 
 	// The shed and canceled outcomes landed in the request counter.
-	snap := s.met.Snapshot()
-	counts := map[string]int64{}
-	for _, rc := range snap.Requests {
-		counts[rc.Status] = rc.Count
-	}
-	if counts["shed"] != 1 || counts["canceled"] != 1 {
-		t.Fatalf("request counts = %+v", snap.Requests)
+	out := scrapeMetrics(t, base)
+	for _, series := range []string{
+		`rulefit_requests_total{status="shed",stop_reason="none"}`,
+		`rulefit_requests_total{status="canceled",stop_reason="none"}`,
+	} {
+		if got := metricValue(t, out, series); got != 1 {
+			t.Fatalf("%s = %g, want 1", series, got)
+		}
 	}
 }
 

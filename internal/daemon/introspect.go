@@ -19,7 +19,7 @@ import (
 // This file is the daemon's solve-introspection layer:
 //
 //   - a registry of live solves, each an obs.Progress view folding the
-//     request's solver events, that /debug/solvez (and /statusz) read;
+//     request's solver events, that /debug/solvez reads;
 //   - flight-recorder plumbing: every solve feeds a per-request ring
 //     and the server's global always-on ring; rings are dumped as
 //     JSONL (traceview-parseable) when a solve dies hard — deadline,
@@ -67,9 +67,6 @@ func (g *solveReg) snapshots() []obs.ProgressSnapshot {
 		out = append(out, p.Snapshot())
 	}
 	g.mu.Unlock()
-	if len(out) == 0 {
-		return nil // keep idle /statusz snapshots field-free (omitempty)
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TraceID < out[j].TraceID })
 	return out
 }
@@ -85,9 +82,6 @@ type solvezResponse struct {
 // state of each. Empty list when idle.
 func (s *Server) handleSolvez(w http.ResponseWriter, _ *http.Request) {
 	snaps := s.solves.snapshots()
-	if snaps == nil {
-		snaps = []obs.ProgressSnapshot{}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
 	enc := json.NewEncoder(w)

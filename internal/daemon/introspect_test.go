@@ -158,7 +158,7 @@ func TestSolvezDuringSolve(t *testing.T) {
 				}
 			}
 			// The registry empties once the requests finish.
-			waitFor(t, func() bool { return s.solves.snapshots() == nil })
+			waitFor(t, func() bool { return len(s.solves.snapshots()) == 0 })
 		})
 	}
 }

@@ -129,7 +129,7 @@ func addRuleDelta(sp *spec.Problem, prio int) spec.Delta {
 // session holds at that moment.
 func TestSessionLifecycle(t *testing.T) {
 	specJSON := testSpec(t, 8)
-	s, base := startDaemon(t, Config{MaxInFlight: 2})
+	_, base := startDaemon(t, Config{MaxInFlight: 2})
 	explicit := explicitSpec(t, specJSON)
 
 	sr, pl := createSession(t, base, specJSON)
@@ -190,29 +190,18 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Session metrics landed: gauge, per-path counters, cache counters.
-	snap := s.met.Snapshot()
-	if snap.SessionsActive != 1 {
-		t.Fatalf("sessions_active = %d, want 1", snap.SessionsActive)
-	}
-	paths := map[string]int64{}
-	for _, dc := range snap.Deltas {
-		paths[dc.Path] = dc.Count
-	}
-	if paths["warm"] != 1 || paths["identity"] != 1 {
-		t.Fatalf("delta path counters = %+v", snap.Deltas)
-	}
-	var metText bytes.Buffer
-	if err := s.met.WritePrometheus(&metText); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"rulefit_sessions_active 1",
-		`rulefit_session_deltas_total{path="warm"} 1`,
-		`rulefit_encode_cache_total{kind="policy",outcome="hit"}`,
+	metText := scrapeMetrics(t, base)
+	for series, want := range map[string]float64{
+		"rulefit_sessions_active":                       1,
+		`rulefit_session_deltas_total{path="warm"}`:     1,
+		`rulefit_session_deltas_total{path="identity"}`: 1,
 	} {
-		if !strings.Contains(metText.String(), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metText.String())
+		if got := metricValue(t, metText, series); got != want {
+			t.Fatalf("%s = %g, want %g", series, got, want)
 		}
+	}
+	if !strings.Contains(metText, `rulefit_encode_cache_total{kind="policy",outcome="hit"}`) {
+		t.Fatalf("metrics missing policy cache hits:\n%s", metText)
 	}
 
 	// DELETE drops the session; every later touch is a 404 with a
@@ -221,8 +210,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"deleted":true`)) {
 		t.Fatalf("delete status %d: %s", code, body)
 	}
-	if got := s.met.Snapshot().SessionsActive; got != 0 {
-		t.Fatalf("sessions_active after delete = %d", got)
+	if got := metricValue(t, scrapeMetrics(t, base), "rulefit_sessions_active"); got != 0 {
+		t.Fatalf("sessions_active after delete = %g", got)
 	}
 
 	// With merging off the session decomposes per policy, and a
@@ -239,12 +228,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("decomposed delta status %d: %s", code, body)
 	}
-	metText.Reset()
-	if err := s.met.WritePrometheus(&metText); err != nil {
-		t.Fatal(err)
-	}
-	if want := `rulefit_encode_cache_total{kind="solution",outcome="hit"}`; !strings.Contains(metText.String(), want) {
-		t.Fatalf("metrics missing %q after a decomposed delta:\n%s", want, metText.String())
+	metText = scrapeMetrics(t, base)
+	if want := `rulefit_encode_cache_total{kind="solution",outcome="hit"}`; !strings.Contains(metText, want) {
+		t.Fatalf("metrics missing %q after a decomposed delta:\n%s", want, metText)
 	}
 }
 

@@ -104,9 +104,6 @@ type StatusSnapshot struct {
 	// window (0 when the window saw no requests).
 	ShedRate1m float64 `json:"shed_rate_1m"`
 	ShedRate5m float64 `json:"shed_rate_5m"`
-	// ActiveSolves is the live-progress snapshot of every request
-	// currently inside the daemon (the same data /debug/solvez serves).
-	ActiveSolves []obs.ProgressSnapshot `json:"active_solves,omitempty"`
 	// PhaseExemplars names, per request phase, the trace whose
 	// observation was slowest: the request behind the top bucket of
 	// /metrics' rulefit_request_phase_seconds.
@@ -133,7 +130,6 @@ func (s *Server) statusAt(sec int64, uptime time.Duration) StatusSnapshot {
 	if snap.Requests5m > 0 {
 		snap.ShedRate5m = float64(snap.Shed5m) / float64(snap.Requests5m)
 	}
-	snap.ActiveSolves = s.solves.snapshots()
 	snap.PhaseExemplars = s.met.PhaseExemplars()
 	return snap
 }

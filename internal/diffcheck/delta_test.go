@@ -1,6 +1,8 @@
 package diffcheck
 
 import (
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -53,6 +55,9 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 		for _, f := range res.Failures {
 			t.Errorf("seed %d: %s", seed, f)
 		}
+		if res.Failed() {
+			writeDeltaReproducer(t, sp, deltas, deltaSuiteOpts(seed), seed)
+		}
 		for p, n := range res.Paths {
 			paths[p] += n
 		}
@@ -65,6 +70,39 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 		}
 	}
 	t.Logf("path coverage: %v", paths)
+}
+
+// writeDeltaReproducer shrinks a failing delta stream to a minimal
+// subsequence, writes it as a rulefit-deltacheck/v1 fixture under the
+// test's temp dir, replays the written file to confirm it still fails,
+// and logs its path with the shrunk deltas, which with the seed's
+// instance are the reproducer to commit under
+// testdata/regressions/delta/.
+func writeDeltaReproducer(t *testing.T, sp *spec.Problem, deltas []spec.Delta, opts core.Options, seed int64) {
+	t.Helper()
+	shrunk := ShrinkDeltas(sp, deltas, opts)
+	note := fmt.Sprintf("quick delta suite seed %d, shrunk from %d to %d deltas", seed, len(deltas), len(shrunk))
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("seed-%d.json", seed))
+	if err := NewDeltaFixture(sp, shrunk, opts, seed, note).WriteFile(path); err != nil {
+		t.Errorf("seed %d: writing the reproducer: %v", seed, err)
+		return
+	}
+	fix, err := LoadDeltaFixture(path)
+	if err != nil {
+		t.Errorf("seed %d: %v", seed, err)
+		return
+	}
+	res, err := fix.Replay()
+	if err != nil || !res.Failed() {
+		t.Errorf("seed %d: the written reproducer does not fail on replay (err %v)", seed, err)
+		return
+	}
+	shrunkJSON, err := json.Marshal(shrunk)
+	if err != nil {
+		t.Errorf("seed %d: %v", seed, err)
+		return
+	}
+	t.Logf("seed %d: %s; fixture %s replays a %s failure; deltas %s", seed, note, path, res.Failures[0].Kind, shrunkJSON)
 }
 
 // TestDeltaAddRemoveRestoresFingerprint is the first metamorphic delta

@@ -81,7 +81,7 @@ func NewFixture(inst *randgen.Instance, coreOpts core.Options, note string) *Fix
 		Note:    note,
 		Seed:    inst.Config.Seed,
 		Options: fixtureOptions(coreOpts),
-		Problem: ProblemToSpec(inst.Problem),
+		Problem: spec.FromCore(inst.Problem),
 	}
 }
 
@@ -136,10 +136,4 @@ func LoadFixture(path string) (*Fixture, error) {
 		return nil, fmt.Errorf("diffcheck: %s: %w", path, err)
 	}
 	return &f, nil
-}
-
-// ProblemToSpec flattens a core problem into fully explicit spec form
-// (see spec.FromCore, which the delta session layer also uses).
-func ProblemToSpec(p *core.Problem) *spec.Problem {
-	return spec.FromCore(p)
 }

@@ -118,20 +118,35 @@ func TestMetricsFoldMatchesStats(t *testing.T) {
 				t.Fatalf("workers=%d: no fixture ends %v", w, st)
 			}
 		}
-		s := reg.Snapshot()
+		var exposition strings.Builder
+		if err := reg.WritePrometheus(&exposition); err != nil {
+			t.Fatal(err)
+		}
+		s, err := obs.PrometheusSamples(strings.NewReader(exposition.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := wantFold(sols)
-		for name, got := range map[string]int64{
-			"solves optimal": s.SolvesOptimal, "solves feasible": s.SolvesFeasible,
-			"solves infeasible": s.SolvesInfeasible, "solves limit": s.SolvesLimit,
-			"solves unbounded": s.SolvesUnbounded, "nodes": s.Nodes,
-			"simplex iterations": s.SimplexIters, "LU refactorizations": s.LURefactors,
-			"presolve fixes": s.PresolveFixes, "incumbents": s.Incumbents,
-			"branched": s.Branched, "pruned bound": s.PrunedBound,
-			"pruned infeasible": s.PrunedInfeasible, "integral": s.IntegralLeaves,
-			"lost": s.LostSubtrees, "stale skips": s.PrunedStale,
+		for name, series := range map[string]string{
+			"solves optimal":      `rulefit_solves_total{status="optimal"}`,
+			"solves feasible":     `rulefit_solves_total{status="feasible"}`,
+			"solves infeasible":   `rulefit_solves_total{status="infeasible"}`,
+			"solves limit":        `rulefit_solves_total{status="limit"}`,
+			"solves unbounded":    `rulefit_solves_total{status="unbounded"}`,
+			"nodes":               "rulefit_solve_nodes_sum",
+			"simplex iterations":  "rulefit_solve_simplex_iters_sum",
+			"LU refactorizations": "rulefit_lu_refactorizations_total",
+			"presolve fixes":      "rulefit_presolve_fixes_total",
+			"incumbents":          "rulefit_incumbents_total",
+			"branched":            `rulefit_node_outcomes_total{outcome="branched"}`,
+			"pruned bound":        `rulefit_node_outcomes_total{outcome="pruned_bound"}`,
+			"pruned infeasible":   `rulefit_node_outcomes_total{outcome="pruned_infeasible"}`,
+			"integral":            `rulefit_node_outcomes_total{outcome="integral"}`,
+			"lost":                `rulefit_node_outcomes_total{outcome="lost"}`,
+			"stale skips":         "rulefit_stale_skips_total",
 		} {
-			if got != want[name] {
-				t.Errorf("workers=%d: registry holds %d %s, Stats sum to %d", w, got, name, want[name])
+			if got, ok := s[series]; !ok || got != float64(want[name]) {
+				t.Errorf("workers=%d: /metrics %s reads %g (present %v), Stats sum to %d %s", w, series, got, ok, want[name], name)
 			}
 		}
 		for _, name := range []string{"LU refactorizations", "presolve fixes", "stale skips", "incumbents"} {

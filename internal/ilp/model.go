@@ -91,9 +91,6 @@ func (m *Model) AddInteger(name string, lo, hi, obj float64) int {
 	return len(m.vars) - 1
 }
 
-// SetObj overrides a variable's objective coefficient.
-func (m *Model) SetObj(v int, obj float64) { m.vars[v].obj = obj }
-
 // AddConstraint appends a linear constraint. Terms with duplicate
 // variables are combined.
 func (m *Model) AddConstraint(terms []Term, op Op, rhs float64, name string) {
@@ -128,9 +125,6 @@ func (m *Model) NumVars() int { return len(m.vars) }
 
 // NumConstraints returns the constraint count.
 func (m *Model) NumConstraints() int { return len(m.cons) }
-
-// VarName returns the name of variable v.
-func (m *Model) VarName(v int) string { return m.vars[v].name }
 
 // Validation errors.
 var (

@@ -703,22 +703,6 @@ func (s *lpSolver) structuralObjective() float64 {
 	return v
 }
 
-// setBound tightens a structural variable's bounds in place. The caller
-// must re-solve afterwards; if the variable is nonbasic outside the new
-// range it is snapped to the nearest bound.
-func (s *lpSolver) setBound(j int, lo, hi float64) {
-	s.lo[j], s.hi[j] = lo, hi
-	if s.state[j] == stBasic {
-		return
-	}
-	v := s.nonbasicValue(j)
-	if v < lo {
-		s.state[j] = stLower
-	} else if v > hi {
-		s.state[j] = stUpper
-	}
-}
-
 // resolveAfterBoundChange re-solves the LP after variable bounds (and
 // possibly the nonbasic state vector) changed. The caller's state vector
 // is the warm start: the basis is reconstructed from it (slacks basic

@@ -6,8 +6,8 @@ import (
 	"hash/fnv"
 
 	"rulefit/internal/daemon"
-	"rulefit/internal/diffcheck"
 	"rulefit/internal/randgen"
+	"rulefit/internal/spec"
 )
 
 // WorkItem is one replayable request: the marshaled wire body, which
@@ -58,7 +58,7 @@ func stratumOf(rules int) string {
 
 // BuildWorkload materializes the request set for cfg: one
 // randgen.FromSeed instance per request, serialized through the exact
-// spec round-trip (diffcheck.ProblemToSpec), wrapped in the daemon
+// spec round-trip (spec.FromCore), wrapped in the daemon
 // wire format. Identical configs produce byte-identical workloads.
 func BuildWorkload(cfg Config) (*Workload, error) {
 	cfg = cfg.withDefaults()
@@ -70,7 +70,7 @@ func BuildWorkload(cfg Config) (*Workload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load: generating request %d (seed %d): %w", i, seed, err)
 		}
-		probJSON, err := json.Marshal(diffcheck.ProblemToSpec(inst.Problem))
+		probJSON, err := json.Marshal(spec.FromCore(inst.Problem))
 		if err != nil {
 			return nil, err
 		}

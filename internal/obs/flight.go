@@ -7,24 +7,27 @@ import (
 )
 
 // FlightRecorder is an always-on Sink holding the most recent events in
-// a fixed-size ring — the solver's black box. Unlike the JSONL trace
+// a bounded ring — the solver's black box. Unlike the JSONL trace
 // (which must be enabled before a run and records everything), the
 // recorder is cheap enough to leave attached in production: recording
-// one event is a TryLock, a struct copy into a preallocated slot, and
-// two counter bumps. When the lock is contended — a Dump in progress,
-// or concurrent solves sharing one recorder — the event is dropped
-// rather than waited for, and the drop is counted. The recorder
-// therefore degrades (loses events) under pressure instead of adding
-// latency, which is the right trade for a diagnostic tail buffer.
+// one event is a TryLock, a struct copy into a slot, and two counter
+// bumps. The ring grows by doubling until it holds Size events and
+// then wraps, so a recorder that sees few events (a request whose
+// answer runs no solve) allocates only for those. When the lock is
+// contended — a Dump in progress, or concurrent solves sharing one
+// recorder — the event is dropped rather than waited for, and the drop
+// is counted. The recorder therefore degrades (loses events) under
+// pressure instead of adding latency, which is the right trade for a
+// diagnostic tail buffer.
 //
 // The solver's contract is unchanged: the recorder is a Sink, nothing
 // is read back, and a solve with a recorder attached returns bytes
 // identical to one without (TestPlaceFlightRecorderDoesNotPerturb).
 type FlightRecorder struct {
 	mu   sync.Mutex
-	ring []Event
-	next int  // ring index of the next write
-	wrap bool // ring has wrapped at least once
+	size int     // ring capacity in events
+	ring []Event // grows to size, then wraps
+	next int     // ring index of the oldest event, overwritten next once the ring is full
 
 	seen    atomic.Uint64 // events offered to the recorder
 	dropped atomic.Uint64 // events lost to lock contention
@@ -45,7 +48,7 @@ func NewFlightRecorder(opts FlightOpts) *FlightRecorder {
 	if opts.Size <= 0 {
 		opts.Size = 4096
 	}
-	return &FlightRecorder{ring: make([]Event, opts.Size)}
+	return &FlightRecorder{size: opts.Size}
 }
 
 // Event records one event, or drops it if the ring is contended.
@@ -55,11 +58,19 @@ func (r *FlightRecorder) Event(e Event) {
 		r.dropped.Add(1)
 		return
 	}
-	r.ring[r.next] = e
-	r.next++ //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
-	if r.next == len(r.ring) {
-		r.next = 0 //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
-		r.wrap = true
+	if len(r.ring) < r.size {
+		if len(r.ring) == cap(r.ring) {
+			// Double, capped at size, so a ring that fills costs at most
+			// twice its final allocation; append's 1.25x growth past 256
+			// elements would cost nearly four times.
+			grown := make([]Event, len(r.ring), min(max(2*len(r.ring), 1), r.size))
+			copy(grown, r.ring)
+			r.ring = grown //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
+		}
+		r.ring = append(r.ring, e) //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
+	} else {
+		r.ring[r.next] = e
+		r.next = (r.next + 1) % r.size //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
 	}
 	r.mu.Unlock()
 }
@@ -86,13 +97,9 @@ func (r *FlightRecorder) Dump() FlightDump {
 		Seen:    r.seen.Load(),
 		Dropped: r.dropped.Load(),
 	}
-	if r.wrap {
-		d.Events = make([]Event, 0, len(r.ring))
-		d.Events = append(d.Events, r.ring[r.next:]...)
-		d.Events = append(d.Events, r.ring[:r.next]...)
-	} else {
-		d.Events = append([]Event(nil), r.ring[:r.next]...)
-	}
+	d.Events = make([]Event, 0, len(r.ring))
+	d.Events = append(d.Events, r.ring[r.next:]...)
+	d.Events = append(d.Events, r.ring[:r.next]...)
 	r.mu.Unlock()
 	return d
 }

@@ -137,7 +137,28 @@ func TestFlightDumpWriteJSONL(t *testing.T) {
 
 func TestFlightOptsDefaults(t *testing.T) {
 	r := NewFlightRecorder(FlightOpts{Size: -1})
-	if len(r.ring) != 4096 {
-		t.Fatalf("default ring size %d, want 4096", len(r.ring))
+	for i := 1; i <= 5000; i++ {
+		r.Event(Event{Kind: KindNode, Node: i})
+	}
+	d := r.Dump()
+	if len(d.Events) != 4096 || d.Events[0].Node != 5000-4096+1 || d.Events[4095].Node != 5000 {
+		t.Fatalf("default ring retained %d events (nodes %d..%d), want the last 4096",
+			len(d.Events), d.Events[0].Node, d.Events[len(d.Events)-1].Node)
+	}
+}
+
+// TestFlightRingAllocatesOnlyWhatItHolds: a ring offered a few events
+// holds capacity for about those, not for Size, so a per-request
+// recorder on an answer that runs no solve costs nothing.
+func TestFlightRingAllocatesOnlyWhatItHolds(t *testing.T) {
+	r := NewFlightRecorder(FlightOpts{Size: 4096})
+	for i := 1; i <= 3; i++ {
+		r.Event(Event{Kind: KindNode, Node: i})
+	}
+	if c := cap(r.ring); c > 8 {
+		t.Fatalf("ring holding 3 events has capacity %d", c)
+	}
+	if empty := NewFlightRecorder(FlightOpts{Size: 4096}); cap(empty.ring) != 0 {
+		t.Fatalf("ring holding no events has capacity %d", cap(empty.ring))
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,25 +108,28 @@ func TestLabeledHistogramSnapshotSortedSharedLayout(t *testing.T) {
 	}
 }
 
-// TestPhaseWallExposition checks RecordPhase surfaces as a labeled
-// histogram family in the snapshot and the Prometheus text, which
-// passes the shared conformance check (per-phase cumulative bucket
-// sequences).
+// TestPhaseWallExposition checks RecordPhaseTrace surfaces as a
+// labeled histogram family, one member per phase in sorted order, in
+// Prometheus text that passes the shared conformance check (per-phase
+// cumulative bucket sequences).
 func TestPhaseWallExposition(t *testing.T) {
 	m := NewMetrics()
-	m.RecordPhase("solve", 80*time.Millisecond)
-	m.RecordPhase("solve", 5*time.Millisecond)
-	m.RecordPhase("queue_wait", 100*time.Microsecond)
+	m.RecordPhaseTrace("solve", 80*time.Millisecond, "")
+	m.RecordPhaseTrace("solve", 5*time.Millisecond, "")
+	m.RecordPhaseTrace("queue_wait", 100*time.Microsecond, "")
 
-	s := m.Snapshot()
-	if len(s.PhaseWall) != 2 {
-		t.Fatalf("phase members = %d, want 2", len(s.PhaseWall))
+	s := scrape(t, m)
+	members := 0
+	for series := range s {
+		if strings.HasPrefix(series, "rulefit_request_phase_seconds_count{") {
+			members++
+		}
 	}
-	if s.PhaseWall[0].Label != "queue_wait" || s.PhaseWall[1].Label != "solve" {
-		t.Fatalf("phase labels = %+v, want sorted [queue_wait solve]", s.PhaseWall)
+	if members != 2 {
+		t.Fatalf("phase members = %d, want 2", members)
 	}
-	if s.PhaseWall[1].Hist.Count != 2 {
-		t.Fatalf("solve phase count = %d, want 2", s.PhaseWall[1].Hist.Count)
+	if s[`rulefit_request_phase_seconds_count{phase="solve"}`] != 2 {
+		t.Fatalf("solve phase count = %g, want 2", s[`rulefit_request_phase_seconds_count{phase="solve"}`])
 	}
 
 	var buf bytes.Buffer
@@ -133,6 +137,9 @@ func TestPhaseWallExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
+	if strings.Index(text, `phase="queue_wait"`) > strings.Index(text, `phase="solve"`) {
+		t.Fatalf("phase members not sorted [queue_wait solve]:\n%s", text)
+	}
 	for _, want := range []string{
 		"# TYPE rulefit_request_phase_seconds histogram",
 		`rulefit_request_phase_seconds_bucket{phase="solve",le="+Inf"} 2`,

@@ -24,8 +24,6 @@ type Metrics struct {
 	solvesInfeas    atomic.Int64
 	solvesLimit     atomic.Int64
 	solvesUnbounded atomic.Int64
-	nodes           atomic.Int64
-	simplexIters    atomic.Int64
 	luRefactors     atomic.Int64
 	presolveFixes   atomic.Int64
 	incumbents      atomic.Int64
@@ -35,9 +33,9 @@ type Metrics struct {
 	integralLeaves  atomic.Int64
 	lostSubtrees    atomic.Int64
 	prunedStale     atomic.Int64
-	wallMicros      atomic.Int64
 
-	// Per-solve distributions, fed by done events.
+	// Per-solve distributions, fed by done events. Their _sum series
+	// are the solve wall, node and simplex-iteration totals.
 	solveWallHist  *Histogram
 	solveNodesHist *Histogram
 	solveItersHist *Histogram
@@ -51,12 +49,12 @@ type Metrics struct {
 
 	// phaseWall attributes request wall time to pipeline phases
 	// (queue_wait, parse, encode, model_build, solve, extract), fed by
-	// RecordPhase from the daemon's per-request span tree.
+	// RecordPhaseTrace from the daemon's per-request span tree.
 	phaseWall *LabeledHistogram
 
 	// phaseSlow keeps, per phase, the slowest observation's trace ID —
 	// the exemplar that turns a p99 histogram reading into a concrete
-	// trace to pull. Fed by RecordPhaseTrace.
+	// trace to pull.
 	phaseSlowMu sync.Mutex
 	phaseSlow   map[string]PhaseExemplar
 
@@ -97,8 +95,8 @@ func NewMetrics() *Metrics {
 // family keeps its per-ilp.Solve meaning: presolve events carry the
 // presolve fixes, node events their outcome, skip and incumbent events
 // count themselves, and the done event that closes every solve
-// carries its status, wall time and node, iteration and LU
-// refactorization totals, which also feed the per-solve histograms.
+// carries its status and LU refactorization total, and its wall
+// time, node and iteration totals feed the per-solve histograms.
 // Atomics and the histogram locks make the fold lossless under
 // concurrent solves sharing one registry.
 func (m *Metrics) Event(e Event) {
@@ -135,22 +133,11 @@ func (m *Metrics) Event(e Event) {
 		case "unbounded":
 			m.solvesUnbounded.Add(1)
 		}
-		m.nodes.Add(int64(e.Node))
-		m.simplexIters.Add(int64(e.Iters))
 		m.luRefactors.Add(int64(e.Refactors))
-		m.wallMicros.Add(int64(math.Round(e.TimeMS * 1e3)))
 		m.solveWallHist.Observe(e.TimeMS / 1e3)
 		m.solveNodesHist.Observe(float64(e.Node))
 		m.solveItersHist.Observe(float64(e.Iters))
 	}
-}
-
-// RecordPhase attributes d of request wall time to one pipeline phase
-// (queue_wait, parse, encode, model_build, solve, extract). The
-// daemon records one observation per phase per request, read from the
-// request's span tree after the solve.
-func (m *Metrics) RecordPhase(phase string, d time.Duration) {
-	m.phaseWall.Observe(phase, d.Seconds())
 }
 
 // PhaseExemplar is the slowest recorded observation of one phase: its
@@ -167,11 +154,14 @@ type PhaseExemplar struct {
 	BucketLE float64 `json:"bucket_le"`
 }
 
-// RecordPhaseTrace is RecordPhase plus exemplar tracking: if this is
-// the slowest observation of the phase so far, its trace ID becomes
-// the phase's exemplar.
+// RecordPhaseTrace attributes d of request wall time to one pipeline
+// phase (queue_wait, parse, encode, model_build, solve, extract). The
+// daemon records one observation per phase per request, read from the
+// request's span tree after the solve. If this is the slowest
+// observation of the phase so far, traceID becomes the phase's
+// exemplar; an empty traceID records the observation alone.
 func (m *Metrics) RecordPhaseTrace(phase string, d time.Duration, traceID string) {
-	m.RecordPhase(phase, d)
+	m.phaseWall.Observe(phase, d.Seconds())
 	if traceID == "" {
 		return
 	}
@@ -265,123 +255,6 @@ func (m *Metrics) InFlight() *Gauge { return &m.requests }
 // solve slot.
 func (m *Metrics) QueueDepth() *Gauge { return &m.queue }
 
-// RequestCount is one (status, stop_reason) series of the request
-// counter.
-type RequestCount struct {
-	Status     string
-	StopReason string
-	Count      int64
-}
-
-// DeltaCount is one solve-path series of the session delta counter.
-type DeltaCount struct {
-	Path  string
-	Count int64
-}
-
-// EncodeCacheCount is one (kind, outcome) series of the session
-// cache lookup counter.
-type EncodeCacheCount struct {
-	Kind    string // "policy", "merge" or "solution"
-	Outcome string // "hit" or "miss"
-	Count   int64
-}
-
-// MetricsSnapshot is a point-in-time copy of a Metrics, the input of
-// WritePrometheus.
-type MetricsSnapshot struct {
-	SolvesOptimal    int64
-	SolvesFeasible   int64
-	SolvesInfeasible int64
-	SolvesLimit      int64
-	SolvesUnbounded  int64
-	SolveWallSec     float64
-	Nodes            int64
-	SimplexIters     int64
-	LURefactors      int64
-	PresolveFixes    int64
-	Incumbents       int64
-	Branched         int64
-	PrunedBound      int64
-	PrunedInfeasible int64
-	IntegralLeaves   int64
-	LostSubtrees     int64
-	PrunedStale      int64
-
-	InFlightRequests int64
-	QueueDepth       int64
-	SessionsActive   int64
-	Deltas           []DeltaCount
-	EncodeCache      []EncodeCacheCount
-	Requests         []RequestCount
-	SolveWallHist    HistogramSnapshot
-	SolveNodesHist   HistogramSnapshot
-	SolveItersHist   HistogramSnapshot
-	InstalledRules   HistogramSnapshot
-	// PhaseWall attributes request wall time per pipeline phase
-	// (absent until the daemon records a request).
-	PhaseWall []LabeledHist
-}
-
-// Snapshot copies the current instrument values.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		SolvesOptimal:    m.solvesOptimal.Load(),
-		SolvesFeasible:   m.solvesFeasible.Load(),
-		SolvesInfeasible: m.solvesInfeas.Load(),
-		SolvesLimit:      m.solvesLimit.Load(),
-		SolvesUnbounded:  m.solvesUnbounded.Load(),
-		SolveWallSec:     float64(m.wallMicros.Load()) / 1e6,
-		Nodes:            m.nodes.Load(),
-		SimplexIters:     m.simplexIters.Load(),
-		LURefactors:      m.luRefactors.Load(),
-		PresolveFixes:    m.presolveFixes.Load(),
-		Incumbents:       m.incumbents.Load(),
-		Branched:         m.branched.Load(),
-		PrunedBound:      m.prunedBound.Load(),
-		PrunedInfeasible: m.prunedInfeas.Load(),
-		IntegralLeaves:   m.integralLeaves.Load(),
-		LostSubtrees:     m.lostSubtrees.Load(),
-		PrunedStale:      m.prunedStale.Load(),
-		InFlightRequests: m.requests.Value(),
-		QueueDepth:       m.queue.Value(),
-		SessionsActive:   m.sessions.Value(),
-		SolveWallHist:    m.solveWallHist.Snapshot(),
-		SolveNodesHist:   m.solveNodesHist.Snapshot(),
-		SolveItersHist:   m.solveItersHist.Snapshot(),
-		InstalledRules:   m.placedRules.Snapshot(),
-		PhaseWall:        m.phaseWall.Snapshot(),
-	}
-	for _, lc := range m.byStatus.Snapshot() {
-		rc := RequestCount{Count: lc.Value}
-		if len(lc.Labels) > 0 {
-			rc.Status = lc.Labels[0]
-		}
-		if len(lc.Labels) > 1 {
-			rc.StopReason = lc.Labels[1]
-		}
-		s.Requests = append(s.Requests, rc)
-	}
-	for _, lc := range m.deltas.Snapshot() {
-		dc := DeltaCount{Count: lc.Value}
-		if len(lc.Labels) > 0 {
-			dc.Path = lc.Labels[0]
-		}
-		s.Deltas = append(s.Deltas, dc)
-	}
-	for _, lc := range m.encodeCache.Snapshot() {
-		ec := EncodeCacheCount{Count: lc.Value}
-		if len(lc.Labels) > 0 {
-			ec.Kind = lc.Labels[0]
-		}
-		if len(lc.Labels) > 1 {
-			ec.Outcome = lc.Labels[1]
-		}
-		s.EncodeCache = append(s.EncodeCache, ec)
-	}
-	return s
-}
-
 // series is one exposition line: optional label set and a value.
 type series struct {
 	labels string
@@ -461,89 +334,77 @@ func labeledHistFamilies(name, help, labelName string, members []LabeledHist) []
 	return append(fams, bucket, sum, count)
 }
 
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4), suitable for a /metrics endpoint or a
-// one-shot dump at process exit. Histograms are emitted as cumulative
-// _bucket{le=...} series ending at le="+Inf", plus _sum and _count.
+// counterFamily renders a labeled counter, one series per member,
+// naming its label values by labelNames in order. Members arrive
+// sorted (LabeledCounter snapshots sort), so the exposition order is
+// deterministic.
+func counterFamily(name, help string, c *LabeledCounter, labelNames ...string) family {
+	f := family{name: name, help: help, typ: "counter"}
+	for _, lc := range c.Snapshot() {
+		pairs := make([]string, len(lc.Labels))
+		for i, v := range lc.Labels {
+			pairs[i] = fmt.Sprintf(`%s="%s"`, labelNames[i], escapeLabel(v))
+		}
+		f.series = append(f.series, series{labels: "{" + strings.Join(pairs, ",") + "}", val: float64(lc.Value)})
+	}
+	return f
+}
+
+// WritePrometheus writes the registry's instruments in the Prometheus
+// text exposition format (version 0.0.4), suitable for a /metrics
+// endpoint or a one-shot dump at process exit. Histograms are emitted
+// as cumulative _bucket{le=...} series ending at le="+Inf", plus _sum
+// and _count.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
-	s := m.Snapshot()
+	n := func(c *atomic.Int64) float64 { return float64(c.Load()) }
 	families := []family{
 		{name: "rulefit_solves_total", help: "Completed ilp.Solve calls by final status.", typ: "counter", series: []series{
-			{labels: `{status="optimal"}`, val: float64(s.SolvesOptimal)},
-			{labels: `{status="feasible"}`, val: float64(s.SolvesFeasible)},
-			{labels: `{status="infeasible"}`, val: float64(s.SolvesInfeasible)},
-			{labels: `{status="limit"}`, val: float64(s.SolvesLimit)},
-			{labels: `{status="unbounded"}`, val: float64(s.SolvesUnbounded)},
-		}},
-		{name: "rulefit_solve_wall_seconds_total", help: "Wall-clock seconds spent inside ilp.Solve.", typ: "counter", series: []series{
-			{val: s.SolveWallSec},
-		}},
-		{name: "rulefit_bnb_nodes_total", help: "Branch & bound nodes expanded.", typ: "counter", series: []series{
-			{val: float64(s.Nodes)},
-		}},
-		{name: "rulefit_simplex_iters_total", help: "Simplex iterations across all node LPs.", typ: "counter", series: []series{
-			{val: float64(s.SimplexIters)},
+			{labels: `{status="optimal"}`, val: n(&m.solvesOptimal)},
+			{labels: `{status="feasible"}`, val: n(&m.solvesFeasible)},
+			{labels: `{status="infeasible"}`, val: n(&m.solvesInfeas)},
+			{labels: `{status="limit"}`, val: n(&m.solvesLimit)},
+			{labels: `{status="unbounded"}`, val: n(&m.solvesUnbounded)},
 		}},
 		{name: "rulefit_lu_refactorizations_total", help: "Basis LU refactorizations.", typ: "counter", series: []series{
-			{val: float64(s.LURefactors)},
+			{val: n(&m.luRefactors)},
 		}},
 		{name: "rulefit_presolve_fixes_total", help: "Presolve bound tightenings.", typ: "counter", series: []series{
-			{val: float64(s.PresolveFixes)},
+			{val: n(&m.presolveFixes)},
 		}},
 		{name: "rulefit_incumbents_total", help: "Incumbent improvements found.", typ: "counter", series: []series{
-			{val: float64(s.Incumbents)},
+			{val: n(&m.incumbents)},
 		}},
 		{name: "rulefit_node_outcomes_total", help: "Expanded-node outcomes by reason.", typ: "counter", series: []series{
-			{labels: `{outcome="branched"}`, val: float64(s.Branched)},
-			{labels: `{outcome="pruned_bound"}`, val: float64(s.PrunedBound)},
-			{labels: `{outcome="pruned_infeasible"}`, val: float64(s.PrunedInfeasible)},
-			{labels: `{outcome="integral"}`, val: float64(s.IntegralLeaves)},
-			{labels: `{outcome="lost"}`, val: float64(s.LostSubtrees)},
+			{labels: `{outcome="branched"}`, val: n(&m.branched)},
+			{labels: `{outcome="pruned_bound"}`, val: n(&m.prunedBound)},
+			{labels: `{outcome="pruned_infeasible"}`, val: n(&m.prunedInfeas)},
+			{labels: `{outcome="integral"}`, val: n(&m.integralLeaves)},
+			{labels: `{outcome="lost"}`, val: n(&m.lostSubtrees)},
 		}},
 		{name: "rulefit_stale_skips_total", help: "Deque items discarded as bound-dominated before expansion.", typ: "counter", series: []series{
-			{val: float64(s.PrunedStale)},
+			{val: n(&m.prunedStale)},
 		}},
 		{name: "rulefit_in_flight_requests", help: "Placement requests currently solving.", typ: "gauge", series: []series{
-			{val: float64(s.InFlightRequests)},
+			{val: float64(m.requests.Value())},
 		}},
 		{name: "rulefit_request_queue_depth", help: "Placement requests admitted but waiting for a solve slot.", typ: "gauge", series: []series{
-			{val: float64(s.QueueDepth)},
+			{val: float64(m.queue.Value())},
 		}},
 		{name: "rulefit_sessions_active", help: "Live placement sessions held by the stateful delta layer.", typ: "gauge", series: []series{
-			{val: float64(s.SessionsActive)},
+			{val: float64(m.sessions.Value())},
 		}},
+		counterFamily("rulefit_session_deltas_total", "Session delta answers by fallback-ladder solve path.", &m.deltas, "path"),
+		counterFamily("rulefit_encode_cache_total", "Session cache lookups by kind (policy and merge encodes, solution fragments) and outcome.",
+			&m.encodeCache, "kind", "outcome"),
+		counterFamily("rulefit_requests_total", "Placement requests by outcome and solver stop reason.", &m.byStatus, "status", "stop_reason"),
 	}
-	deltaFamily := family{name: "rulefit_session_deltas_total", help: "Session delta answers by fallback-ladder solve path.", typ: "counter"}
-	for _, dc := range s.Deltas {
-		deltaFamily.series = append(deltaFamily.series, series{
-			labels: fmt.Sprintf(`{path="%s"}`, escapeLabel(dc.Path)),
-			val:    float64(dc.Count),
-		})
-	}
-	families = append(families, deltaFamily)
-	cacheFamily := family{name: "rulefit_encode_cache_total", help: "Session cache lookups by kind (policy and merge encodes, solution fragments) and outcome.", typ: "counter"}
-	for _, ec := range s.EncodeCache {
-		cacheFamily.series = append(cacheFamily.series, series{
-			labels: fmt.Sprintf(`{kind="%s",outcome="%s"}`, escapeLabel(ec.Kind), escapeLabel(ec.Outcome)),
-			val:    float64(ec.Count),
-		})
-	}
-	families = append(families, cacheFamily)
-	reqFamily := family{name: "rulefit_requests_total", help: "Placement requests by outcome and solver stop reason.", typ: "counter"}
-	for _, rc := range s.Requests {
-		reqFamily.series = append(reqFamily.series, series{
-			labels: fmt.Sprintf(`{status="%s",stop_reason="%s"}`, escapeLabel(rc.Status), escapeLabel(rc.StopReason)),
-			val:    float64(rc.Count),
-		})
-	}
-	families = append(families, reqFamily)
-	families = append(families, histFamilies("rulefit_solve_wall_seconds", "Distribution of per-solve wall time (seconds).", s.SolveWallHist)...)
-	families = append(families, histFamilies("rulefit_solve_nodes", "Distribution of branch & bound nodes per solve.", s.SolveNodesHist)...)
-	families = append(families, histFamilies("rulefit_solve_simplex_iters", "Distribution of simplex iterations per solve.", s.SolveItersHist)...)
-	families = append(families, histFamilies("rulefit_installed_rules", "Distribution of installed TCAM slots per placement.", s.InstalledRules)...)
-	if len(s.PhaseWall) > 0 {
+	families = append(families, histFamilies("rulefit_solve_wall_seconds", "Distribution of per-solve wall time (seconds).", m.solveWallHist.Snapshot())...)
+	families = append(families, histFamilies("rulefit_solve_nodes", "Distribution of branch & bound nodes per solve.", m.solveNodesHist.Snapshot())...)
+	families = append(families, histFamilies("rulefit_solve_simplex_iters", "Distribution of simplex iterations per solve.", m.solveItersHist.Snapshot())...)
+	families = append(families, histFamilies("rulefit_installed_rules", "Distribution of installed TCAM slots per placement.", m.placedRules.Snapshot())...)
+	if phases := m.phaseWall.Snapshot(); len(phases) > 0 {
 		families = append(families, labeledHistFamilies("rulefit_request_phase_seconds",
-			"Request wall time attributed to pipeline phases.", "phase", s.PhaseWall)...)
+			"Request wall time attributed to pipeline phases.", "phase", phases)...)
 	}
 
 	for _, f := range families {

@@ -171,22 +171,26 @@ func TestMetricsRecordAndEncoders(t *testing.T) {
 		m.Event(Event{Kind: KindNode, Node: i, Outcome: OutcomeBranched})
 	}
 	m.Event(Event{Kind: KindDone, Node: 10, Outcome: "limit"})
-	s := m.Snapshot()
-	if s.SolvesOptimal != 1 || s.SolvesLimit != 1 || s.SolvesFeasible+s.SolvesInfeasible+s.SolvesUnbounded != 0 {
-		t.Fatalf("solve counts wrong: %+v", s)
+	s := scrape(t, m)
+	solves := func(status string) float64 { return s[`rulefit_solves_total{status="`+status+`"}`] }
+	if solves("optimal") != 1 || solves("limit") != 1 || solves("feasible")+solves("infeasible")+solves("unbounded") != 0 {
+		t.Fatalf("solve counts wrong: %v", s)
 	}
-	if s.Nodes != 15 || s.Branched != 12 || s.PrunedBound != 1 || s.PrunedInfeasible != 1 ||
-		s.IntegralLeaves != 1 || s.PrunedStale != 1 || s.Incumbents != 1 {
-		t.Fatalf("node counts wrong: %+v", s)
+	outcome := func(o string) float64 { return s[`rulefit_node_outcomes_total{outcome="`+o+`"}`] }
+	if s["rulefit_solve_nodes_sum"] != 15 || outcome("branched") != 12 || outcome("pruned_bound") != 1 ||
+		outcome("pruned_infeasible") != 1 || outcome("integral") != 1 || s["rulefit_stale_skips_total"] != 1 ||
+		s["rulefit_incumbents_total"] != 1 {
+		t.Fatalf("node counts wrong: %v", s)
 	}
-	if s.SimplexIters != 40 || s.LURefactors != 2 || s.PresolveFixes != 3 {
-		t.Fatalf("effort wrong: %+v", s)
+	if s["rulefit_solve_simplex_iters_sum"] != 40 || s["rulefit_lu_refactorizations_total"] != 2 ||
+		s["rulefit_presolve_fixes_total"] != 3 {
+		t.Fatalf("effort wrong: %v", s)
 	}
-	if s.SolveWallSec < 0.001 || s.SolveWallSec > 0.01 {
-		t.Fatalf("wall = %v", s.SolveWallSec)
+	if wall := s["rulefit_solve_wall_seconds_sum"]; wall < 0.001 || wall > 0.01 {
+		t.Fatalf("wall = %v", wall)
 	}
-	if s.SolveNodesHist.Count != 2 || s.SolveItersHist.Sum != 40 {
-		t.Fatalf("per-solve histograms wrong: %+v %+v", s.SolveNodesHist, s.SolveItersHist)
+	if s["rulefit_solve_nodes_count"] != 2 || s["rulefit_solve_simplex_iters_count"] != 2 {
+		t.Fatalf("per-solve histograms wrong: %v", s)
 	}
 
 	var prom bytes.Buffer
@@ -198,7 +202,7 @@ func TestMetricsRecordAndEncoders(t *testing.T) {
 		"# TYPE rulefit_solves_total counter",
 		`rulefit_solves_total{status="optimal"} 1`,
 		`rulefit_node_outcomes_total{outcome="branched"} 12`,
-		"rulefit_bnb_nodes_total 15",
+		"rulefit_solve_nodes_sum 15",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -67,6 +67,38 @@ func Tag(id string, s Sink) Sink {
 // metricNameRE is the Prometheus metric/label name grammar.
 var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
+// newExpositionScanner returns a line scanner sized for exposition
+// payloads.
+func newExpositionScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	return sc
+}
+
+// PrometheusSamples reads a text-exposition (0.0.4) payload into a map
+// from series, the sample line up to its value (for example
+// `rulefit_solves_total{status="optimal"}`), to the value parsed as a
+// float: values are rendered with %g, so 1,234,567 reads back from
+// `1.234567e+06`. Comment lines are skipped, and conformance is
+// CheckPrometheusText's job. Tests read a registry's values through it,
+// as a scraper would.
+func PrometheusSamples(r io.Reader) (map[string]float64, error) {
+	sc := newExpositionScanner(r)
+	out := map[string]float64{}
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _, value, err := parseSample(line)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		out[series] = value
+	}
+	return out, sc.Err()
+}
+
 // CheckPrometheusText validates a text-exposition (0.0.4) payload:
 // every line is a HELP/TYPE comment or a `name{labels} value` sample,
 // names and label names match the Prometheus grammar, every sample's
@@ -75,8 +107,7 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // violation found. Exposed so endpoint tests and CI smoke checks share
 // one conformance definition.
 func CheckPrometheusText(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc := newExpositionScanner(r)
 	typed := map[string]string{} // family -> type
 	type histState struct {
 		prev    float64 // last cumulative bucket count
@@ -110,7 +141,7 @@ func CheckPrometheusText(r io.Reader) error {
 		if strings.HasPrefix(line, "#") {
 			continue // free-form comment
 		}
-		name, labels, value, err := parseSample(line)
+		_, name, labels, value, err := parseSample(line)
 		if err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -214,8 +245,9 @@ func histFamilyOf(name string, typed map[string]string) (family, suffix string) 
 	return "", ""
 }
 
-// parseSample splits one exposition sample line.
-func parseSample(line string) (name string, labels map[string]string, value float64, err error) {
+// parseSample splits one exposition sample line into its series (the
+// line up to the value), metric name, labels and value.
+func parseSample(line string) (series, name string, labels map[string]string, value float64, err error) {
 	rest := line
 	brace := strings.IndexByte(rest, '{')
 	labels = map[string]string{}
@@ -223,29 +255,30 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 		name = rest[:brace]
 		end := strings.LastIndexByte(rest, '}')
 		if end < brace {
-			return "", nil, 0, fmt.Errorf("unterminated label set in %q", line)
+			return "", "", nil, 0, fmt.Errorf("unterminated label set in %q", line)
 		}
 		if err := parseLabels(rest[brace+1:end], labels); err != nil {
-			return "", nil, 0, fmt.Errorf("%w in %q", err, line)
+			return "", "", nil, 0, fmt.Errorf("%w in %q", err, line)
 		}
-		rest = strings.TrimSpace(rest[end+1:])
+		series, rest = rest[:end+1], strings.TrimSpace(rest[end+1:])
 	} else {
 		fields := strings.SplitN(rest, " ", 2)
 		if len(fields) != 2 {
-			return "", nil, 0, fmt.Errorf("malformed sample %q", line)
+			return "", "", nil, 0, fmt.Errorf("malformed sample %q", line)
 		}
 		name, rest = fields[0], strings.TrimSpace(fields[1])
+		series = name
 	}
 	// The value may be followed by an optional timestamp.
 	valField := strings.Fields(rest)
 	if len(valField) < 1 {
-		return "", nil, 0, fmt.Errorf("missing value in %q", line)
+		return "", "", nil, 0, fmt.Errorf("missing value in %q", line)
 	}
 	v, err := strconv.ParseFloat(valField[0], 64)
 	if err != nil {
-		return "", nil, 0, fmt.Errorf("bad value %q", valField[0])
+		return "", "", nil, 0, fmt.Errorf("bad value %q", valField[0])
 	}
-	return name, labels, v, nil
+	return series, name, labels, v, nil
 }
 
 // parseLabels parses `k1="v1",k2="v2"` into out.

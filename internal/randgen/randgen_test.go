@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"testing"
 
-	"rulefit/internal/diffcheck"
 	"rulefit/internal/policy"
 	"rulefit/internal/randgen"
+	"rulefit/internal/spec"
 )
 
 // instanceBytes serializes a generated problem canonically (via the
@@ -14,7 +14,7 @@ import (
 // means deep structural equality.
 func instanceBytes(t *testing.T, inst *randgen.Instance) []byte {
 	t.Helper()
-	data, err := json.Marshal(diffcheck.ProblemToSpec(inst.Problem))
+	data, err := json.Marshal(spec.FromCore(inst.Problem))
 	if err != nil {
 		t.Fatal(err)
 	}

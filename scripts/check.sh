@@ -140,14 +140,23 @@ stage_smoke() {
     test -f "$work/certified-trace.jsonl"
     test ! -s "$work/certified-trace.jsonl"
 
-    step "daemon (serve, place, fixed-RPS replay, scrape, drain)"
-    start_daemon 18090 -max-inflight 2
+    step "daemon (serve, place, fixed-RPS replay, scrape, debug listener, drain)"
+    start_daemon 18090 -max-inflight 2 -debug-addr 127.0.0.1:18095
     curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/place" > "$work/place.json"
     expect "$work/place.json" '"status":"optimal"'
     scrape /metrics 'rulefit_requests_total{status="optimal"'
     # The merging request ran one joint solve, whose events the
-    # daemon's own registry folds.
+    # daemon's own registry folds. Each solve total appears once, as
+    # the _sum of its per-solve histogram.
     scrape /metrics 'rulefit_solves_total{status="optimal"} [1-9]'
+    expect "$work/scrape.out" 'rulefit_solve_nodes_sum'
+    local family
+    for family in rulefit_solve_wall_seconds_total rulefit_bnb_nodes_total rulefit_simplex_iters_total; do
+        reject "$work/scrape.out" "$family"
+    done
+    # The debug listener serves net/http/pprof and nothing else.
+    curl -sf --retry 5 --retry-connrefused http://127.0.0.1:18095/debug/pprof/ > /dev/null
+    test "$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18095/metrics)" = 404
     "$work/ruleload" -target "$daemon_url" -seed 7 -requests 8 -rps 50 -quiet -out "$work/load.json"
     "$work/benchdiff" -check "$work/load.json"
     "$work/benchdiff" "$work/load.json" "$work/load.json" > /dev/null
