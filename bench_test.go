@@ -48,25 +48,6 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7Workers runs the tight half of the Fig. 7 sweep (C=25,
-// the series dominated by branch & bound) at fixed solver worker
-// counts; compare sub-benchmark times to see the parallel speedup on
-// multi-core hardware. scripts/bench.sh records the same comparison as
-// machine-readable JSON.
-func BenchmarkFig7Workers(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(itoa(w)+"w", func(b *testing.B) {
-			cfg := benchBase()
-			cfg.Opts.Workers = w
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Experiment1(cfg, []int{15, 20, 25}, []int{25}, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig8 regenerates Figure 8 (middle network size; paper: k=16 —
 // here k=6, 99 switches scaled down).
 func BenchmarkFig8(b *testing.B) {

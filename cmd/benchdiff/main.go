@@ -2,7 +2,7 @@
 // reads the old report's schema and runs that family's comparison:
 //
 //   - rulefit-bench/v1 (BENCH_*.json): runs align by
-//     workers/capacity/rules/seed. A run regresses when its wall clock
+//     capacity/rules/seed. A run regresses when its wall clock
 //     moves more than -min-wall-ms AND more than -threshold, or when its
 //     solve outcome worsens (e.g. optimal -> limit). Node/iteration
 //     drift is reported separately: the solver is deterministic, so

@@ -9,11 +9,13 @@
 //
 //	diffcheck [-n 200] [-seed0 1] [-soak 10m] [-profile quick|soak]
 //	          [-out internal/diffcheck/testdata/regressions]
-//	          [-workers 1,2,8] [-metamorphic] [-max-failures 5] [-v]
+//	          [-metamorphic] [-max-failures 5] [-v]
 //	diffcheck -replay fixture.json
 //	diffcheck -export seed -out dir [-note text]
 //
 // Exit status is non-zero if any instance failed (or a replay fails).
+// Each instance is placed once on the ILP side; that the branch & bound
+// pool size cannot change an answer is tested in internal/ilp.
 package main
 
 import (
@@ -21,8 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"rulefit/internal/core"
@@ -45,7 +45,6 @@ func run() error {
 		soak        = flag.Duration("soak", 0, "run until this much time has passed (0 = use -n)")
 		profile     = flag.String("profile", "quick", "instance size profile: quick or soak")
 		outDir      = flag.String("out", "internal/diffcheck/testdata/regressions", "directory for shrunk failure fixtures")
-		workers     = flag.String("workers", "1,2,8", "comma-separated ILP worker counts to cross-check")
 		metamorphic = flag.Bool("metamorphic", true, "run the metamorphic property battery")
 		maxFailures = flag.Int("max-failures", 5, "stop after this many failing instances")
 		satLimit    = flag.Duration("sat-limit", 10*time.Second, "time budget for the SAT oracle per instance (0 = unlimited)")
@@ -56,13 +55,8 @@ func run() error {
 	)
 	flag.Parse()
 
-	wc, err := parseWorkers(*workers)
-	if err != nil {
-		return err
-	}
 	opts := diffcheck.Options{
 		Metamorphic:  *metamorphic,
-		WorkerCounts: wc,
 		SATTimeLimit: *satLimit,
 		Verify:       verify.Config{SamplesPerRule: 4, RandomSamples: 8, MaxViolations: 3},
 	}
@@ -174,23 +168,4 @@ func replayFixture(path string, opts diffcheck.Options) error {
 		return fmt.Errorf("fixture still failing")
 	}
 	return nil
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers value %q", part)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers needs at least one count")
-	}
-	return out, nil
 }

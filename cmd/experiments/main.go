@@ -17,23 +17,18 @@
 //
 //	experiments [-exp all|1|2|3|4|5|6] [-scale small|medium|paper]
 //	            [-k 4] [-seeds 3] [-backend ilp|sat] [-timeout 60s]
-//	            [-rules 50] [-caps 100]
-//	            [-workers 0] [-parallel 1] [-json out.json]
+//	            [-rules 50] [-caps 100] [-json out.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-trace out.jsonl] [-metrics] [-pprof :6060]
 //
-// -workers sets the ILP branch & bound parallelism per solve (0 =
-// GOMAXPROCS; the placement is identical for any value). -parallel
-// bounds how many workload instances a sweep solves concurrently.
-// -json runs the Experiment 1 sweep once per comma-separated worker
-// count (e.g. -json BENCH.json -workers 1,4) and writes the
-// machine-readable report scripts/bench.sh commits as BENCH_<stamp>.json;
-// each run record carries the solver's stop reason, prune breakdown,
-// and final bound gap.
+// Sweeps solve one instance at a time, and each solve's branch & bound
+// pool runs min(GOMAXPROCS, 16) workers. -json runs the Experiment 1
+// sweep once and writes the machine-readable report scripts/bench.sh
+// commits as BENCH_<stamp>.json; each run record carries the solver's
+// stop reason, prune breakdown, and final bound gap.
 //
-// -trace appends every solve's event stream to one JSONL file (lines
-// from concurrent solves interleave; use -parallel 1 for a readable
-// single-solve trace). -metrics and -pprof attach one metrics registry
+// -trace appends every solve's event stream, one solve after another,
+// to one JSONL file. -metrics and -pprof attach one metrics registry
 // to every solve's event stream, the way -trace attaches its writer:
 // -metrics prints the registry's Prometheus-text solver counters when
 // the run finishes, and -pprof serves net/http/pprof plus the registry
@@ -191,10 +186,8 @@ func run() error {
 		backend    = flag.String("backend", "ilp", "solver backend: ilp or sat")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-solve time limit")
 		csvDir     = flag.String("csv", "", "also write CSV series into this directory")
-		workers    = flag.String("workers", "0", "ILP solver workers per solve; comma-separated list with -json (0 = GOMAXPROCS)")
 		rulesOver  = flag.String("rules", "", "override the Experiment 1 rule-count sweep (comma-separated); CI's paper-scale smoke uses this to run a single Fig. 7 point")
 		capsOver   = flag.String("caps", "", "override the Experiment 1 capacity sweep (comma-separated)")
-		parallel   = flag.Int("parallel", 1, "workload instances solved concurrently per sweep")
 		jsonOut    = flag.String("json", "", "write a machine-readable Experiment 1 report to this file and exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -204,10 +197,6 @@ func run() error {
 	)
 	flag.Parse()
 
-	workerCounts, err := parseWorkers(*workers)
-	if err != nil {
-		return err
-	}
 	rulesList, err := parseIntList("-rules", *rulesOver)
 	if err != nil {
 		return err
@@ -270,8 +259,6 @@ func run() error {
 	if capsList != nil {
 		p.exp1Caps = capsList
 	}
-	p.base.Parallel = *parallel
-	p.base.Opts.Workers = workerCounts[0]
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -293,7 +280,7 @@ func run() error {
 	}
 
 	if *jsonOut != "" {
-		rep, err := bench.BuildReport(p.base, p.ruleCounts, p.exp1Caps, *seeds, workerCounts, *scale)
+		rep, err := bench.BuildReport(p.base, p.ruleCounts, p.exp1Caps, *seeds, *scale)
 		if err != nil {
 			return err
 		}
@@ -401,28 +388,6 @@ func servePprof(addr string, reg *obs.Metrics) {
 			fmt.Fprintln(os.Stderr, "experiments: pprof server:", err)
 		}
 	}()
-}
-
-// parseWorkers parses the -workers flag: a comma-separated list of
-// solver worker counts, e.g. "1,4". Only -json uses entries beyond the
-// first.
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -workers entry %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers is empty")
-	}
-	return out, nil
 }
 
 // parseIntList parses an optional comma-separated list of positive

@@ -14,10 +14,10 @@ import (
 func positives() {
 	_ = ilp.Options{}                      // want "ilp.Options without TimeLimit or NodeLimit"
 	_ = ilp.Options{DisablePresolve: true} // want "ilp.Options without TimeLimit or NodeLimit"
-	_ = ilp.Options{Workers: 8}            // want "ilp.Options without TimeLimit or NodeLimit"
+	_ = ilp.Options{FullPricing: true}     // want "ilp.Options without TimeLimit or NodeLimit"
 	// Attaching observability does not bound the search.
 	_ = ilp.Options{Sink: nil}             // want "ilp.Options without TimeLimit or NodeLimit"
-	_ = ilp.Options{Span: nil, Workers: 2} // want "ilp.Options without TimeLimit or NodeLimit"
+	_ = ilp.Options{Span: nil, Sink: nil}  // want "ilp.Options without TimeLimit or NodeLimit"
 	_ = verify.Config{}                    // want "zero-value verify.Config"
 	_ = daemon.Config{}                    // want "daemon.Config without MaxInFlight"
 	_ = daemon.Config{MaxQueue: 64}        // want "daemon.Config without MaxInFlight"

@@ -43,10 +43,6 @@ type Config struct {
 	Mergeable int
 	// Seed drives policy generation and routing tie-breaks.
 	Seed int64
-	// Parallel bounds how many workload instances a sweep solves
-	// concurrently (<= 1 = sequential). Results are aggregated in input
-	// order regardless, so Parallel changes only wall-clock time.
-	Parallel int
 	// Opts passes through solver options.
 	Opts core.Options
 }
@@ -177,9 +173,8 @@ func (p Point) Feasible() bool {
 }
 
 // Experiment1 reproduces Figures 7–9: runtime vs rule count for two
-// capacities at a fixed topology and path count. The full (capacity,
-// ruleCount, seed) grid is solved with at most base.Parallel instances
-// in flight.
+// capacities at a fixed topology and path count, over the full
+// (capacity, ruleCount, seed) grid.
 func Experiment1(base Config, ruleCounts []int, capacities []int, seeds int) (map[int][]Point, error) {
 	base = base.withDefaults()
 	var cfgs []Config
@@ -194,7 +189,7 @@ func Experiment1(base Config, ruleCounts []int, capacities []int, seeds int) (ma
 			}
 		}
 	}
-	results, err := runJobs(cfgs, base.Parallel, Run)
+	results, err := runJobs(cfgs, Run)
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +207,7 @@ func Experiment1(base Config, ruleCounts []int, capacities []int, seeds int) (ma
 }
 
 // Experiment2 reproduces Figure 10: runtime vs path count for two
-// capacities at fixed rules, fanning the (capacity, paths) grid out
-// across base.Parallel goroutines.
+// capacities at fixed rules.
 func Experiment2(base Config, pathCounts []int, capacities []int) (map[int][]Point, error) {
 	base = base.withDefaults()
 	var cfgs []Config
@@ -229,7 +223,7 @@ func Experiment2(base Config, pathCounts []int, capacities []int) (map[int][]Poi
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runJobs(cfgs, base.Parallel, Run)
+	results, err := runJobs(cfgs, Run)
 	if err != nil {
 		return nil, err
 	}
@@ -269,8 +263,7 @@ type Table2Cell struct {
 
 // Experiment3 reproduces Table II: capacity vs duplication overhead with
 // and without rule merging, sweeping the number of shared blacklist
-// rules. The (mergeable, capacity, merging) grid fans out across
-// base.Parallel goroutines.
+// rules, over the (mergeable, capacity, merging) grid.
 func Experiment3(base Config, mergeCounts []int, capacities []int) ([]Table2Cell, error) {
 	base = base.withDefaults()
 	var cfgs []Config
@@ -285,7 +278,7 @@ func Experiment3(base Config, mergeCounts []int, capacities []int) ([]Table2Cell
 			}
 		}
 	}
-	return runJobs(cfgs, base.Parallel, runCell)
+	return runJobs(cfgs, runCell)
 }
 
 // runCell solves one Table II cell.
@@ -331,8 +324,7 @@ func noDuplicationCount(pl *core.Placement) int {
 }
 
 // Experiment4 reproduces Figure 11: runtime vs switch capacity at fixed
-// topology, rules, and paths. The (capacity, seed) grid fans out across
-// base.Parallel goroutines.
+// topology, rules, and paths, over the (capacity, seed) grid.
 func Experiment4(base Config, capacities []int, seeds int) ([]Point, error) {
 	base = base.withDefaults()
 	var cfgs []Config
@@ -344,7 +336,7 @@ func Experiment4(base Config, capacities []int, seeds int) ([]Point, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runJobs(cfgs, base.Parallel, Run)
+	results, err := runJobs(cfgs, Run)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // request-aligned comparator shares. It aligns two rulefit-bench/v1
 // reports run-by-run and classifies wall-clock movement against a
 // noise threshold. Because the solver is deterministic for a fixed
-// (workers, capacity, rules, seed) key, node and simplex-iteration
+// (capacity, rules, seed) key, node and simplex-iteration
 // counts must match exactly between reports built from the same code;
 // a change there is search drift (an algorithmic change), not timing
 // noise, and is flagged separately so a reader can tell "machine was
@@ -59,7 +59,7 @@ const (
 
 // RunDiff is one aligned run pair (or an unmatched run).
 type RunDiff struct {
-	// Key identifies the run: workers/capacity/rules/seed.
+	// Key identifies the run: capacity/rules/seed.
 	Key     string  `json:"key"`
 	Verdict Verdict `json:"verdict"`
 	// OldWallMS/NewWallMS are the measured wall clocks; the absent side
@@ -82,13 +82,13 @@ type RunDiff struct {
 	NewStatus string `json:"new_status,omitempty"`
 }
 
-// SeriesDiff aggregates the aligned runs of one (workers, capacity)
-// series: summed wall clock, node, and simplex-iteration totals on both
-// sides. Because the solver is deterministic, any node/iteration
-// movement here is algorithmic search drift for the whole series, which
-// reads more easily than per-run noise when many runs drift together.
+// SeriesDiff aggregates the aligned runs of one capacity series: summed
+// wall clock, node, and simplex-iteration totals on both sides. Because
+// the solver is deterministic, any node/iteration movement here is
+// algorithmic search drift for the whole series, which reads more
+// easily than per-run noise when many runs drift together.
 type SeriesDiff struct {
-	// Key identifies the series: workers/capacity.
+	// Key identifies the series: capacity.
 	Key       string  `json:"key"`
 	Runs      int     `json:"runs"`
 	OldWallMS float64 `json:"old_wall_ms"`
@@ -207,7 +207,7 @@ type Diff struct {
 	OldScale      string    `json:"old_scale,omitempty"`
 	NewScale      string    `json:"new_scale,omitempty"`
 	Runs          []RunDiff `json:"runs"`
-	// Series aggregates aligned runs per (workers, capacity) series.
+	// Series aggregates aligned runs per capacity series.
 	Series []SeriesDiff `json:"series,omitempty"`
 	// Tally counts runs by verdict; Drifted counts runs with
 	// SearchDrift set.
@@ -226,17 +226,23 @@ type Diff struct {
 func (d *Diff) HasRegressions() bool { return d.Regressed > 0 }
 
 // runKey identifies a run across reports.
-func runKey(workers, capacity, rules int, seed int64) string {
-	return fmt.Sprintf("w%d/c%d/r%d/s%d", workers, capacity, rules, seed)
+func runKey(capacity, rules int, seed int64) string {
+	return fmt.Sprintf("c%d/r%d/s%d", capacity, rules, seed)
 }
 
-// flatten indexes a report's runs by key.
+// flatten indexes a report's runs by key. A report written when the
+// sweep repeated per worker count holds a key once per count; the
+// first run read under it wins, so such a report diffs as its first
+// worker count.
 func flatten(r *Report) map[string]RunRecord {
 	out := make(map[string]RunRecord)
 	for _, sr := range r.Series {
 		for _, p := range sr.Points {
 			for _, run := range p.Runs {
-				out[runKey(sr.Workers, sr.Capacity, p.Rules, run.Seed)] = run
+				k := runKey(sr.Capacity, p.Rules, run.Seed)
+				if _, seen := out[k]; !seen {
+					out[k] = run
+				}
 			}
 		}
 	}
@@ -328,10 +334,10 @@ func CompareReports(old, new *Report, opts DiffOptions) *Diff {
 	return d
 }
 
-// seriesKeyOf truncates a run key (w/c/r/s) to its series (w/c).
+// seriesKeyOf truncates a run key (c/r/s) to its series (c).
 func seriesKeyOf(runKey string) string {
-	parts := strings.SplitN(runKey, "/", 3)
-	return parts[0] + "/" + parts[1]
+	series, _, _ := strings.Cut(runKey, "/")
+	return series
 }
 
 // StatusRank orders solve outcomes from best to worst. Comparators

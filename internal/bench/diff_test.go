@@ -39,35 +39,35 @@ func TestCompareReportsClassification(t *testing.T) {
 	for _, r := range d.Runs {
 		byKey[r.Key] = r
 	}
-	if v := byKey["w1/c10/r100/s2"].Verdict; v != VerdictRegressed {
+	if v := byKey["c10/r100/s2"].Verdict; v != VerdictRegressed {
 		t.Fatalf("wall regression classified %q", v)
 	}
-	if v := byKey["w1/c10/r100/s3"].Verdict; v != VerdictImproved {
+	if v := byKey["c10/r100/s3"].Verdict; v != VerdictImproved {
 		t.Fatalf("wall improvement classified %q", v)
 	}
 	// 100 -> 104 ms is under both thresholds: noise.
-	if v := byKey["w1/c10/r300/s1"].Verdict; v != VerdictUnchanged {
+	if v := byKey["c10/r300/s1"].Verdict; v != VerdictUnchanged {
 		t.Fatalf("sub-threshold change classified %q", v)
 	}
 	// optimal -> limit regresses even though the wall clock improved.
-	sr := byKey["w1/c10/r200/s2"]
+	sr := byKey["c10/r200/s2"]
 	if sr.Verdict != VerdictRegressed || sr.OldStatus != "optimal" || sr.NewStatus != "limit" {
 		t.Fatalf("status regression: %+v", sr)
 	}
 	// Deterministic solver: node/iter movement is drift, not noise.
-	dr := byKey["w1/c10/r200/s1"]
+	dr := byKey["c10/r200/s1"]
 	if dr.Verdict != VerdictUnchanged || !dr.SearchDrift || dr.OldNodes != 50 || dr.NewNodes != 60 {
 		t.Fatalf("search drift: %+v", dr)
 	}
-	if byKey["w1/c20/r100/s1"].Verdict != VerdictRemoved {
-		t.Fatalf("removed run: %+v", byKey["w1/c20/r100/s1"])
+	if byKey["c20/r100/s1"].Verdict != VerdictRemoved {
+		t.Fatalf("removed run: %+v", byKey["c20/r100/s1"])
 	}
-	if byKey["w2/c10/r100/s1"].Verdict != VerdictAdded {
-		t.Fatalf("added run: %+v", byKey["w2/c10/r100/s1"])
+	if byKey["c30/r100/s1"].Verdict != VerdictAdded {
+		t.Fatalf("added run: %+v", byKey["c30/r100/s1"])
 	}
 	// Per-series aggregation covers aligned runs only: the 6 aligned
-	// pairs all live in w1/c10; the removed/added runs contribute nothing.
-	if len(d.Series) != 1 || d.Series[0].Key != "w1/c10" || d.Series[0].Runs != 6 {
+	// pairs all live in c10; the removed/added runs contribute nothing.
+	if len(d.Series) != 1 || d.Series[0].Key != "c10" || d.Series[0].Runs != 6 {
 		t.Fatalf("series aggregation: %+v", d.Series)
 	}
 	if !d.Series[0].Drifted() {
@@ -113,6 +113,36 @@ func TestCompareReportSelfIsClean(t *testing.T) {
 	for _, s := range d.Series {
 		if s.Drifted() {
 			t.Fatalf("self-comparison series drifted: %+v", s)
+		}
+	}
+}
+
+// TestCompareReportsOldWorkerSeries: a committed report from when the
+// sweep repeated per worker count holds each c/r/s key once per count.
+// It still diffs, as its first series, which ran one worker.
+func TestCompareReportsOldWorkerSeries(t *testing.T) {
+	rep, err := ReadReport(filepath.Join("..", "..", "BENCH_20260805T141853Z.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for _, sr := range rep.Series {
+		for _, p := range sr.Points {
+			for _, run := range p.Runs {
+				if run.Workers == 1 {
+					want[runKey(sr.Capacity, p.Rules, run.Seed)] = run.WallMS
+				}
+			}
+		}
+	}
+	d := CompareReports(rep, rep, DiffOptions{})
+	if d.HasRegressions() || d.Unchanged != len(want) || len(d.Runs) != len(want) || len(want) != 12 {
+		t.Fatalf("self-diff aligned %d runs (%+v), want the %d worker-1 runs", len(d.Runs), d.Tally, len(want))
+	}
+	for _, r := range d.Runs {
+		//lint:exactfloat the aligned run is the worker-1 record itself
+		if w, ok := want[r.Key]; !ok || r.OldWallMS != w || r.NewWallMS != w {
+			t.Errorf("%s aligned %.3f -> %.3f ms, want the worker-1 run's %.3f", r.Key, r.OldWallMS, r.NewWallMS, w)
 		}
 	}
 }

@@ -50,12 +50,9 @@ func goldenReport() *Report {
 			Seeds:           2,
 			Merging:         true,
 			TimeLimitSec:    30,
-			Parallel:        4,
-			WorkerCounts:    []int{1, 4},
 			Scale:           "small",
 		},
 		Series: []SeriesRecord{{
-			Workers:  1,
 			Capacity: 60,
 			Points: []PointRecord{{
 				Rules:  40,
@@ -106,13 +103,6 @@ func goldenReport() *Report {
 					},
 				}},
 			}},
-		}},
-		Speedups: []SpeedupRecord{{
-			Workers:         4,
-			BaselineWorkers: 1,
-			TotalMS:         80,
-			BaselineMS:      200,
-			Speedup:         2.5,
 		}},
 	}
 }
@@ -172,8 +162,5 @@ func TestReportGoldenRoundTrip(t *testing.T) {
 	exp := want.Series[0].Points[0].Runs[0]
 	if got != exp {
 		t.Errorf("run record drifted:\ngot  %+v\nwant %+v", got, exp)
-	}
-	if len(rep.Speedups) != 1 || rep.Speedups[0] != want.Speedups[0] {
-		t.Errorf("speedup record drifted: %+v", rep.Speedups)
 	}
 }

@@ -18,11 +18,8 @@ const ReportSchema = "rulefit-bench/v1"
 type Report struct {
 	Envelope
 	Config ReportConfig `json:"config"`
-	// Series holds one sweep per (workers, capacity) pair.
+	// Series holds one sweep per capacity.
 	Series []SeriesRecord `json:"series"`
-	// Speedups compares total sweep wall time per worker count against
-	// the first (baseline) worker count.
-	Speedups []SpeedupRecord `json:"speedups,omitempty"`
 }
 
 // ReportConfig records the workload parameters of the run.
@@ -36,8 +33,6 @@ type ReportConfig struct {
 	Seeds           int     `json:"seeds"`
 	Merging         bool    `json:"merging"`
 	TimeLimitSec    float64 `json:"time_limit_sec"`
-	Parallel        int     `json:"parallel"`
-	WorkerCounts    []int   `json:"worker_counts"`
 	// Scale is the cmd/experiments preset or numeric factor the sweep ran
 	// at ("" for reports written before the field existed). Comparisons
 	// across different scales are meaningless; diff tools warn on
@@ -45,10 +40,8 @@ type ReportConfig struct {
 	Scale string `json:"scale,omitempty"`
 }
 
-// SeriesRecord is one runtime-vs-rules sweep at a fixed capacity and
-// solver worker count.
+// SeriesRecord is one runtime-vs-rules sweep at a fixed capacity.
 type SeriesRecord struct {
-	Workers  int           `json:"workers"`
 	Capacity int           `json:"capacity"`
 	Points   []PointRecord `json:"points"`
 }
@@ -82,23 +75,11 @@ type RunRecord struct {
 	ilp.Stats
 }
 
-// SpeedupRecord compares one worker count's total sweep wall time
-// against the baseline worker count of the same report.
-type SpeedupRecord struct {
-	Workers         int     `json:"workers"`
-	BaselineWorkers int     `json:"baseline_workers"`
-	TotalMS         float64 `json:"total_ms"`
-	BaselineMS      float64 `json:"baseline_ms"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// BuildReport runs the Experiment 1 sweep once per worker count and
-// assembles the machine-readable report. The placements themselves are
-// identical across worker counts (the solver is deterministic in
-// Workers); only the wall-clock columns differ. scale is the
-// cmd/experiments preset or factor the sweep ran at, recorded in the
-// config block so comparison tools can refuse cross-scale diffs.
-func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCounts []int, scale string) (*Report, error) {
+// BuildReport runs the Experiment 1 sweep once and assembles the
+// machine-readable report. scale is the cmd/experiments preset or
+// factor the sweep ran at, recorded in the config block so comparison
+// tools can refuse cross-scale diffs.
+func BuildReport(base Config, ruleCounts, capacities []int, seeds int, scale string) (*Report, error) {
 	base = base.withDefaults()
 	rep := &Report{
 		Envelope: NewEnvelope(ReportSchema),
@@ -112,65 +93,42 @@ func BuildReport(base Config, ruleCounts, capacities []int, seeds int, workerCou
 			Seeds:           seeds,
 			Merging:         base.Opts.Merging,
 			TimeLimitSec:    base.Opts.TimeLimit.Seconds(),
-			Parallel:        base.Parallel,
-			WorkerCounts:    workerCounts,
 			Scale:           scale,
 		},
 	}
-	totals := make(map[int]float64, len(workerCounts))
-	for _, w := range workerCounts {
-		cfg := base
-		cfg.Opts.Workers = w
-		series, err := Experiment1(cfg, ruleCounts, capacities, seeds)
-		if err != nil {
-			return nil, err
-		}
-		caps := make([]int, 0, len(series))
-		for c := range series {
-			caps = append(caps, c)
-		}
-		sort.Ints(caps)
-		for _, c := range caps {
-			sr := SeriesRecord{Workers: w, Capacity: c}
-			for _, p := range series[c] {
-				pr := PointRecord{
-					Rules:  p.X,
-					MeanMS: ms(p.Mean),
-					MinMS:  ms(p.Min),
-					MaxMS:  ms(p.Max),
-				}
-				for s, r := range p.Runs {
-					pr.Runs = append(pr.Runs, RunRecord{
-						Seed:        base.Seed + int64(s)*101,
-						Status:      r.Status.String(),
-						WallMS:      ms(r.Time),
-						TotalRules:  r.TotalRules,
-						Variables:   r.Variables,
-						Constraints: r.Constraints,
-						SolvePath:   string(r.SolvePath),
-						Stats:       r.Stats,
-					})
-					totals[w] += ms(r.Time)
-				}
-				sr.Points = append(sr.Points, pr)
-			}
-			rep.Series = append(rep.Series, sr)
-		}
+	series, err := Experiment1(base, ruleCounts, capacities, seeds)
+	if err != nil {
+		return nil, err
 	}
-	if len(workerCounts) > 1 {
-		baseW := workerCounts[0]
-		for _, w := range workerCounts[1:] {
-			sp := SpeedupRecord{
-				Workers:         w,
-				BaselineWorkers: baseW,
-				TotalMS:         totals[w],
-				BaselineMS:      totals[baseW],
+	caps := make([]int, 0, len(series))
+	for c := range series {
+		caps = append(caps, c)
+	}
+	sort.Ints(caps)
+	for _, c := range caps {
+		sr := SeriesRecord{Capacity: c}
+		for _, p := range series[c] {
+			pr := PointRecord{
+				Rules:  p.X,
+				MeanMS: ms(p.Mean),
+				MinMS:  ms(p.Min),
+				MaxMS:  ms(p.Max),
 			}
-			if totals[w] > 0 {
-				sp.Speedup = totals[baseW] / totals[w]
+			for s, r := range p.Runs {
+				pr.Runs = append(pr.Runs, RunRecord{
+					Seed:        base.Seed + int64(s)*101,
+					Status:      r.Status.String(),
+					WallMS:      ms(r.Time),
+					TotalRules:  r.TotalRules,
+					Variables:   r.Variables,
+					Constraints: r.Constraints,
+					SolvePath:   string(r.SolvePath),
+					Stats:       r.Stats,
+				})
 			}
-			rep.Speedups = append(rep.Speedups, sp)
+			sr.Points = append(sr.Points, pr)
 		}
+		rep.Series = append(rep.Series, sr)
 	}
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -146,30 +147,32 @@ func TestDecomposedMatchesJoint(t *testing.T) {
 }
 
 // TestDecomposedDeterministicAcrossWorkers: certified and fallback
-// answers place the same bytes for Workers ∈ {1, 2, 8}. A certified
-// answer reports no workers, since no LP ran.
+// answers place the same bytes on every run, and report the branch &
+// bound pool they ran: none for a certified answer, since no LP ran,
+// and min(GOMAXPROCS, 16) workers for a fallback. That the pool's size
+// cannot change the bytes is internal/ilp's TestPoolSizeInvariant.
 func TestDecomposedDeterministicAcrossWorkers(t *testing.T) {
 	for _, fx := range decomposedFixtures {
 		t.Run(fx.name, func(t *testing.T) {
+			want := min(runtime.GOMAXPROCS(0), 16)
+			if fx.path == SolveCertified {
+				want = 0
+			}
 			var base *Placement
-			for _, w := range []int{1, 2, 8} {
-				pl, err := Place(fx.build(t), Options{Workers: w})
+			for run := 0; run < 2; run++ {
+				pl, err := Place(fx.build(t), Options{})
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				want := w
-				if fx.path == SolveCertified {
-					want = 0
+					t.Fatal(err)
 				}
 				if pl.Stats.Workers != want {
-					t.Errorf("workers=%d: Stats.Workers = %d, want %d", w, pl.Stats.Workers, want)
+					t.Errorf("Stats.Workers = %d, want %d", pl.Stats.Workers, want)
 				}
 				if base == nil {
 					base = pl
 					continue
 				}
 				if pl.TotalRules != base.TotalRules || pl.Stats.SolvePath != base.Stats.SolvePath || !reflect.DeepEqual(pl.Assign, base.Assign) {
-					t.Errorf("workers=%d: placement differs from workers=1", w)
+					t.Error("placement differs between two runs")
 				}
 			}
 		})

@@ -179,42 +179,3 @@ func TestPlaceDeterministic(t *testing.T) {
 		})
 	}
 }
-
-// TestPlaceDeterministicAcrossWorkers solves each fixture with
-// Workers ∈ {1, 2, 8} and requires the identical placement — not merely
-// an equally good one. This is the PR's headline guarantee: branch &
-// bound parallelism must change wall-clock time only.
-func TestPlaceDeterministicAcrossWorkers(t *testing.T) {
-	for _, fx := range determinismFixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			var base *Placement
-			for _, w := range []int{1, 2, 8} {
-				opts := Options{Merging: true, TimeLimit: 60 * time.Second, Workers: w}
-				pl, err := Place(fx.build(t), opts)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if pl.Status != StatusOptimal && pl.Status != StatusFeasible {
-					t.Fatalf("workers=%d: status = %v", w, pl.Status)
-				}
-				if pl.Stats.Workers != w {
-					t.Errorf("workers=%d: Stats.Workers = %d", w, pl.Stats.Workers)
-				}
-				if base == nil {
-					base = pl
-					continue
-				}
-				if pl.Status != base.Status || pl.TotalRules != base.TotalRules || pl.Objective != base.Objective {
-					t.Fatalf("workers=%d summary differs from workers=1: (%v, %d rules, obj %g) vs (%v, %d rules, obj %g)",
-						w, pl.Status, pl.TotalRules, pl.Objective, base.Status, base.TotalRules, base.Objective)
-				}
-				if !reflect.DeepEqual(pl.Assign, base.Assign) {
-					t.Errorf("workers=%d: rule assignments differ from workers=1", w)
-				}
-				if !reflect.DeepEqual(pl.MergedAt, base.MergedAt) {
-					t.Errorf("workers=%d: merge placements differ from workers=1", w)
-				}
-			}
-		})
-	}
-}

@@ -19,7 +19,7 @@ func TestExhaustiveMatchesILP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := core.Options{Backend: core.BackendILP, Workers: 1}
+		opts := core.Options{Backend: core.BackendILP}
 		exh, err := core.PlaceExhaustive(inst.Problem, opts, 16)
 		if errors.Is(err, core.ErrExhaustiveTooLarge) {
 			continue
@@ -119,11 +119,11 @@ func TestBuildModelSolvesLikePlace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sol, err := ilp.Solve(m, ilp.Options{Workers: 1})
+		sol, err := ilp.Solve(m, ilp.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		pl, err := core.Place(inst.Problem, core.Options{Backend: core.BackendILP, Workers: 1})
+		pl, err := core.Place(inst.Problem, core.Options{Backend: core.BackendILP})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -12,46 +12,41 @@ import (
 // introspection invariant: running the full placement with a flight
 // recorder and a live progress view attached, stamped with a trace ID,
 // produces the identical placement — assignments, merges, objective,
-// and search effort — as a bare run, for Workers ∈ {1, 2, 8}.
+// and search effort — as a bare run.
 func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 	for _, fx := range determinismFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			for _, w := range []int{1, 2, 8} {
-				bare, err := Place(fx.build(t), Options{
-					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d bare: %v", w, err)
-				}
-				rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 512})
-				prog := obs.NewProgress("req-000051")
-				inst, err := Place(fx.build(t), Options{
-					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					SolverSink: obs.Tag("req-000051", obs.Multi(rec, prog)),
-				})
-				if err != nil {
-					t.Fatalf("workers=%d instrumented: %v", w, err)
-				}
-				if inst.Status != bare.Status || inst.TotalRules != bare.TotalRules || inst.Objective != bare.Objective {
-					t.Fatalf("workers=%d: summary differs with recorder: (%v, %d rules, obj %g) vs (%v, %d rules, obj %g)",
-						w, inst.Status, inst.TotalRules, inst.Objective, bare.Status, bare.TotalRules, bare.Objective)
-				}
-				if !reflect.DeepEqual(inst.Assign, bare.Assign) {
-					t.Errorf("workers=%d: rule assignments differ with recorder attached", w)
-				}
-				if !reflect.DeepEqual(inst.MergedAt, bare.MergedAt) {
-					t.Errorf("workers=%d: merge placements differ with recorder attached", w)
-				}
-				if inst.Stats.BnBNodes != bare.Stats.BnBNodes {
-					t.Errorf("workers=%d: node count %d with recorder, %d without", w, inst.Stats.BnBNodes, bare.Stats.BnBNodes)
-				}
-				d := rec.Dump()
-				if d.Seen == 0 {
-					t.Errorf("workers=%d: flight recorder saw no solver events", w)
-				}
-				if s := prog.Snapshot(); !s.Done {
-					t.Errorf("workers=%d: no terminal progress view: %+v", w, s)
-				}
+			bare, err := Place(fx.build(t), Options{Merging: true, TimeLimit: 60 * time.Second})
+			if err != nil {
+				t.Fatalf("bare: %v", err)
+			}
+			rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 512})
+			prog := obs.NewProgress("req-000051")
+			inst, err := Place(fx.build(t), Options{
+				Merging: true, TimeLimit: 60 * time.Second,
+				SolverSink: obs.Tag("req-000051", obs.Multi(rec, prog)),
+			})
+			if err != nil {
+				t.Fatalf("instrumented: %v", err)
+			}
+			if inst.Status != bare.Status || inst.TotalRules != bare.TotalRules || inst.Objective != bare.Objective {
+				t.Fatalf("summary differs with recorder: (%v, %d rules, obj %g) vs (%v, %d rules, obj %g)",
+					inst.Status, inst.TotalRules, inst.Objective, bare.Status, bare.TotalRules, bare.Objective)
+			}
+			if !reflect.DeepEqual(inst.Assign, bare.Assign) {
+				t.Error("rule assignments differ with recorder attached")
+			}
+			if !reflect.DeepEqual(inst.MergedAt, bare.MergedAt) {
+				t.Error("merge placements differ with recorder attached")
+			}
+			if inst.Stats.BnBNodes != bare.Stats.BnBNodes {
+				t.Errorf("node count %d with recorder, %d without", inst.Stats.BnBNodes, bare.Stats.BnBNodes)
+			}
+			if d := rec.Dump(); d.Seen == 0 {
+				t.Error("flight recorder saw no solver events")
+			}
+			if s := prog.Snapshot(); !s.Done {
+				t.Errorf("no terminal progress view: %+v", s)
 			}
 		})
 	}

@@ -48,7 +48,7 @@ func TestSubSolutionKeyDistinguishes(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := &core.Options{
-			Backend: core.BackendILP, Objective: core.ObjTotalRules, Workers: 1, TimeLimit: 10 * time.Second,
+			Backend: core.BackendILP, Objective: core.ObjTotalRules, TimeLimit: 10 * time.Second,
 		}
 		return prob, prob.Policies[0], opts
 	}
@@ -129,7 +129,7 @@ var keySink string
 // allocations however many rules it holds. (A rendering through fmt
 // costs one or more per rule: 517 for policyKey on 100 rules.)
 func TestCacheKeyAllocs(t *testing.T) {
-	opts := core.Options{Backend: core.BackendILP, Objective: core.ObjTotalRules, Workers: 1, TimeLimit: 10 * time.Second}
+	opts := core.Options{Backend: core.BackendILP, Objective: core.ObjTotalRules, TimeLimit: 10 * time.Second}
 	for _, rules := range []int{100, 400} {
 		prob := sessionProblem(t, rules)
 		pol := prob.Policies[0]

@@ -59,7 +59,6 @@ func TestAtMostOneSolvePerAnswer(t *testing.T) {
 	for _, a := range answers {
 		var events eventLog
 		a.opts.SolverSink = &events
-		a.opts.Workers = 1
 		a.opts.TimeLimit = 30 * time.Second
 		pl, err := core.Place(a.prob, a.opts)
 		if err != nil {

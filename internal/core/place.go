@@ -99,7 +99,6 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	sol, err := ilp.Solve(m, ilp.Options{
 		TimeLimit:       opts.TimeLimit,
 		DisablePresolve: opts.DisablePresolve,
-		Workers:         opts.Workers,
 		Sink:            opts.SolverSink,
 		Span:            solveSp,
 	})

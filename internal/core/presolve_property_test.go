@@ -17,7 +17,7 @@ import (
 // PlaceExhaustive — a bound that excluded the optimum shows up here as
 // a worse objective on the default variant.
 func TestPresolveNeverExcludesOptimum(t *testing.T) {
-	base := core.Options{Backend: core.BackendILP, Workers: 1, Merging: true}
+	base := core.Options{Backend: core.BackendILP, Merging: true}
 	variants := []struct {
 		name string
 		mod  func(core.Options) core.Options

@@ -146,9 +146,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// DisablePresolve turns off ILP presolve (ablation).
 	DisablePresolve bool
-	// Workers sets the ILP branch & bound parallelism (0 = GOMAXPROCS).
-	// The placement returned is independent of the worker count.
-	Workers int
 	// Trace, when non-nil, collects hierarchical phase spans (encode →
 	// model build → solve → extract) for the run. Timing only; the
 	// placement is identical with or without it.

@@ -13,39 +13,34 @@ import (
 // observability layer at the pipeline level: with a solver sink and a
 // span trace attached, the placement (assignments, merges, objective,
 // and the solver-effort stats) must be byte-identical to an untraced
-// run, across worker counts.
+// run.
 func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 	for _, fx := range determinismFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
-			for _, w := range []int{1, 2, 8} {
-				plain, err := Place(fx.build(t), Options{
-					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 64})
-				tr := obs.NewTrace()
-				traced, err := Place(fx.build(t), Options{
-					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					Trace: tr, SolverSink: rec,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d traced: %v", w, err)
-				}
-				// SolveTime is wall clock; everything else must match.
-				plain.Stats.SolveTime = 0
-				traced.Stats.SolveTime = 0
-				if !reflect.DeepEqual(plain, traced) {
-					t.Fatalf("workers=%d: traced placement differs from untraced:\n%+v\nvs\n%+v",
-						w, plain, traced)
-				}
-				if rec.Dump().Seen == 0 {
-					t.Fatalf("workers=%d: sink saw no events", w)
-				}
-				if len(tr.Roots()) != 1 || tr.Roots()[0].Name() != "place" {
-					t.Fatalf("workers=%d: trace roots = %v", w, tr.Roots())
-				}
+			plain, err := Place(fx.build(t), Options{Merging: true, TimeLimit: 60 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 64})
+			tr := obs.NewTrace()
+			traced, err := Place(fx.build(t), Options{
+				Merging: true, TimeLimit: 60 * time.Second,
+				Trace: tr, SolverSink: rec,
+			})
+			if err != nil {
+				t.Fatalf("traced: %v", err)
+			}
+			// SolveTime is wall clock; everything else must match.
+			plain.Stats.SolveTime = 0
+			traced.Stats.SolveTime = 0
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("traced placement differs from untraced:\n%+v\nvs\n%+v", plain, traced)
+			}
+			if rec.Dump().Seen == 0 {
+				t.Fatal("sink saw no events")
+			}
+			if len(tr.Roots()) != 1 || tr.Roots()[0].Name() != "place" {
+				t.Fatalf("trace roots = %v", tr.Roots())
 			}
 		})
 	}
@@ -113,12 +108,12 @@ func TestPlaceEndsEverySpan(t *testing.T) {
 }
 
 // TestPlaceTraceEventsDeterministic asserts the event stream surfaced
-// through core is identical (modulo timing) across worker counts.
+// through core is identical (modulo timing) from one run to the next.
 func TestPlaceTraceEventsDeterministic(t *testing.T) {
-	events := func(workers int) []obs.Event {
+	events := func() []obs.Event {
 		rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
 		_, err := Place(determinismProblem(t), Options{
-			Merging: true, TimeLimit: 60 * time.Second, Workers: workers, SolverSink: rec,
+			Merging: true, TimeLimit: 60 * time.Second, SolverSink: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -129,10 +124,9 @@ func TestPlaceTraceEventsDeterministic(t *testing.T) {
 		}
 		return evs
 	}
-	seq := events(1)
-	par := events(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("workers=1 vs workers=4 event streams differ (%d vs %d events)", len(seq), len(par))
+	first, again := events(), events()
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("two runs' event streams differ (%d vs %d events)", len(first), len(again))
 	}
 }
 

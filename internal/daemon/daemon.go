@@ -272,9 +272,6 @@ type RequestOptions struct {
 	PathSlicing     bool   `json:"pathSlicing,omitempty"`
 	RemoveRedundant bool   `json:"removeRedundant,omitempty"`
 	SatisfyOnly     bool   `json:"satisfyOnly,omitempty"`
-	// Workers sets branch & bound parallelism (0 = GOMAXPROCS). The
-	// placement is independent of the worker count.
-	Workers int `json:"workers,omitempty"`
 	// TimeLimitSec bounds the solve; 0 uses the daemon default and the
 	// daemon cap always applies.
 	TimeLimitSec float64 `json:"timeLimitSec,omitempty"`
@@ -290,7 +287,6 @@ func (ro RequestOptions) BuildOptions(defaultLimit, maxLimit time.Duration) (cor
 		PathSlicing:     ro.PathSlicing,
 		RemoveRedundant: ro.RemoveRedundant,
 		SatisfyOnly:     ro.SatisfyOnly,
-		Workers:         ro.Workers,
 	}
 	var err error
 	if opts.Backend, err = core.ParseBackend(ro.Backend); err != nil {
@@ -377,8 +373,8 @@ func (in *PlaceInput) SessionSpec() *spec.Problem {
 
 // PlaceResponse is the POST /v1/place reply. Placement is the
 // deterministic part: byte-identical for identical (problem, options)
-// pairs regardless of transport, worker count, or attached telemetry.
-// TraceID and WallMS are observational.
+// pairs regardless of transport, branch & bound pool size, or attached
+// telemetry. TraceID and WallMS are observational.
 type PlaceResponse struct {
 	TraceID   string    `json:"trace_id"`
 	WallMS    float64   `json:"wall_ms"`

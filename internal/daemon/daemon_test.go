@@ -225,7 +225,7 @@ func TestDaemonMatchesInProcess(t *testing.T) {
 	_, base := startDaemon(t, Config{MaxInFlight: 2})
 	req := PlaceRequest{
 		Problem: specJSON,
-		Options: RequestOptions{Merging: true, Workers: 2, TimeLimitSec: 60},
+		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
 	}
 	code, body := postPlace(t, base, req)
 	if code != http.StatusOK {
@@ -252,7 +252,7 @@ func TestDaemonMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl, err := core.Place(prob, core.Options{
-		Merging: true, Workers: 2, TimeLimit: 60 * time.Second,
+		Merging: true, TimeLimit: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -690,6 +690,11 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The pool size is the platform's; the wire no longer carries it.
+	withWorkers := strings.Replace(string(valid), `"options":{`, `"options":{"workers":2,`, 1)
+	if withWorkers == string(valid) {
+		t.Fatalf("no options object in %s", valid)
+	}
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
@@ -709,6 +714,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		"place stray brace":       {http.MethodPost, "/v1/place", string(valid) + "}", http.StatusBadRequest},
 		"session trailing object": {http.MethodPost, "/v1/session", string(valid) + ` {"junk": true}`, http.StatusBadRequest},
 		"place trailing space":    {http.MethodPost, "/v1/place", string(valid) + " \n\t", http.StatusOK},
+		"place workers option":    {http.MethodPost, "/v1/place", withWorkers, http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 		if err != nil {

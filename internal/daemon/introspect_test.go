@@ -246,7 +246,7 @@ func TestFlightzEndpoint(t *testing.T) {
 func TestIntrospectionNoPlacementEffect(t *testing.T) {
 	req, err := json.Marshal(PlaceRequest{
 		Problem: testSpec(t, 12),
-		Options: RequestOptions{Merging: true, Workers: 2, TimeLimitSec: 60},
+		Options: RequestOptions{Merging: true, TimeLimitSec: 60},
 	})
 	if err != nil {
 		t.Fatal(err)

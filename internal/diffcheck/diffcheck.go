@@ -36,7 +36,6 @@ const (
 	KindObjective    = "objective-mismatch"
 	KindObjTotal     = "objective-vs-totalrules"
 	KindStatsSum     = "stats-sum"
-	KindWorkers      = "workers-determinism"
 	KindTables       = "tables"
 	KindSemantics    = "semantics"
 	KindSemanticsExh = "semantics-exhaustive"
@@ -59,7 +58,7 @@ func (f Failure) String() string { return f.Kind + ": " + f.Detail }
 // Options configures a differential check.
 type Options struct {
 	// Core carries the placement options shared by all backends
-	// (Backend and Workers are overridden per oracle). ObjMinMaxLoad is
+	// (Backend is overridden per oracle). ObjMinMaxLoad is
 	// not supported (no SAT/exhaustive counterpart).
 	Core core.Options
 	// MaxExhaustiveVars bounds the exhaustive oracle's enumeration
@@ -83,9 +82,6 @@ type Options struct {
 	// Metamorphic enables the property battery (roughly four extra ILP
 	// solves per instance).
 	Metamorphic bool
-	// WorkerCounts lists the ILP worker counts to run; every count must
-	// produce a byte-identical placement (nil = {1}).
-	WorkerCounts []int
 }
 
 func (o Options) withDefaults() Options {
@@ -94,9 +90,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ExhaustiveHeaderWidth == 0 {
 		o.ExhaustiveHeaderWidth = 12
-	}
-	if len(o.WorkerCounts) == 0 {
-		o.WorkerCounts = []int{1}
 	}
 	return o
 }
@@ -152,27 +145,12 @@ func Check(inst *randgen.Instance, opts Options) *Result {
 
 	ilpOpts := opts.Core
 	ilpOpts.Backend = core.BackendILP
-	ilpOpts.Workers = opts.WorkerCounts[0]
 	ilpPl, err := core.Place(prob, ilpOpts)
 	if err != nil {
 		res.addf(KindSolveError, "ilp: %v", err)
 		return res
 	}
 	res.ILP = ilpPl
-	base := Fingerprint(ilpPl)
-	for _, w := range opts.WorkerCounts[1:] {
-		wOpts := ilpOpts
-		wOpts.Workers = w
-		wPl, err := core.Place(prob, wOpts)
-		if err != nil {
-			res.addf(KindSolveError, "ilp workers=%d: %v", w, err)
-			continue
-		}
-		if fp := Fingerprint(wPl); fp != base {
-			res.addf(KindWorkers, "workers=%d placement differs from workers=%d:\n%s\nvs\n%s",
-				w, opts.WorkerCounts[0], fp, base)
-		}
-	}
 
 	satOpts := opts.Core
 	satOpts.Backend = core.BackendSAT

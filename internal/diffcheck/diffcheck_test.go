@@ -10,13 +10,12 @@ import (
 )
 
 // quickOpts is the configuration the quick suite and the fuzz target
-// share: small verification sampling budgets, a SAT proof budget so the
-// rare counting-hard instance degrades to a recorded skip instead of a
-// wall-clock cliff, and multi-worker determinism checks.
+// share: small verification sampling budgets and a SAT proof budget so
+// the rare counting-hard instance degrades to a recorded skip instead
+// of a wall-clock cliff.
 func quickOpts(seed int64) Options {
 	return Options{
 		SATTimeLimit: 2 * time.Second,
-		WorkerCounts: []int{1, 2, 8},
 		Verify:       verify.Config{SamplesPerRule: 2, RandomSamples: 6, MaxViolations: 3, Seed: seed},
 	}
 }
@@ -71,31 +70,6 @@ func TestQuickDifferentialSuite(t *testing.T) {
 	}
 	if satSkips > instances/20 {
 		t.Errorf("%d SAT budget skips out of %d; budget too small or SAT regressed", satSkips, instances)
-	}
-}
-
-// TestWorkersDeterminism pins the acceptance criterion directly: the
-// same seed solved with Workers=1, 2, and 8 yields byte-identical
-// placements (same fingerprint), on a spread of instance shapes.
-func TestWorkersDeterminism(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		inst, err := randgen.Generate(randgen.FromSeed(seed))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		var prev string
-		for _, w := range []int{1, 2, 8} {
-			pl, err := core.Place(inst.Problem, core.Options{Backend: core.BackendILP, Workers: w})
-			if err != nil {
-				t.Fatalf("seed %d workers=%d: %v", seed, w, err)
-			}
-			fp := Fingerprint(pl)
-			if prev != "" && fp != prev {
-				t.Errorf("seed %d: workers=%d placement differs from previous worker count:\n%s\nvs\n%s",
-					seed, w, fp, prev)
-			}
-			prev = fp
-		}
 	}
 }
 
@@ -156,7 +130,7 @@ func TestShrinkPreservesFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := core.Place(cand.Problem, core.Options{Backend: core.BackendILP, Workers: 1})
+		pl, err := core.Place(cand.Problem, core.Options{Backend: core.BackendILP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +148,7 @@ func TestShrinkPreservesFailure(t *testing.T) {
 	// stage is replaced by the infeasibility predicate via KindUnproven:
 	// use Check but treat "still infeasible" as the signal by wrapping.
 	failing := func(in *randgen.Instance) bool {
-		pl, err := core.Place(in.Problem, core.Options{Backend: core.BackendILP, Workers: 1})
+		pl, err := core.Place(in.Problem, core.Options{Backend: core.BackendILP})
 		return err == nil && pl.Status == core.StatusInfeasible
 	}
 	shrunk := shrinkWith(inst, failing, 8)
@@ -226,7 +200,7 @@ func TestFixtureRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: options round trip lost flags", seed)
 		}
 		solve := func(p *core.Problem) string {
-			pl, err := core.Place(p, core.Options{Backend: core.BackendILP, Workers: 1,
+			pl, err := core.Place(p, core.Options{Backend: core.BackendILP,
 				Merging: coreOpts.Merging, PathSlicing: coreOpts.PathSlicing})
 			if err != nil {
 				t.Fatal(err)

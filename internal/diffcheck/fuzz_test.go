@@ -31,7 +31,6 @@ func FuzzPlaceDifferential(f *testing.F) {
 		}
 		opts := Options{
 			SATTimeLimit: 2 * time.Second,
-			WorkerCounts: []int{1, 4},
 			Metamorphic:  seed%8 == 0,
 			Verify:       verify.Config{SamplesPerRule: 2, RandomSamples: 4, MaxViolations: 3, Seed: seed},
 		}

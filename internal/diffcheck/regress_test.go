@@ -36,7 +36,6 @@ func TestRegressions(t *testing.T) {
 				Core:         coreOpts,
 				Metamorphic:  true,
 				SATTimeLimit: 2 * time.Second,
-				WorkerCounts: []int{1, 2, 8},
 				Verify:       verify.Config{SamplesPerRule: 4, RandomSamples: 8, MaxViolations: 3, Seed: fix.Seed},
 			})
 			for _, f := range res.Failures {

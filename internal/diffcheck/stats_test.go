@@ -35,7 +35,6 @@ func TestStatsAccountingRandomLimits(t *testing.T) {
 			continue // encoding-level infeasibility; nothing to solve
 		}
 		var o ilp.Options
-		o.Workers = 1 + rng.Intn(3)
 		switch seed % 4 {
 		case 0:
 			o.NodeLimit = 1 + rng.Intn(8)
@@ -121,7 +120,7 @@ func TestStatsDeadlinePrecedence(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		sol, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Nanosecond, NodeLimit: 1 << 30, Workers: 1})
+		sol, err := ilp.Solve(m, ilp.Options{TimeLimit: time.Nanosecond, NodeLimit: 1 << 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +150,7 @@ func TestStatsNodeLimitPrecedence(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		sol, err := ilp.Solve(m, ilp.Options{NodeLimit: 1, Workers: 1})
+		sol, err := ilp.Solve(m, ilp.Options{NodeLimit: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

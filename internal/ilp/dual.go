@@ -188,7 +188,7 @@ func (s *lpSolver) dualSimplex(maxIter int) (lpStatus, error) {
 		for i := 0; i < s.m; i++ {
 			//lint:exactfloat w is scattered dense; rows never touched by ftran hold exact zeros, and skipping only those is a sparsity fast path
 			if w[i] != 0 {
-				s.xB[i] -= delta * w[i]
+				s.xB[i] -= float64(delta * w[i])
 			}
 		}
 		enterVal := s.nonbasicValue(q) + delta
@@ -212,7 +212,7 @@ func (s *lpSolver) dualSimplex(maxIter int) (lpStatus, error) {
 		for i := 0; i < s.m; i++ {
 			//lint:exactfloat rho is scattered dense; rows never touched by btran hold exact zeros, and skipping only those is a sparsity fast path
 			if rho[i] != 0 {
-				y[i] += theta * rho[i]
+				y[i] += float64(theta * rho[i])
 			}
 		}
 	}

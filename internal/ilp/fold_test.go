@@ -87,7 +87,7 @@ func wantFold(sols []Solution) map[string]int64 {
 
 // TestMetricsFoldMatchesStats: a registry fed the event streams of
 // concurrent solves holds exactly their summed Stats, for every
-// worker count. Each solve's refactorizations and iterations reach
+// pool size. Each solve's refactorizations and iterations reach
 // it only through the done event's totals.
 func TestMetricsFoldMatchesStats(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
@@ -101,8 +101,8 @@ func TestMetricsFoldMatchesStats(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				opts := f.opts
-				opts.Workers, opts.Sink = w, reg
-				sols[i], errs[i] = Solve(f.m, opts)
+				opts.Sink = reg
+				sols[i], errs[i] = solve(f.m, opts, w)
 			}()
 		}
 		wg.Wait()
@@ -165,7 +165,7 @@ func TestTraceEffortMatchesStats(t *testing.T) {
 		var buf strings.Builder
 		jw := obs.NewJSONLWriter(&buf)
 		opts := f.opts
-		opts.Workers, opts.Sink = 2, jw
+		opts.Sink = jw
 		sol, err := Solve(f.m, opts)
 		if err != nil {
 			t.Fatal(err)

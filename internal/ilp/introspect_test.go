@@ -14,19 +14,19 @@ import (
 // invariant at the solver layer: attaching the daemon's sink stack
 // (flight ring and live progress view, stamped with a trace ID) returns
 // the same status, objective, solution vector, and search effort as a
-// bare solve — for every worker count. Exact comparison is intentional.
+// bare solve — for every pool size. Exact comparison is intentional.
 func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
 	const id = "req-000042"
 	for _, w := range []int{1, 2, 8} {
-		bare, err := Solve(parallelFixture(7, 16), Options{TimeLimit: 60 * time.Second, Workers: w})
+		bare, err := solve(parallelFixture(7, 16), Options{TimeLimit: 60 * time.Second}, w)
 		if err != nil {
 			t.Fatalf("workers=%d bare: %v", w, err)
 		}
 		rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 256})
-		inst, err := Solve(parallelFixture(7, 16), Options{
-			TimeLimit: 60 * time.Second, Workers: w,
-			Sink: obs.Tag(id, obs.Multi(rec, obs.NewProgress(id))),
-		})
+		inst, err := solve(parallelFixture(7, 16), Options{
+			TimeLimit: 60 * time.Second,
+			Sink:      obs.Tag(id, obs.Multi(rec, obs.NewProgress(id))),
+		}, w)
 		if err != nil {
 			t.Fatalf("workers=%d instrumented: %v", w, err)
 		}
@@ -58,7 +58,7 @@ func TestSolveFlightRecorderMatchesFullTrace(t *testing.T) {
 	jw := obs.NewJSONLWriter(&buf)
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 1 << 16})
 	if _, err := Solve(parallelFixture(3, 12), Options{
-		TimeLimit: 60 * time.Second, Workers: 1, Sink: obs.Multi(jw, rec),
+		TimeLimit: 60 * time.Second, Sink: obs.Multi(jw, rec),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestSolveFlightRecorderMatchesFullTrace(t *testing.T) {
 
 // TestSolveProgressFinalSnapshot checks the live-progress contract: a
 // Progress sink's final view is the done view and agrees with Stats,
-// for every worker count.
+// for every pool size.
 func TestSolveProgressFinalSnapshot(t *testing.T) {
 	const id = "req-000007"
 	for _, w := range []int{1, 2, 8} {
 		prog := obs.NewProgress(id)
-		sol, err := Solve(parallelFixture(7, 16), Options{
-			TimeLimit: 60 * time.Second, Workers: w, Sink: prog,
-		})
+		sol, err := solve(parallelFixture(7, 16), Options{
+			TimeLimit: 60 * time.Second, Sink: prog,
+		}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,10 +197,10 @@ func TestDisabledIntrospectionOverheadSmoke(t *testing.T) {
 		return times[runs/2]
 	}
 	off := median(func() Options {
-		return Options{TimeLimit: 60 * time.Second, Workers: 1}
+		return Options{TimeLimit: 60 * time.Second}
 	})
 	on := median(func() Options {
-		return Options{TimeLimit: 60 * time.Second, Workers: 1,
+		return Options{TimeLimit: 60 * time.Second,
 			Sink: obs.Multi(obs.NewFlightRecorder(obs.FlightOpts{Size: 4096}), obs.NewProgress(""))}
 	})
 	if off > on*3/2 {
@@ -214,7 +214,7 @@ func BenchmarkSolveFlightRecorder(b *testing.B) {
 	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: 4096})
 	for i := 0; i < b.N; i++ {
 		m := parallelFixture(7, 16)
-		if _, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: 1, Sink: rec}); err != nil {
+		if _, err := solve(m, Options{TimeLimit: 60 * time.Second, Sink: rec}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,7 +177,7 @@ func luFactorizeCSC(m int, ptr []int32, rows []int32, vals []float64, ws *luWork
 					dense[r] = 0
 					pattern = append(pattern, r)
 				}
-				dense[r] -= xk * f.lvals[p]
+				dense[r] -= float64(xk * f.lvals[p])
 			}
 		}
 		// Pivot selection: largest magnitude among unpivoted rows; the
@@ -299,7 +299,7 @@ func (f *luFactor) ftranInto(b, scratch []float64) {
 			continue
 		}
 		for p := f.lptr[j]; p < f.lptr[j+1]; p++ {
-			b[f.lrows[p]] -= y * f.lvals[p]
+			b[f.lrows[p]] -= float64(y * f.lvals[p])
 		}
 	}
 	// Gather into factor order and back-substitute U x = y.
@@ -315,7 +315,7 @@ func (f *luFactor) ftranInto(b, scratch []float64) {
 			continue
 		}
 		for p := f.uptr[j]; p < f.uptr[j+1]; p++ {
-			x[f.urows[p]] -= xj * f.uvals[p]
+			x[f.urows[p]] -= float64(xj * f.uvals[p])
 		}
 	}
 	copy(b[:f.m], x)
@@ -335,7 +335,7 @@ func (f *luFactor) btranInto(c, scratch []float64) {
 	for j := 0; j < f.m; j++ {
 		acc := c[j]
 		for p := f.uptr[j]; p < f.uptr[j+1]; p++ {
-			acc -= f.uvals[p] * c[f.urows[p]]
+			acc -= float64(f.uvals[p] * c[f.urows[p]])
 		}
 		c[j] = acc / f.udiag[j]
 	}
@@ -347,7 +347,7 @@ func (f *luFactor) btranInto(c, scratch []float64) {
 	for j := f.m - 1; j >= 0; j-- {
 		acc := y[j]
 		for p := f.lptr[j]; p < f.lptr[j+1]; p++ {
-			acc -= f.lvals[p] * y[f.rowOfPiv[f.lrows[p]]]
+			acc -= float64(f.lvals[p] * y[f.rowOfPiv[f.lrows[p]]])
 		}
 		y[j] = acc
 	}

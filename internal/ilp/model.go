@@ -7,6 +7,12 @@
 // The solver is exact in the paper's sense: it proves optimality or
 // infeasibility rather than approximating, which is the property the
 // paper's "no false negatives" claim rests on.
+//
+// A product that feeds an add or a subtract is written float64(a*b). The
+// conversion is a rounding point the Go spec forbids the compiler to fuse
+// into a multiply-add, so every GOARCH rounds the same operations and
+// returns the same bits. The lint stage of scripts/check.sh fails on any
+// fused instruction compiled for this package.
 package ilp
 
 import (
@@ -253,7 +259,8 @@ func (r *StopReason) UnmarshalText(text []byte) error {
 // core.Stats, bench.Result and bench.RunRecord embed it, and its JSON
 // tags, in order, are the BENCH_*.json run record's keys. SimplexIters
 // and BnBNodes are summed across branch & bound workers; Workers
-// records the parallelism the solve actually used.
+// records the pool size the search ran, min(GOMAXPROCS, 16), and is the
+// only field that depends on it.
 //
 // Every expanded node gets exactly one outcome, so
 // Branched + PrunedBound + PrunedInfeasible + IntegralLeaves +

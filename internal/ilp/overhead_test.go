@@ -18,7 +18,7 @@ func (s *noopSink) Event(obs.Event) { s.n++ }
 func BenchmarkSolveSinkDisabled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := parallelFixture(7, 16)
-		if _, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: 1}); err != nil {
+		if _, err := solve(m, Options{TimeLimit: 60 * time.Second}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -30,7 +30,7 @@ func BenchmarkSolveSinkNoop(b *testing.B) {
 	var sink noopSink
 	for i := 0; i < b.N; i++ {
 		m := parallelFixture(7, 16)
-		if _, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: 1, Sink: &sink}); err != nil {
+		if _, err := solve(m, Options{TimeLimit: 60 * time.Second, Sink: &sink}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestDisabledSinkOverheadSmoke(t *testing.T) {
 		for i := 0; i < runs; i++ {
 			m := parallelFixture(7, 16)
 			start := time.Now()
-			if _, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: 1, Sink: sink}); err != nil {
+			if _, err := solve(m, Options{TimeLimit: 60 * time.Second, Sink: sink}, 1); err != nil {
 				t.Fatal(err)
 			}
 			times = append(times, time.Since(start))

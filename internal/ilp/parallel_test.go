@@ -43,9 +43,9 @@ func parallelFixture(seed int64, n int) *Model {
 	return m
 }
 
-// TestSolveDeterministicAcrossWorkers asserts the tentpole guarantee:
+// TestSolveDeterministicAcrossWorkers asserts the pool's guarantee:
 // status, objective, and the solution vector are byte-identical for
-// Workers ∈ {1, 2, 8}. Exact (not tolerance) comparison is intentional —
+// pool sizes 1, 2 and 8. Exact (not tolerance) comparison is intentional —
 // the parallel search is deterministic by construction, so any drift is
 // a bug, not noise.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
@@ -74,7 +74,7 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 			}
 			var base *outcome
 			for _, w := range []int{1, 2, 8} {
-				sol, err := Solve(fx.m(), Options{TimeLimit: 60 * time.Second, Workers: w})
+				sol, err := solve(fx.m(), Options{TimeLimit: 60 * time.Second}, w)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -103,16 +103,16 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSolveWorkersMatchSequentialSearch asserts that the node and
-// iteration counts — not just the answer — are identical across worker
-// counts: the parallel search must expand the same tree.
+// iteration counts — not just the answer — are identical across pool
+// sizes: the parallel search must expand the same tree.
 func TestSolveWorkersMatchSequentialSearch(t *testing.T) {
 	m1 := parallelFixture(42, 18)
 	m8 := parallelFixture(42, 18)
-	s1, err := Solve(m1, Options{TimeLimit: 60 * time.Second, Workers: 1})
+	s1, err := solve(m1, Options{TimeLimit: 60 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s8, err := Solve(m8, Options{TimeLimit: 60 * time.Second, Workers: 8})
+	s8, err := solve(m8, Options{TimeLimit: 60 * time.Second}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSolveParallelStress(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		m := parallelFixture(int64(100+trial), 22)
-		sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: 8})
+		sol, err := solve(m, Options{TimeLimit: 60 * time.Second}, 8)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

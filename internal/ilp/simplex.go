@@ -209,7 +209,7 @@ func (s *lpSolver) colDot(j int, y []float64) float64 {
 	if j < s.nBase {
 		d := 0.0
 		for p := s.mat.ptr[j]; p < s.mat.ptr[j+1]; p++ {
-			d += y[s.mat.rows[p]] * s.mat.vals[p]
+			d += float64(y[s.mat.rows[p]] * s.mat.vals[p])
 		}
 		return d
 	}
@@ -221,12 +221,12 @@ func (s *lpSolver) colDot(j int, y []float64) float64 {
 func (s *lpSolver) scatterCol(j int, scale float64, out []float64) {
 	if j < s.nBase {
 		for p := s.mat.ptr[j]; p < s.mat.ptr[j+1]; p++ {
-			out[s.mat.rows[p]] += scale * s.mat.vals[p]
+			out[s.mat.rows[p]] += float64(scale * s.mat.vals[p])
 		}
 		return
 	}
 	k := j - s.nBase
-	out[s.artRow[k]] += scale * s.artVal[k]
+	out[s.artRow[k]] += float64(scale * s.artVal[k])
 }
 
 // initBasis sets every structural variable nonbasic at its nearest finite
@@ -362,7 +362,7 @@ func (s *lpSolver) applyEtas(out []float64) {
 			continue
 		}
 		for _, e := range et.w {
-			out[e.row] -= e.val * xp
+			out[e.row] -= float64(e.val * xp)
 		}
 	}
 }
@@ -385,7 +385,7 @@ func (s *lpSolver) btranApply(out []float64) {
 		et := s.etas[k]
 		acc := out[et.p]
 		for _, e := range et.w {
-			acc -= out[e.row] * e.val
+			acc -= float64(out[e.row] * e.val)
 		}
 		out[et.p] = acc / et.wp
 	}
@@ -427,12 +427,12 @@ func (s *lpSolver) phase2Costs() {
 func (s *lpSolver) objective() float64 {
 	v := 0.0
 	for i, b := range s.basic {
-		v += s.cost[b] * s.xB[i]
+		v += float64(s.cost[b] * s.xB[i])
 	}
 	for j := 0; j < s.n; j++ {
 		//lint:exactfloat cost entries are stored objective coefficients (or 0/1 phase costs), never computed
 		if s.state[j] != stBasic && s.cost[j] != 0 {
-			v += s.cost[j] * s.nonbasicValue(j)
+			v += float64(s.cost[j] * s.nonbasicValue(j))
 		}
 	}
 	return v
@@ -586,7 +586,7 @@ func (s *lpSolver) solve() (lpStatus, error) {
 			for i := 0; i < s.m; i++ {
 				//lint:exactfloat w is scattered dense; rows never touched by ftran hold exact zeros, and skipping only those is a sparsity fast path
 				if w[i] != 0 {
-					s.xB[i] -= dir * tMax * w[i]
+					s.xB[i] -= float64(dir * tMax * w[i])
 				}
 			}
 		}
@@ -602,7 +602,7 @@ func (s *lpSolver) solve() (lpStatus, error) {
 		// Basis change: q enters at position leave.
 		lv := s.basic[leave]
 		s.state[lv] = leaveAt
-		enterVal := s.nonbasicValue(q) + dir*tMax
+		enterVal := s.nonbasicValue(q) + float64(dir*tMax)
 		s.basic[leave] = q
 		s.state[q] = stBasic
 		s.xB[leave] = enterVal
@@ -698,7 +698,7 @@ func (s *lpSolver) structuralObjective() float64 {
 	v := 0.0
 	x := s.primalValues()
 	for j := 0; j < s.nOrig; j++ {
-		v += s.obj[j] * x[j]
+		v += float64(s.obj[j] * x[j])
 	}
 	return v
 }

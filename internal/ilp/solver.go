@@ -25,19 +25,12 @@ type Options struct {
 	// FullPricing forces full Dantzig pricing on every simplex
 	// iteration instead of partial pricing (debug/ablation).
 	FullPricing bool
-	// Workers is the number of branch & bound worker goroutines
-	// (0 = GOMAXPROCS). The solve status, objective, and solution are
-	// independent of the worker count: nodes are expanded in fixed-size
-	// synchronous rounds, each node LP is a pure function of its work
-	// item, and round results are merged in a deterministic order — so
-	// Workers=1 and Workers=8 return byte-identical results.
-	Workers int
 	// Sink receives structured solver events (nil disables tracing; the
 	// disabled path costs one branch per emission site). Events are
 	// emitted only from the solver's sequential sections and nothing is
 	// ever read back from the sink, so the search — and the returned
 	// solution — is byte-identical with tracing on or off and the event
-	// sequence is identical (modulo Event.TimeMS) for any worker count.
+	// sequence is identical (modulo Event.TimeMS) for any pool size.
 	Sink obs.Sink
 	// Span, when non-nil, is the parent under which the solver opens
 	// presolve / root_lp / search timing child spans.
@@ -46,7 +39,18 @@ type Options struct {
 
 // Solve minimizes the model. The returned solution's Values are rounded
 // to integers for integer variables when a solution is found.
+//
+// Branch & bound runs min(GOMAXPROCS, batchNodes) worker goroutines. The
+// status, objective, solution and every Stats counter but Workers are
+// independent of that pool size: nodes are expanded in fixed-size
+// synchronous rounds, each node LP is a pure function of its work item,
+// and round results are merged in a deterministic order.
 func Solve(m *Model, opts Options) (Solution, error) {
+	return solve(m, opts, min(runtime.GOMAXPROCS(0), batchNodes))
+}
+
+// solve is Solve on a pool of the given size (at least 1).
+func solve(m *Model, opts Options, workers int) (Solution, error) {
 	start := time.Now()
 	if err := m.Validate(); err != nil {
 		return Solution{}, err
@@ -62,10 +66,6 @@ func Solve(m *Model, opts Options) (Solution, error) {
 		lo[j], hi[j] = v.lo, v.hi
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	stats := Stats{Workers: workers, Gap: -1, RootGap: -1}
 	work := m
 	if !opts.DisablePresolve {
@@ -171,9 +171,9 @@ func propagateLE(m *Model, terms []Term, b float64, lo, hi []float64, stats *Sta
 	minAct := 0.0
 	for _, t := range terms {
 		if t.Coef > 0 {
-			minAct += t.Coef * lo[t.Var]
+			minAct += float64(t.Coef * lo[t.Var])
 		} else {
-			minAct += t.Coef * hi[t.Var]
+			minAct += float64(t.Coef * hi[t.Var])
 		}
 	}
 	if math.IsInf(minAct, -1) {
@@ -221,9 +221,10 @@ func propagateLE(m *Model, terms []Term, b float64, lo, hi []float64, stats *Sta
 const (
 	// batchNodes is the number of deque items expanded per synchronous
 	// round once an incumbent exists. It is a constant — NOT derived
-	// from the worker count — because the node expansion schedule must
-	// be a pure function of the instance for Workers=1/2/8 to return
-	// identical results. Workers beyond batchNodes cannot be kept busy.
+	// from the pool size — because the node expansion schedule must be
+	// a pure function of the instance for every pool size to return
+	// identical results. It also caps the pool: workers beyond
+	// batchNodes cannot be kept busy.
 	batchNodes = 16
 	// lexTol is the per-component tolerance of the lexicographic
 	// incumbent comparison; integer components are rounded before the
@@ -561,15 +562,10 @@ func (b *bnb) noSolution(status Status) (Solution, error) {
 // slightly stale frontier cheap.
 func (b *bnb) search(s *lpSolver) error {
 	// Worker 0 reuses the root solver; the rest get clones, taken
-	// before any node mutates s. More workers than batchNodes can never
-	// be kept busy within a round.
-	nw := b.workers
-	if nw > batchNodes {
-		nw = batchNodes
-	}
-	solvers := make([]*lpSolver, nw)
+	// before any node mutates s.
+	solvers := make([]*lpSolver, b.workers)
 	solvers[0] = s
-	for i := 1; i < nw; i++ {
+	for i := 1; i < b.workers; i++ {
 		solvers[i] = s.clone()
 	}
 
@@ -851,7 +847,7 @@ func (b *bnb) canonical(x []float64) ([]float64, float64) {
 		if v.integer {
 			x[j] = math.Round(x[j])
 		}
-		obj += v.obj * x[j]
+		obj += float64(v.obj * x[j])
 	}
 	return x, obj
 }
@@ -933,7 +929,7 @@ func (b *bnb) selectBranch(it *workItem, r *nodeResult) int {
 		// then ties near 1e-18 for all candidates and the 1e-12-weighted
 		// term decides, reproducing most-fractional branching. With any
 		// real pseudocost signal it is negligible.
-		score := math.Max(dd*f, 1e-9)*math.Max(du*(1-f), 1e-9) + 1e-12*f*(1-f)
+		score := float64(math.Max(dd*f, 1e-9)*math.Max(du*(1-f), 1e-9)) + float64(1e-12*f*(1-f))
 		if score > bestScore {
 			bestScore, best = score, j
 		}
@@ -1098,7 +1094,7 @@ func VerifySolution(m *Model, values []float64) error {
 	for ci, c := range m.cons {
 		act := 0.0
 		for _, t := range c.Terms {
-			act += t.Coef * values[t.Var]
+			act += float64(t.Coef * values[t.Var])
 		}
 		ok := true
 		switch c.Op {

@@ -32,7 +32,7 @@ func fullTrace(t *testing.T, rec *obs.FlightRecorder) []obs.Event {
 func traceOf(t *testing.T, m *Model, workers int) (Solution, []obs.Event) {
 	t.Helper()
 	rec := fullRing()
-	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Workers: workers, Sink: rec})
+	sol, err := solve(m, Options{TimeLimit: 60 * time.Second, Sink: rec}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func traceOf(t *testing.T, m *Model, workers int) (Solution, []obs.Event) {
 
 // TestTraceDeterministic asserts the tracing half of the determinism
 // contract: the same model traced twice yields identical event
-// sequences modulo timing fields, and Workers=1 vs Workers=4 yield the
+// sequences modulo timing fields, and pool sizes 1 and 4 yield the
 // same sequence too (events are emitted only from the sequential merge
 // loop).
 func TestTraceDeterministic(t *testing.T) {
@@ -65,10 +65,10 @@ func TestTraceDeterministic(t *testing.T) {
 
 // TestTracingDoesNotPerturbSolve asserts the other half: a traced solve
 // returns a Solution (stats included) deeply equal to an untraced one,
-// across worker counts.
+// across pool sizes.
 func TestTracingDoesNotPerturbSolve(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
-		plain, err := Solve(parallelFixture(9, 18), Options{TimeLimit: 60 * time.Second, Workers: w})
+		plain, err := solve(parallelFixture(9, 18), Options{TimeLimit: 60 * time.Second}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := obs.NewJSONLWriter(&buf)
 	_, err := Solve(parallelFixture(7, 14),
-		Options{TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Multi(rec, w)})
+		Options{TimeLimit: 60 * time.Second, Sink: obs.Multi(rec, w)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 // TestStopReasonNodeLimit asserts the node limit is reported as the stop
 // reason and the outcome accounting stays intact when the search is cut.
 func TestStopReasonNodeLimit(t *testing.T) {
-	sol, err := Solve(parallelFixture(11, 20), Options{NodeLimit: 3, Workers: 1})
+	sol, err := Solve(parallelFixture(11, 20), Options{NodeLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStopReasonNodeLimit(t *testing.T) {
 // TestStopReasonDeadline asserts a root-LP deadline expiry is reported
 // as StopDeadline with an undefined gap.
 func TestStopReasonDeadline(t *testing.T) {
-	sol, err := Solve(parallelFixture(13, 24), Options{TimeLimit: time.Nanosecond, Workers: 1})
+	sol, err := Solve(parallelFixture(13, 24), Options{TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSearchStopsAtDeadline(t *testing.T) {
 	terms = append(terms, Term{Var: m.AddVar("y", 0, 0.5, 0), Coef: 1})
 	m.AddConstraint(terms, EQ, n, "odd")
 	const limit = 50 * time.Millisecond
-	sol, err := Solve(m, Options{TimeLimit: limit, Workers: 1, Sink: stallSink{2 * limit}})
+	sol, err := Solve(m, Options{TimeLimit: limit, Sink: stallSink{2 * limit}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSearchStopsAtDeadline(t *testing.T) {
 // TestGapProvenOptimal asserts a clean optimal solve reports gap 0 with
 // BestBound equal to the objective.
 func TestGapProvenOptimal(t *testing.T) {
-	sol, err := Solve(parallelFixture(3, 12), Options{TimeLimit: 60 * time.Second, Workers: 1})
+	sol, err := Solve(parallelFixture(3, 12), Options{TimeLimit: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // solution nor any other event field.
 func TestTraceIDStampsEveryEvent(t *testing.T) {
 	const id = "req-000042-00000000deadbeef"
-	solve := func(traceID string) (Solution, []obs.Event) {
+	solveTagged := func(traceID string) (Solution, []obs.Event) {
 		rec := fullRing()
 		sol, err := Solve(parallelFixture(5, 16), Options{
-			TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Tag(traceID, rec),
+			TimeLimit: 60 * time.Second, Sink: obs.Tag(traceID, rec),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -28,8 +28,8 @@ func TestTraceIDStampsEveryEvent(t *testing.T) {
 		}
 		return sol, events
 	}
-	plainSol, plain := solve("")
-	taggedSol, tagged := solve(id)
+	plainSol, plain := solveTagged("")
+	taggedSol, tagged := solveTagged(id)
 	if !reflect.DeepEqual(plainSol, taggedSol) {
 		t.Fatalf("trace ID perturbed the solution:\n%+v\nvs\n%+v", plainSol, taggedSol)
 	}

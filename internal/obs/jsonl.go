@@ -9,9 +9,8 @@ import (
 )
 
 // JSONLWriter is a Sink that streams events as one JSON object per
-// line. Writes are mutex-serialized so concurrent solves (e.g. a bench
-// sweep with -parallel > 1) may share one writer; their events
-// interleave per line but each line stays intact.
+// line. Writes are mutex-serialized so concurrent solves may share one
+// writer; their events interleave per line but each line stays intact.
 type JSONLWriter struct {
 	mu  sync.Mutex
 	w   *bufio.Writer

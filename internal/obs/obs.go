@@ -10,15 +10,15 @@
 //     node; a non-nil Sink never feeds back into the search, so
 //     placements are byte-identical with tracing on or off, and — since
 //     events are emitted from the solver's sequential merge loop — the
-//     event sequence is identical modulo timing fields for any worker
-//     count.
+//     event sequence is identical modulo timing fields for any branch
+//     & bound pool size.
 //
 //   - Phase spans: hierarchical wall-clock/alloc timers over the
 //     compile pipeline (parse → routing → dependency graph → model
 //     build → presolve → root LP → B&B → extraction → verify). All
 //     Span/Trace methods are nil-receiver-safe, so call sites need no
-//     guards, and span mutation is mutex-serialized so parallel sweeps
-//     can share a Trace.
+//     guards, and span mutation is mutex-serialized so concurrent
+//     goroutines can share a Trace.
 //
 //   - Metrics exposition: a registry (NewMetrics) that is one more
 //     Sink. It folds solver events into atomic counters and per-solve

@@ -12,7 +12,7 @@ import (
 // value is not usable; NewTrace returns a ready Trace. All methods —
 // including those of the Spans it hands out — are safe on nil
 // receivers, so call sites never need tracing guards, and mutation is
-// serialized by one mutex so parallel workers may share a Trace.
+// serialized by one mutex so concurrent goroutines may share a Trace.
 //
 //lint:nilsafe every exported method begins with a nil-receiver guard
 type Trace struct {

@@ -88,6 +88,27 @@ stage_lint() {
     go build -o "$work/rulefitlint" ./cmd/rulefitlint
     "$work/rulefitlint" ./...
     go vet -vettool="$work/rulefitlint" ./...
+
+    # A fused multiply-add rounds once where amd64 rounds twice, so the
+    # same instance could place differently per GOARCH. Cross-compiling
+    # with -S needs no emulator; float64(a*b) is the fix the Go spec
+    # guarantees.
+    step "no fused multiply-add in the solver on arm64, ppc64le, s390x, riscv64"
+    local arch fused=0
+    for arch in arm64 ppc64le s390x riscv64; do
+        GOARCH=$arch go build -gcflags=-S ./internal/ilp/ ./internal/core/ ./internal/sat/ ./internal/match/ \
+            > "$work/asm-$arch.s" 2>&1
+        expect "$work/asm-$arch.s" 'rulefit/internal/ilp\.Solve STEXT'
+        grep -E '\bFN?M(ADD|SUB)[DS]?\b' "$work/asm-$arch.s" > "$work/fused-$arch.txt" || true
+        [ -s "$work/fused-$arch.txt" ] || continue
+        fused=1
+        echo "$arch compiles fused multiply-adds; wrap each product in float64(...):"
+        sed -E 's/.*\(([^)]*):([0-9]+)\).*\t(FN?M(ADD|SUB)[DS]?)\t.*/\1 \2 \3/' "$work/fused-$arch.txt" | sort -u |
+            while read -r file line insn; do
+                printf '  %s %s:%s: %s\n' "$insn" "$file" "$line" "$(sed -n "${line}p" "$file" | sed 's/^[[:space:]]*//')"
+            done
+    done
+    [ "$fused" -eq 0 ]
 }
 
 stage_test() {
@@ -170,6 +191,13 @@ stage_smoke() {
     reject "$work/inprocess-diff.json" '"workload_mismatch"'
     scrape /statusz '"requests_1m"'
     scrape /metrics 'rulefit_request_phase_seconds_bucket{phase="solve"'
+    # GOMAXPROCS sizes the branch & bound pool, and the wire has no
+    # workers option: the request body with one is refused, and the
+    # same body without it is served.
+    printf '{"problem": %s, "options": {"merging": true, "workers": 2, "timeLimitSec": 60}}' \
+        "$(cat "$work/problem.json")" > "$work/workers-request.json"
+    test "$(curl -s -o /dev/null -w '%{http_code}' -X POST --data @"$work/workers-request.json" "$daemon_url/v1/place")" = 400
+    test "$(curl -s -o /dev/null -w '%{http_code}' -X POST --data @"$work/request.json" "$daemon_url/v1/place")" = 200
     stop_daemon
 
     step "shed-knee sweep (deterministic knee)"
@@ -267,7 +295,7 @@ stage_paper-smoke() {
     step "one Fig. 7 point at -scale 0.5 (fat-tree k=8, 10 min budget)"
     go build -o "$work/experiments" ./cmd/experiments
     timeout 600 "$work/experiments" -scale 0.5 -rules 25 -caps 100 \
-        -seeds 1 -workers 1 -timeout 300s -json "$work/paper-smoke.json"
+        -seeds 1 -timeout 300s -json "$work/paper-smoke.json"
 
     step "benchdiff vs the committed smoke baseline"
     # Loose wall thresholds (2x, 500 ms) absorb host variance; the hard
