@@ -194,20 +194,6 @@ func BenchmarkAblationBackendSAT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPresolveOn/Off measure the ILP presolve contribution.
-func BenchmarkAblationPresolveOn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationRun(b, nil)
-	}
-}
-
-// BenchmarkAblationPresolveOff disables bound-propagation presolve.
-func BenchmarkAblationPresolveOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationRun(b, func(c *bench.Config) { c.Opts.DisablePresolve = true })
-	}
-}
-
 // BenchmarkAblationSlicingOn/Off measure path-sliced policies (§IV-C):
 // slicing shrinks the variable set when rules only overlap some routes.
 func BenchmarkAblationSlicingOn(b *testing.B) {

@@ -12,9 +12,8 @@ import (
 )
 
 func positives() {
-	_ = ilp.Options{}                      // want "ilp.Options without TimeLimit or NodeLimit"
-	_ = ilp.Options{DisablePresolve: true} // want "ilp.Options without TimeLimit or NodeLimit"
-	_ = ilp.Options{FullPricing: true}     // want "ilp.Options without TimeLimit or NodeLimit"
+	_ = ilp.Options{}                  // want "ilp.Options without TimeLimit or NodeLimit"
+	_ = ilp.Options{FullPricing: true} // want "ilp.Options without TimeLimit or NodeLimit"
 	// Attaching observability does not bound the search.
 	_ = ilp.Options{Sink: nil}             // want "ilp.Options without TimeLimit or NodeLimit"
 	_ = ilp.Options{Span: nil, Sink: nil}  // want "ilp.Options without TimeLimit or NodeLimit"

@@ -13,13 +13,29 @@ import (
 // TestExhaustiveMatchesILP: on tiny random instances the enumeration
 // oracle and the branch & bound agree on status and optimal objective.
 func TestExhaustiveMatchesILP(t *testing.T) {
+	checkExhaustiveMatchesILP(t, false)
+}
+
+// TestExhaustiveMatchesILPMerging is TestExhaustiveMatchesILP with
+// merging on, which adds merge-group variables to the model. A search
+// that cut off the optimum shows up here as a worse ILP objective.
+func TestExhaustiveMatchesILPMerging(t *testing.T) {
+	checkExhaustiveMatchesILP(t, true)
+}
+
+// checkExhaustiveMatchesILP places randgen FromSeed seeds 1–80 with the
+// ILP backend and with PlaceExhaustive, and requires the same status and
+// optimal objective on every instance small enough for the oracle; at
+// least 20 must be.
+func checkExhaustiveMatchesILP(t *testing.T, merging bool) {
+	t.Helper()
 	checked := 0
 	for seed := int64(1); seed <= 80; seed++ {
 		inst, err := randgen.Generate(randgen.FromSeed(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		opts := core.Options{Backend: core.BackendILP}
+		opts := core.Options{Backend: core.BackendILP, Merging: merging}
 		exh, err := core.PlaceExhaustive(inst.Problem, opts, 16)
 		if errors.Is(err, core.ErrExhaustiveTooLarge) {
 			continue

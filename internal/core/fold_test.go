@@ -48,7 +48,6 @@ func TestMetricsFoldMatchesJointSolve(t *testing.T) {
 		{"rulefit_solve_nodes_sum", st.BnBNodes},
 		{"rulefit_solve_simplex_iters_sum", st.SimplexIters},
 		{"rulefit_lu_refactorizations_total", st.LURefactors},
-		{"rulefit_presolve_fixes_total", st.PresolveFix},
 		{"rulefit_incumbents_total", st.Incumbents},
 		{`rulefit_node_outcomes_total{outcome="branched"}`, st.Branched},
 		{`rulefit_node_outcomes_total{outcome="pruned_bound"}`, st.PrunedBound},

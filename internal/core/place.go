@@ -97,10 +97,9 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	buildSp.End()
 	solveSp := span.Child("solve")
 	sol, err := ilp.Solve(m, ilp.Options{
-		TimeLimit:       opts.TimeLimit,
-		DisablePresolve: opts.DisablePresolve,
-		Sink:            opts.SolverSink,
-		Span:            solveSp,
+		TimeLimit: opts.TimeLimit,
+		Sink:      opts.SolverSink,
+		Span:      solveSp,
 	})
 	if err != nil {
 		solveSp.End()

@@ -144,8 +144,6 @@ type Options struct {
 	// TimeLimit bounds the one solve a placement runs, give or take
 	// that solve's deadline overshoot (0 = no limit).
 	TimeLimit time.Duration
-	// DisablePresolve turns off ILP presolve (ablation).
-	DisablePresolve bool
 	// Trace, when non-nil, collects hierarchical phase spans (encode →
 	// model build → solve → extract) for the run. Timing only; the
 	// placement is identical with or without it.

@@ -69,14 +69,9 @@ func BenchmarkLUFactorizeStructured(b *testing.B) {
 
 func BenchmarkLPRelaxation(b *testing.B) {
 	m := coveringModel(300, 80, 20, 2)
-	lo := make([]float64, m.NumVars())
-	hi := make([]float64, m.NumVars())
-	for j := range hi {
-		hi[j] = 1
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newLPSolver(m, lo, hi)
+		s := newLPSolver(m)
 		s.initBasis()
 		if _, err := s.solveLP(); err != nil {
 			b.Fatal(err)
@@ -95,18 +90,5 @@ func BenchmarkMILPSolve(b *testing.B) {
 		if sol.Status != Optimal && sol.Status != Infeasible {
 			b.Fatalf("status %v", sol.Status)
 		}
-	}
-}
-
-func BenchmarkPresolve(b *testing.B) {
-	m := coveringModel(400, 120, 30, 4)
-	for i := 0; i < b.N; i++ {
-		lo := make([]float64, m.NumVars())
-		hi := make([]float64, m.NumVars())
-		for j := range hi {
-			hi[j] = 1
-		}
-		var stats Stats
-		presolve(m, lo, hi, &stats)
 	}
 }

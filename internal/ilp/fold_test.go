@@ -18,24 +18,23 @@ type foldFixture struct {
 }
 
 // foldFixtures covers every way a solve ends: proven optimal (with
-// strong-branch trials and stale skips), presolve fixes, a node limit
-// with and without an incumbent, infeasibility proven by presolve and
-// by the root LP, unbounded, and a solve with presolve off.
+// strong-branch trials and stale skips), a node limit with and without
+// an incumbent, infeasibility proven by the root LP, and unbounded.
 func foldFixtures() []foldFixture {
 	limit := 60 * time.Second
-	presolveFixed := NewModel()
-	x := presolveFixed.AddBinary("x", 5)
-	presolveFixed.AddBinary("y", 1)
-	presolveFixed.AddConstraint([]Term{{x, 1}}, GE, 1, "fix")
+	oneVarRow := NewModel()
+	x := oneVarRow.AddBinary("x", 5)
+	oneVarRow.AddBinary("y", 1)
+	oneVarRow.AddConstraint([]Term{{x, 1}}, GE, 1, "fix")
 
-	presolveInfeasible := NewModel()
-	a := presolveInfeasible.AddBinary("a", 1)
-	b := presolveInfeasible.AddBinary("b", 1)
-	presolveInfeasible.AddConstraint([]Term{{a, 1}, {b, 1}}, GE, 2, "both")
-	presolveInfeasible.AddConstraint([]Term{{a, 1}, {b, 1}}, LE, 1, "atmost1")
+	contradictory := NewModel()
+	a := contradictory.AddBinary("a", 1)
+	b := contradictory.AddBinary("b", 1)
+	contradictory.AddConstraint([]Term{{a, 1}, {b, 1}}, GE, 2, "both")
+	contradictory.AddConstraint([]Term{{a, 1}, {b, 1}}, LE, 1, "atmost1")
 
 	// Pairwise covers force x+y+z >= 1.5 in the LP, which the capacity
-	// row forbids; bound propagation alone fixes nothing.
+	// row forbids.
 	rootInfeasible := NewModel()
 	p := rootInfeasible.AddBinary("p", 1)
 	q := rootInfeasible.AddBinary("q", 1)
@@ -55,9 +54,9 @@ func foldFixtures() []foldFixture {
 		{"branching s9/n20", parallelFixture(9, 20), Options{TimeLimit: limit}},
 		{"node limit, incumbent", parallelFixture(9, 20), Options{NodeLimit: 3}},
 		{"node limit, none", parallelFixture(11, 20), Options{NodeLimit: 3}},
-		{"presolve off", parallelFixture(7, 16), Options{TimeLimit: limit, DisablePresolve: true}},
-		{"presolve fixed", presolveFixed, Options{TimeLimit: limit}},
-		{"presolve infeasible", presolveInfeasible, Options{TimeLimit: limit}},
+		{"branching s7/n16", parallelFixture(7, 16), Options{TimeLimit: limit}},
+		{"one-variable row", oneVarRow, Options{TimeLimit: limit}},
+		{"contradictory rows", contradictory, Options{TimeLimit: limit}},
 		{"root LP infeasible", rootInfeasible, Options{TimeLimit: limit}},
 		{"unbounded", unbounded, Options{TimeLimit: limit}},
 	}
@@ -73,7 +72,6 @@ func wantFold(sols []Solution) map[string]int64 {
 		w["nodes"] += int64(st.BnBNodes)
 		w["simplex iterations"] += int64(st.SimplexIters)
 		w["LU refactorizations"] += int64(st.LURefactors)
-		w["presolve fixes"] += int64(st.PresolveFix)
 		w["incumbents"] += int64(st.Incumbents)
 		w["branched"] += int64(st.Branched)
 		w["pruned bound"] += int64(st.PrunedBound)
@@ -136,7 +134,6 @@ func TestMetricsFoldMatchesStats(t *testing.T) {
 			"nodes":               "rulefit_solve_nodes_sum",
 			"simplex iterations":  "rulefit_solve_simplex_iters_sum",
 			"LU refactorizations": "rulefit_lu_refactorizations_total",
-			"presolve fixes":      "rulefit_presolve_fixes_total",
 			"incumbents":          "rulefit_incumbents_total",
 			"branched":            `rulefit_node_outcomes_total{outcome="branched"}`,
 			"pruned bound":        `rulefit_node_outcomes_total{outcome="pruned_bound"}`,
@@ -149,7 +146,7 @@ func TestMetricsFoldMatchesStats(t *testing.T) {
 				t.Errorf("workers=%d: /metrics %s reads %g (present %v), Stats sum to %d %s", w, series, got, ok, want[name], name)
 			}
 		}
-		for _, name := range []string{"LU refactorizations", "presolve fixes", "stale skips", "incumbents"} {
+		for _, name := range []string{"LU refactorizations", "stale skips", "incumbents"} {
 			if want[name] == 0 {
 				t.Errorf("workers=%d: no fixture exercises %s", w, name)
 			}

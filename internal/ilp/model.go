@@ -2,7 +2,7 @@
 // standing in for the commercial ILP solver (CPLEX) used by the paper's
 // evaluation. It implements a bounded-variable revised simplex method
 // with sparse LU factorization and product-form basis updates for the LP
-// relaxation, plus presolve and branch & bound for integrality.
+// relaxation, plus branch & bound for integrality.
 //
 // The solver is exact in the paper's sense: it proves optimality or
 // infeasibility rather than approximating, which is the property the
@@ -88,12 +88,6 @@ func (m *Model) AddVar(name string, lo, hi, obj float64) int {
 // AddBinary adds a {0,1} integer variable, returning its index.
 func (m *Model) AddBinary(name string, obj float64) int {
 	m.vars = append(m.vars, variable{name: name, lo: 0, hi: 1, integer: true, obj: obj})
-	return len(m.vars) - 1
-}
-
-// AddInteger adds a bounded integer variable, returning its index.
-func (m *Model) AddInteger(name string, lo, hi, obj float64) int {
-	m.vars = append(m.vars, variable{name: name, lo: lo, hi: hi, integer: true, obj: obj})
 	return len(m.vars) - 1
 }
 
@@ -314,8 +308,4 @@ type Stats struct {
 	// (Objective - root) / max(|Objective|, 1e-9), >= 0. -1 when
 	// undefined (no incumbent, or the root LP never completed).
 	RootGap float64 `json:"root_gap"`
-
-	// PresolveFix counts the variable bounds presolve tightened. The
-	// BENCH run record predates it and does not carry it.
-	PresolveFix int `json:"-"`
 }

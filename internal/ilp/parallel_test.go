@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -143,6 +144,65 @@ func TestSolveParallelStress(t *testing.T) {
 			if err := VerifySolution(m, sol.Values); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
+		}
+	}
+}
+
+// TestColdNodeIgnoresPricingCursor: a node LP solved without a parent
+// snapshot (solveNode's cold path) is a pure function of its work item,
+// even on a solver whose previous LP left its partial-pricing cursor
+// mid-scan and its window widened. Each node is solved on such a
+// solver and on a fresh clone, which starts both at zero; the two
+// results must agree bit for bit. The model has more columns than the
+// minimum pricing window, so a scan that starts at a stale cursor can
+// pick a different entering column.
+func TestColdNodeIgnoresPricingCursor(t *testing.T) {
+	m := coveringModel(800, 150, 20, 1)
+	s := newLPSolver(m)
+	s.initBasis()
+	if st, err := s.solveLP(); err != nil || st != lpOptimal {
+		t.Fatalf("root LP: status %v, err %v", st, err)
+	}
+	x := s.primalValues()
+	frac := -1
+	for j, v := range x {
+		if math.Abs(v-math.Round(v)) > 1e-6 {
+			frac = j
+			break
+		}
+	}
+	if frac < 0 {
+		t.Fatal("root LP is integral; the fixture branches on nothing")
+	}
+	state := append([]int8(nil), s.state[:s.nBase]...)
+	for _, up := range []bool{false, true} {
+		it := &workItem{
+			lo:        append([]float64(nil), s.lo[:s.nOrig]...),
+			hi:        append([]float64(nil), s.hi[:s.nOrig]...),
+			state:     state,
+			branchVar: -1,
+		}
+		if up {
+			it.lo[frac] = 1
+		} else {
+			it.hi[frac] = 0
+		}
+		// The earlier LP is the root for the first node and the first
+		// node for the second.
+		if s.priceCursor <= 0 || s.priceCursor >= s.n || s.priceWindow == 0 {
+			t.Fatalf("up=%v: the earlier LP left cursor %d, window %d of %d columns; the fixture no longer leaves a mid-scan cursor",
+				up, s.priceCursor, s.priceWindow, s.n)
+		}
+		fresh := s.clone()
+		got := solveNode(s, it)
+		want := solveNode(fresh, it)
+		if got.err != nil || want.err != nil {
+			t.Fatalf("up=%v: errors %v, %v", up, got.err, want.err)
+		}
+		if got.st != want.st || math.Float64bits(got.raw) != math.Float64bits(want.raw) ||
+			!reflect.DeepEqual(got.x, want.x) || !reflect.DeepEqual(got.state, want.state) || got.iters != want.iters {
+			t.Fatalf("up=%v: node LP depends on the previous LP's pricing cursor: status %v/%v, objective %v/%v, %d/%d iterations",
+				up, got.st, want.st, got.raw, want.raw, got.iters, want.iters)
 		}
 	}
 }

@@ -111,10 +111,8 @@ type lpSolver struct {
 	fullPricing bool
 }
 
-// newLPSolver builds standard form from a model's continuous relaxation,
-// using the bounds arrays provided (which may be tightened copies of the
-// model's own bounds).
-func newLPSolver(m *Model, lo, hi []float64) *lpSolver {
+// newLPSolver builds standard form from a model's continuous relaxation.
+func newLPSolver(m *Model) *lpSolver {
 	nStruct := len(m.vars)
 	rows := m.cons
 	nRows := len(rows)
@@ -135,8 +133,8 @@ func newLPSolver(m *Model, lo, hi []float64) *lpSolver {
 	s.hi = slab[1*seg : 1*seg+base : 2*seg]
 	s.obj = slab[2*seg : 2*seg+base : 3*seg]
 	for j := 0; j < nStruct; j++ {
-		s.lo[j], s.hi[j] = lo[j], hi[j]
-		s.obj[j] = m.vars[j].obj
+		v := m.vars[j]
+		s.lo[j], s.hi[j], s.obj[j] = v.lo, v.hi, v.obj
 	}
 	for i := range rows {
 		s.rhs[i] = rows[i].RHS

@@ -19,9 +19,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// NodeLimit bounds branch & bound nodes (0 = no limit).
 	NodeLimit int
-	// Presolve enables bound propagation and model reduction (default
-	// on; set DisablePresolve to turn off for ablation).
-	DisablePresolve bool
 	// FullPricing forces full Dantzig pricing on every simplex
 	// iteration instead of partial pricing (debug/ablation).
 	FullPricing bool
@@ -33,7 +30,7 @@ type Options struct {
 	// sequence is identical (modulo Event.TimeMS) for any pool size.
 	Sink obs.Sink
 	// Span, when non-nil, is the parent under which the solver opens
-	// presolve / root_lp / search timing child spans.
+	// root_lp / search timing child spans.
 	Span *obs.Span
 }
 
@@ -59,50 +56,11 @@ func solve(m *Model, opts Options, workers int) (Solution, error) {
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)
 	}
-
-	lo := make([]float64, len(m.vars))
-	hi := make([]float64, len(m.vars))
-	for j, v := range m.vars {
-		lo[j], hi[j] = v.lo, v.hi
-	}
-
-	stats := Stats{Workers: workers, Gap: -1, RootGap: -1}
-	work := m
-	if !opts.DisablePresolve {
-		pre := opts.Span.Child("presolve")
-		res := presolve(m, lo, hi, &stats)
-		pre.SetCount("fixes", int64(stats.PresolveFix))
-		pre.End()
-		if opts.Sink != nil {
-			opts.Sink.Event(obs.Event{Kind: obs.KindPresolve, Fixes: stats.PresolveFix,
-				BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
-		}
-		if res == presolveInfeasible {
-			if opts.Sink != nil {
-				opts.Sink.Event(obs.Event{Kind: obs.KindDone, Outcome: Infeasible.String(),
-					Reason: StopNone.String(), Iters: stats.SimplexIters, Refactors: stats.LURefactors,
-					BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
-			}
-			return Solution{Status: Infeasible, Stats: stats}, nil
-		}
-		if invariant.Enabled {
-			// Presolve reports infeasibility itself; surviving it with
-			// crossed or widened bounds means a propagation bug.
-			for j := range lo {
-				invariant.Assert(lo[j] <= hi[j]+1e-9,
-					"presolve: variable %d bounds crossed: [%g, %g]", j, lo[j], hi[j])
-				invariant.Assert(lo[j] >= m.vars[j].lo-1e-9 && hi[j] <= m.vars[j].hi+1e-9,
-					"presolve: variable %d bounds [%g, %g] widened beyond model [%g, %g]",
-					j, lo[j], hi[j], m.vars[j].lo, m.vars[j].hi)
-			}
-		}
-	}
-
 	bb := &bnb{
-		model:       work,
+		model:       m,
 		deadline:    deadline,
 		nodeCap:     opts.NodeLimit,
-		stats:       stats,
+		stats:       Stats{Workers: workers, Gap: -1, RootGap: -1},
 		fullPricing: opts.FullPricing,
 		workers:     workers,
 		sink:        opts.Sink,
@@ -110,111 +68,13 @@ func solve(m *Model, opts Options, workers int) (Solution, error) {
 		start:       start,
 		lostBound:   math.Inf(1),
 	}
-	return bb.run(lo, hi)
+	return bb.run()
 }
 
 // msSince is the wall-clock offset stamped on events. Timing only —
 // never read back into the search.
 func msSince(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1e3
-}
-
-type presolveResult int
-
-const (
-	presolveOK presolveResult = iota + 1
-	presolveInfeasible
-)
-
-// presolve tightens variable bounds by constraint activity propagation,
-// iterating to a fixpoint. It modifies lo/hi in place and never excludes
-// an integer-feasible point.
-func presolve(m *Model, lo, hi []float64, stats *Stats) presolveResult {
-	for round := 0; round < 20; round++ {
-		changed := false
-		for ci := range m.cons {
-			c := &m.cons[ci]
-			// Treat EQ as both LE and GE.
-			if c.Op == LE || c.Op == EQ {
-				switch propagateLE(m, c.Terms, c.RHS, lo, hi, stats) {
-				case presolveInfeasible:
-					return presolveInfeasible
-				case presolveChanged:
-					changed = true
-				}
-			}
-			if c.Op == GE || c.Op == EQ {
-				// -terms <= -rhs
-				neg := make([]Term, len(c.Terms))
-				for i, t := range c.Terms {
-					neg[i] = Term{Var: t.Var, Coef: -t.Coef}
-				}
-				switch propagateLE(m, neg, -c.RHS, lo, hi, stats) {
-				case presolveInfeasible:
-					return presolveInfeasible
-				case presolveChanged:
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return presolveOK
-}
-
-const presolveChanged presolveResult = 99
-
-// propagateLE tightens bounds for a row sum(a x) <= b.
-func propagateLE(m *Model, terms []Term, b float64, lo, hi []float64, stats *Stats) presolveResult {
-	minAct := 0.0
-	for _, t := range terms {
-		if t.Coef > 0 {
-			minAct += float64(t.Coef * lo[t.Var])
-		} else {
-			minAct += float64(t.Coef * hi[t.Var])
-		}
-	}
-	if math.IsInf(minAct, -1) {
-		return presolveOK
-	}
-	if minAct > b+1e-7 {
-		return presolveInfeasible
-	}
-	res := presolveOK
-	for _, t := range terms {
-		slack := b - minAct
-		if t.Coef > 0 {
-			// a_j (x_j - lo_j) <= slack
-			ub := lo[t.Var] + slack/t.Coef
-			if m.vars[t.Var].integer {
-				ub = math.Floor(ub + 1e-7)
-			}
-			if ub < hi[t.Var]-1e-9 {
-				hi[t.Var] = ub
-				if ub < lo[t.Var]-1e-9 {
-					return presolveInfeasible
-				}
-				stats.PresolveFix++
-				res = presolveChanged
-			}
-		} else if t.Coef < 0 {
-			lb := hi[t.Var] + slack/t.Coef
-			if m.vars[t.Var].integer {
-				lb = math.Ceil(lb - 1e-7)
-			}
-			if lb > lo[t.Var]+1e-9 {
-				lo[t.Var] = lb
-				if lb > hi[t.Var]+1e-9 {
-					return presolveInfeasible
-				}
-				stats.PresolveFix++
-				res = presolveChanged
-			}
-		}
-	}
-	return res
 }
 
 // Branch & bound constants.
@@ -368,7 +228,10 @@ type nodeResult struct {
 	refactors int            // LU refactorizations spent on this node
 }
 
-func (b *bnb) run(lo, hi []float64) (Solution, error) {
+func (b *bnb) run() (Solution, error) {
+	if b.sink != nil {
+		b.emit(obs.Event{Kind: obs.KindStart, BranchVar: -1, Gap: -1})
+	}
 	m := b.model
 	b.objIntegral = true
 	for _, v := range m.vars {
@@ -379,7 +242,7 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 		}
 	}
 	rootSp := b.span.Child("root_lp")
-	s := newLPSolver(m, lo, hi)
+	s := newLPSolver(m)
 	s.deadline = b.deadline
 	s.fullPricing = b.fullPricing
 	s.initBasis()

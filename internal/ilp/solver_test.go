@@ -116,12 +116,20 @@ func TestSolveKnapsack(t *testing.T) {
 	}
 }
 
+// addInteger adds a general integer variable. The model builder adds
+// only binaries and continuous variables, but branch & bound rounds any
+// integer bound.
+func addInteger(m *Model, name string, lo, hi, obj float64) int {
+	m.vars = append(m.vars, variable{name: name, lo: lo, hi: hi, integer: true, obj: obj})
+	return len(m.vars) - 1
+}
+
 func TestSolveIntegerVariables(t *testing.T) {
 	// min x+y s.t. 2x+3y >= 12, x,y integer in [0,10]: candidates
 	// (0,4)->4, (3,2)->5, (6,0)->6, (1,4)->5 ... optimum (0,4) = 4.
 	m := NewModel()
-	x := m.AddInteger("x", 0, 10, 1)
-	y := m.AddInteger("y", 0, 10, 1)
+	x := addInteger(m, "x", 0, 10, 1)
+	y := addInteger(m, "y", 0, 10, 1)
 	m.AddConstraint([]Term{{x, 2}, {y, 3}}, GE, 12, "need")
 	sol := solveOK(t, m)
 	if sol.Status != Optimal {
@@ -202,7 +210,7 @@ func TestSolveEmptyModel(t *testing.T) {
 	}
 }
 
-func TestSolveFixedByPresolve(t *testing.T) {
+func TestSolveOneVariableRow(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x", 5)
 	y := m.AddBinary("y", 1)
@@ -211,9 +219,6 @@ func TestSolveFixedByPresolve(t *testing.T) {
 	sol := solveOK(t, m)
 	if sol.Status != Optimal || sol.Values[x] != 1 || sol.Values[y] != 0 {
 		t.Errorf("sol = %+v", sol)
-	}
-	if sol.Stats.PresolveFix == 0 {
-		t.Error("presolve should have fixed x")
 	}
 }
 
@@ -353,42 +358,68 @@ func TestSolveRandomCoveringVsBruteForce(t *testing.T) {
 	}
 }
 
-func TestSolvePresolveAblation(t *testing.T) {
-	// Same answers with and without presolve.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		m := NewModel()
-		n := 4 + rng.Intn(6)
-		vars := make([]int, n)
-		for i := range vars {
-			vars[i] = m.AddBinary("x", float64(1+rng.Intn(4)))
-		}
-		for c := 0; c < 2+rng.Intn(4); c++ {
-			var terms []Term
-			for _, v := range vars {
-				if rng.Float64() < 0.4 {
-					terms = append(terms, Term{v, 1})
-				}
-			}
-			if len(terms) > 0 {
-				m.AddConstraint(terms, GE, 1, "cover")
-			}
-		}
-		a, err := Solve(m, Options{TimeLimit: 10 * time.Second})
+// TestSolveRandomKnapsacksMatchEnumeration: on random weighted multi-
+// knapsack instances — the only models here whose capacity rows have
+// non-unit coefficients — the solver must agree with brute-force
+// enumeration of every 0/1 point on status and optimal objective. The
+// solution vectors themselves may differ when distinct optima tie: these
+// synthetic objectives tie freely. The placement objective is covered by
+// the stricter byte-identity tests in internal/core.
+func TestSolveRandomKnapsacksMatchEnumeration(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		m := randomKnapsackModel(seed)
+		sol, err := Solve(m, Options{TimeLimit: 30 * time.Second})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		b, err := Solve(m, Options{TimeLimit: 10 * time.Second, DisablePresolve: true})
-		if err != nil {
-			t.Fatal(err)
+		want := bruteForceBinary(m)
+		if math.IsNaN(want) {
+			if sol.Status != Infeasible {
+				t.Errorf("seed %d: status %v, enumeration found no feasible point", seed, sol.Status)
+			}
+			continue
 		}
-		if a.Status != b.Status {
-			t.Fatalf("trial %d: presolve changed status: %v vs %v", trial, a.Status, b.Status)
+		if sol.Status != Optimal {
+			t.Errorf("seed %d: status %v, want Optimal", seed, sol.Status)
+			continue
 		}
-		if a.Status == Optimal && math.Abs(a.Objective-b.Objective) > 1e-6 {
-			t.Fatalf("trial %d: presolve changed objective: %g vs %g", trial, a.Objective, b.Objective)
+		if math.Abs(sol.Objective-want) > 1e-6 {
+			t.Errorf("seed %d: objective %g, enumeration optimum %g", seed, sol.Objective, want)
+		}
+		if err := VerifySolution(m, sol.Values); err != nil {
+			t.Errorf("seed %d: solution infeasible: %v", seed, err)
 		}
 	}
+}
+
+// randomKnapsackModel builds a seeded binary minimization with a few
+// weighted capacity rows.
+func randomKnapsackModel(seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewModel()
+	n := 8 + rng.Intn(6)
+	vars := make([]int, n)
+	for j := 0; j < n; j++ {
+		vars[j] = m.AddBinary("x", -float64(1+rng.Intn(20)))
+	}
+	rows := 2 + rng.Intn(3)
+	for r := 0; r < rows; r++ {
+		var terms []Term
+		total := 0
+		for _, v := range vars {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			w := 1 + rng.Intn(9)
+			total += w
+			terms = append(terms, Term{Var: v, Coef: float64(w)})
+		}
+		if len(terms) < 3 {
+			continue
+		}
+		m.AddConstraint(terms, LE, float64(total/2), "cap")
+	}
+	return m
 }
 
 func TestCombineTerms(t *testing.T) {

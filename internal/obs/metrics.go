@@ -25,7 +25,6 @@ type Metrics struct {
 	solvesLimit     atomic.Int64
 	solvesUnbounded atomic.Int64
 	luRefactors     atomic.Int64
-	presolveFixes   atomic.Int64
 	incumbents      atomic.Int64
 	branched        atomic.Int64
 	prunedBound     atomic.Int64
@@ -92,17 +91,15 @@ func NewMetrics() *Metrics {
 }
 
 // Event folds one solver event into the solver counters, so each
-// family keeps its per-ilp.Solve meaning: presolve events carry the
-// presolve fixes, node events their outcome, skip and incumbent events
-// count themselves, and the done event that closes every solve
-// carries its status and LU refactorization total, and its wall
-// time, node and iteration totals feed the per-solve histograms.
+// family keeps its per-ilp.Solve meaning: node events carry their
+// outcome, skip and incumbent events count themselves, and the done
+// event that closes every solve carries its status and LU
+// refactorization total, and its wall time, node and iteration totals
+// feed the per-solve histograms.
 // Atomics and the histogram locks make the fold lossless under
 // concurrent solves sharing one registry.
 func (m *Metrics) Event(e Event) {
 	switch e.Kind {
-	case KindPresolve:
-		m.presolveFixes.Add(int64(e.Fixes))
 	case KindNode:
 		switch e.Outcome {
 		case OutcomeBranched:
@@ -367,9 +364,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}},
 		{name: "rulefit_lu_refactorizations_total", help: "Basis LU refactorizations.", typ: "counter", series: []series{
 			{val: n(&m.luRefactors)},
-		}},
-		{name: "rulefit_presolve_fixes_total", help: "Presolve bound tightenings.", typ: "counter", series: []series{
-			{val: n(&m.presolveFixes)},
 		}},
 		{name: "rulefit_incumbents_total", help: "Incumbent improvements found.", typ: "counter", series: []series{
 			{val: n(&m.incumbents)},

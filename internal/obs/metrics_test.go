@@ -35,7 +35,7 @@ func scrape(t *testing.T, m *Metrics) map[string]float64 {
 func TestPrometheusGolden(t *testing.T) {
 	m := NewMetrics()
 	for _, e := range []Event{
-		{Kind: KindPresolve, Fixes: 3, TimeMS: 0.25},
+		{Kind: KindStart, TimeMS: 0.25},
 		{Kind: KindRootLP, Iters: 40, Refactors: 1, TimeMS: 1},
 		{Kind: KindNode, Node: 1, Outcome: OutcomeBranched, TimeMS: 1.5},
 		{Kind: KindNode, Node: 2, Outcome: OutcomeBound, TimeMS: 2},

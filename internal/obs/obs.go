@@ -15,7 +15,7 @@
 //
 //   - Phase spans: hierarchical wall-clock/alloc timers over the
 //     compile pipeline (parse → routing → dependency graph → model
-//     build → presolve → root LP → B&B → extraction → verify). All
+//     build → root LP → B&B → extraction → verify). All
 //     Span/Trace methods are nil-receiver-safe, so call sites need no
 //     guards, and span mutation is mutex-serialized so concurrent
 //     goroutines can share a Trace.
@@ -35,8 +35,9 @@ package obs
 
 // Event kinds, in the order a solve emits them.
 const (
-	// KindPresolve reports bound-propagation presolve (Fixes).
-	KindPresolve = "presolve"
+	// KindStart opens every solve, before the root LP. It carries no
+	// payload.
+	KindStart = "start"
 	// KindRootLP reports the root relaxation (Bound, Iters, Refactors).
 	KindRootLP = "root_lp"
 	// KindPseudocostInit reports one reliability strong-branching
@@ -122,8 +123,6 @@ type Event struct {
 	// Refactors is the LU refactorization delta for this event
 	// (KindDone: the solve's total).
 	Refactors int `json:"refactors"`
-	// Fixes is the presolve bound-tightening count (KindPresolve).
-	Fixes int `json:"fixes"`
 	// Incumbent is the best integer objective known at the event.
 	Incumbent float64 `json:"incumbent"`
 	// BestBound is a valid lower bound on the optimum at the event.

@@ -48,7 +48,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
 	events := []Event{
-		{Kind: KindPresolve, Fixes: 4, Gap: -1},
+		{Kind: KindStart, BranchVar: -1, Gap: -1},
 		{Kind: KindNode, Node: 1, Depth: 0, Outcome: OutcomeBranched, Bound: 3.25, BranchVar: 2, Frac: 0.5, Iters: 7, Gap: -1},
 		{Kind: KindDone, Node: 5, Outcome: "optimal", Reason: "none", Incumbent: 4, BestBound: 4, Gap: 0, TimeMS: 1.25},
 	}
@@ -154,7 +154,7 @@ func TestSpanMeasuresWall(t *testing.T) {
 func TestMetricsRecordAndEncoders(t *testing.T) {
 	m := NewMetrics()
 	for _, e := range []Event{
-		{Kind: KindPresolve, Fixes: 3},
+		{Kind: KindStart},
 		{Kind: KindRootLP, Iters: 12, Refactors: 1},
 		{Kind: KindNode, Node: 1, Outcome: OutcomeBranched},
 		{Kind: KindNode, Node: 2, Outcome: OutcomeBranched, Iters: 5},
@@ -182,8 +182,7 @@ func TestMetricsRecordAndEncoders(t *testing.T) {
 		s["rulefit_incumbents_total"] != 1 {
 		t.Fatalf("node counts wrong: %v", s)
 	}
-	if s["rulefit_solve_simplex_iters_sum"] != 40 || s["rulefit_lu_refactorizations_total"] != 2 ||
-		s["rulefit_presolve_fixes_total"] != 3 {
+	if s["rulefit_solve_simplex_iters_sum"] != 40 || s["rulefit_lu_refactorizations_total"] != 2 {
 		t.Fatalf("effort wrong: %v", s)
 	}
 	if wall := s["rulefit_solve_wall_seconds_sum"]; wall < 0.001 || wall > 0.01 {

@@ -9,7 +9,7 @@ type ProgressSnapshot struct {
 	// TraceID joins the snapshot to its request ("" when unscoped).
 	TraceID string `json:"trace_id,omitempty"`
 	// Phase is where the solve currently is: "admitted" (no solver
-	// event yet), "root_lp" (presolve done), "search" (root LP done),
+	// event yet), "root_lp" (solve started), "search" (root LP done),
 	// or "done".
 	Phase string `json:"phase"`
 	// Nodes is the branch & bound nodes expanded so far.
@@ -35,9 +35,8 @@ type ProgressSnapshot struct {
 }
 
 // Progress is a Sink that folds one request's solver events into a
-// live ProgressSnapshot. Every ILP solve opens with a presolve event
-// (a root_lp event when presolve is disabled), which starts a fresh
-// view. A placement runs at most one ILP solve, so the view follows
+// live ProgressSnapshot. Every ILP solve opens with a start event,
+// which starts a fresh view. A placement runs at most one ILP solve, so the view follows
 // that solve; an answer that runs none (a certified decomposition,
 // the SAT backend) leaves it in phase "admitted".
 // Event updates the view in place under a mutex without allocating;
@@ -59,10 +58,10 @@ func (p *Progress) Event(e Event) {
 	p.mu.Lock()
 	s := &p.s
 	switch e.Kind {
-	case KindPresolve:
+	case KindStart:
 		*s = ProgressSnapshot{TraceID: s.TraceID, Phase: "root_lp", Gap: -1}
 	case KindRootLP:
-		*s = ProgressSnapshot{TraceID: s.TraceID, Phase: "search", BestBound: e.Bound, Gap: -1}
+		s.Phase, s.BestBound = "search", e.Bound
 	case KindNode:
 		s.Nodes = e.Node
 		if e.Node == 1 {

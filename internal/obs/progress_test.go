@@ -19,8 +19,8 @@ func TestProgressFoldsEvents(t *testing.T) {
 		e    Event
 		want ProgressSnapshot
 	}{
-		{"presolve starts a fresh view",
-			Event{Kind: KindPresolve, Fixes: 3, Gap: -1, TimeMS: 1},
+		{"start opens a fresh view",
+			Event{Kind: KindStart, Gap: -1, TimeMS: 1},
 			ProgressSnapshot{TraceID: id, Phase: "root_lp", Gap: -1, ElapsedMS: 1}},
 		{"root_lp enters search at the raw root bound",
 			Event{Kind: KindRootLP, Bound: 6.4, Gap: -1, TimeMS: 2},
@@ -54,15 +54,12 @@ func TestProgressFoldsEvents(t *testing.T) {
 			Event{Kind: KindDone, Node: 20, Outcome: "optimal", Incumbent: 8, BestBound: 8, Gap: 0, TimeMS: 7},
 			ProgressSnapshot{TraceID: id, Phase: "done", Nodes: 20, Incumbent: 8, HaveIncumbent: true,
 				BestBound: 8, Gap: 0, Incumbents: 2, ElapsedMS: 7, Done: true}},
-		{"the next sub-solve's presolve starts afresh",
-			Event{Kind: KindPresolve, Gap: -1, TimeMS: 0.5},
+		{"the next solve's start opens a fresh view",
+			Event{Kind: KindStart, Gap: -1, TimeMS: 0.5},
 			ProgressSnapshot{TraceID: id, Phase: "root_lp", Gap: -1, ElapsedMS: 0.5}},
 		{"an infeasible done keeps gap -1 and no incumbent",
 			Event{Kind: KindDone, Outcome: "infeasible", Gap: -1, TimeMS: 0.75},
 			ProgressSnapshot{TraceID: id, Phase: "done", Gap: -1, ElapsedMS: 0.75, Done: true}},
-		{"root_lp alone also starts afresh",
-			Event{Kind: KindRootLP, Bound: 3, Gap: -1, TimeMS: 1},
-			ProgressSnapshot{TraceID: id, Phase: "search", BestBound: 3, Gap: -1, ElapsedMS: 1}},
 	}
 	for _, st := range steps {
 		p.Event(st.e)

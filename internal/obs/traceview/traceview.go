@@ -33,22 +33,21 @@ type GapPoint struct {
 // so it reports the node events it retained and the iterations and
 // refactorizations those and the root_lp events carry.
 type Summary struct {
-	Events        int            `json:"events"`
-	Nodes         int            `json:"nodes"`
-	Outcomes      map[string]int `json:"outcomes"`
-	StaleSkips    int            `json:"stale_skips"`
-	Incumbents    int            `json:"incumbents"`
-	PresolveFixes int            `json:"presolve_fixes"`
-	RootBound     float64        `json:"root_bound"`
-	SimplexIters  int            `json:"simplex_iters"`
-	LURefactors   int            `json:"lu_refactors"`
-	GapCurve      []GapPoint     `json:"gap_curve"`
-	FinalStatus   string         `json:"final_status"`
-	StopReason    string         `json:"stop_reason"`
-	FinalObj      float64        `json:"final_obj"`
-	FinalBound    float64        `json:"final_bound"`
-	FinalGap      float64        `json:"final_gap"`
-	MaxDepth      int            `json:"max_depth"`
+	Events       int            `json:"events"`
+	Nodes        int            `json:"nodes"`
+	Outcomes     map[string]int `json:"outcomes"`
+	StaleSkips   int            `json:"stale_skips"`
+	Incumbents   int            `json:"incumbents"`
+	RootBound    float64        `json:"root_bound"`
+	SimplexIters int            `json:"simplex_iters"`
+	LURefactors  int            `json:"lu_refactors"`
+	GapCurve     []GapPoint     `json:"gap_curve"`
+	FinalStatus  string         `json:"final_status"`
+	StopReason   string         `json:"stop_reason"`
+	FinalObj     float64        `json:"final_obj"`
+	FinalBound   float64        `json:"final_bound"`
+	FinalGap     float64        `json:"final_gap"`
+	MaxDepth     int            `json:"max_depth"`
 	// Partial marks a flight-recorder ring dump: the trace is the tail
 	// of the event stream, so a missing done event is expected and the
 	// loss accounting below says how much is gone.
@@ -78,8 +77,6 @@ func Of(events []obs.Event) *Summary {
 	for _, e := range events {
 		s.Events++
 		switch e.Kind {
-		case obs.KindPresolve:
-			s.PresolveFixes += e.Fixes
 		case obs.KindRootLP:
 			s.RootBound = e.Bound
 			perEvent.iters += e.Iters
@@ -163,8 +160,8 @@ func (s *Summary) Render() string {
 	}
 	fmt.Fprintf(&sb, "trace: %d events, %d nodes (max depth %d), %d stale skips, %d incumbents\n",
 		s.Events, s.Nodes, s.MaxDepth, s.StaleSkips, s.Incumbents)
-	fmt.Fprintf(&sb, "effort: %d simplex iters, %d LU refactorizations, %d presolve fixes, root bound %g\n",
-		s.SimplexIters, s.LURefactors, s.PresolveFixes, s.RootBound)
+	fmt.Fprintf(&sb, "effort: %d simplex iters, %d LU refactorizations, root bound %g\n",
+		s.SimplexIters, s.LURefactors, s.RootBound)
 	if len(s.Outcomes) > 0 {
 		sb.WriteString("node outcomes:\n")
 		keys := make([]string, 0, len(s.Outcomes))

@@ -14,7 +14,7 @@ import (
 // other event counts.
 func sampleEvents() []obs.Event {
 	return []obs.Event{
-		{Kind: obs.KindPresolve, Fixes: 2, Gap: -1},
+		{Kind: obs.KindStart, BranchVar: -1, Gap: -1},
 		{Kind: obs.KindRootLP, Bound: 3.5, Iters: 12, Refactors: 1, Gap: -1},
 		{Kind: obs.KindNode, Node: 1, Depth: 0, Outcome: obs.OutcomeBranched, Bound: 4, BranchVar: 1, Frac: 0.5, Iters: 12, Gap: -1},
 		{Kind: obs.KindNode, Node: 2, Parent: 1, Depth: 1, Outcome: obs.OutcomeIntegral, Bound: 5, BranchVar: -1, Iters: 3, Gap: -1},
@@ -35,7 +35,7 @@ func TestOfAggregates(t *testing.T) {
 	if s.Outcomes[obs.OutcomeBranched] != 1 || s.Outcomes[obs.OutcomeIntegral] != 1 || s.Outcomes[obs.OutcomeBound] != 1 {
 		t.Fatalf("outcomes wrong: %v", s.Outcomes)
 	}
-	if s.SimplexIters != 40 || s.LURefactors != 3 || s.PresolveFixes != 2 {
+	if s.SimplexIters != 40 || s.LURefactors != 3 {
 		t.Fatalf("effort wrong: %+v", s)
 	}
 	if len(s.GapCurve) != 1 || s.GapCurve[0].Gap != 0.2 {
@@ -84,7 +84,7 @@ func TestEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace renders %q", out)
 	}
 	if err := Of(sampleEvents()[:1]).Check(); err == nil {
-		t.Fatal("Check passed a presolve event with no done event")
+		t.Fatal("Check passed a start event with no done event")
 	}
 }
 

@@ -152,6 +152,9 @@ stage_smoke() {
     go run ./cmd/benchgen -k 4 -rules 8 -capacity 9 -paths-per-ingress 4 -out "$work/trace-problem.json"
     go run ./cmd/ruleplace -in "$work/trace-problem.json" -merge -trace "$work/trace.jsonl" -metrics -timeout 60s
     test -s "$work/trace.jsonl"
+    # Every solve opens with a start event.
+    head -n 1 "$work/trace.jsonl" > "$work/trace-first.jsonl"
+    expect "$work/trace-first.jsonl" '"kind":"start"'
     # Merging off on the slack problem, every policy certifies by
     # counting: no ILP solve runs, the trace stays empty, and the
     # self-check still passes.
@@ -175,6 +178,8 @@ stage_smoke() {
     for family in rulefit_solve_wall_seconds_total rulefit_bnb_nodes_total rulefit_simplex_iters_total; do
         reject "$work/scrape.out" "$family"
     done
+    # The solver has no presolve, so no family counts its work.
+    reject "$work/scrape.out" rulefit_presolve_
     # The debug listener serves net/http/pprof and nothing else.
     curl -sf --retry 5 --retry-connrefused http://127.0.0.1:18095/debug/pprof/ > /dev/null
     test "$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:18095/metrics)" = 404
