@@ -1,39 +1,20 @@
 // Command rulefitlint is the repo's custom static-analysis suite: a
-// multichecker over the analyzers in internal/analysis. It runs in two
-// modes:
+// multichecker over the seven analyzers in internal/analysis.
 //
-//	rulefitlint ./...                 # standalone, like staticcheck
-//	go vet -vettool=$(which rulefitlint) ./...
+//	rulefitlint [packages]
 //
-// The vettool mode implements the subset of the cmd/vet unitchecker
-// protocol that cmd/go drives: answer -V=full with a version line,
-// accept a single *.cfg argument describing one package, read the
-// dependency fact files named by PackageVetx, write this unit's
-// (merged) fact set to VetxOutput, and report diagnostics on stderr
-// with a non-zero exit. Facts are how the dataflow analyzers
-// (detsource, sinkguard) see across package boundaries; cmd/go caches
-// the .vetx files alongside export data.
-//
-// Analyzers can be disabled individually, e.g. -floatcmp=false.
-// -json prints findings as a JSON array instead of plain lines
-// (standalone mode).
+// It loads the packages matching the patterns (default ./...), runs
+// every analyzer over them in dependency order with one fact store, so
+// the dataflow analyzers (detsource, sinkguard) see across package
+// boundaries, and prints each finding as
+// file:line:col: message (analyzer). It exits 0 when the packages are
+// clean, 1 on findings and 2 when they fail to load.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"rulefit/internal/analysis"
 	"rulefit/internal/analysis/detsource"
@@ -57,260 +38,29 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// cmd/go probes vet tools with -V=full (version, for the build
-	// cache key) and -flags (JSON list of tool flags it may forward)
-	// before handing over any real work.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" {
-			// cmd/go parses this line for a buildID to key its cache
-			// on; hash the binary itself so rebuilding the linter
-			// invalidates cached vet results.
-			h := sha256.New()
-			if f, err := os.Open(os.Args[0]); err == nil {
-				_, _ = io.Copy(h, f)
-				f.Close()
-			}
-			fmt.Printf("%s version devel comments-go-here buildID=%02x\n", os.Args[0], h.Sum(nil))
-			return 0
-		}
-		if a == "-flags" || a == "--flags" {
-			type jsonFlag struct {
-				Name  string
-				Bool  bool
-				Usage string
-			}
-			var flags []jsonFlag
-			for _, an := range suite {
-				flags = append(flags, jsonFlag{an.Name, true, "enable the " + an.Name + " analyzer"})
-			}
-			out, _ := json.Marshal(flags)
-			fmt.Println(string(out))
-			return 0
-		}
-	}
-
-	fs := flag.NewFlagSet("rulefitlint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "print findings as a JSON array (standalone mode)")
-	enabled := make(map[string]*bool, len(suite))
-	for _, a := range suite {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *list {
-		for _, a := range suite {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	var active []*analysis.Analyzer
-	for _, a := range suite {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVetTool(rest[0], active)
-	}
-	return runStandalone(rest, active, *jsonOut)
-}
-
-// finding is one diagnostic in -json output.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// runStandalone lints the packages matching the patterns (default ./...).
-func runStandalone(patterns []string, active []*analysis.Analyzer, jsonOut bool) int {
+// run lints the packages matching patterns and returns the exit code.
+func run(patterns []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rulefitlint:", err)
+		fmt.Fprintln(stderr, "rulefitlint:", err)
 		return 2
 	}
-	diags, err := analysis.RunAnalyzers(pkgs, active)
+	diags, err := analysis.RunAnalyzers(pkgs, suite)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rulefitlint:", err)
+		fmt.Fprintln(stderr, "rulefitlint:", err)
 		return 2
 	}
-	if jsonOut {
-		findings := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			findings = append(findings, finding{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Category, d.Message})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "rulefitlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the package description cmd/go writes for vet tools.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetTool handles one `go vet` unit of work.
-func runVetTool(cfgPath string, active []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rulefitlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "rulefitlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Facts protocol: seed the store with every dependency's .vetx file,
-	// run the analyzers (even for VetxOnly units — importers need the
-	// facts this unit exports), and write the merged set back out.
-	facts := analysis.NewFactSet()
-	depPaths := make([]string, 0, len(cfg.PackageVetx))
-	for path := range cfg.PackageVetx {
-		depPaths = append(depPaths, path)
-	}
-	sort.Strings(depPaths)
-	for _, path := range depPaths {
-		data, err := os.ReadFile(cfg.PackageVetx[path])
-		if err != nil {
-			// A dependency outside the vet run (or an older cmd/go that
-			// never wrote it): analyze without its facts.
-			continue
-		}
-		dep, err := analysis.DecodeFactSet(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rulefitlint: facts of %s: %v\n", path, err)
-			return 2
-		}
-		facts.Merge(dep)
-	}
-
-	diags, err := lintVetUnit(cfg, active, facts)
-	if err != nil {
-		if cfg.VetxOutput != "" {
-			// Still satisfy the protocol so cmd/go does not fail the
-			// importers on a missing file.
-			_ = os.WriteFile(cfg.VetxOutput, []byte{}, 0o666)
-		}
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "rulefitlint:", err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		wire, err := facts.Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rulefitlint:", err)
-			return 2
-		}
-		if err := os.WriteFile(cfg.VetxOutput, wire, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "rulefitlint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// lintVetUnit parses and type-checks the unit's files using the export
-// data cmd/go already compiled, then runs the analyzers against the
-// given fact store (pre-seeded with dependency facts).
-func lintVetUnit(cfg vetConfig, active []*analysis.Analyzer, facts *analysis.FactSet) ([]analysis.Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// Keep scope aligned with standalone mode: shipped code only.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		exp, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exp)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &analysis.Package{
-		ImportPath: cfg.ImportPath,
-		Dir:        cfg.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}
-	return analysis.RunAnalyzersFacts([]*analysis.Package{pkg}, active, facts)
 }

@@ -71,7 +71,7 @@ func run() error {
 	var (
 		inPath     = flag.String("in", "", "problem description JSON (required)")
 		backend    = flag.String("backend", "ilp", "solver backend: ilp or sat")
-		objective  = flag.String("objective", "rules", "objective: rules, traffic, weighted, or minmaxload")
+		objective  = flag.String("objective", "rules", "objective: rules, traffic, or minmaxload")
 		merge      = flag.Bool("merge", false, "enable cross-policy rule merging")
 		slice      = flag.Bool("slice", false, "enable path-sliced policies (needs traffic slices)")
 		redundancy = flag.Bool("redundancy", false, "remove redundant rules first")

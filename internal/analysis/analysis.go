@@ -31,7 +31,7 @@ type Analyzer struct {
 	// Name is the short command-line identifier (also the suppression
 	// directive name).
 	Name string
-	// Doc is the one-paragraph description shown by -help.
+	// Doc is the one-paragraph description of the check.
 	Doc string
 	// FactTypes lists the fact types the analyzer exports and imports
 	// (each entry a typed nil pointer, e.g. (*ReturnsTaint)(nil)).
@@ -162,17 +162,11 @@ func NamedFrom(t types.Type, pkgPath, name string) bool {
 
 // RunAnalyzers applies each analyzer to each package, returning all
 // diagnostics in deterministic (file, line, column, analyzer) order.
-// Packages are visited in dependency order with a fresh shared fact
-// store, so facts exported while analyzing a package are visible when
-// its importers are analyzed.
+// Packages are visited in dependency order with one fresh fact store,
+// so facts exported while analyzing a package are visible when its
+// importers are analyzed.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersFacts(pkgs, analyzers, NewFactSet())
-}
-
-// RunAnalyzersFacts is RunAnalyzers with a caller-provided fact store,
-// which may be pre-seeded with facts decoded from dependency .vetx
-// files (go vet mode) and afterwards holds every fact the run exported.
-func RunAnalyzersFacts(pkgs []*Package, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
+	facts := newFactSet()
 	var diags []Diagnostic
 	for _, pkg := range dependencyOrder(pkgs) {
 		for _, a := range analyzers {

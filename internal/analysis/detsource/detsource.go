@@ -28,11 +28,13 @@
 //     Event.TimeMS normalization point is the one sanctioned
 //     wall-clock store (determinism comparisons exclude it).
 //
-// Sanitizers clear taint: sort.* / slices.Sort* over a map-derived
-// slice (the sorted-keys idiom's second half), and any function whose
-// doc comment carries a //lint:detsource-sanitizer directive (a
-// canonical-ordering helper); its slice arguments and results are
-// considered order-clean.
+// Sanitizers clear taint: the reordering calls sort.Sort, sort.Stable,
+// sort.Slice, sort.SliceStable, sort.Strings, sort.Ints, sort.Float64s
+// and slices.Sort* over a map-derived slice (the sorted-keys idiom's
+// second half; other sort and slices calls leave the order as it
+// was), and any function whose doc comment carries a
+// //lint:detsource-sanitizer directive (a canonical-ordering helper);
+// its slice arguments and results are considered order-clean.
 //
 // Taint crosses package boundaries through ReturnsTaint facts: when an
 // analyzed function returns a tainted value, callers in importing
@@ -562,7 +564,8 @@ func (w *walker) call(call *ast.CallExpr) string {
 					return ""
 				}
 				return kindRand
-			case pkgPath == "sort" || pkgPath == "slices":
+			case pkgPath == "sort" && sortFuncs[f.Sel.Name],
+				pkgPath == "slices" && strings.HasPrefix(f.Sel.Name, "Sort"):
 				w.sanitizeArgs(call)
 				return ""
 			}
@@ -597,6 +600,14 @@ func (w *walker) funcTaint(obj types.Object, call *ast.CallExpr, argKind string)
 		return rt.Kinds[0]
 	}
 	return ""
+}
+
+// sortFuncs are the sort package's reordering functions. With
+// slices.Sort* they are the built-in sanitizers: searching, reversing
+// or reading a map-ordered slice leaves its order as it was.
+var sortFuncs = map[string]bool{
+	"Sort": true, "Stable": true, "Slice": true, "SliceStable": true,
+	"Strings": true, "Ints": true, "Float64s": true,
 }
 
 // sanitizeArgs clears map-order taint from a sanitizer call's slice

@@ -1,10 +1,8 @@
 package detsource_test
 
 import (
-	"strings"
 	"testing"
 
-	"rulefit/internal/analysis"
 	"rulefit/internal/analysis/analysistest"
 	"rulefit/internal/analysis/detsource"
 )
@@ -25,43 +23,4 @@ func TestDetSourceCrossPackage(t *testing.T) {
 // caught at both sink kinds.
 func TestDetSourceCatchesSolverMapOrderLeak(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), detsource.Analyzer, "solverleak")
-}
-
-// TestFactsSurviveSerialization runs the analyzer over the taint
-// source package, round-trips the resulting fact set through its wire
-// encoding, and checks the facts a consumer would need are present —
-// the same path the vet-tool mode's .vetx files exercise.
-func TestFactsSurviveSerialization(t *testing.T) {
-	pkgs, err := analysis.Load(analysistest.TestData()+"/src", "./taintsrc")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	store := analysis.NewFactSet()
-	if _, err := analysis.RunAnalyzersFacts(pkgs, []*analysis.Analyzer{detsource.Analyzer}, store); err != nil {
-		t.Fatalf("running detsource: %v", err)
-	}
-	wire, err := store.Encode()
-	if err != nil {
-		t.Fatalf("encoding facts: %v", err)
-	}
-	decoded, err := analysis.DecodeFactSet(wire)
-	if err != nil {
-		t.Fatalf("decoding facts: %v", err)
-	}
-	var haveKeys, haveClock bool
-	for _, k := range decoded.Keys() {
-		if !strings.HasPrefix(k, "detsource\x00") {
-			continue
-		}
-		if strings.Contains(k, "taintsrc.Keys\x00") {
-			haveKeys = true
-		}
-		if strings.Contains(k, "taintsrc.Clock\x00") {
-			haveClock = true
-		}
-	}
-	if !haveKeys || !haveClock {
-		t.Errorf("decoded fact set misses expected summaries (Keys=%v Clock=%v): %q",
-			haveKeys, haveClock, decoded.Keys())
-	}
 }

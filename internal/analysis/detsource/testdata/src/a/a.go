@@ -4,6 +4,7 @@ package a
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -25,6 +26,44 @@ func SortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys // sanitized: sorted-keys idiom
+}
+
+// Only reordering calls sanitize: searching or reversing a
+// map-ordered slice leaves its order map-dependent.
+func ContainsKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	_ = slices.Contains(out, "")
+	return out // want "derived from map iteration order"
+}
+
+func ReversedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Reverse(out)
+	return out // want "derived from map iteration order"
+}
+
+func SearchedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	_ = sort.SearchStrings(out, "")
+	return out // want "derived from map iteration order"
+}
+
+func SlicesSortedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out // sanitized: slices.Sort reorders
 }
 
 // keysUnexported leaks order but is not itself a report site; callers

@@ -7,18 +7,20 @@ package analysis
 // A Fact is a serializable statement an analyzer attaches to a
 // package-level object (function, method, var, type, const) or to a
 // package as a whole while analyzing the package that declares it.
-// When the driver later analyzes a package that imports the declaring
-// one, the same analyzer can import the fact and act on it — this is
-// how taint discovered inside one package reaches report sites in
+// RunAnalyzers visits packages in dependency order with one FactSet,
+// so when it later analyzes a package that imports the declaring one,
+// the same analyzer can import the fact and act on it — this is how
+// taint discovered inside one package reaches report sites in
 // another.
 //
 // Facts are keyed by stable object keys (see ObjectKey) rather than by
 // types.Object identity, because an object seen through compiler
 // export data is a distinct types.Object from the one created when its
-// declaring package was type-checked from source. Every exported fact
-// is round-tripped through encoding/gob at export time, so a fact that
-// cannot survive serialization fails fast, and the in-memory and
-// vet-tool (.vetx file) paths exercise the same encoding.
+// declaring package was type-checked from source. The store keeps
+// each fact as its encoding/gob bytes: a fact type that does not
+// encode fails at its first export, every import decodes a private
+// copy, and a summary analyzer's fixpoint detects change by comparing
+// those bytes.
 
 import (
 	"bytes"
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is the marker interface for analyzer facts. Implementations
@@ -82,19 +83,15 @@ type factKey struct {
 }
 
 // FactSet is the driver's fact store, shared across packages and
-// analyzers for one lint run. The zero value is not usable; call
-// NewFactSet.
+// analyzers for one RunAnalyzers call.
 type FactSet struct {
 	m map[factKey][]byte
 }
 
-// NewFactSet returns an empty store.
-func NewFactSet() *FactSet {
+// newFactSet returns an empty store.
+func newFactSet() *FactSet {
 	return &FactSet{m: make(map[factKey][]byte)}
 }
-
-// Len returns the number of stored facts.
-func (s *FactSet) Len() int { return len(s.m) }
 
 // put encodes and stores one fact, reporting whether the stored bytes
 // changed (used by analyzers running to a fixpoint).
@@ -118,78 +115,6 @@ func (s *FactSet) get(analyzer, object string, fact Fact) bool {
 		return false
 	}
 	return decodeFact(data, fact) == nil
-}
-
-// wireFact is the serialized form of one fact.
-type wireFact struct {
-	Analyzer string
-	Object   string
-	Type     string
-	Data     []byte
-}
-
-// Encode serializes the whole set deterministically (sorted by key),
-// for .vetx fact files in the go vet unitchecker protocol.
-func (s *FactSet) Encode() ([]byte, error) {
-	wire := make([]wireFact, 0, len(s.m))
-	//lint:mapdet wire is sorted below before encoding
-	for k, data := range s.m {
-		wire = append(wire, wireFact{k.Analyzer, k.Object, k.Type, data})
-	}
-	sort.Slice(wire, func(i, j int) bool {
-		a, b := wire[i], wire[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFactSet reconstructs a set from Encode output. Empty input
-// (the facts file of a run that exported nothing) yields an empty set.
-func DecodeFactSet(data []byte) (*FactSet, error) {
-	s := NewFactSet()
-	if len(data) == 0 {
-		return s, nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts: %v", err)
-	}
-	for _, w := range wire {
-		s.m[factKey{w.Analyzer, w.Object, w.Type}] = w.Data
-	}
-	return s, nil
-}
-
-// Merge copies every fact from other into s (other wins on collision).
-func (s *FactSet) Merge(other *FactSet) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.m {
-		s.m[k] = v
-	}
-}
-
-// Keys returns the sorted "analyzer\x00object\x00type" key strings, for
-// tests asserting which facts a run produced.
-func (s *FactSet) Keys() []string {
-	out := make([]string, 0, len(s.m))
-	//lint:mapdet sorted before return
-	for k := range s.m {
-		out = append(out, k.Analyzer+"\x00"+k.Object+"\x00"+k.Type)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // factType names the concrete fact type.
@@ -223,8 +148,7 @@ func decodeFact(data []byte, fact Fact) error {
 // Facts attach only to package-level objects and methods; calls for
 // other objects are silently dropped (matching ObjectKey). Reports
 // whether the stored fact changed, so summary analyzers can iterate to
-// a fixpoint. Panics if the fact does not serialize: facts must
-// survive the export-data boundary to mean anything.
+// a fixpoint. Panics if the fact does not gob-encode.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) bool {
 	key := ObjectKey(obj)
 	if key == "" || p.Facts == nil {

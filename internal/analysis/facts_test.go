@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/token"
 	"go/types"
-	"reflect"
 	"testing"
 )
 
@@ -53,15 +52,14 @@ func TestObjectKey(t *testing.T) {
 	}
 }
 
-// TestFactRoundTrip exercises the full serialization path: export on
-// one pass, Encode to wire bytes (as the vet-tool mode writes .vetx
-// files), DecodeFactSet, and import from a second pass over a package
-// that sees the first only through its objects' keys — the same
-// situation as importing through compiler export data.
+// TestFactRoundTrip exports facts on one pass and imports them on a
+// second pass over a package that sees the first only through its
+// objects' keys — the same situation as importing through compiler
+// export data.
 func TestFactRoundTrip(t *testing.T) {
 	pkg, fn, method, _ := fakePkg("example.com/p")
 	a := &Analyzer{Name: "det"}
-	store := NewFactSet()
+	store := newFactSet()
 	exp := &Pass{Analyzer: a, Pkg: pkg, Facts: store}
 
 	if !exp.ExportObjectFact(fn, &testFact{Kind: "maporder", Count: 2}) {
@@ -75,37 +73,17 @@ func TestFactRoundTrip(t *testing.T) {
 	}
 	exp.ExportObjectFact(method, &testFact{Kind: "wallclock"})
 	exp.ExportPackageFact(&testFact{Kind: "pkgwide", Count: 7})
-	if store.Len() != 3 {
-		t.Fatalf("store has %d facts, want 3", store.Len())
-	}
-
-	wire, err := store.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	wire2, err := store.Encode()
-	if err != nil {
-		t.Fatalf("Encode (second): %v", err)
-	}
-	if string(wire) != string(wire2) {
-		t.Error("Encode is not deterministic")
-	}
-
-	decoded, err := DecodeFactSet(wire)
-	if err != nil {
-		t.Fatalf("DecodeFactSet: %v", err)
-	}
-	if !reflect.DeepEqual(decoded.Keys(), store.Keys()) {
-		t.Errorf("decoded keys %v != original %v", decoded.Keys(), store.Keys())
+	if len(store.m) != 3 {
+		t.Fatalf("store has %d facts, want 3", len(store.m))
 	}
 
 	// The importing side re-creates the objects (as an export-data
 	// importer would) — only the keys must line up.
 	pkg2, fn2, method2, _ := fakePkg("example.com/p")
-	imp := &Pass{Analyzer: a, Pkg: pkg2, Facts: decoded}
+	imp := &Pass{Analyzer: a, Pkg: pkg2, Facts: store}
 	var got testFact
 	if !imp.ImportObjectFact(fn2, &got) {
-		t.Fatal("ImportObjectFact(F) found nothing after round trip")
+		t.Fatal("ImportObjectFact(F) found nothing")
 	}
 	if got.Kind != "maporder" || got.Count != 3 {
 		t.Errorf("F fact = %+v, want {maporder 3}", got)
@@ -121,27 +99,20 @@ func TestFactRoundTrip(t *testing.T) {
 	}
 
 	// A different analyzer must not see det's facts.
-	other := &Pass{Analyzer: &Analyzer{Name: "other"}, Pkg: pkg2, Facts: decoded}
+	other := &Pass{Analyzer: &Analyzer{Name: "other"}, Pkg: pkg2, Facts: store}
 	if other.ImportObjectFact(fn2, &got) {
 		t.Error("facts leaked across analyzers")
-	}
-}
-
-func TestDecodeEmptyFactFile(t *testing.T) {
-	s, err := DecodeFactSet(nil)
-	if err != nil || s.Len() != 0 {
-		t.Fatalf("DecodeFactSet(nil) = %v facts, err %v; want empty, nil", s.Len(), err)
 	}
 }
 
 func TestExportSkipsNonPackageLevelObjects(t *testing.T) {
 	pkg, _, _, _ := fakePkg("example.com/p")
 	local := types.NewVar(token.NoPos, pkg, "tmp", types.Typ[types.Int])
-	p := &Pass{Analyzer: &Analyzer{Name: "det"}, Pkg: pkg, Facts: NewFactSet()}
+	p := &Pass{Analyzer: &Analyzer{Name: "det"}, Pkg: pkg, Facts: newFactSet()}
 	if p.ExportObjectFact(local, &testFact{}) {
 		t.Error("fact attached to a non-package-level object")
 	}
-	if p.Facts.Len() != 0 {
+	if len(p.Facts.m) != 0 {
 		t.Error("store not empty after dropped export")
 	}
 }

@@ -89,9 +89,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// goList runs `go list -e -export -deps -json` over the patterns.
+// goList runs `go list -e -export -deps -json` over the patterns. The
+// "--" keeps an argument that starts with a dash a pattern, which then
+// fails to load, rather than a go list flag.
 func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

@@ -195,8 +195,8 @@ func TestParseBackendAndObjective(t *testing.T) {
 		ok   bool
 	}{
 		{"", ObjTotalRules, true}, {"rules", ObjTotalRules, true}, {"traffic", ObjTraffic, true},
-		{"weighted", ObjWeightedSwitches, true}, {"minmaxload", ObjMinMaxLoad, true},
-		{"total-rules", 0, false}, {"Rules", 0, false}, {"latency", 0, false},
+		{"minmaxload", ObjMinMaxLoad, true},
+		{"weighted", 0, false}, {"total-rules", 0, false}, {"Rules", 0, false}, {"latency", 0, false},
 	} {
 		got, err := ParseObjective(tc.name)
 		if (err == nil) != tc.ok || got != tc.want {

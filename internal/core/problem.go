@@ -99,16 +99,15 @@ func (o Objective) String() string {
 }
 
 // ParseObjective maps a wire or flag objective name to its Objective:
-// "rules" (or empty, the default), "traffic", "weighted" or
-// "minmaxload".
+// "rules" (or empty, the default), "traffic" or "minmaxload".
+// ObjWeightedSwitches has no name: the wire and the flags cannot carry
+// its Options.SwitchCost, and without costs it is total-rules.
 func ParseObjective(name string) (Objective, error) {
 	switch name {
 	case "", "rules":
 		return ObjTotalRules, nil
 	case "traffic":
 		return ObjTraffic, nil
-	case "weighted":
-		return ObjWeightedSwitches, nil
 	case "minmaxload":
 		return ObjMinMaxLoad, nil
 	}

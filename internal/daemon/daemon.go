@@ -265,8 +265,9 @@ type PlaceRequest struct {
 type RequestOptions struct {
 	// Backend is "ilp" (default) or "sat".
 	Backend string `json:"backend,omitempty"`
-	// Objective is "rules" (default), "traffic", "weighted", or
-	// "minmaxload".
+	// Objective is "rules" (default), "traffic", or "minmaxload"
+	// (core.ParseObjective). Weighted placement needs per-switch
+	// costs, which the wire does not carry, so it is library-only.
 	Objective       string `json:"objective,omitempty"`
 	Merging         bool   `json:"merging,omitempty"`
 	PathSlicing     bool   `json:"pathSlicing,omitempty"`
@@ -684,10 +685,24 @@ type phaseDur struct {
 	d    time.Duration
 }
 
+// PlacePhases returns the solver-side phases of a request's trace: the
+// children of its core "place" span (decompose, encode, model_build,
+// solve, extract) in start order. Server-Timing, the
+// rulefit_request_phase_seconds histograms and ruleload's in-process
+// answers all report this list.
+func PlacePhases(tr *obs.Trace) []*obs.Span {
+	var out []*obs.Span
+	for _, root := range tr.Roots() {
+		if root.Name() == "place" {
+			out = append(out, root.Children()...)
+		}
+	}
+	return out
+}
+
 // phases flattens the request's per-phase durations: the queue wait
-// and parse intervals measured by the handler, plus the wall time of
-// each child of the core "place" span (encode, model_build, solve,
-// extract). Requests that never reached the solver report only the
+// and parse intervals measured by the handler, then PlacePhases.
+// Requests that never reached the solver report only the
 // handler-measured phases.
 func (st requestState) phases() []phaseDur {
 	var out []phaseDur
@@ -697,13 +712,8 @@ func (st requestState) phases() []phaseDur {
 	if st.parse > 0 {
 		out = append(out, phaseDur{"parse", st.parse})
 	}
-	for _, root := range st.trace.Roots() {
-		if root.Name() != "place" {
-			continue
-		}
-		for _, ch := range root.Children() {
-			out = append(out, phaseDur{ch.Name(), ch.Wall()})
-		}
+	for _, ch := range PlacePhases(st.trace) {
+		out = append(out, phaseDur{ch.Name(), ch.Wall()})
 	}
 	return out
 }

@@ -695,6 +695,7 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	if withWorkers == string(valid) {
 		t.Fatalf("no options object in %s", valid)
 	}
+	weighted := strings.Replace(string(valid), `"options":{`, `"options":{"objective":"weighted",`, 1)
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
@@ -715,6 +716,9 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		"session trailing object": {http.MethodPost, "/v1/session", string(valid) + ` {"junk": true}`, http.StatusBadRequest},
 		"place trailing space":    {http.MethodPost, "/v1/place", string(valid) + " \n\t", http.StatusOK},
 		"place workers option":    {http.MethodPost, "/v1/place", withWorkers, http.StatusBadRequest},
+		// Weighted placement needs switch costs the wire cannot carry.
+		"place weighted objective":   {http.MethodPost, "/v1/place", weighted, http.StatusBadRequest},
+		"session weighted objective": {http.MethodPost, "/v1/session", weighted, http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, base+tc.path, strings.NewReader(tc.body))
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"rulefit/internal/core"
+	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 	"rulefit/internal/state"
 )
@@ -37,6 +38,13 @@ type DeltaResult struct {
 	// Paths counts how each accepted step was answered
 	// ("identity"/"warm"/"cold"), for coverage reporting.
 	Paths map[string]int
+	// SolvePaths counts the core.SolvePath of each accepted step that
+	// ran core.Place (warm or cold; an identity step replays a memo).
+	SolvePaths map[core.SolvePath]int
+	// Fallbacks counts why each fallback step left the decomposition:
+	// "uncertified" or "stitch_rejected", the counter set on the step's
+	// "decompose" span.
+	Fallbacks map[string]int
 	// Failures holds every divergence; the replay stops at the first
 	// mismatch since later state would be tainted.
 	Failures []Failure
@@ -74,7 +82,7 @@ func (r *DeltaResult) Summary() string {
 // that keeps shrunk sequences (where removing a prefix can orphan a
 // later delta) replayable.
 func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *DeltaResult {
-	res := &DeltaResult{Paths: map[string]int{}}
+	res := &DeltaResult{Paths: map[string]int{}, SolvePaths: map[core.SolvePath]int{}, Fallbacks: map[string]int{}}
 	mgr := state.NewManager(state.Config{})
 	sess, createRes, err := mgr.Create(sp, coreOpts)
 	if err != nil {
@@ -94,7 +102,8 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 
 	version := createRes.Version
 	for i, d := range deltas {
-		warmRes, warmErr := sess.Delta([]spec.Delta{d}, nil, nil)
+		req := obs.NewRequestCtx("")
+		warmRes, warmErr := sess.Delta([]spec.Delta{d}, req, nil)
 		cand := cold.Clone()
 		coldErr := cand.Apply(d)
 		if coldErr == nil {
@@ -117,6 +126,12 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 		}
 		version = warmRes.Version
 		res.Paths[warmRes.Path]++
+		if warmRes.Path != state.PathIdentity {
+			res.SolvePaths[warmRes.Placement.Stats.SolvePath]++
+			if cause := fallbackCause(req.Trace); cause != "" {
+				res.Fallbacks[cause]++
+			}
+		}
 		res.Steps++
 		coldFP, err := coldFingerprint(cold, coreOpts)
 		if err != nil {
@@ -130,6 +145,25 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 		}
 	}
 	return res
+}
+
+// fallbackCause returns the counter a fallback set on the trace's
+// "decompose" span, "uncertified" or "stitch_rejected", or "" when the
+// trace holds no fallback.
+func fallbackCause(tr *obs.Trace) string {
+	for _, root := range tr.Roots() {
+		for _, sp := range root.Children() {
+			if sp.Name() != "decompose" {
+				continue
+			}
+			for _, cause := range []string{"uncertified", "stitch_rejected"} {
+				if _, ok := sp.Counter(cause); ok {
+					return cause
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // coldFingerprint builds and solves a spec problem from scratch with

@@ -44,6 +44,8 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 		t.Skip("delta differential suite is not -short")
 	}
 	paths := map[string]int{}
+	solvePaths := map[core.SolvePath]int{}
+	fallbacks := map[string]int{}
 	for seed := int64(1); seed <= 120; seed++ {
 		seed := seed
 		sp := deltaInstance(t, seed)
@@ -61,6 +63,12 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 		for p, n := range res.Paths {
 			paths[p] += n
 		}
+		for p, n := range res.SolvePaths {
+			solvePaths[p] += n
+		}
+		for c, n := range res.Fallbacks {
+			fallbacks[c] += n
+		}
 	}
 	// The suite must exercise the whole fallback ladder, or the oracle
 	// is silently weaker than it claims.
@@ -69,7 +77,19 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 			t.Errorf("no delta step answered via the %q path (path counts: %v)", p, paths)
 		}
 	}
-	t.Logf("path coverage: %v", paths)
+	// It must also reach every route through core.Place, and both
+	// reasons the decomposition falls back to the joint MILP.
+	for _, p := range []core.SolvePath{core.SolveCertified, core.SolveFallback, core.SolveJoint} {
+		if solvePaths[p] == 0 {
+			t.Errorf("no delta step solved via the %q path (solve path counts: %v)", p, solvePaths)
+		}
+	}
+	for _, c := range []string{"uncertified", "stitch_rejected"} {
+		if fallbacks[c] == 0 {
+			t.Errorf("no delta step fell back because of %q (fallback counts: %v)", c, fallbacks)
+		}
+	}
+	t.Logf("path coverage: %v; solve paths: %v; fallbacks: %v", paths, solvePaths, fallbacks)
 }
 
 // writeDeltaReproducer shrinks a failing delta stream to a minimal

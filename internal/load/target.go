@@ -285,7 +285,7 @@ func (t *inprocTarget) Delta(_ context.Context, id string, deltas []spec.Delta) 
 
 // answer projects a placement through the daemon's wire encoding, so
 // its hash matches the HTTP answer byte for byte, and reads the phase
-// walls off the request's "place" span.
+// walls the daemon would send as Server-Timing (daemon.PlacePhases).
 func answer(req *obs.RequestCtx, start time.Time, pl *core.Placement) Result {
 	placement, err := json.Marshal(daemon.EncodePlacement(pl))
 	if err != nil {
@@ -298,17 +298,12 @@ func answer(req *obs.RequestCtx, start time.Time, pl *core.Placement) Result {
 		PlacementJSON: placement,
 		PlacementHash: hashPlacement(placement),
 	}
-	for _, root := range req.Trace.Roots() {
-		if root.Name() != "place" {
-			continue
-		}
-		for _, ch := range root.Children() {
-			res.Phases = append(res.Phases, PhaseMS{
-				Name: ch.Name(),
-				//lint:detsource measured phase wall time is the point of this field
-				MS: float64(ch.Wall().Microseconds()) / 1e3,
-			})
-		}
+	for _, ch := range daemon.PlacePhases(req.Trace) {
+		res.Phases = append(res.Phases, PhaseMS{
+			Name: ch.Name(),
+			//lint:detsource measured phase wall time is the point of this field
+			MS: float64(ch.Wall().Microseconds()) / 1e3,
+		})
 	}
 	res.WallMS = msSince(start)
 	return res

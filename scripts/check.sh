@@ -84,10 +84,9 @@ stage_lint() {
     go vet ./...
     (cd perfbench && go vet ./...)
 
-    step "rulefitlint (standalone, then as go vet tool)"
+    step "rulefitlint"
     go build -o "$work/rulefitlint" ./cmd/rulefitlint
     "$work/rulefitlint" ./...
-    go vet -vettool="$work/rulefitlint" ./...
 
     # A fused multiply-add rounds once where amd64 rounds twice, so the
     # same instance could place differently per GOARCH. Cross-compiling
