@@ -19,7 +19,7 @@
 //	            [-k 4] [-seeds 3] [-backend ilp|sat] [-timeout 60s]
 //	            [-rules 50] [-caps 100] [-json out.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	            [-trace out.jsonl] [-metrics] [-pprof :6060]
+//	            [-trace out.jsonl] [-metrics]
 //
 // Sweeps solve one instance at a time, and each solve's branch & bound
 // pool runs min(GOMAXPROCS, 16) workers. -json runs the Experiment 1
@@ -28,19 +28,18 @@
 // stop reason, prune breakdown, and final bound gap.
 //
 // -trace appends every solve's event stream, one solve after another,
-// to one JSONL file. -metrics and -pprof attach one metrics registry
-// to every solve's event stream, the way -trace attaches its writer:
-// -metrics prints the registry's Prometheus-text solver counters when
-// the run finishes, and -pprof serves net/http/pprof plus the registry
-// at /metrics on the given address while the experiments run.
+// to one JSONL file. -metrics attaches one metrics registry to every
+// solve's event stream, the way -trace attaches its writer, and prints
+// the registry's Prometheus-text solver counters when the run
+// finishes. -cpuprofile and -memprofile write pprof files; -cpuprofile
+// holds the one CPU profile the Go runtime allows per process for the
+// whole run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -193,7 +192,6 @@ func run() error {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace", "", "append all solver event streams (JSONL) to this file")
 		metrics    = flag.Bool("metrics", false, "print Prometheus-text solver counters on exit")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
 	)
 	flag.Parse()
 
@@ -210,13 +208,8 @@ func run() error {
 		return err
 	}
 	var reg *obs.Metrics
-	if *metrics || *pprofAddr != "" {
-		reg = obs.NewMetrics()
-	}
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr, reg)
-	}
 	if *metrics {
+		reg = obs.NewMetrics()
 		defer func() {
 			if err := reg.WritePrometheus(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -372,22 +365,6 @@ func run() error {
 		fmt.Println(bench.RenderBaselines(res))
 	}
 	return nil
-}
-
-// servePprof exposes net/http/pprof (via the default mux) plus reg's
-// solver counters at /metrics, for profiling long sweeps.
-func servePprof(addr string, reg *obs.Metrics) {
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := reg.WritePrometheus(w); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: /metrics:", err)
-		}
-	})
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: pprof server:", err)
-		}
-	}()
 }
 
 // parseIntList parses an optional comma-separated list of positive

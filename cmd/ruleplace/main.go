@@ -6,8 +6,7 @@
 //
 //	ruleplace -in problem.json [-backend ilp|sat] [-objective rules|traffic]
 //	          [-merge] [-slice] [-redundancy] [-satisfy] [-tables] [-verify]
-//	          [-timeout 60s] [-trace out.jsonl] [-metrics] [-pprof :6060]
-//	          [-flight out.jsonl] [-flight-events N]
+//	          [-timeout 60s] [-trace out.jsonl] [-metrics] [-flight out.jsonl]
 //
 // -trace writes the solver's structured event stream (node expansions,
 // prunes, incumbents, bound gap) as JSONL, prints a search summary, and
@@ -15,23 +14,23 @@
 // iterations and LU refactorizations. An answer runs at most one ILP
 // solve; one that runs none (a certified decomposition, the SAT
 // backend) leaves an empty trace.
-// -flight instead retains only the tail of the stream in a fixed-size
-// ring (-flight-events, default 4096) and dumps it after the solve —
-// the same bounded-memory recorder the daemon keeps always-on; useful
-// for solves whose full trace would be gigabytes.
-// -metrics and -pprof attach a metrics registry to the solver's event
-// stream, the way -trace attaches its writer (so they too pay for the
-// events): -metrics prints the pipeline phase spans and the registry's
-// Prometheus-text counters after the run, and -pprof serves
-// net/http/pprof plus the registry at /metrics on the given address
-// for the duration of the solve.
+// -flight instead retains only the tail of the stream in a ring of the
+// last 4096 events and dumps it after the solve — the same
+// bounded-memory recorder the daemon keeps always-on; useful for
+// solves whose full trace would be gigabytes.
+// -metrics attaches a metrics registry to the solver's event stream,
+// the way -trace attaches its writer (so it too pays for the events),
+// and prints the pipeline phase spans and the registry's
+// Prometheus-text counters after the run.
+//
+// ruleplace serves no HTTP. To CPU-profile an input, POST it to a
+// ruleplaced started with -debug-addr (its placement is byte-identical
+// to this one) and pull /debug/pprof/profile while it solves.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"sort"
 	"time"
@@ -51,22 +50,6 @@ func main() {
 	}
 }
 
-// servePprof exposes net/http/pprof (via the default mux) plus reg's
-// solver counters at /metrics, for profiling long solves.
-func servePprof(addr string, reg *obs.Metrics) {
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := reg.WritePrometheus(w); err != nil {
-			fmt.Fprintln(os.Stderr, "ruleplace: /metrics:", err)
-		}
-	})
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "ruleplace: pprof server:", err)
-		}
-	}()
-}
-
 func run() error {
 	var (
 		inPath     = flag.String("in", "", "problem description JSON (required)")
@@ -82,24 +65,19 @@ func run() error {
 		smtOut     = flag.String("smtlib", "", "also dump the SMT-LIB 2 encoding to this file")
 		traceOut   = flag.String("trace", "", "write the solver event stream (JSONL) to this file")
 		flightOut  = flag.String("flight", "", "write a flight-recorder ring dump (tail of the event stream, JSONL) to this file")
-		flightSize = flag.Int("flight-events", 0, "flight ring size in events (0 = 4096)")
 		metrics    = flag.Bool("metrics", false, "print phase spans and Prometheus counters after the run")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address")
 	)
 	flag.Parse()
 	if *inPath == "" {
 		flag.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	var reg *obs.Metrics
-	if *metrics || *pprofAddr != "" {
-		reg = obs.NewMetrics()
-	}
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr, reg)
-	}
-	var spanTrace *obs.Trace
+	var (
+		reg       *obs.Metrics
+		spanTrace *obs.Trace
+	)
 	if *metrics {
+		reg = obs.NewMetrics()
 		spanTrace = obs.NewTrace()
 		// Printed on exit so the tree includes the post-solve phases
 		// (table compilation, verification).
@@ -156,7 +134,7 @@ func run() error {
 	}
 	var flightRec *obs.FlightRecorder
 	if *flightOut != "" {
-		flightRec = obs.NewFlightRecorder(obs.FlightOpts{Size: *flightSize})
+		flightRec = obs.NewFlightRecorder(obs.FlightOpts{Size: obs.FlightEvents})
 		opts.SolverSink = obs.Multi(opts.SolverSink, flightRec)
 	}
 	if reg != nil {

@@ -9,8 +9,7 @@
 //	           [-max-inflight N] [-max-queue N] [-max-sessions N]
 //	           [-default-timeout 60s] [-max-timeout 10m]
 //	           [-trace-dir DIR] [-drain-timeout 30s] [-solve-delay D]
-//	           [-flight-events N] [-flight-dir DIR]
-//	           [-profile-threshold D] [-profile-dir DIR]
+//	           [-flight-dir DIR]
 //
 // Endpoints (on -addr):
 //
@@ -34,24 +33,25 @@
 // model_build, solve, extract); a /debug/solvez progress view from
 // arrival; the flight rings; the daemon's metrics registry, which
 // folds the solver counters on /metrics from the same events; a
-// -trace-dir event file (trace-<trace_id>.jsonl); and a
-// -profile-threshold profile.
+// -trace-dir event file (trace-<trace_id>.jsonl); and a trace_id pprof
+// label.
 //
 // -debug-addr serves net/http/pprof (/debug/pprof/) and nothing else,
 // intended for a loopback-only bind; /metrics, /debug/solvez and
-// /debug/flightz are served on -addr only.
+// /debug/flightz are served on -addr only. Its /debug/pprof/profile is
+// the daemon's one CPU profiler: every solve runs under its trace_id
+// label, so `go tool pprof -tagfocus trace_id=<id>` narrows a profile
+// pulled while a request runs to that request's samples.
 // -solve-delay artificially extends each solve-slot occupancy for load
 // experiments (cmd/ruleload -sweep calibration); leave it zero in
 // production.
 //
-// Flight recorder: every solve's event stream feeds a per-request ring
-// and a global ring (-flight-events sizes both). When a solve dies on
-// its deadline or node limit, panics, or when admission sheds, the
-// relevant ring is dumped to -flight-dir (default: -trace-dir) as
-// flight-<trace_id>.jsonl — readable with cmd/traceview. With
-// -profile-threshold set, solves outrunning the threshold get a CPU
-// profile captured into -profile-dir until they finish, with every
-// solve's samples labeled by trace_id. Placements are byte-identical to running core.Place
+// Flight recorder: every solve's event stream feeds a global ring of
+// the last 4096 events and, when -flight-dir (default: -trace-dir) is
+// set, a per-request ring of the same size. When a solve dies on its
+// deadline or panics, or when admission sheds, the relevant ring is
+// dumped there as flight-<trace_id>.jsonl — readable with
+// cmd/traceview. Placements are byte-identical to running core.Place
 // in-process: the daemon only adds observability around the solve,
 // never inside it.
 package main
@@ -89,10 +89,7 @@ func run() error {
 		traceDir     = flag.String("trace-dir", "", "write per-request solver event traces (JSONL) into this directory")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight solves on SIGTERM")
 		solveDelay   = flag.Duration("solve-delay", 0, "artificially extend each solve-slot occupancy (load experiments only)")
-		flightEvents = flag.Int("flight-events", 0, "flight-recorder ring size in events (0 = 4096)")
 		flightDir    = flag.String("flight-dir", "", "write flight dumps into this directory (default: -trace-dir)")
-		profThresh   = flag.Duration("profile-threshold", 0, "capture a CPU profile for solves running longer than this (0 disables)")
-		profDir      = flag.String("profile-dir", "", "write threshold CPU profiles into this directory (default: -trace-dir)")
 	)
 	flag.Parse()
 
@@ -106,10 +103,7 @@ func run() error {
 		TraceDir:         *traceDir,
 		Logger:           logger,
 		SolveDelay:       *solveDelay,
-		FlightEvents:     *flightEvents,
 		FlightDir:        *flightDir,
-		ProfileThreshold: *profThresh,
-		ProfileDir:       *profDir,
 	})
 	if err := s.Start(*addr); err != nil {
 		return err

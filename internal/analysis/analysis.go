@@ -33,10 +33,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description of the check.
 	Doc string
-	// FactTypes lists the fact types the analyzer exports and imports
-	// (each entry a typed nil pointer, e.g. (*ReturnsTaint)(nil)).
-	// Declaring them documents the analyzer's cross-package surface.
-	FactTypes []Fact
 	// Run applies the check to one package, reporting findings through
 	// the pass.
 	Run func(*Pass) error

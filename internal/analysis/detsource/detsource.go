@@ -39,7 +39,10 @@
 // Taint crosses package boundaries through ReturnsTaint facts: when an
 // analyzed function returns a tainted value, callers in importing
 // packages taint the call's results, so taint originating in one
-// package reports at a sink in another.
+// package reports at a sink in another. Standard-library packages are
+// not analyzed, so the order-keeping calls slices.Clone,
+// slices.Compact, slices.Concat, strings.Join and bytes.Join pass
+// their arguments' taint to their result by rule.
 //
 // Justified findings (e.g. a benchmark result struct that records wall
 // time by design) are annotated //lint:detsource <reason>.
@@ -82,10 +85,9 @@ func (*Sanitizer) AFact() {}
 
 // Analyzer is the detsource analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:      "detsource",
-	Doc:       "taints values derived from nondeterminism sources (map order, wall clock, global rand, select races) and reports taint reaching exported returns or serialized fields",
-	FactTypes: []analysis.Fact{(*ReturnsTaint)(nil), (*Sanitizer)(nil)},
-	Run:       run,
+	Name: "detsource",
+	Doc:  "taints values derived from nondeterminism sources (map order, wall clock, global rand, select races) and reports taint reaching exported returns or serialized fields",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -568,6 +570,8 @@ func (w *walker) call(call *ast.CallExpr) string {
 				pkgPath == "slices" && strings.HasPrefix(f.Sel.Name, "Sort"):
 				w.sanitizeArgs(call)
 				return ""
+			case orderKeeping[pkgPath+"."+f.Sel.Name]:
+				return argKind
 			}
 			if obj := w.pass.TypesInfo.Uses[f.Sel]; obj != nil {
 				return w.funcTaint(obj, call, argKind)
@@ -608,6 +612,15 @@ func (w *walker) funcTaint(obj types.Object, call *ast.CallExpr, argKind string)
 var sortFuncs = map[string]bool{
 	"Sort": true, "Stable": true, "Slice": true, "SliceStable": true,
 	"Strings": true, "Ints": true, "Float64s": true,
+}
+
+// orderKeeping are the std functions whose result keeps the order of
+// their slice arguments, so it carries their taint. Other calls into
+// packages the run does not analyze have no ReturnsTaint fact and
+// return clean.
+var orderKeeping = map[string]bool{
+	"slices.Clone": true, "slices.Compact": true, "slices.Concat": true,
+	"strings.Join": true, "bytes.Join": true,
 }
 
 // sanitizeArgs clears map-order taint from a sanitizer call's slice

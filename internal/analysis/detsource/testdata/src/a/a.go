@@ -3,9 +3,11 @@
 package a
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -55,6 +57,57 @@ func SearchedKeys(m map[string]int) []string {
 	}
 	_ = sort.SearchStrings(out, "")
 	return out // want "derived from map iteration order"
+}
+
+// Copying, compacting, concatenating or joining a map-ordered slice
+// keeps its order, so the result carries the taint.
+func ClonedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return slices.Clone(out) // want "derived from map iteration order"
+}
+
+func JoinedKeys(m map[string]int) string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return strings.Join(out, ",") // want "derived from map iteration order"
+}
+
+func CompactedKeys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return slices.Compact(out) // want "derived from map iteration order"
+}
+
+func ConcatKeys(m map[string]int, head []string) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return slices.Concat(head, out) // want "derived from map iteration order"
+}
+
+func JoinedBytes(m map[string][]byte) []byte {
+	var out [][]byte
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return bytes.Join(out, nil) // want "derived from map iteration order"
+}
+
+func SortedClone(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return slices.Clone(out) // sanitized before the copy
 }
 
 func SlicesSortedKeys(m map[string]int) []string {

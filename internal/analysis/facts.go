@@ -5,8 +5,8 @@ package analysis
 // framework.
 //
 // A Fact is a serializable statement an analyzer attaches to a
-// package-level object (function, method, var, type, const) or to a
-// package as a whole while analyzing the package that declares it.
+// package-level object (function, method, var, type, const) while
+// analyzing the package that declares it.
 // RunAnalyzers visits packages in dependency order with one FactSet,
 // so when it later analyzes a package that imports the declaring one,
 // the same analyzer can import the fact and act on it — this is how
@@ -76,7 +76,7 @@ func ObjectKey(obj types.Object) string {
 // factKey identifies one stored fact.
 type factKey struct {
 	Analyzer string
-	// Object is an ObjectKey, or "pkg:<path>" for package facts.
+	// Object is an ObjectKey.
 	Object string
 	// Type is the reflected Go type of the fact value.
 	Type string
@@ -170,25 +170,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.Facts.get(p.Analyzer.Name, key, fact)
-}
-
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) bool {
-	if p.Facts == nil || p.Pkg == nil {
-		return false
-	}
-	changed, err := p.Facts.put(p.Analyzer.Name, "pkg:"+p.Pkg.Path(), fact)
-	if err != nil {
-		panic(fmt.Sprintf("analysis: %s: %v", p.Analyzer.Name, err))
-	}
-	return changed
-}
-
-// ImportPackageFact fills fact with the package fact stored for the
-// package with the given import path.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.Facts == nil {
-		return false
-	}
-	return p.Facts.get(p.Analyzer.Name, "pkg:"+path, fact)
 }

@@ -72,9 +72,8 @@ func TestFactRoundTrip(t *testing.T) {
 		t.Error("exporting a different fact should report a change")
 	}
 	exp.ExportObjectFact(method, &testFact{Kind: "wallclock"})
-	exp.ExportPackageFact(&testFact{Kind: "pkgwide", Count: 7})
-	if len(store.m) != 3 {
-		t.Fatalf("store has %d facts, want 3", len(store.m))
+	if len(store.m) != 2 {
+		t.Fatalf("store has %d facts, want 2", len(store.m))
 	}
 
 	// The importing side re-creates the objects (as an export-data
@@ -90,12 +89,6 @@ func TestFactRoundTrip(t *testing.T) {
 	}
 	if !imp.ImportObjectFact(method2, &got) || got.Kind != "wallclock" {
 		t.Errorf("T.M fact = %+v, want Kind=wallclock", got)
-	}
-	if !imp.ImportPackageFact("example.com/p", &got) || got.Kind != "pkgwide" || got.Count != 7 {
-		t.Errorf("package fact = %+v, want {pkgwide 7}", got)
-	}
-	if imp.ImportPackageFact("example.com/other", &got) {
-		t.Error("package fact leaked to a different path")
 	}
 
 	// A different analyzer must not see det's facts.

@@ -24,12 +24,10 @@ func positives() {
 	_ = obs.HistogramOpts{}                // want "zero-value obs.HistogramOpts"
 	_ = obs.FlightOpts{}                   // want "zero-value obs.FlightOpts"
 	// The introspection fields do not bound admission.
-	_ = daemon.Config{FlightEvents: 4096}            // want "daemon.Config without MaxInFlight"
-	_ = daemon.Config{ProfileThreshold: time.Second} // want "daemon.Config without MaxInFlight"
-	_ = daemon.Config{FlightDir: "/tmp/f"}           // want "daemon.Config without MaxInFlight"
-	_ = load.Config{}                                // want "load.Config without Requests or Duration"
-	_ = load.Config{Seed: 7}                         // want "load.Config without Requests or Duration"
-	_ = load.Config{Concurrency: 4}                  // want "load.Config without Requests or Duration"
+	_ = daemon.Config{FlightDir: "/tmp/f"} // want "daemon.Config without MaxInFlight"
+	_ = load.Config{}                      // want "load.Config without Requests or Duration"
+	_ = load.Config{Seed: 7}               // want "load.Config without Requests or Duration"
+	_ = load.Config{Concurrency: 4}        // want "load.Config without Requests or Duration"
 }
 
 func negatives() {
@@ -50,7 +48,7 @@ func negatives() {
 	_ = obs.FlightOpts{Size: 1024}
 	//lint:optzero test recorder: default ring size acceptable
 	_ = obs.FlightOpts{}
-	_ = daemon.Config{MaxInFlight: 2, FlightEvents: 256, ProfileThreshold: time.Second}
+	_ = daemon.Config{MaxInFlight: 2, FlightDir: "/tmp/f"}
 	_ = load.Config{Requests: 32}
 	_ = load.Config{Duration: time.Second, RPS: 10}
 	//lint:optzero exploratory run: implicit default length acceptable

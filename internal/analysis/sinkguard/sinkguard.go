@@ -76,10 +76,9 @@ func (*RequiresGuard) AFact() {}
 
 // Analyzer is the sinkguard analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:      "sinkguard",
-	Doc:       "enforces nil guards on optional-sink interface calls, forwarder contracts, and nil-safe method promises",
-	FactTypes: []analysis.Fact{(*GuardedIface)(nil), (*NilSafe)(nil), (*RequiresGuard)(nil)},
-	Run:       run,
+	Name: "sinkguard",
+	Doc:  "enforces nil guards on optional-sink interface calls, forwarder contracts, and nil-safe method promises",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -21,10 +21,11 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	httppprof "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sync/atomic"
 	"time"
 
@@ -75,25 +76,13 @@ type Config struct {
 	// creating one past the cap evicts the least-recently-used session
 	// (default 64).
 	MaxSessions int
-	// FlightEvents sizes the always-on flight-recorder rings (global
-	// and per-request) in events (default 4096). The rings retain the
-	// tail of the solver event stream for post-mortem dumps; see
-	// obs.FlightRecorder for the degradation-under-pressure contract.
-	FlightEvents int
 	// FlightDir, when non-empty, receives flight dumps as
 	// <FlightDir>/flight-<trace_id>.jsonl when a solve ends on its
-	// deadline or node limit, panics, or when admission sheds (default:
-	// TraceDir). Empty with an empty TraceDir disables file dumps;
-	// /debug/flightz still serves the global ring on demand.
+	// deadline, panics, or when admission sheds (default: TraceDir).
+	// Each solve then also feeds a per-request ring of its own. Empty
+	// with an empty TraceDir disables file dumps; /debug/flightz still
+	// serves the global ring on demand.
 	FlightDir string
-	// ProfileThreshold, when positive, arms a per-request watchdog:
-	// solves still running after the threshold get a CPU profile
-	// captured until they finish (one at a time process-wide), written
-	// as <ProfileDir>/profile-<trace_id>.pprof, and every solve runs
-	// under a trace_id pprof label. Zero disables both.
-	ProfileThreshold time.Duration
-	// ProfileDir is where threshold profiles land (default: TraceDir).
-	ProfileDir string
 }
 
 // The time-limit policy's defaults (Config.DefaultTimeLimit and
@@ -123,14 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = 4096
-	}
 	if c.FlightDir == "" {
 		c.FlightDir = c.TraceDir
-	}
-	if c.ProfileDir == "" {
-		c.ProfileDir = c.TraceDir //lint:sharedmut defaults are applied before the Server exists
 	}
 	return c
 }
@@ -181,7 +164,7 @@ func New(cfg Config) *Server {
 		reqRing:  newSecRing(statusRingSlots),
 		shedRing: newSecRing(statusRingSlots),
 		now:      time.Now,
-		flight:   obs.NewFlightRecorder(obs.FlightOpts{Size: cfg.FlightEvents}),
+		flight:   obs.NewFlightRecorder(obs.FlightOpts{Size: obs.FlightEvents}),
 		solves:   newSolveReg(),
 	}
 	s.sessions = state.NewManager(state.Config{MaxSessions: cfg.MaxSessions, Logger: cfg.Logger})
@@ -198,11 +181,11 @@ func New(cfg Config) *Server {
 	// The debug mux carries only pprof, so profiling endpoints can be
 	// bound to a loopback-only address in production.
 	s.debug = http.NewServeMux()
-	s.debug.HandleFunc("/debug/pprof/", pprof.Index)
-	s.debug.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.debug.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.debug.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.debug.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s.debug.HandleFunc("/debug/pprof/", httppprof.Index)
+	s.debug.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	s.debug.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	s.debug.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	s.debug.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	return s
 }
 
@@ -493,11 +476,11 @@ type solveFunc func(req *obs.RequestCtx, sink obs.Sink, st *requestState) error
 // and derives the trace ID, registers the request's progress view from
 // arrival, runs admission, then the endpoint's decode (timed as the
 // parse phase) and solve. The solve's events, stamped with the trace
-// ID, feed the progress view, a per-request flight ring, the global
-// ring, the metrics registry and the -trace-dir event file. It runs
-// under the profile watchdog, with a trace_id pprof label when
-// profiling is on; a solve that panics or stops on its budget leaves a
-// flight dump. finish answers exactly once.
+// ID, feed the progress view, the global flight ring, the metrics
+// registry, the -trace-dir event file and, when a flight dump can
+// land, a per-request ring. The solve runs under a trace_id pprof
+// label; one that panics or stops on its deadline leaves a flight
+// dump. finish answers exactly once.
 func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, step solveStep) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -542,13 +525,17 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 	req := obs.NewRequestCtx(traceID)
 	st.trace = req.Trace
 
-	// Every solve feeds the progress view, a per-request flight ring
-	// (post-mortem scoped to this request), the server's global ring
-	// and the server's metrics registry, on top of the optional full
-	// trace file. Sinks never feed back: the placement is
-	// byte-identical whatever is attached.
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	sinks := []obs.Sink{progress, rec, s.flight, s.met}
+	// Every solve feeds the progress view, the server's global flight
+	// ring and the server's metrics registry, on top of the optional
+	// full trace file. The per-request ring (post-mortem scoped to this
+	// request) is built only where dumpFlight can write it. Sinks never
+	// feed back: the placement is byte-identical whatever is attached.
+	sinks := []obs.Sink{progress, s.flight, s.met}
+	var rec *obs.FlightRecorder
+	if s.cfg.FlightDir != "" {
+		rec = obs.NewFlightRecorder(obs.FlightOpts{Size: obs.FlightEvents})
+		sinks = append(sinks, rec)
+	}
 	var traceFile *os.File
 	var traceJW *obs.JSONLWriter
 	if s.cfg.TraceDir != "" {
@@ -561,8 +548,6 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 		traceJW = obs.NewJSONLWriter(traceFile)
 		sinks = append(sinks, traceJW)
 	}
-	stopProf := s.watchProfile(traceID)
-	defer stopProf()
 	defer func() {
 		if p := recover(); p != nil {
 			s.dumpFlight(rec, traceID, "panic")
@@ -571,7 +556,12 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 	}()
 
 	sink := obs.Tag(traceID, obs.Multi(sinks...))
-	s.profiled(r.Context(), traceID, func() { err = solve(req, sink, &st) })
+	// Goroutines the solve starts (the node-LP workers) inherit the
+	// label, so a CPU profile pulled from DebugHandler attributes their
+	// samples to this request too.
+	pprof.Do(r.Context(), pprof.Labels("trace_id", traceID), func(context.Context) {
+		err = solve(req, sink, &st)
+	})
 	if traceFile != nil {
 		if ferr := traceJW.Flush(); ferr != nil && err == nil {
 			err = ferr
@@ -585,11 +575,11 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, op string, s
 		s.finish(w, r, st)
 		return
 	}
-	// A solve that died on its budget gets an automatic post-mortem:
+	// A solve that died on its deadline gets an automatic post-mortem:
 	// the per-request ring holds the tail of its event stream,
 	// including the final incumbent/bound state.
-	if stop := st.placement.Stats.StopReason; stop == ilp.StopDeadline || stop == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, stop.String())
+	if st.placement.Stats.StopReason == ilp.StopDeadline {
+		s.dumpFlight(rec, traceID, ilp.StopDeadline.String())
 	}
 	st.status = st.placement.Status.String()
 	s.finish(w, r, st)

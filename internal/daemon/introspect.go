@@ -7,11 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"rulefit/internal/obs"
 )
@@ -20,14 +17,16 @@ import (
 //
 //   - a registry of live solves, each an obs.Progress view folding the
 //     request's solver events, that /debug/solvez reads;
-//   - flight-recorder plumbing: every solve feeds a per-request ring
-//     and the server's global always-on ring; rings are dumped as
-//     JSONL (traceview-parseable) when a solve dies hard — deadline,
-//     node limit, panic — on admission shed, or on demand via
-//     /debug/flightz;
-//   - threshold-triggered profiling: a per-request watchdog that
-//     captures a CPU profile for solves outrunning
-//     Config.ProfileThreshold, with samples labeled by trace_id.
+//   - flight-recorder plumbing: every solve feeds the server's global
+//     always-on ring, and a per-request ring when a dump can land;
+//     rings are dumped as JSONL (traceview-parseable) when a solve
+//     dies hard — deadline, panic — on admission shed, or on demand
+//     via /debug/flightz.
+//
+// The layer takes no CPU profile: the Go runtime allows one per
+// process, and the net/http/pprof handlers on the debug listener own
+// it. serveSolve runs every solve under a trace_id pprof label, so the
+// samples of a profile pulled there name their request.
 //
 // Everything here is observational. Placements are byte-identical
 // with the whole layer on or off (TestIntrospectionNoPlacementEffect).
@@ -108,8 +107,8 @@ func (s *Server) handleFlightz(w http.ResponseWriter, _ *http.Request) {
 
 // dumpFlight writes a recorder's ring to <FlightDir>/flight-<name>.jsonl.
 // Called when a solve ends in a state worth a post-mortem (deadline,
-// node limit, panic) or when admission sheds. No-op without a
-// FlightDir; failures are logged, never surfaced to the client.
+// panic) or when admission sheds. No-op without a FlightDir; failures
+// are logged, never surfaced to the client.
 func (s *Server) dumpFlight(rec *obs.FlightRecorder, name, reason string) {
 	if s.cfg.FlightDir == "" || rec == nil {
 		return
@@ -146,92 +145,4 @@ func (s *Server) dumpOnShed(traceID string) {
 		return
 	}
 	s.dumpFlight(s.flight, "shed-"+traceID, "shed")
-}
-
-// profiled runs f, under a trace_id pprof label when threshold
-// profiling is on, so a profile's samples name the request they came
-// from. Goroutines f starts (the node-LP workers) inherit the label.
-func (s *Server) profiled(ctx context.Context, traceID string, f func()) {
-	if s.cfg.ProfileThreshold <= 0 {
-		f()
-		return
-	}
-	pprof.Do(ctx, pprof.Labels("trace_id", traceID), func(context.Context) { f() })
-}
-
-// cpuProfileActive guards the one CPU profile the runtime allows per
-// process: whichever slow solve trips its watchdog first wins; the
-// rest skip quietly and their wall time still lands in the phase
-// histograms.
-var cpuProfileActive atomic.Bool
-
-// profWatch is one request's profiling watchdog. The timer callback
-// and the stop path race by construction (a solve can finish exactly
-// at the threshold), so both run under mu.
-type profWatch struct {
-	timer *time.Timer
-	mu    sync.Mutex
-	file  *os.File
-	armed bool // profile running, owned by this watch
-	done  bool // stop() ran; a late timer fire must do nothing
-}
-
-// watchProfile arms a watchdog: if the request is still running after
-// cfg.ProfileThreshold, a CPU profile starts and runs until the solve
-// ends, written as <ProfileDir>/profile-<trace_id>.pprof. The returned
-// stop must be deferred by the caller. Zero threshold or empty
-// ProfileDir disables the watchdog entirely.
-func (s *Server) watchProfile(traceID string) (stop func()) {
-	if s.cfg.ProfileThreshold <= 0 || s.cfg.ProfileDir == "" {
-		return func() {}
-	}
-	w := &profWatch{}
-	w.timer = time.AfterFunc(s.cfg.ProfileThreshold, func() {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.done {
-			return
-		}
-		if !cpuProfileActive.CompareAndSwap(false, true) {
-			return // someone else's profile is running
-		}
-		path := filepath.Join(s.cfg.ProfileDir, "profile-"+traceID+".pprof")
-		f, err := os.Create(path)
-		if err != nil {
-			cpuProfileActive.Store(false)
-			s.log.LogAttrs(context.Background(), slog.LevelWarn, "profile_start",
-				slog.String("trace_id", traceID), slog.String("error", err.Error()))
-			return
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			os.Remove(path)
-			cpuProfileActive.Store(false)
-			s.log.LogAttrs(context.Background(), slog.LevelWarn, "profile_start",
-				slog.String("trace_id", traceID), slog.String("error", err.Error()))
-			return
-		}
-		w.file = f
-		w.armed = true
-		s.log.LogAttrs(context.Background(), slog.LevelInfo, "profile_started",
-			slog.String("trace_id", traceID), slog.String("path", path))
-	})
-	return func() {
-		w.timer.Stop()
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		w.done = true
-		if !w.armed {
-			return
-		}
-		pprof.StopCPUProfile()
-		if err := w.file.Close(); err != nil {
-			s.log.LogAttrs(context.Background(), slog.LevelWarn, "profile_close",
-				slog.String("trace_id", traceID), slog.String("error", err.Error()))
-		}
-		w.armed = false
-		cpuProfileActive.Store(false)
-		s.log.LogAttrs(context.Background(), slog.LevelInfo, "profile_done",
-			slog.String("trace_id", traceID))
-	}
 }

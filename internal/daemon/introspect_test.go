@@ -8,10 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
+	"rulefit/internal/core"
+	"rulefit/internal/obs"
 	"rulefit/internal/obs/traceview"
 )
 
@@ -169,7 +172,7 @@ func TestSolvezDuringSolve(t *testing.T) {
 // carrying the final incumbent/bound state.
 func TestFlightDumpOnDeadline(t *testing.T) {
 	dir := t.TempDir()
-	_, base := startDaemon(t, Config{MaxInFlight: 1, FlightDir: dir, FlightEvents: 512})
+	_, base := startDaemon(t, Config{MaxInFlight: 1, FlightDir: dir})
 	code, body := postPlace(t, base, PlaceRequest{
 		Problem: testSpec(t, 24),
 		// Far too little time for a 24-rule merged solve: the solver
@@ -240,9 +243,8 @@ func TestFlightzEndpoint(t *testing.T) {
 
 // TestIntrospectionNoPlacementEffect is the daemon-level invariant the
 // introspection layer promises (see internal/daemon/introspect.go): the
-// placement served with the flight recorder, live progress, and
-// profiling watchdog all armed is byte-identical to one served with the
-// layer at defaults.
+// placement served with the per-request flight ring armed is
+// byte-identical to one served with the layer at defaults.
 func TestIntrospectionNoPlacementEffect(t *testing.T) {
 	req, err := json.Marshal(PlaceRequest{
 		Problem: testSpec(t, 12),
@@ -269,68 +271,39 @@ func TestIntrospectionNoPlacementEffect(t *testing.T) {
 		return got.Placement
 	}
 	dir := t.TempDir()
-	on := place(t, Config{MaxInFlight: 2, FlightDir: dir, FlightEvents: 64,
-		ProfileThreshold: time.Nanosecond, ProfileDir: dir})
+	on := place(t, Config{MaxInFlight: 2, FlightDir: dir})
 	off := place(t, Config{MaxInFlight: 2})
 	if !bytes.Equal(on, off) {
 		t.Fatalf("placement differs with introspection armed:\n%s\nvs\n%s", on, off)
 	}
 }
 
-// TestWatchProfileThreshold exercises the profiling watchdog directly:
-// a watch outliving its threshold captures a CPU profile file; a watch
-// stopped before the threshold leaves nothing behind.
-func TestWatchProfileThreshold(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Config{MaxInFlight: 1, Logger: quietLogger(),
-		ProfileThreshold: 10 * time.Millisecond, ProfileDir: dir})
-
-	// Fast request: stopped before the threshold, no profile.
-	stop := s.watchProfile("fast-0001")
-	stop()
-	if _, err := os.Stat(filepath.Join(dir, "profile-fast-0001.pprof")); !os.IsNotExist(err) {
-		t.Fatalf("fast request left a profile (err=%v)", err)
-	}
-
-	// Slow request: the watchdog fires, the profile runs until stop.
-	stop = s.watchProfile("slow-0001")
-	deadline := time.Now().Add(2 * time.Second)
-	path := filepath.Join(dir, "profile-slow-0001.pprof")
-	for {
-		if _, err := os.Stat(path); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never started the profile")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Burn a little CPU so the profile has samples, then stop.
-	x := 0
-	for i := 0; i < 1_000_000; i++ {
-		x += i * i
-	}
-	_ = x
-	stop()
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() == 0 {
-		t.Fatal("captured profile is empty")
-	}
-	if cpuProfileActive.Load() {
-		t.Fatal("stop did not release the process-wide profile slot")
-	}
-}
-
-// TestWatchProfileDisabled: zero threshold (or no directory) arms
-// nothing and the returned stop is a safe no-op.
-func TestWatchProfileDisabled(t *testing.T) {
+// TestSolveRunsUnderTraceIDLabel: on a default-config daemon every
+// solve runs under its trace_id pprof label, so the samples of a CPU
+// profile pulled from the debug listener name their request. The
+// goroutine profile taken inside the solve shows the label the CPU
+// profiler would record.
+func TestSolveRunsUnderTraceIDLabel(t *testing.T) {
 	s := New(Config{MaxInFlight: 1, Logger: quietLogger()})
-	stop := s.watchProfile("noop-0001")
-	stop()
-	stop() // idempotent
+	var profile bytes.Buffer
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/place", strings.NewReader("{}"))
+	s.serveSolve(rec, req, "place", func([]byte) (solveFunc, error) {
+		return func(_ *obs.RequestCtx, _ obs.Sink, st *requestState) error {
+			if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
+				return err
+			}
+			st.code, st.placement = http.StatusOK, &core.Placement{}
+			return nil
+		}, nil
+	})
+	traceID := rec.Header().Get("X-Rulefit-Trace-Id")
+	if rec.Code != http.StatusOK || traceID == "" {
+		t.Fatalf("status %d, trace ID %q: %s", rec.Code, traceID, rec.Body.Bytes())
+	}
+	if want := `"trace_id":"` + traceID + `"`; !strings.Contains(profile.String(), want) {
+		t.Fatalf("goroutine profile taken inside the solve lacks the label %s:\n%s", want, profile.Bytes())
+	}
 }
 
 // TestDumpOnShedRateLimit: shed-triggered dumps are capped at one per

@@ -33,20 +33,26 @@ type FlightRecorder struct {
 	dropped atomic.Uint64 // events lost to lock contention
 }
 
+// FlightEvents is the ring size, in events, of every recorder the
+// binaries build: the daemon's global and per-request rings and
+// ruleplace -flight.
+const FlightEvents = 4096
+
 // FlightOpts sizes a FlightRecorder. The zero value is NOT a valid
 // production configuration — state Size explicitly (the optzero
 // analyzer flags literals that leave it unset) so the retention window
 // is a deliberate choice; NewFlightRecorder applies defaults for tests.
 type FlightOpts struct {
-	// Size is the ring capacity in events (default 4096). The ring keeps
-	// the most recent Size events; older ones are overwritten.
+	// Size is the ring capacity in events (default FlightEvents). The
+	// ring keeps the most recent Size events; older ones are
+	// overwritten.
 	Size int
 }
 
 // NewFlightRecorder returns a recorder with the given ring size.
 func NewFlightRecorder(opts FlightOpts) *FlightRecorder {
 	if opts.Size <= 0 {
-		opts.Size = 4096
+		opts.Size = FlightEvents
 	}
 	return &FlightRecorder{size: opts.Size}
 }

@@ -17,7 +17,7 @@ import (
 // events into cumulative counters and per-solve histograms (see
 // Event). Serving frontends add one RequestSample per request. Build
 // one with NewMetrics: each daemon owns its registry, and the CLIs
-// attach one for -metrics and -pprof.
+// attach one for -metrics.
 type Metrics struct {
 	solvesOptimal   atomic.Int64
 	solvesFeasible  atomic.Int64

@@ -213,10 +213,11 @@ stage_smoke() {
     done
     stop_daemon
 
-    step "introspection (solvez mid-solve, deadline flight dump, profile label, traceview)"
-    mkdir -p "$work/flight" "$work/prof"
+    step "introspection (solvez mid-solve, deadline flight dump, profile pull with trace_id tag, traceview)"
+    mkdir -p "$work/flight"
     start_daemon 18093 -max-inflight 1 -solve-delay 3s -flight-dir "$work/flight" \
-        -profile-threshold 50ms -profile-dir "$work/prof"
+        -debug-addr 127.0.0.1:18096
+    curl -sf --retry 5 --retry-connrefused http://127.0.0.1:18096/debug/pprof/ > /dev/null
     curl -sf -X POST --data @"$work/request.json" "$daemon_url/v1/place" > "$work/place.json" &
     local curl_pid=$!
     # Scrape /debug/solvez while the request occupies its (delayed)
@@ -237,28 +238,43 @@ stage_smoke() {
     # -flight-dir, and traceview must parse it as a partial trace.
     go run ./cmd/benchgen -k 4 -rules 20 -capacity 25 -out "$work/tight-problem.json"
     place_request "$work/tight-problem.json" 0.25 > "$work/tight-request.json"
-    curl -sf -X POST --data @"$work/tight-request.json" "$daemon_url/v1/place" > "$work/tight.json"
+    curl -sf -X POST --data @"$work/tight-request.json" "$daemon_url/v1/place" > "$work/tight.json" &
+    curl_pid=$!
+    # The debug listener is the daemon's one CPU profiler. Pull a
+    # profile as soon as the solve leaves admission (the solve-delay
+    # sleep and the encode read "admitted"), while it runs.
+    for _ in $(seq 1 500); do
+        curl -sf "$daemon_url/debug/solvez" > "$work/solvez.json" || true
+        grep -Eq '"phase": "(root_lp|search)"' "$work/solvez.json" && break
+        sleep 0.01
+    done
+    test "$(curl -s -o "$work/cpu.pprof" -w '%{http_code}' 'http://127.0.0.1:18096/debug/pprof/profile?seconds=1')" = 200
+    wait "$curl_pid"
     if grep -q '"stop_reason":"deadline"' "$work/tight.json"; then
         local dump
         dump=$(ls -t "$work"/flight/flight-req-*.jsonl | head -1)
         test -s "$dump"
         "$work/traceview" -check "$dump" > "$work/dump-check.txt"
         expect "$work/dump-check.txt" partial
-    else
-        echo "solve beat the 250ms deadline; skipping dump assertions"
-    fi
-    # A solve that outran the 50ms threshold left a CPU profile whose
-    # samples carry its trace ID as a pprof label.
-    local tight_id
-    tight_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/tight.json")
-    if [ -f "$work/prof/profile-$tight_id.pprof" ]; then
-        go tool pprof -tags "$work/prof/profile-$tight_id.pprof" > "$work/tags.txt"
+        # The solve ran under its trace_id pprof label, so the pulled
+        # profile's samples name the request.
+        local tight_id
+        tight_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/tight.json")
+        go tool pprof -tags "$work/cpu.pprof" > "$work/tags.txt"
         expect "$work/tags.txt" trace_id
         expect "$work/tags.txt" "$tight_id"
     else
-        echo "solve beat the 50ms profile threshold; skipping profile label assertions"
+        echo "solve beat the 250ms deadline; skipping dump and profile label assertions"
     fi
     stop_daemon
+    # No flag brings back the profile watchdog: ruleplaced refuses the
+    # old flags as it does any unknown one (exit 2).
+    local flag rc
+    for flag in -profile-threshold=50ms -profile-dir=/tmp -flight-events=64; do
+        rc=0
+        timeout 10 "$work/ruleplaced" -addr 127.0.0.1:0 "$flag" 2> /dev/null || rc=$?
+        test "$rc" = 2
+    done
 
     step "session delta replay (warm/cold byte identity, session trace file)"
     mkdir -p "$work/traces"
