@@ -5,6 +5,10 @@
 // minimal reproducer, and writes it as a regression fixture that the
 // tier-1 test suite replays forever after.
 //
+// -replay takes any rulefit-diffcheck/v1 fixture: one that carries
+// deltas replays through the delta-vs-cold oracle, any other through
+// the harness above.
+//
 // Usage:
 //
 //	diffcheck [-n 200] [-seed0 1] [-soak 10m] [-profile quick|soak]
@@ -151,20 +155,20 @@ func run() error {
 	return nil
 }
 
-// replayFixture re-runs one committed fixture through the harness.
+// replayFixture re-runs one committed fixture through the oracle it
+// names: the delta oracle when it carries deltas, the full harness
+// otherwise.
 func replayFixture(path string, opts diffcheck.Options) error {
 	fix, err := diffcheck.LoadFixture(path)
 	if err != nil {
 		return err
 	}
-	inst, coreOpts, err := fix.Instance()
+	failures, err := fix.Replay(opts)
 	if err != nil {
 		return err
 	}
-	opts.Core = coreOpts
-	res := diffcheck.Check(inst, opts)
-	fmt.Printf("%s: %s\n", path, res.Summary())
-	if res.Failed() {
+	fmt.Printf("%s: %s\n", path, failures.Summary())
+	if failures.Failed() {
 		return fmt.Errorf("fixture still failing")
 	}
 	return nil

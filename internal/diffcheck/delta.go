@@ -1,12 +1,12 @@
 package diffcheck
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"rulefit/internal/core"
+	"rulefit/internal/daemon"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 	"rulefit/internal/state"
@@ -24,7 +24,8 @@ const (
 	// KindDeltaVersion: the session version did not advance by exactly
 	// one on an accepted delta.
 	KindDeltaVersion = "delta-version"
-	// KindDeltaSolve: a reference solve or session create errored.
+	// KindDeltaSolve: a reference solve or session create errored, or
+	// an answer has no wire encoding.
 	KindDeltaSolve = "delta-solve-error"
 )
 
@@ -47,42 +48,51 @@ type DeltaResult struct {
 	Fallbacks map[string]int
 	// Failures holds every divergence; the replay stops at the first
 	// mismatch since later state would be tainted.
-	Failures []Failure
+	Failures
 }
 
-// Failed reports whether the sequence diverged anywhere.
-func (r *DeltaResult) Failed() bool { return len(r.Failures) > 0 }
-
-// addf records a failure.
-func (r *DeltaResult) addf(kind, format string, args ...any) {
-	r.Failures = append(r.Failures, Failure{Kind: kind, Detail: fmt.Sprintf(format, args...)})
-}
-
-// Summary renders the failures for logs.
-func (r *DeltaResult) Summary() string {
-	if !r.Failed() {
-		return "ok"
-	}
-	out := ""
-	for i, f := range r.Failures {
-		if i > 0 {
-			out += "; "
-		}
-		out += f.String()
-	}
-	return out
+// wireBytes is the answer identity the delta oracle compares: the JSON
+// of the placement's wire form, the bytes the daemon serves and
+// internal/load hashes.
+func wireBytes(pl *core.Placement) ([]byte, error) {
+	return json.Marshal(daemon.EncodePlacement(pl))
 }
 
 // CheckDeltas is the delta-vs-cold differential oracle: it creates a
 // stateful session on sp, then applies each delta through the session
 // (which answers via the identity/warm/cold ladder) AND to a reference
 // clone solved cold with a fresh core.Place. At the session create and
-// after every accepted delta the two placements must have identical
-// fingerprints. Deltas both sides reject are skipped consistently —
-// that keeps shrunk sequences (where removing a prefix can orphan a
-// later delta) replayable.
+// after every accepted delta the two placements must encode to the same
+// wire bytes. Deltas both sides reject are skipped consistently — that
+// keeps shrunk sequences (where removing a prefix can orphan a later
+// delta) replayable.
 func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *DeltaResult {
 	res := &DeltaResult{Paths: map[string]int{}, SolvePaths: map[core.SolvePath]int{}, Fallbacks: map[string]int{}}
+	// matchesCold reports whether the session's answer pl is, byte for
+	// byte on the wire, a cold core.Place of prob, and records a
+	// failure if not.
+	matchesCold := func(step string, pl *core.Placement, prob *core.Problem) bool {
+		coldPl, err := core.Place(prob, coreOpts)
+		if err != nil {
+			res.addf(KindDeltaSolve, "%s cold: %v", step, err)
+			return false
+		}
+		got, err := wireBytes(pl)
+		if err != nil {
+			res.addf(KindDeltaSolve, "%s: encoding the session answer: %v", step, err)
+			return false
+		}
+		want, err := wireBytes(coldPl)
+		if err != nil {
+			res.addf(KindDeltaSolve, "%s: encoding the cold answer: %v", step, err)
+			return false
+		}
+		if !bytes.Equal(got, want) {
+			res.addf(KindDeltaMismatch, "%s: session answered\n%s\ncold solve answered\n%s", step, got, want)
+			return false
+		}
+		return true
+	}
 	mgr := state.NewManager(state.Config{})
 	sess, createRes, err := mgr.Create(sp, coreOpts)
 	if err != nil {
@@ -90,13 +100,12 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 		return res
 	}
 	cold := sp.Clone()
-	coldFP, err := coldFingerprint(cold, coreOpts)
+	prob, err := buildValid(cold)
 	if err != nil {
 		res.addf(KindDeltaSolve, "cold create: %v", err)
 		return res
 	}
-	if fp := Fingerprint(createRes.Placement); fp != coldFP {
-		res.addf(KindDeltaMismatch, "create: session answered\n%s\ncold solve answered\n%s", fp, coldFP)
+	if !matchesCold("create", createRes.Placement, prob) {
 		return res
 	}
 
@@ -107,10 +116,7 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 		cand := cold.Clone()
 		coldErr := cand.Apply(d)
 		if coldErr == nil {
-			var prob *core.Problem
-			if prob, coldErr = cand.Build(); coldErr == nil {
-				coldErr = prob.Validate()
-			}
+			prob, coldErr = buildValid(cand)
 		}
 		if (warmErr == nil) != (coldErr == nil) {
 			res.addf(KindDeltaReject, "step %d %s: session err=%v, reference err=%v", i, d, warmErr, coldErr)
@@ -133,18 +139,20 @@ func CheckDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) *
 			}
 		}
 		res.Steps++
-		coldFP, err := coldFingerprint(cold, coreOpts)
-		if err != nil {
-			res.addf(KindDeltaSolve, "step %d %s cold: %v", i, d, err)
-			return res
-		}
-		if fp := Fingerprint(warmRes.Placement); fp != coldFP {
-			res.addf(KindDeltaMismatch, "step %d %s: %s path answered\n%s\ncold solve answered\n%s",
-				i, d, warmRes.Path, fp, coldFP)
+		if !matchesCold(fmt.Sprintf("step %d %s: %s path", i, d, warmRes.Path), warmRes.Placement, prob) {
 			return res
 		}
 	}
 	return res
+}
+
+// buildValid builds a spec problem and validates the result.
+func buildValid(sp *spec.Problem) (*core.Problem, error) {
+	prob, err := sp.Build()
+	if err != nil {
+		return nil, err
+	}
+	return prob, prob.Validate()
 }
 
 // fallbackCause returns the counter a fallback set on the trace's
@@ -164,93 +172,6 @@ func fallbackCause(tr *obs.Trace) string {
 		}
 	}
 	return ""
-}
-
-// coldFingerprint builds and solves a spec problem from scratch with
-// no cache state and returns the placement fingerprint.
-func coldFingerprint(sp *spec.Problem, coreOpts core.Options) (string, error) {
-	prob, err := sp.Build()
-	if err != nil {
-		return "", err
-	}
-	if err := prob.Validate(); err != nil {
-		return "", err
-	}
-	pl, err := core.Place(prob, coreOpts)
-	if err != nil {
-		return "", err
-	}
-	return Fingerprint(pl), nil
-}
-
-// DeltaFixtureSchema identifies the delta-sequence regression fixture
-// format. Like FixtureSchema, fields are additive-only.
-const DeltaFixtureSchema = "rulefit-deltacheck/v1"
-
-// DeltaFixture is a self-contained delta-oracle reproducer: an
-// explicit base problem, the solver options, and the delta sequence
-// that diverged. Committed fixtures live under
-// testdata/regressions/delta/ and are replayed by TestDeltaRegressions.
-type DeltaFixture struct {
-	Schema  string         `json:"schema"`
-	Note    string         `json:"note,omitempty"`
-	Seed    int64          `json:"seed,omitempty"`
-	Options FixtureOptions `json:"options"`
-	Problem *spec.Problem  `json:"problem"`
-	Deltas  []spec.Delta   `json:"deltas"`
-}
-
-// NewDeltaFixture packages a failing (or exemplar) delta sequence.
-func NewDeltaFixture(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options, seed int64, note string) *DeltaFixture {
-	return &DeltaFixture{
-		Schema:  DeltaFixtureSchema,
-		Note:    note,
-		Seed:    seed,
-		Options: fixtureOptions(coreOpts),
-		Problem: sp.Clone(),
-		Deltas:  append([]spec.Delta(nil), deltas...),
-	}
-}
-
-// Replay runs the fixture through the delta oracle.
-func (f *DeltaFixture) Replay() (*DeltaResult, error) {
-	if f.Schema != DeltaFixtureSchema {
-		return nil, fmt.Errorf("diffcheck: delta fixture schema %q, want %q", f.Schema, DeltaFixtureSchema)
-	}
-	opts, err := f.Options.CoreOptions()
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Problem.ExplicitOnly(); err != nil {
-		return nil, err
-	}
-	return CheckDeltas(f.Problem, f.Deltas, opts), nil
-}
-
-// WriteFile writes the fixture as indented JSON.
-func (f *DeltaFixture) WriteFile(path string) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadDeltaFixture reads a delta fixture file.
-func LoadDeltaFixture(path string) (*DeltaFixture, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f DeltaFixture
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("diffcheck: %s: %w", path, err)
-	}
-	return &f, nil
 }
 
 // ShrinkDeltas minimizes a failing delta sequence: it greedily drops

@@ -93,27 +93,27 @@ func TestQuickDeltaDifferentialSuite(t *testing.T) {
 }
 
 // writeDeltaReproducer shrinks a failing delta stream to a minimal
-// subsequence, writes it as a rulefit-deltacheck/v1 fixture under the
-// test's temp dir, replays the written file to confirm it still fails,
-// and logs its path with the shrunk deltas, which with the seed's
-// instance are the reproducer to commit under
-// testdata/regressions/delta/.
+// subsequence, writes it as a fixture with deltas under the test's temp
+// dir, replays the written file to confirm it still fails, and logs its
+// path with the shrunk deltas, which with the seed's instance are the
+// reproducer to commit under testdata/regressions/delta/.
 func writeDeltaReproducer(t *testing.T, sp *spec.Problem, deltas []spec.Delta, opts core.Options, seed int64) {
 	t.Helper()
 	shrunk := ShrinkDeltas(sp, deltas, opts)
 	note := fmt.Sprintf("quick delta suite seed %d, shrunk from %d to %d deltas", seed, len(deltas), len(shrunk))
 	path := filepath.Join(t.TempDir(), fmt.Sprintf("seed-%d.json", seed))
-	if err := NewDeltaFixture(sp, shrunk, opts, seed, note).WriteFile(path); err != nil {
+	fix := &Fixture{Schema: FixtureSchema, Note: note, Seed: seed, Options: fixtureOptions(opts), Problem: sp, Deltas: shrunk}
+	if err := fix.WriteFile(path); err != nil {
 		t.Errorf("seed %d: writing the reproducer: %v", seed, err)
 		return
 	}
-	fix, err := LoadDeltaFixture(path)
+	fix, err := LoadFixture(path)
 	if err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 		return
 	}
-	res, err := fix.Replay()
-	if err != nil || !res.Failed() {
+	failures, err := fix.Replay(Options{})
+	if err != nil || !failures.Failed() {
 		t.Errorf("seed %d: the written reproducer does not fail on replay (err %v)", seed, err)
 		return
 	}
@@ -122,12 +122,48 @@ func writeDeltaReproducer(t *testing.T, sp *spec.Problem, deltas []spec.Delta, o
 		t.Errorf("seed %d: %v", seed, err)
 		return
 	}
-	t.Logf("seed %d: %s; fixture %s replays a %s failure; deltas %s", seed, note, path, res.Failures[0].Kind, shrunkJSON)
+	t.Logf("seed %d: %s; fixture %s replays a %s failure; deltas %s", seed, note, path, failures[0].Kind, shrunkJSON)
+}
+
+// mustWire returns the placement's wire bytes, the delta oracle's
+// answer identity.
+func mustWire(t *testing.T, pl *core.Placement) string {
+	t.Helper()
+	b, err := wireBytes(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestWireBytesCoverTheWholeAnswer pins the delta oracle's answer
+// identity to the whole wire form: placements with the same status,
+// total and assignment are different answers when one stats field
+// differs, and when their objectives differ by less than any rounding
+// to six decimals would show.
+func TestWireBytesCoverTheWholeAnswer(t *testing.T) {
+	prob, err := buildValid(deltaInstance(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := core.Place(prob, deltaSuiteOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mustWire(t, pl)
+	constraints, objective := *pl, *pl
+	constraints.Stats.Constraints++
+	objective.Objective += 1e-7
+	for name, other := range map[string]*core.Placement{"stats.constraints": &constraints, "objective": &objective} {
+		if mustWire(t, other) == base {
+			t.Errorf("placements that differ only in %s encode to the same wire bytes %s", name, base)
+		}
+	}
 }
 
 // TestDeltaAddRemoveRestoresFingerprint is the first metamorphic delta
 // property: adding a rule and removing it again must restore the exact
-// placement fingerprint, and the session must answer the restored
+// placement wire bytes, and the session must answer the restored
 // state from its memo (identity path) rather than re-solving.
 func TestDeltaAddRemoveRestoresFingerprint(t *testing.T) {
 	for _, seed := range []int64{3, 11, 29, 64} {
@@ -138,7 +174,7 @@ func TestDeltaAddRemoveRestoresFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		base := Fingerprint(createRes.Placement)
+		base := mustWire(t, createRes.Placement)
 
 		pol := sp.Policies[0]
 		maxPrio := 0
@@ -163,7 +199,7 @@ func TestDeltaAddRemoveRestoresFingerprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d remove: %v", seed, err)
 		}
-		if fp := Fingerprint(res.Placement); fp != base {
+		if fp := mustWire(t, res.Placement); fp != base {
 			t.Errorf("seed %d: add-then-remove changed the placement:\n%s\nvs\n%s", seed, fp, base)
 		}
 		if res.Path != state.PathIdentity {
@@ -213,7 +249,7 @@ func TestDeltaInterleavingsAgree(t *testing.T) {
 					t.Fatalf("seed %d order %d: %v", seed, i, err)
 				}
 			}
-			final[i] = Fingerprint(last.Placement)
+			final[i] = mustWire(t, last.Placement)
 		}
 		if final[0] != final[1] {
 			t.Errorf("seed %d: interleavings diverge:\n%s\nvs\n%s", seed, final[0], final[1])
@@ -257,36 +293,6 @@ func TestDeltaCapacityRaiseNeverWorsens(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no optimal instance found in 40 seeds; generator drifted")
-	}
-}
-
-// TestDeltaRegressions replays every committed delta fixture under
-// testdata/regressions/delta/ through the delta oracle. Shrunk
-// reproducers from cmd/diffcheck land here; exemplar sequences are
-// committed by hand to pin the wire format.
-func TestDeltaRegressions(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "regressions", "delta", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no delta regression fixtures found; the loader is miswired")
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			fix, err := LoadDeltaFixture(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := fix.Replay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range res.Failures {
-				t.Errorf("%s: %s (note: %s)", path, f, fix.Note)
-			}
-		})
 	}
 }
 

@@ -55,15 +55,36 @@ type Failure struct {
 // String renders the failure.
 func (f Failure) String() string { return f.Kind + ": " + f.Detail }
 
+// Failures is the list of invariant violations an oracle found: the
+// one failure list of Result and DeltaResult.
+type Failures []Failure
+
+// Failed reports whether any invariant was violated.
+func (fs Failures) Failed() bool { return len(fs) > 0 }
+
+// addf records a failure.
+func (fs *Failures) addf(kind, format string, args ...any) {
+	*fs = append(*fs, Failure{Kind: kind, Detail: fmt.Sprintf(format, args...)})
+}
+
+// Summary renders the failures for logs.
+func (fs Failures) Summary() string {
+	if !fs.Failed() {
+		return "ok"
+	}
+	parts := make([]string, len(fs))
+	for i, f := range fs {
+		parts[i] = f.String()
+	}
+	return strings.Join(parts, "; ")
+}
+
 // Options configures a differential check.
 type Options struct {
 	// Core carries the placement options shared by all backends
 	// (Backend is overridden per oracle). ObjMinMaxLoad is
 	// not supported (no SAT/exhaustive counterpart).
 	Core core.Options
-	// MaxExhaustiveVars bounds the exhaustive oracle's enumeration
-	// (0 = 16 variables; negative skips the oracle entirely).
-	MaxExhaustiveVars int
 	// SATTimeLimit caps the SAT oracle separately (0 = inherit
 	// Core.TimeLimit). The SAT backend's optimality proof is a counting
 	// argument — exponential for clause learning without cardinality
@@ -71,28 +92,21 @@ type Options struct {
 	// can stall it. A SAT result that is unproven within an explicit
 	// budget is recorded as SATUnproven, not a failure.
 	SATTimeLimit time.Duration
-	// ExhaustiveHeaderWidth is the maximum policy width (bits) for
-	// which the data-plane verifier runs exhaustively over the header
-	// space (0 = 12; negative disables the exhaustive sweep).
-	ExhaustiveHeaderWidth int
 	// Verify configures the sampling data-plane verifier.
 	Verify verify.Config
-	// SkipVerify disables data-plane verification (solver-only checks).
-	SkipVerify bool
 	// Metamorphic enables the property battery (roughly four extra ILP
 	// solves per instance).
 	Metamorphic bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxExhaustiveVars == 0 {
-		o.MaxExhaustiveVars = 16
-	}
-	if o.ExhaustiveHeaderWidth == 0 {
-		o.ExhaustiveHeaderWidth = 12
-	}
-	return o
-}
+const (
+	// maxExhaustiveVars bounds the exhaustive oracle's enumeration.
+	maxExhaustiveVars = 16
+	// exhaustiveHeaderWidth is the maximum policy width (bits) for
+	// which the data-plane verifier runs exhaustively over the header
+	// space.
+	exhaustiveHeaderWidth = 12
+)
 
 // Result is the outcome of checking one instance.
 type Result struct {
@@ -106,27 +120,7 @@ type Result struct {
 	// budget without proving optimality (not a failure; see
 	// Options.SATTimeLimit).
 	SATUnproven bool
-	Failures    []Failure
-}
-
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Failures) > 0 }
-
-// addf records a failure.
-func (r *Result) addf(kind, format string, args ...any) {
-	r.Failures = append(r.Failures, Failure{Kind: kind, Detail: fmt.Sprintf(format, args...)})
-}
-
-// Summary renders the failures for logs.
-func (r *Result) Summary() string {
-	if !r.Failed() {
-		return "ok"
-	}
-	parts := make([]string, len(r.Failures))
-	for i, f := range r.Failures {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, "; ")
+	Failures
 }
 
 // proven reports whether a placement's status is a terminal answer
@@ -139,7 +133,6 @@ func proven(pl *core.Placement) bool {
 // results. It never returns an error: everything unexpected lands in
 // Result.Failures so soak loops can keep going.
 func Check(inst *randgen.Instance, opts Options) *Result {
-	opts = opts.withDefaults()
 	res := &Result{Config: inst.Config}
 	prob := inst.Problem
 
@@ -166,18 +159,14 @@ func Check(inst *randgen.Instance, opts Options) *Result {
 		res.SAT = satPl
 	}
 
-	if opts.MaxExhaustiveVars > 0 {
-		exhPl, err := core.PlaceExhaustive(prob, opts.Core, opts.MaxExhaustiveVars)
-		switch {
-		case errors.Is(err, core.ErrExhaustiveTooLarge):
-			res.ExhaustiveSkipped = true
-		case err != nil:
-			res.addf(KindSolveError, "exhaustive: %v", err)
-		default:
-			res.Exhaustive = exhPl
-		}
-	} else {
+	exhPl, err := core.PlaceExhaustive(prob, opts.Core, maxExhaustiveVars)
+	switch {
+	case errors.Is(err, core.ErrExhaustiveTooLarge):
 		res.ExhaustiveSkipped = true
+	case err != nil:
+		res.addf(KindSolveError, "exhaustive: %v", err)
+	default:
+		res.Exhaustive = exhPl
 	}
 
 	oracles := []struct {
@@ -247,9 +236,6 @@ func (res *Result) checkPlacement(name string, pl *core.Placement, inst *randgen
 			res.addf(KindStatsSum, "outcome counters sum to %d, nodes %d", sum, pl.Stats.BnBNodes)
 		}
 	}
-	if opts.SkipVerify {
-		return
-	}
 	prob := inst.Problem
 	net, err := pl.BuildTables(prob)
 	if err != nil {
@@ -263,30 +249,9 @@ func (res *Result) checkPlacement(name string, pl *core.Placement, inst *randgen
 		res.addf(KindCapacity, "%s: %d violations, first: %v", name, len(v), v[0])
 	}
 	w := inst.Config.Width
-	if w > 0 && opts.ExhaustiveHeaderWidth > 0 && w <= opts.ExhaustiveHeaderWidth {
+	if w > 0 && w <= exhaustiveHeaderWidth {
 		if v := verify.Exhaustive(net, prob.Routing, prob.Policies); len(v) > 0 {
 			res.addf(KindSemanticsExh, "%s: %d violations, first: %v", name, len(v), v[0])
 		}
 	}
-}
-
-// Fingerprint renders a placement as a canonical string: status,
-// objective, and every rule/merge installation. Byte-equal fingerprints
-// mean identical placements; used by the worker-determinism check.
-func Fingerprint(pl *core.Placement) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "status=%v obj=%.6f total=%d\n", pl.Status, pl.Objective, pl.TotalRules)
-	for pi := range pl.Assign {
-		for ri := range pl.Assign[pi] {
-			if len(pl.Assign[pi][ri]) > 0 {
-				fmt.Fprintf(&sb, "p%d/r%d:%v\n", pi, ri, pl.Assign[pi][ri])
-			}
-		}
-	}
-	for g := range pl.MergedAt {
-		if len(pl.MergedAt[g]) > 0 {
-			fmt.Fprintf(&sb, "m%d:%v\n", g, pl.MergedAt[g])
-		}
-	}
-	return sb.String()
 }

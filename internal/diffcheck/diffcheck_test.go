@@ -174,7 +174,7 @@ func TestShrinkPreservesFailure(t *testing.T) {
 }
 
 // TestFixtureRoundTrip: instance -> fixture JSON -> instance survives
-// with identical solver behavior (same ILP fingerprint).
+// with identical solver behavior (same ILP wire bytes).
 func TestFixtureRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(1); seed <= 25; seed++ {
@@ -192,7 +192,7 @@ func TestFixtureRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst2, opts2, err := loaded.Instance()
+		inst2, opts2, err := loaded.instance()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -205,7 +205,7 @@ func TestFixtureRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return Fingerprint(pl)
+			return mustWire(t, pl)
 		}
 		if a, b := solve(inst.Problem), solve(inst2.Problem); a != b {
 			t.Fatalf("seed %d: fixture round trip changed the placement:\n%s\nvs\n%s", seed, a, b)

@@ -18,15 +18,19 @@ import (
 const FixtureSchema = "rulefit-diffcheck/v1"
 
 // Fixture is a self-contained reproducer: a fully explicit problem
-// (spec form, no generators) plus the solver options it failed under.
+// (spec form, no generators) plus the solver options it failed under
+// and, for the delta oracle, the delta sequence that diverged.
 // cmd/diffcheck writes these after shrinking; the regression test in
-// regress_test.go replays every committed fixture through Check.
+// regress_test.go replays every committed fixture.
 type Fixture struct {
 	Schema  string         `json:"schema"`
 	Note    string         `json:"note,omitempty"`
 	Seed    int64          `json:"seed,omitempty"`
 	Options FixtureOptions `json:"options"`
 	Problem *spec.Problem  `json:"problem"`
+	// Deltas, when present, make the fixture a delta-oracle reproducer:
+	// Replay runs CheckDeltas on Problem with them instead of Check.
+	Deltas []spec.Delta `json:"deltas,omitempty"`
 }
 
 // FixtureOptions is the JSON form of the core options a fixture runs
@@ -85,10 +89,10 @@ func NewFixture(inst *randgen.Instance, coreOpts core.Options, note string) *Fix
 	}
 }
 
-// Instance rebuilds the runnable instance from the fixture. The
+// instance rebuilds the runnable instance from the fixture. The
 // randgen.Config carries only the seed and inferred policy width (used
 // by Check to decide on exhaustive header verification).
-func (f *Fixture) Instance() (*randgen.Instance, core.Options, error) {
+func (f *Fixture) instance() (*randgen.Instance, core.Options, error) {
 	if f.Schema != FixtureSchema {
 		return nil, core.Options{}, fmt.Errorf("diffcheck: fixture schema %q, want %q", f.Schema, FixtureSchema)
 	}
@@ -110,6 +114,22 @@ func (f *Fixture) Instance() (*randgen.Instance, core.Options, error) {
 		}
 	}
 	return &randgen.Instance{Config: cfg, Problem: prob}, opts, nil
+}
+
+// Replay runs the fixture through its oracle: CheckDeltas when it
+// carries deltas, Check otherwise. Check runs under opts with Core set
+// to the fixture's options and Verify.Seed to its seed.
+func (f *Fixture) Replay(opts Options) (Failures, error) {
+	inst, coreOpts, err := f.instance()
+	if err != nil {
+		return nil, err
+	}
+	if len(f.Deltas) > 0 {
+		return CheckDeltas(f.Problem, f.Deltas, coreOpts).Failures, nil
+	}
+	opts.Core = coreOpts
+	opts.Verify.Seed = f.Seed
+	return Check(inst, opts).Failures, nil
 }
 
 // WriteFile writes the fixture as indented JSON.

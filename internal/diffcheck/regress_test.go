@@ -9,17 +9,22 @@ import (
 )
 
 // TestRegressions auto-replays every fixture under
-// testdata/regressions/ through the full differential harness. Fixtures
-// land here two ways: cmd/diffcheck writes shrunk reproducers for every
-// soak failure, and interesting instances are exported by hand with
-// -export. Either way, once committed they are tier-1 tests forever.
+// testdata/regressions/ (delta-oracle fixtures under its delta/
+// directory) through the oracle it names. Fixtures land here two ways:
+// cmd/diffcheck and the delta suite write shrunk reproducers for every
+// failure, and interesting instances and delta streams are exported by
+// hand. Either way, once committed they are tier-1 tests forever.
 func TestRegressions(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "regressions", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no regression fixtures found; the loader is miswired")
+	var paths []string
+	for _, pattern := range []string{"*.json", "delta/*.json"} {
+		matched, err := filepath.Glob(filepath.Join("testdata", "regressions", pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(matched) == 0 {
+			t.Fatalf("no regression fixtures match %s; the loader is miswired", pattern)
+		}
+		paths = append(paths, matched...)
 	}
 	for _, path := range paths {
 		path := path
@@ -28,17 +33,15 @@ func TestRegressions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, coreOpts, err := fix.Instance()
+			failures, err := fix.Replay(Options{
+				Metamorphic:  true,
+				SATTimeLimit: 2 * time.Second,
+				Verify:       verify.Config{SamplesPerRule: 4, RandomSamples: 8, MaxViolations: 3},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := Check(inst, Options{
-				Core:         coreOpts,
-				Metamorphic:  true,
-				SATTimeLimit: 2 * time.Second,
-				Verify:       verify.Config{SamplesPerRule: 4, RandomSamples: 8, MaxViolations: 3, Seed: fix.Seed},
-			})
-			for _, f := range res.Failures {
+			for _, f := range failures {
 				t.Errorf("%s: %s (note: %s)", path, f, fix.Note)
 			}
 		})

@@ -403,10 +403,10 @@ func (s *Solver) Model() map[int]bool {
 
 // Minimize finds an assignment minimizing the weighted count of
 // satisfied objective literals (signed: -v counts when v is false),
-// subject to all added constraints, by binary search on the objective
-// bound. Each probe bound is attached to a fresh activation literal so
-// an UNSAT probe does not poison the instance; probes resolve to unit
-// clauses either way, keeping the search incremental.
+// subject to all added constraints, by SAT–UNSAT descent: each model
+// tightens the bound to best − 1 until a probe is UNSAT. Each probe
+// bound has its own activation literal so an UNSAT probe does not poison
+// the instance; probes resolve to unit clauses, keeping search incremental.
 //
 // It returns the best objective, the best model, and Sat when optimality
 // was proven; Unknown with the best-so-far when the deadline expires; or

@@ -301,6 +301,13 @@ stage_smoke() {
     "$work/traceview" -check "$work/traces/trace-$trace_id.jsonl" > /dev/null
     stop_daemon
 
+    step "diffcheck -replay on every committed regression fixture (instance and delta)"
+    go build -o "$work/" ./cmd/diffcheck
+    local fixture
+    for fixture in $(find internal/diffcheck/testdata/regressions -name '*.json' | sort); do
+        "$work/diffcheck" -sat-limit 2s -replay "$fixture"
+    done
+
     step "Fig. 7 benchmark, one iteration"
     go test -bench=Fig7 -benchtime=1x -run '^$' -timeout 20m .
 
