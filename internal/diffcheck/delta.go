@@ -181,9 +181,13 @@ func fallbackCause(tr *obs.Trace) string {
 // later one. Returns the input unchanged if the failure does not
 // reproduce.
 func ShrinkDeltas(sp *spec.Problem, deltas []spec.Delta, coreOpts core.Options) []spec.Delta {
-	failing := func(ds []spec.Delta) bool {
+	return shrinkDeltas(deltas, func(ds []spec.Delta) bool {
 		return CheckDeltas(sp, ds, coreOpts).Failed()
-	}
+	})
+}
+
+// shrinkDeltas is ShrinkDeltas' halving loop, judged by any predicate.
+func shrinkDeltas(deltas []spec.Delta, failing func([]spec.Delta) bool) []spec.Delta {
 	if !failing(deltas) {
 		return deltas
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rulefit/internal/core"
@@ -296,10 +297,9 @@ func TestDeltaCapacityRaiseNeverWorsens(t *testing.T) {
 	}
 }
 
-// TestShrinkDeltasMinimizes checks the sequence shrinker against a
-// synthetic predicate failure injected via an always-diverging
-// comparison: a sequence that fails because of one specific delta must
-// shrink to (nearly) that delta alone.
+// TestShrinkDeltasMinimizes checks the sequence shrinker: a healthy
+// stream comes back unshrunk, and the halving loop cuts a synthetic
+// 8-delta failure down to exactly the deltas it needs.
 func TestShrinkDeltasMinimizes(t *testing.T) {
 	sp := deltaInstance(t, 7)
 	opts := deltaSuiteOpts(7)
@@ -310,5 +310,30 @@ func TestShrinkDeltasMinimizes(t *testing.T) {
 	// A healthy sequence must come back unshrunk (not reproducible).
 	if got := ShrinkDeltas(sp, deltas, opts); len(got) != len(deltas) {
 		t.Fatalf("healthy sequence shrunk from %d to %d deltas", len(deltas), len(got))
+	}
+
+	// d[i] is told apart by its switch, i.
+	stream := make([]spec.Delta, 8)
+	for i := range stream {
+		stream[i] = spec.Delta{Op: spec.OpSetCapacity, Switch: i, Capacity: 1}
+	}
+	has := func(ds []spec.Delta, i int) bool {
+		return slices.ContainsFunc(ds, func(d spec.Delta) bool { return d.Switch == i })
+	}
+	for _, tc := range []struct {
+		name    string
+		failing func([]spec.Delta) bool
+		want    []int
+	}{
+		{"d5", func(ds []spec.Delta) bool { return has(ds, 5) }, []int{5}},
+		{"d2 and d6", func(ds []spec.Delta) bool { return has(ds, 2) && has(ds, 6) }, []int{2, 6}},
+	} {
+		var got []int
+		for _, d := range shrinkDeltas(stream, tc.failing) {
+			got = append(got, d.Switch)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("failing iff %s: shrunk to %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -71,3 +71,20 @@ func BenchmarkSubtract(b *testing.B) {
 		_ = ts[i%len(ts)].Subtract(ts[(i*17+9)%len(ts)])
 	}
 }
+
+// BenchmarkParseTernary parses 104-bit five-tuple patterns, the rule
+// form a session's instance carries.
+func BenchmarkParseTernary(b *testing.B) {
+	ts := benchTernaries(256, 7)
+	pats := make([]string, len(ts))
+	for i, t := range ts {
+		pats[i] = t.String()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseTernary(pats[i%len(pats)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

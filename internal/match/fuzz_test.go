@@ -1,6 +1,8 @@
 package match
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,7 +22,17 @@ func FuzzTernaryOverlap(f *testing.F) {
 	f.Add("1*********0", "0*********1")
 	f.Add(strings.Repeat("*", 64), strings.Repeat("1", 64))
 	f.Add(strings.Repeat("10", 33)+"*", strings.Repeat("*", 67))
+	f.Add("01x", "1é*")
+	f.Add("1_0 *", "0\xff1")
 	f.Fuzz(func(t *testing.T, sa, sb string) {
+		// ParseTernary agrees with a bit-at-a-time parse, errors included.
+		for _, s := range []string{sa, sb} {
+			got, gotErr := ParseTernary(s)
+			want, wantErr := parseBitwise(s)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("ParseTernary(%q) = %#v, %v; bit-at-a-time parse gives %#v, %v", s, got, gotErr, want, wantErr)
+			}
+		}
 		a, errA := ParseTernary(sa)
 		b, errB := ParseTernary(sb)
 		if errA != nil || errB != nil {
@@ -130,4 +142,32 @@ func FuzzTernaryOverlap(f *testing.F) {
 			t.Fatalf("Subsumes(%q,%q)=%v but enumeration says %v", sa, sb, a.Subsumes(b), subsumeHolds)
 		}
 	})
+}
+
+// parseBitwise is the reference ParseTernary is checked against: it
+// sets one bit per character with a read-modify-write of its word, and
+// reports the first character outside {0, 1, *} at its byte offset.
+func parseBitwise(s string) (Ternary, error) {
+	s = strings.Map(func(r rune) rune {
+		if r == '_' || r == ' ' {
+			return -1
+		}
+		return r
+	}, s)
+	t := NewTernary(len(s))
+	for i, r := range s {
+		bit := len(s) - 1 - i
+		w, off := bit/wordBits, uint(bit%wordBits)
+		switch r {
+		case '*':
+		case '0':
+			t.care[w] |= 1 << off
+		case '1':
+			t.care[w] |= 1 << off
+			t.value[w] |= 1 << off
+		default:
+			return Ternary{}, fmt.Errorf("match: invalid ternary character %q at position %d", r, i)
+		}
+	}
+	return t, nil
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // wordBits is the number of bits carried per storage word.
@@ -43,6 +44,11 @@ func NewTernary(width int) Ternary {
 	}
 }
 
+// patternBits classifies a pattern byte for ParseTernary: bit 2 marks
+// one of '0', '1' and '*', bit 1 an exact bit and bit 0 a one. Every
+// other byte is 0.
+var patternBits = [256]uint8{'*': 0b100, '0': 0b110, '1': 0b111}
+
 // ParseTernary parses a string of '0', '1', '*' characters into a Ternary.
 // The leftmost character is the most significant bit (bit width-1), matching
 // the conventional written form of match patterns. Underscores and spaces
@@ -57,17 +63,22 @@ func ParseTernary(s string) (Ternary, error) {
 		}, s)
 	}
 	t := NewTernary(len(s))
-	for i, r := range s {
-		bit := len(s) - 1 - i
-		switch r {
-		case '*':
-			// Wildcard: leave care and value at zero.
-		case '0':
-			t.setCare(bit, false)
-		case '1':
-			t.setCare(bit, true)
-		default:
+	// Each word fills in a register, most significant character first,
+	// and is stored once when its lowest bit is read.
+	var care, value uint64
+	for i := 0; i < len(s); i++ {
+		c := patternBits[s[i]]
+		if c == 0 {
+			// Every byte before i is ASCII, so i is also the rune's
+			// byte offset.
+			r, _ := utf8.DecodeRuneInString(s[i:])
 			return Ternary{}, fmt.Errorf("match: invalid ternary character %q at position %d", r, i)
+		}
+		care = care<<1 | uint64(c>>1&1)
+		value = value<<1 | uint64(c&1)
+		if bit := len(s) - 1 - i; bit%wordBits == 0 {
+			t.care[bit/wordBits], t.value[bit/wordBits] = care, value
+			care, value = 0, 0
 		}
 	}
 	return t, nil
@@ -81,15 +92,6 @@ func MustParseTernary(s string) Ternary {
 		panic(err)
 	}
 	return t
-}
-
-// setCare marks bit as exact with the given value.
-func (t *Ternary) setCare(bit int, one bool) {
-	w, off := bit/wordBits, uint(bit%wordBits)
-	t.care[w] |= 1 << off
-	if one {
-		t.value[w] |= 1 << off
-	}
 }
 
 // Width returns the number of header bits this ternary matches against.

@@ -2,6 +2,10 @@ package spec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -50,7 +54,9 @@ func fuzzTooBig(p *Problem) bool {
 // FuzzSpecParse feeds arbitrary bytes through the full spec pipeline:
 // Load -> Build -> Validate -> BuildMonitors -> Save -> Load. Nothing
 // may panic, and any problem that serializes must parse back cleanly
-// (the CLI writes fixtures with Save and replays them with Load).
+// (the CLI writes fixtures with Save and replays them with Load). The
+// memo key of whatever loads must decode back to the problem, so two
+// problems share a key only when they are equal.
 func FuzzSpecParse(f *testing.F) {
 	f.Add([]byte(`{"topology":{"type":"fig3","capacity":4},
 		"routing":{"pairs":[{"in":1,"out":2}],"seed":7},
@@ -81,6 +87,11 @@ func FuzzSpecParse(f *testing.F) {
 		if fuzzTooBig(p) {
 			return
 		}
+		want := p.Clone()
+		nilEmpty(reflect.ValueOf(want).Elem())
+		if got, err := decodeKey(NewVersion(p, nil).Key()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("the key decodes to %+v (error %v), want %+v", got, err, want)
+		}
 		if _, err := p.BuildMonitors(); err != nil {
 			_ = err // building monitors may fail; must not panic
 		}
@@ -105,4 +116,117 @@ func FuzzSpecParse(f *testing.F) {
 			t.Fatalf("rebuilt problem fails Build after round trip: %v", err)
 		}
 	})
+}
+
+// decodeKey parses a Version key back into a problem. The key writes
+// the topology, routing and monitors, then the policies, and within
+// each part the fields in declaration order.
+func decodeKey(key string) (*Problem, error) {
+	d := &keyDecoder{b: []byte(key)}
+	p := &Problem{}
+	for _, part := range []any{&p.Topology, &p.Routing, &p.Monitors, &p.Policies} {
+		d.value(reflect.ValueOf(part).Elem())
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = errors.New("trailing bytes")
+	}
+	return p, d.err
+}
+
+type keyDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *keyDecoder) take(n uint64) []byte {
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.err = errors.New("short key")
+	}
+	if d.err != nil {
+		return make([]byte, min(n, 8)) // the value no longer matters
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *keyDecoder) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errors.New("bad uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+func (d *keyDecoder) value(v reflect.Value) {
+	if d.err != nil {
+		return
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			d.value(v.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			d.value(v.Index(i))
+		}
+	case reflect.Slice:
+		n := d.uvarint()
+		if n > uint64(len(d.b)) {
+			d.err = errors.New("list longer than the key")
+			return
+		}
+		if n > 0 {
+			v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+		}
+		for i := 0; i < int(n); i++ {
+			d.value(v.Index(i))
+		}
+	case reflect.Pointer:
+		if d.take(1)[0] == 1 {
+			v.Set(reflect.New(v.Type().Elem()))
+			d.value(v.Elem())
+		}
+	case reflect.String:
+		v.SetString(string(d.take(d.uvarint())))
+	case reflect.Int, reflect.Int64:
+		x, n := binary.Varint(d.b)
+		if n <= 0 {
+			d.err = errors.New("bad varint")
+			return
+		}
+		d.b = d.b[n:]
+		v.SetInt(x)
+	case reflect.Bool:
+		v.SetBool(d.take(1)[0] == 1)
+	case reflect.Float64:
+		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(d.take(8))))
+	default:
+		d.err = errors.New("unhandled kind " + v.Kind().String())
+	}
+}
+
+// nilEmpty sets every empty slice reachable from v to nil, the form
+// decodeKey gives them: the key writes both as a zero count.
+func nilEmpty(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			nilEmpty(v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.Set(reflect.Zero(v.Type()))
+		}
+		for i := 0; i < v.Len(); i++ {
+			nilEmpty(v.Index(i))
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			nilEmpty(v.Elem())
+		}
+	}
 }

@@ -185,6 +185,13 @@ func (p *Problem) Save(w io.Writer) error {
 
 // Build materializes the description into a solvable core.Problem.
 func (p *Problem) Build() (*core.Problem, error) {
+	return p.build(make([]*policy.Policy, len(p.Policies)))
+}
+
+// build materializes p, taking pols[i] as policy i where it is non-nil
+// and otherwise parsing policy i into pols[i]. Build passes all nils,
+// Version.Build what the versions before it built.
+func (p *Problem) build(pols []*policy.Policy) (*core.Problem, error) {
 	topo, err := p.Topology.build()
 	if err != nil {
 		return nil, err
@@ -193,15 +200,17 @@ func (p *Problem) Build() (*core.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pols []*policy.Policy
 	for i, ps := range p.Policies {
+		if pols[i] != nil {
+			continue
+		}
 		pol, err := ps.build()
 		if err != nil {
 			return nil, fmt.Errorf("spec: policy %d: %w", i, err)
 		}
-		pols = append(pols, pol)
+		pols[i] = pol
 	}
-	return &core.Problem{Network: topo, Routing: rt, Policies: pols}, nil
+	return &core.Problem{Network: topo, Routing: rt, Policies: append([]*policy.Policy(nil), pols...)}, nil
 }
 
 // BuildMonitors materializes the monitor declarations for core.Options.

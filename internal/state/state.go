@@ -8,9 +8,10 @@
 // deterministic, so the only safe accelerations are memoizations of
 // bit-identical computations — the fallback ladder is
 //
-//	L0 "identity": the post-delta model canonicalizes to the bytes of
-//	    one of the session's last few proven answers (none a deadline
-//	    cut short) → return the memoized placement;
+//	L0 "identity": the post-delta instance renders the binary key
+//	    (spec.Version.Key) of one of the session's last few proven
+//	    answers (none a deadline cut short) → return the memoized
+//	    placement;
 //	L1 "warm": a deterministic solve runs, but parts of it are served
 //	    from the session's caches — per-policy encode artifacts
 //	    (redundancy removal, dependency graphs, merge search) from the
@@ -21,6 +22,11 @@
 //	    policy that fails the certificate sends the answer to the
 //	    joint MILP);
 //	L2 "cold": nothing hits; everything is recomputed (and cached).
+//
+// Below the ladder, an edit re-renders the key and re-parses only the
+// policies it changed: the session keeps its instance as a
+// spec.Version, and the next version takes every unchanged policy's
+// key part and built *policy.Policy from it.
 //
 // Solver-level warm starts (incumbent injection, basis reuse across
 // solves) are deliberately absent: with multiple optima they can
@@ -38,9 +44,11 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"reflect"
 	"sync"
 
 	"rulefit/internal/core"
+	"rulefit/internal/invariant"
 	"rulefit/internal/lru"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
@@ -65,8 +73,8 @@ var (
 
 // memoEntries caps each session's L0 identity memo. A revert restores
 // a recent instance (perfbench's go back two edits), and each entry's
-// key is the whole canonical instance, so the memo keeps only the last
-// few proven answers.
+// key renders the whole instance (spec.Version.Key), so the memo keeps
+// only the last few proven answers.
 const memoEntries = 4
 
 // Config bounds the Manager.
@@ -134,11 +142,11 @@ type Session struct {
 
 	mu      sync.Mutex
 	version uint64
-	spec    *spec.Problem // authoritative, fully explicit
+	inst    *spec.Version // authoritative, fully explicit; its key and built policies
 	opts    core.Options  // fixed at create (observational fields set per call)
 	cache   *core.EncodeCache
 	sols    *core.SolutionCache
-	memo    *lru.Cache[*core.Placement] // L0: canonical spec bytes → proven placement
+	memo    *lru.Cache[*core.Placement] // L0: instance key → proven placement
 	current *core.Placement
 }
 
@@ -167,7 +175,6 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	// holds for the session's life.
 	s := &Session{
 		opts:  fixed,
-		spec:  own,
 		cache: core.NewEncodeCache(len(own.Policies)),
 		sols:  core.NewSolutionCache(len(own.Policies)),
 		memo:  lru.New[*core.Placement](memoEntries),
@@ -179,7 +186,7 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	m.mu.Unlock()
 
 	s.mu.Lock()
-	res, err := s.solveLocked(own, opts.Trace, opts.SolverSink)
+	res, err := s.solveLocked(spec.NewVersion(own, nil), opts.Trace, opts.SolverSink)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
@@ -249,7 +256,7 @@ func (s *Session) Snapshot() (uint64, *core.Placement) {
 func (s *Session) Spec() *spec.Problem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.spec.Clone()
+	return s.inst.Spec().Clone()
 }
 
 // CacheStats snapshots the session's cumulative encode-cache counters.
@@ -274,7 +281,7 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.spec.Clone()
+	next := s.inst.Spec().Clone()
 	if err := next.ApplyAll(deltas); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
@@ -282,11 +289,10 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	if req != nil {
 		trace = req.Trace
 	}
-	res, err := s.solveLocked(next, trace, sink)
+	res, err := s.solveLocked(spec.NewVersion(next, s.inst), trace, sink)
 	if err != nil {
 		return nil, err
 	}
-	s.spec = next
 	s.version++
 	res.Version = s.version
 	return res, nil
@@ -309,17 +315,21 @@ func (s *Session) proven(pl *core.Placement) bool {
 }
 
 // solveLocked answers for an instance via the fallback ladder and
-// commits the placement as current. Callers hold s.mu.
-func (s *Session) solveLocked(sp *spec.Problem, trace *obs.Trace, sink obs.Sink) (*Result, error) {
-	key := string(sp.Canonical())
-	if pl, ok := s.memo.Get(key); ok {
+// commits it and the placement as current. Callers hold s.mu.
+func (s *Session) solveLocked(inst *spec.Version, trace *obs.Trace, sink obs.Sink) (*Result, error) {
+	if pl, ok := s.memo.Get(inst.Key()); ok {
 		//lint:sharedmut caller holds s.mu (see doc)
-		s.current = pl
+		s.inst, s.current = inst, pl
 		return &Result{Path: PathIdentity, Placement: pl}, nil
 	}
-	prob, err := sp.Build()
+	prob, err := inst.Build()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
+	}
+	if invariant.Enabled {
+		fresh, err := inst.Spec().Build()
+		invariant.Assert(err == nil && reflect.DeepEqual(prob, fresh),
+			"state: a build reusing unchanged policies differs from a fresh build (fresh build error: %v)", err)
 	}
 	if err := prob.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
@@ -352,9 +362,9 @@ func (s *Session) solveLocked(sp *spec.Problem, trace *obs.Trace, sink obs.Sink)
 		path = PathWarm
 	}
 	if s.proven(pl) {
-		s.memo.Put(key, pl)
+		s.memo.Put(inst.Key(), pl)
 	}
 	//lint:sharedmut caller holds s.mu (see doc)
-	s.current = pl
+	s.inst, s.current = inst, pl
 	return &Result{Path: path, Placement: pl, CacheStats: used, SolStats: solUsed}, nil
 }

@@ -120,6 +120,9 @@ stage_test() {
     step "go test -tags rulefitdebug (runtime invariants)"
     go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant/ ./internal/lru/ ./internal/state/ \
         ./internal/spec/
+    # The delta suites drive sessions through 120 seeded streams, so each
+    # edit's reused policies are checked against a fresh build.
+    go test -tags rulefitdebug -run Delta ./internal/diffcheck/
 
     step "perfbench go test -short (replay against a live daemon, reference and tamper checks)"
     (cd perfbench && go test -short ./...)
