@@ -37,7 +37,7 @@ import (
 // Certified fragments: in this regime every rule that has a variable
 // must be installed at least once — a DROP by its Eq. 2 cover rows, a
 // PERMIT by the Eq. 1 rows of the DROP that needs it — so a sub-
-// problem's optimum is at least len(enc.byRule). When the greedy
+// problem's optimum is at least enc.placedRules. When the greedy
 // ingress-first pass places each such rule exactly once it meets that
 // bound, and its placement is returned as the proven optimum without
 // building the sub-MILP (certify). The certificate is a pure function
@@ -140,13 +140,13 @@ func certifySub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span)
 
 // certify runs the greedy pass on a sub-problem's encoding and returns
 // its placement as a proven optimum when it meets the counting bound:
-// greedy is feasible and installs each of the len(enc.byRule) rules
+// greedy is feasible and installs each of the enc.placedRules rules
 // that have a variable exactly once. The fragment reports status
 // optimal, gap 0, BestBound = total, and no nodes, iterations or
 // workers.
 func certify(enc *encoding) (*Placement, bool) {
 	pl := greedy(enc)
-	if pl.Status != StatusFeasible || pl.TotalRules != len(enc.byRule) {
+	if pl.Status != StatusFeasible || pl.TotalRules != enc.placedRules {
 		return nil, false
 	}
 	if invariant.Enabled {
@@ -167,7 +167,7 @@ func encodingViolation(enc *encoding, pl *Placement) string {
 	for pi := range pl.Assign {
 		for ri, sws := range pl.Assign[pi] {
 			for _, sw := range sws {
-				id, ok := enc.index[evar{kind: varRule, pol: pi, rule: ri, sw: sw}]
+				id, ok := enc.lookup(pi, ri, sw)
 				if !ok {
 					return fmt.Sprintf("p%d/r%d placed at switch %d without a variable", pi, ri, sw)
 				}

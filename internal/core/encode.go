@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"rulefit/internal/deps"
 	"rulefit/internal/obs"
@@ -57,6 +59,17 @@ type mergeTerm struct {
 }
 
 // encoding is the assembled constraint system.
+//
+// Variables are numbered in creation order: policy by policy, each
+// DROP rule's variables (in Drops order), then the variables of the
+// PERMIT rules those DROP rules depend on (ascending rule index), and
+// after every rule variable the merged ones. A rule's variables are
+// created together, in ascending switch order, so they are one run of
+// ids: spans[pi][ri] holds where rule ri of policy pi's run starts and
+// how long it is, and a variable is found by its (policy, rule, switch)
+// position with a binary search of that short run (lookup), never by
+// hashing the variable. Covers are cut from one slab of ids, and the
+// capacity rows' rule variables from another.
 type encoding struct {
 	prob *Problem
 	opts Options
@@ -64,13 +77,13 @@ type encoding struct {
 	policies []*policy.Policy // after optional redundancy removal
 	graphs   []*deps.Graph
 
-	vars    []evar
-	index   map[evar]int
-	byRule  map[[2]int][]int // (pol, rule) -> var ids
-	imps    [][2]int         // [w, u]: v_w -> v_u (Eq. 1 / Eq. 6)
-	covers  [][]int          // at-least-one over var ids (Eq. 2 / Eq. 7)
-	merges  []mergeCons
-	capRows []capRow
+	vars        []evar
+	spans       [][]varSpan // [pol][rule] -> the rule's run of var ids
+	placedRules int         // rules with at least one variable
+	imps        [][2]int    // [w, u]: v_w -> v_u (Eq. 1 / Eq. 6)
+	covers      [][]int     // at-least-one over var ids (Eq. 2 / Eq. 7)
+	merges      []mergeCons
+	capRows     []capRow
 
 	groups  []deps.MergeGroup
 	dummies []deps.DummyRule
@@ -82,19 +95,18 @@ type encoding struct {
 
 	// trafficWeight[v] is loc(s_k, P_i) + 1 for rule vars (>= 1 so that
 	// placing fewer rules still helps) and the merged adjustment for
-	// merged vars; used by ObjTraffic.
+	// merged vars. Only ObjTraffic reads it, so only ObjTraffic fills it.
 	trafficWeight []int64
 }
+
+// varSpan is one rule's run of variable ids: first, first+1, ...,
+// first+n-1, at ascending switches.
+type varSpan struct{ first, n int }
 
 // buildEncoding assembles the constraint system for a validated problem.
 // span (nil-safe) gets one child per pipeline stage.
 func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, error) {
-	e := &encoding{
-		prob:   prob,
-		opts:   opts,
-		index:  make(map[evar]int),
-		byRule: make(map[[2]int][]int),
-	}
+	e := &encoding{prob: prob, opts: opts}
 
 	// Stage 1 (optional): redundancy removal, per Fig. 4. With an
 	// EncodeCache attached, policies whose content was analyzed before
@@ -134,40 +146,75 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 
 	// Stage 3: variables. For each policy, DROP rules get variables on
 	// the switches of their relevant paths; dependent PERMIT rules get
-	// variables wherever one of their drops might go.
+	// variables wherever one of their drops might go. Each rule's
+	// switches are a bitmask over the positions of the policy's path-set
+	// switches (sws, sorted), words w*n to (w+1)*n of sets: a drop's
+	// candidates, then OR-ed into its permits' sets. Setting bits makes
+	// a set and reading them in order sorts it. Counting the relevant
+	// paths on the way sizes stages 4 and 5 up front, and counting the
+	// bits sizes the policy's variables before any is created.
 	varSp := span.Child("variables")
+	e.spans = make([][]varSpan, len(e.policies))
+	var sws []topology.SwitchID
+	var sets []uint64
+	nImps, nCovers, coverIDs := 0, 0, 0
 	for pi, pol := range e.policies {
+		e.spans[pi] = make([]varSpan, len(pol.Rules))
 		ps := prob.Routing.Sets[topology.PortID(pol.Ingress)]
 		g := e.graphs[pi]
-		permitSwitches := make(map[int]map[topology.SwitchID]bool)
+		sws = sws[:0]
+		for _, path := range ps.Paths {
+			sws = append(sws, path.Switches...)
+		}
+		slices.Sort(sws)
+		sws = slices.Compact(sws)
+		n := (len(sws) + 63) / 64
+		sets = slices.Grow(sets[:0], len(pol.Rules)*n)[:len(pol.Rules)*n]
+		clear(sets)
 		for _, w := range g.Drops() {
-			candidates := e.relevantSwitches(pol.Rules[w], ps)
-			for sw := range e.monitorForbidden(pol.Rules[w], ps) {
-				delete(candidates, sw)
+			set := sets[w*n : (w+1)*n]
+			for _, path := range ps.Paths {
+				if e.pathRelevant(pol.Rules[w], path) {
+					nCovers++
+					coverIDs += len(path.Switches)
+					for _, sw := range path.Switches {
+						i, bit := switchBit(sws, sw)
+						set[i] |= bit
+					}
+				}
 			}
-			sws := sortedSwitches(candidates)
-			for _, sw := range sws {
-				e.addVar(evar{kind: varRule, pol: pi, rule: w, sw: sw})
-			}
+			e.clearMonitorForbidden(pol.Rules[w], ps, sws, set)
 			for _, u := range g.Dependents(w) {
-				m, ok := permitSwitches[u]
-				if !ok {
-					m = make(map[topology.SwitchID]bool)
-					permitSwitches[u] = m
-				}
-				for _, sw := range sws {
-					m[sw] = true
+				for i, word := range set {
+					sets[u*n+i] |= word
+					nImps += bits.OnesCount64(word)
 				}
 			}
 		}
-		permits := make([]int, 0, len(permitSwitches))
-		for u := range permitSwitches {
-			permits = append(permits, u)
+		ones := 0
+		for _, word := range sets {
+			ones += bits.OnesCount64(word)
 		}
-		sort.Ints(permits)
-		for _, u := range permits {
-			for _, sw := range sortedSwitches(permitSwitches[u]) {
-				e.addVar(evar{kind: varRule, pol: pi, rule: u, sw: sw})
+		e.vars = slices.Grow(e.vars, ones)
+		addVars := func(r int) {
+			first := len(e.vars)
+			for i, word := range sets[r*n : (r+1)*n] {
+				for ; word != 0; word &= word - 1 {
+					sw := sws[i*64+bits.TrailingZeros64(word)]
+					e.vars = append(e.vars, evar{kind: varRule, pol: pi, rule: r, sw: sw})
+				}
+			}
+			e.spans[pi][r] = varSpan{first: first, n: len(e.vars) - first}
+			if len(e.vars) > first {
+				e.placedRules++
+			}
+		}
+		for _, w := range g.Drops() {
+			addVars(w)
+		}
+		for u, r := range pol.Rules {
+			if r.Action != policy.Drop {
+				addVars(u)
 			}
 		}
 	}
@@ -176,12 +223,14 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 
 	// Stage 4: rule dependency constraints (Eq. 1).
 	consSp := span.Child("constraints")
+	e.imps = make([][2]int, 0, nImps)
 	for pi, g := range e.graphs {
 		for _, w := range g.Drops() {
 			for _, u := range g.Dependents(w) {
-				for _, sw := range e.switchesOf(pi, w) {
-					vw := e.index[evar{kind: varRule, pol: pi, rule: w, sw: sw}]
-					vu, ok := e.index[evar{kind: varRule, pol: pi, rule: u, sw: sw}]
+				s := e.spans[pi][w]
+				for vw := s.first; vw < s.first+s.n; vw++ {
+					sw := e.vars[vw].sw
+					vu, ok := e.lookup(pi, u, sw)
 					if !ok {
 						consSp.End()
 						return nil, fmt.Errorf("core: missing permit variable p%d/r%d at switch %d", pi, u, sw)
@@ -194,6 +243,8 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 
 	// Stage 5: path dependency constraints (Eq. 2, per path as the
 	// paper's prose requires; Eq. 2's union form is a typo).
+	e.covers = make([][]int, 0, nCovers)
+	ids := make([]int, 0, coverIDs)
 	for pi, g := range e.graphs {
 		pol := e.policies[pi]
 		ps := prob.Routing.Sets[topology.PortID(pol.Ingress)]
@@ -202,13 +253,13 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 				if !e.pathRelevant(pol.Rules[w], path) {
 					continue
 				}
-				var cover []int
+				start := len(ids)
 				for _, sw := range path.Switches {
-					if id, ok := e.index[evar{kind: varRule, pol: pi, rule: w, sw: sw}]; ok {
-						cover = append(cover, id)
+					if id, ok := e.lookup(pi, w, sw); ok {
+						ids = append(ids, id)
 					}
 				}
-				if len(cover) == 0 {
+				if len(ids) == start {
 					consSp.End()
 					if len(opts.Monitors) > 0 {
 						e.infeasibleReason = fmt.Sprintf("drop rule p%d/r%d has no monitor-compatible switch on path %v", pi, w, path)
@@ -216,7 +267,7 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 					}
 					return nil, fmt.Errorf("core: drop rule p%d/r%d has no candidate switch on path %v", pi, w, path)
 				}
-				e.covers = append(e.covers, cover)
+				e.covers = append(e.covers, ids[start:len(ids):len(ids)])
 			}
 		}
 	}
@@ -241,8 +292,11 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 	capSp.SetCount("rows", int64(len(e.capRows)))
 	capSp.End()
 
-	// Traffic weights for ObjTraffic: rule variables first, then the
-	// merged adjustments (which reference the rule weights).
+	// Traffic weights, only for ObjTraffic: rule variables first, then
+	// the merged adjustments (which reference the rule weights).
+	if opts.Objective != ObjTraffic {
+		return e, nil
+	}
 	e.trafficWeight = make([]int64, len(e.vars))
 	for id, v := range e.vars {
 		if v.kind != varRule {
@@ -272,55 +326,47 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 	return e, nil
 }
 
-// addVar interns a variable, returning its id.
-func (e *encoding) addVar(v evar) int {
-	if id, ok := e.index[v]; ok {
-		return id
+// lookup returns the id of rule ri of policy pi's variable at switch
+// sw, by a binary search of the rule's run of variables.
+func (e *encoding) lookup(pi, ri int, sw topology.SwitchID) (int, bool) {
+	s := e.spans[pi][ri]
+	lo, hi := s.first, s.first+s.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if e.vars[mid].sw < sw {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	id := len(e.vars)
-	e.vars = append(e.vars, v)
-	e.index[v] = id
-	if v.kind == varRule {
-		key := [2]int{v.pol, v.rule}
-		e.byRule[key] = append(e.byRule[key], id)
-	}
-	return id
+	return lo, lo < s.first+s.n && e.vars[lo].sw == sw
 }
 
-// switchesOf lists the switches where rule ri of policy pi has variables.
-func (e *encoding) switchesOf(pi, ri int) []topology.SwitchID {
-	ids := e.byRule[[2]int{pi, ri}]
-	out := make([]topology.SwitchID, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, e.vars[id].sw)
-	}
-	return out
+// switchBit returns the word and the bit of sw in a set over sws.
+func switchBit(sws []topology.SwitchID, sw topology.SwitchID) (int, uint64) {
+	k, _ := slices.BinarySearch(sws, sw)
+	return k / 64, 1 << (k % 64)
 }
 
-// monitorForbidden returns the switches where the DROP rule r may not
-// be installed: positions strictly upstream of a monitor (whose match
-// overlaps r) on any relevant path that reaches the monitoring switch.
-// Dropping r there would hide monitored packets from the monitor (§VII).
-func (e *encoding) monitorForbidden(r policy.Rule, ps *routing.PathSet) map[topology.SwitchID]bool {
-	out := make(map[topology.SwitchID]bool)
+// clearMonitorForbidden removes from the DROP rule r's set over sws
+// the switches where it may not be installed: positions strictly
+// upstream of a monitor (whose match overlaps r) on any relevant path
+// that reaches the monitoring switch. Dropping r there would hide
+// monitored packets from the monitor (§VII).
+func (e *encoding) clearMonitorForbidden(r policy.Rule, ps *routing.PathSet, sws []topology.SwitchID, set []uint64) {
 	for _, mon := range e.opts.Monitors {
 		if !mon.Match.Overlaps(r.Match) {
 			continue
 		}
 		for _, path := range ps.Paths {
-			if !e.pathRelevant(r, path) {
-				continue
-			}
-			mpos := path.Loc(mon.Switch)
-			if mpos < 0 {
-				continue
-			}
-			for _, sw := range path.Switches[:mpos] {
-				out[sw] = true
+			if mpos := path.Loc(mon.Switch); mpos >= 0 && e.pathRelevant(r, path) {
+				for _, sw := range path.Switches[:mpos] {
+					i, bit := switchBit(sws, sw)
+					set[i] &^= bit
+				}
 			}
 		}
 	}
-	return out
 }
 
 // pathRelevant reports whether a rule applies to a path's traffic slice.
@@ -331,36 +377,9 @@ func (e *encoding) pathRelevant(r policy.Rule, path routing.Path) bool {
 	return r.Match.Overlaps(path.Traffic)
 }
 
-// relevantSwitches returns the union of switches over the rule's
-// relevant paths.
-func (e *encoding) relevantSwitches(r policy.Rule, ps *routing.PathSet) map[topology.SwitchID]bool {
-	out := make(map[topology.SwitchID]bool)
-	for _, path := range ps.Paths {
-		if !e.pathRelevant(r, path) {
-			continue
-		}
-		for _, sw := range path.Switches {
-			out[sw] = true
-		}
-	}
-	return out
-}
-
 // buildMerging detects mergeable rules among placed rules, breaks
 // circular dependencies, and creates merged variables and constraints.
 func (e *encoding) buildMerging() error {
-	// Only rules that have variables can merge: restrict the group
-	// search to placed rules by masking others out.
-	placedMask := make([]map[int]bool, len(e.policies))
-	for _, v := range e.vars {
-		if v.kind != varRule {
-			continue
-		}
-		if placedMask[v.pol] == nil {
-			placedMask[v.pol] = make(map[int]bool)
-		}
-		placedMask[v.pol][v.rule] = true
-	}
 	// The group search is a pure function of the (reduced) policy list;
 	// with a cache attached it is served by content key. The cached
 	// slice is shared read-only: the filter below builds fresh groups.
@@ -375,11 +394,12 @@ func (e *encoding) buildMerging() error {
 	} else {
 		raw = deps.FindMergeable(e.policies, 2)
 	}
+	// Only rules that have variables can merge.
 	var filtered []deps.MergeGroup
 	for _, g := range raw {
 		var members []deps.RuleRef
 		for _, m := range g.Members {
-			if placedMask[m.Policy] != nil && placedMask[m.Policy][m.Rule] {
+			if e.spans[m.Policy][m.Rule].n > 0 {
 				members = append(members, m)
 			}
 		}
@@ -391,48 +411,96 @@ func (e *encoding) buildMerging() error {
 	e.groups = groups
 	e.dummies = dummies
 
+	// For each switch where >= 2 members have variables, a merged
+	// variable v^m with mv = AND(member vars), its members in member
+	// order: a stable sort by switch keeps that order among the ids at
+	// one switch.
+	var at []int
+	bySwitch := func(a, b int) int { return cmp.Compare(e.vars[a].sw, e.vars[b].sw) }
 	for gi, g := range groups {
-		// For each switch where >= 2 members have variables, a merged
-		// variable v^m with mv = AND(member vars).
-		bySwitch := make(map[topology.SwitchID][]int)
+		at = at[:0]
 		for _, m := range g.Members {
-			for _, id := range e.byRule[[2]int{m.Policy, m.Rule}] {
-				bySwitch[e.vars[id].sw] = append(bySwitch[e.vars[id].sw], id)
+			s := e.spans[m.Policy][m.Rule]
+			for id := s.first; id < s.first+s.n; id++ {
+				at = append(at, id)
 			}
 		}
-		for _, sw := range sortedSwitchKeys(bySwitch) {
-			members := bySwitch[sw]
-			if len(members) < 2 {
-				continue
+		slices.SortStableFunc(at, bySwitch)
+		for i := 0; i < len(at); {
+			j := i + 1
+			for j < len(at) && e.vars[at[j]].sw == e.vars[at[i]].sw {
+				j++
 			}
-			mv := e.addVar(evar{kind: varMerged, group: gi, sw: sw})
-			e.merges = append(e.merges, mergeCons{mv: mv, members: members})
+			if j-i >= 2 {
+				mv := len(e.vars)
+				e.vars = append(e.vars, evar{kind: varMerged, group: gi, sw: e.vars[at[i]].sw})
+				e.merges = append(e.merges, mergeCons{mv: mv, members: slices.Clone(at[i:j])})
+			}
+			i = j
 		}
 	}
 	return nil
 }
 
 // buildCapacities assembles one capacity row per switch that hosts any
-// variable.
+// variable, in switch ID order. A counting sort over the network's
+// switches cuts every row's rule variables, in id order, from one slab.
 func (e *encoding) buildCapacities() {
-	ruleVarsAt := make(map[topology.SwitchID][]int)
-	mergedAt := make(map[topology.SwitchID][]mergeTerm)
+	sws := e.prob.Network.Switches()
+	ids := make([]topology.SwitchID, len(sws))
+	for k, sw := range sws {
+		ids[k] = sw.ID
+	}
+	pos := func(sw topology.SwitchID) int {
+		k, _ := slices.BinarySearch(ids, sw)
+		return k
+	}
+	// next[k] counts switch k's rule variables, then is where the next
+	// one goes in slab, and ends as the end of the switch's run.
+	next := make([]int, len(sws))
+	for _, v := range e.vars {
+		if v.kind == varRule {
+			next[pos(v.sw)]++
+		}
+	}
+	var mergedAt [][]mergeTerm
+	if len(e.merges) > 0 {
+		mergedAt = make([][]mergeTerm, len(sws))
+		for _, mc := range e.merges {
+			k := pos(e.vars[mc.mv].sw)
+			mergedAt[k] = append(mergedAt[k], mergeTerm{mv: mc.mv, savings: len(mc.members) - 1})
+		}
+	}
+	nRule, rows := 0, 0
+	for k, n := range next {
+		if n > 0 || mergedAt != nil && len(mergedAt[k]) > 0 {
+			rows++
+		}
+		next[k], nRule = nRule, nRule+n
+	}
+	slab := make([]int, nRule)
 	for id, v := range e.vars {
 		if v.kind == varRule {
-			ruleVarsAt[v.sw] = append(ruleVarsAt[v.sw], id)
+			k := pos(v.sw)
+			slab[next[k]] = id
+			next[k]++
 		}
 	}
-	for _, mc := range e.merges {
-		sw := e.vars[mc.mv].sw
-		mergedAt[sw] = append(mergedAt[sw], mergeTerm{mv: mc.mv, savings: len(mc.members) - 1})
-	}
-	for _, sw := range e.prob.Network.Switches() {
-		rv := ruleVarsAt[sw.ID]
-		mt := mergedAt[sw.ID]
-		if len(rv) == 0 && len(mt) == 0 {
+	e.capRows = make([]capRow, 0, rows)
+	lo := 0
+	for k, sw := range sws {
+		var row capRow
+		if hi := next[k]; hi > lo {
+			row.ruleVars, lo = slab[lo:hi:hi], hi
+		}
+		if mergedAt != nil {
+			row.merged = mergedAt[k]
+		}
+		if len(row.ruleVars) == 0 && len(row.merged) == 0 {
 			continue
 		}
-		e.capRows = append(e.capRows, capRow{sw: sw.ID, ruleVars: rv, merged: mt, cap: sw.Capacity})
+		row.sw, row.cap = sw.ID, sw.Capacity
+		e.capRows = append(e.capRows, row)
 	}
 }
 
@@ -476,25 +544,4 @@ func (e *encoding) objectiveWeights() []int64 {
 // numConstraints is the IR constraint count (for stats).
 func (e *encoding) numConstraints() int {
 	return len(e.imps) + len(e.covers) + len(e.capRows) + 2*len(e.merges)
-}
-
-// sortedSwitches returns a set's members in ascending ID order, keeping
-// variable creation (and hence both backends' search) deterministic.
-func sortedSwitches(set map[topology.SwitchID]bool) []topology.SwitchID {
-	out := make([]topology.SwitchID, 0, len(set))
-	for sw := range set {
-		out = append(out, sw)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// sortedSwitchKeys sorts the keys of a per-switch map.
-func sortedSwitchKeys[V any](m map[topology.SwitchID]V) []topology.SwitchID {
-	out := make([]topology.SwitchID, 0, len(m))
-	for sw := range m {
-		out = append(out, sw)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

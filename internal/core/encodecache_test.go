@@ -69,14 +69,19 @@ func fingerprintEncoding(e *encoding) encodeFingerprint {
 
 // TestEncodeCacheArtifactsMatchFresh proves a warm cache reproduces
 // the cold encoding exactly: every artifact the encoding derives from
-// cached stages is deeply equal to a from-scratch build.
+// cached stages is deeply equal to a from-scratch build. The traffic
+// objective makes the encoding fill its weights, so they are compared
+// too.
 func TestEncodeCacheArtifactsMatchFresh(t *testing.T) {
 	prob := twoIngressProblem(t, 10)
-	opts := Options{Merging: true, RemoveRedundant: true}.withDefaults()
+	opts := Options{Merging: true, RemoveRedundant: true, Objective: ObjTraffic}.withDefaults()
 
 	fresh, err := buildEncoding(prob, opts, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(fresh.trafficWeight) == 0 {
+		t.Fatal("the traffic objective left the weights empty")
 	}
 
 	cache := NewEncodeCache(len(prob.Policies))

@@ -27,3 +27,15 @@ func CertifySub(prob *Problem, pol *policy.Policy, opts Options) (sub *Problem, 
 // MixedProblem is the decomposable fixture whose policy 0 fails the
 // counting certificate.
 var MixedProblem = mixedProblem
+
+// EncodingReport renders what buildEncoding derives for (prob, opts),
+// or with ref set what the map-based reference encoder derives.
+var EncodingReport = encodingReport
+
+// EncodeCertify encodes pol's decomposed sub-problem and runs the
+// counting certificate on it, as the decomposed path does on a
+// fragment cache miss.
+func EncodeCertify(prob *Problem, pol *policy.Policy, opts Options) bool {
+	_, ok := certifySub(prob, pol, opts.withDefaults(), nil)
+	return ok
+}

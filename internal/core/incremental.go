@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
@@ -209,8 +208,7 @@ func greedy(enc *encoding) *Placement {
 func sortAssign(pl *Placement) {
 	for pi := range pl.Assign {
 		for ri := range pl.Assign[pi] {
-			sws := pl.Assign[pi][ri]
-			sort.Slice(sws, func(a, b int) bool { return sws[a] < sws[b] })
+			slices.Sort(pl.Assign[pi][ri])
 		}
 	}
 }

@@ -173,3 +173,13 @@ func orderEntries(pends []pendEntry) ([]int, error) {
 	}
 	return order, nil
 }
+
+// sortedSwitchKeys sorts the keys of a per-switch map.
+func sortedSwitchKeys[V any](m map[topology.SwitchID]V) []topology.SwitchID {
+	out := make([]topology.SwitchID, 0, len(m))
+	for sw := range m {
+		out = append(out, sw)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}

@@ -183,6 +183,54 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestApplyCopyOnWrite applies randgen delta streams on seeds 1–50,
+// in batches of one and two deltas and then one delta of every op
+// kind, each batch to a shallow copy of the problem before it, as a
+// session edit does. No problem of the chain may move: Apply must
+// never write into a slice its receiver shares with its source.
+func TestApplyCopyOnWrite(t *testing.T) {
+	ops := map[string]int{}
+	for seed := int64(1); seed <= 50; seed++ {
+		cur := randgenProblem(t, randgen.FromSeed(seed))
+		steps, err := randgen.GenerateDeltas(cur, 12, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var batches [][]spec.Delta
+		for i := 0; i < len(steps); i += 1 + i%2 {
+			batches = append(batches, steps[i:min(i+1+i%2, len(steps))])
+		}
+		chain := []*spec.Problem{cur}
+		canon := [][]byte{cur.Canonical()}
+		for i := 0; i <= len(batches); i++ {
+			batch := everyOp(cur)
+			if i < len(batches) {
+				batch = batches[i]
+			}
+			next := *cur
+			if err := next.ApplyAll(batch); err != nil {
+				t.Fatalf("seed %d batch %d: %v", seed, i, err)
+			}
+			for _, d := range batch {
+				ops[d.Op]++
+			}
+			for j, p := range chain {
+				if !bytes.Equal(p.Canonical(), canon[j]) {
+					t.Fatalf("seed %d batch %d %v: applying to a shallow copy changed problem %d of the chain", seed, i, batch, j)
+				}
+			}
+			cur = &next
+			chain, canon = append(chain, cur), append(canon, cur.Canonical())
+		}
+	}
+	for _, op := range []string{spec.OpAddRule, spec.OpRemoveRule, spec.OpUpdatePolicy, spec.OpSetCapacity,
+		spec.OpSetPaths, spec.OpAddSwitch, spec.OpRemoveSwitch, spec.OpAddLink, spec.OpRemoveLink} {
+		if ops[op] == 0 {
+			t.Errorf("no batch applied %s (op counts: %v)", op, ops)
+		}
+	}
+}
+
 // referenceFields appends the path of every slice, pointer, map,
 // interface, channel or function type reachable from t.
 func referenceFields(t reflect.Type, path string, out *[]string) {
@@ -243,6 +291,14 @@ func copiedSlices(v reflect.Value) int {
 
 var cloneSink *spec.Problem
 
+// sessionConfig is perfbench's session-delta instance class: fat-tree
+// k=4, 8 policies × 100 five-tuple rules, 2 paths per ingress, slack
+// capacities.
+var sessionConfig = randgen.Config{
+	Seed: 1, Topo: randgen.TopoFatTree, FatTreeK: 4, Ingresses: 8,
+	PathsPerIngress: 2, RulesPerPolicy: 100, Capacity: randgen.CapSlack,
+}
+
 // TestCloneAllocs keeps serialization off the session edit path: on
 // perfbench's session-delta instance class (fat-tree k=4, 8 policies ×
 // 100 five-tuple rules, 2 paths per ingress), Clone allocates at most
@@ -251,10 +307,7 @@ func TestCloneAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("under rulefitdebug Clone renders itself and its source to check the copy")
 	}
-	p := randgenProblem(t, randgen.Config{
-		Seed: 1, Topo: randgen.TopoFatTree, FatTreeK: 4, Ingresses: 8,
-		PathsPerIngress: 2, RulesPerPolicy: 100, Capacity: randgen.CapSlack,
-	})
+	p := randgenProblem(t, sessionConfig)
 	limit := float64(copiedSlices(reflect.ValueOf(p).Elem()) + 1)
 	if got := testing.AllocsPerRun(20, func() { cloneSink = p.Clone() }); got > limit {
 		t.Fatalf("Clone allocates %.0f times, want at most %.0f", got, limit)

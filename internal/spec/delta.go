@@ -11,9 +11,11 @@ import (
 	"rulefit/internal/policy"
 )
 
-// Delta ops. A delta mutates a fully explicit Problem (ExplicitOnly)
-// in place; the stateful session layer applies deltas to a clone and
-// commits only on success, so a failed op never corrupts a session.
+// Delta ops. A delta edits a fully explicit Problem (ExplicitOnly)
+// copy-on-write: it replaces the slices it changes and never writes
+// into one, so the stateful session layer applies deltas to a shallow
+// copy and commits only on success, and a failed op never corrupts a
+// session.
 const (
 	// OpAddRule appends Rule to the policy at Ingress. The priority
 	// must be unused within that policy.
@@ -92,10 +94,12 @@ func (p *Problem) ExplicitOnly() error {
 	return nil
 }
 
-// Apply mutates p by one delta. On error p may be partially checked
-// but is never partially mutated: all validation happens before the
-// first write. Callers holding authoritative state should still apply
-// to a Clone and swap on success.
+// Apply edits p by one delta. On error p may be partially checked but
+// is never partially edited: all validation happens before the first
+// write. Apply writes only p's own fields and slices it allocates
+// itself, never an element of a slice p holds, so applying to a
+// shallow copy q := *p leaves p unchanged; callers holding
+// authoritative state apply to such a copy and swap on success.
 func (p *Problem) Apply(d Delta) error {
 	if err := p.ExplicitOnly(); err != nil {
 		return err
@@ -167,7 +171,8 @@ func (p *Problem) applyAddRule(d Delta) error {
 			return fmt.Errorf("spec: ingress %d already has a rule at priority %d", d.Ingress, d.Rule.Priority)
 		}
 	}
-	p.Policies[pi].Rules = append(p.Policies[pi].Rules, *d.Rule)
+	rules := p.Policies[pi].Rules
+	p.setRules(pi, append(rules[:len(rules):len(rules)], *d.Rule))
 	return nil
 }
 
@@ -182,7 +187,7 @@ func (p *Problem) applyRemoveRule(d Delta) error {
 			if len(rules) == 1 {
 				return fmt.Errorf("spec: removing priority %d would empty ingress %d's policy", d.Priority, d.Ingress)
 			}
-			p.Policies[pi].Rules = append(rules[:i:i], rules[i+1:]...)
+			p.setRules(pi, append(rules[:i:i], rules[i+1:]...))
 			return nil
 		}
 	}
@@ -207,8 +212,14 @@ func (p *Problem) applyUpdatePolicy(d Delta) error {
 		}
 		seen[r.Priority] = true
 	}
-	p.Policies[pi].Rules = append([]Rule(nil), d.Rules...)
+	p.setRules(pi, append([]Rule(nil), d.Rules...))
 	return nil
+}
+
+// setRules replaces policy pi's rules in a copy of the policy list.
+func (p *Problem) setRules(pi int, rules []Rule) {
+	p.Policies = slices.Clone(p.Policies)
+	p.Policies[pi].Rules = rules
 }
 
 func (p *Problem) switchIndex(id int) (int, error) {
@@ -228,6 +239,7 @@ func (p *Problem) applySetCapacity(d Delta) error {
 	if d.Capacity < 1 {
 		return fmt.Errorf("spec: capacity must be >= 1, got %d", d.Capacity)
 	}
+	p.Topology.SwitchList = slices.Clone(p.Topology.SwitchList)
 	p.Topology.SwitchList[si].Capacity = d.Capacity
 	return nil
 }
@@ -270,7 +282,8 @@ func (p *Problem) applyAddSwitch(d Delta) error {
 	if d.Capacity < 1 {
 		return fmt.Errorf("spec: capacity must be >= 1, got %d", d.Capacity)
 	}
-	p.Topology.SwitchList = append(p.Topology.SwitchList, Switch{ID: d.Switch, Capacity: d.Capacity})
+	sl := p.Topology.SwitchList
+	p.Topology.SwitchList = append(sl[:len(sl):len(sl)], Switch{ID: d.Switch, Capacity: d.Capacity})
 	return nil
 }
 
@@ -327,7 +340,8 @@ func (p *Problem) applyLink(d Delta, add bool) error {
 		if have >= 0 {
 			return fmt.Errorf("spec: link %d-%d already exists", a, b)
 		}
-		p.Topology.Links = append(p.Topology.Links, [2]int{a, b})
+		ls := p.Topology.Links
+		p.Topology.Links = append(ls[:len(ls):len(ls)], [2]int{a, b})
 		return nil
 	}
 	if have < 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 
 	"rulefit/internal/core"
 	"rulefit/internal/policy"
@@ -33,22 +34,25 @@ type Version struct {
 func NewVersion(p *Problem, prev *Version) *Version {
 	n := len(p.Policies)
 	v := &Version{spec: p, parts: make([]int, n+1), pols: make([]*policy.Policy, n)}
-	size := 0
+	var w keyWriter
 	if prev != nil {
-		size = len(prev.key) + len(prev.key)/64 // room for a few added rules
+		// The key is written once, into a buffer with room for a few
+		// added rules that becomes the string without a copy.
+		w.Grow(len(prev.key) + len(prev.key)/64)
 	}
-	b := binary.AppendUvarint(p.appendHeadKey(make([]byte, 0, size)), uint64(n))
+	p.writeHeadKey(&w)
+	w.uvarint(uint64(n))
 	for i := range p.Policies {
-		v.parts[i] = len(b)
+		v.parts[i] = w.Len()
 		if prev != nil && i < len(prev.pols) && p.Policies[i].sameAs(&prev.spec.Policies[i]) {
-			b = append(b, prev.key[prev.parts[i]:prev.parts[i+1]]...)
+			w.WriteString(prev.key[prev.parts[i]:prev.parts[i+1]])
 			v.pols[i] = prev.pols[i]
 			continue
 		}
-		b = p.Policies[i].appendKey(b)
+		p.Policies[i].writeKey(&w)
 	}
-	v.parts[n] = len(b)
-	v.key = string(b)
+	v.parts[n] = w.Len()
+	v.key = w.String()
 	return v
 }
 
@@ -79,93 +83,107 @@ func (ps *Policy) sameAs(prev *Policy) bool {
 		slices.Equal(ps.Rules, prev.Rules)
 }
 
-// appendHeadKey appends the key of everything in p but its policies.
-func (p *Problem) appendHeadKey(b []byte) []byte {
+// writeHeadKey writes the key of everything in p but its policies.
+func (p *Problem) writeHeadKey(w *keyWriter) {
 	t := &p.Topology
-	b = appendString(b, t.Type)
+	w.str(t.Type)
 	for _, x := range [...]int{t.K, t.Capacity, t.Hosts, t.Leaves, t.Spines, t.Switches, t.Width, t.Height, t.Degree} {
-		b = binary.AppendVarint(b, int64(x))
+		w.varint(int64(x))
 	}
-	b = binary.AppendVarint(b, t.Seed)
-	b = binary.AppendUvarint(b, uint64(len(t.SwitchList)))
+	w.varint(t.Seed)
+	w.uvarint(uint64(len(t.SwitchList)))
 	for _, s := range t.SwitchList {
-		b = binary.AppendVarint(b, int64(s.ID))
-		b = binary.AppendVarint(b, int64(s.Capacity))
-		b = appendString(b, s.Name)
+		w.varint(int64(s.ID))
+		w.varint(int64(s.Capacity))
+		w.str(s.Name)
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.Links)))
+	w.uvarint(uint64(len(t.Links)))
 	for _, l := range t.Links {
-		b = binary.AppendVarint(b, int64(l[0]))
-		b = binary.AppendVarint(b, int64(l[1]))
+		w.varint(int64(l[0]))
+		w.varint(int64(l[1]))
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.Ports)))
+	w.uvarint(uint64(len(t.Ports)))
 	for _, pt := range t.Ports {
-		b = binary.AppendVarint(b, int64(pt.ID))
-		b = binary.AppendVarint(b, int64(pt.Switch))
-		b = appendBool(b, pt.Ingress)
-		b = appendBool(b, pt.Egress)
+		w.varint(int64(pt.ID))
+		w.varint(int64(pt.Switch))
+		w.flag(pt.Ingress)
+		w.flag(pt.Egress)
 	}
 
 	r := &p.Routing
-	b = binary.AppendUvarint(b, uint64(len(r.Pairs)))
+	w.uvarint(uint64(len(r.Pairs)))
 	for _, pr := range r.Pairs {
-		b = binary.AppendVarint(b, int64(pr.In))
-		b = binary.AppendVarint(b, int64(pr.Out))
+		w.varint(int64(pr.In))
+		w.varint(int64(pr.Out))
 	}
-	b = binary.AppendVarint(b, r.Seed)
-	b = binary.AppendUvarint(b, uint64(len(r.Paths)))
+	w.varint(r.Seed)
+	w.uvarint(uint64(len(r.Paths)))
 	for _, path := range r.Paths {
-		b = binary.AppendVarint(b, int64(path.Ingress))
-		b = binary.AppendVarint(b, int64(path.Egress))
-		b = binary.AppendUvarint(b, uint64(len(path.Switches)))
+		w.varint(int64(path.Ingress))
+		w.varint(int64(path.Egress))
+		w.uvarint(uint64(len(path.Switches)))
 		for _, s := range path.Switches {
-			b = binary.AppendVarint(b, int64(s))
+			w.varint(int64(s))
 		}
-		b = appendString(b, path.Traffic)
+		w.str(path.Traffic)
 	}
-	b = appendBool(b, r.TrafficSlices)
+	w.flag(r.TrafficSlices)
 
-	b = binary.AppendUvarint(b, uint64(len(p.Monitors)))
+	w.uvarint(uint64(len(p.Monitors)))
 	for _, m := range p.Monitors {
-		b = binary.AppendVarint(b, int64(m.Switch))
-		b = appendString(b, m.Pattern)
-		b = appendString(b, m.SrcCIDR)
-		b = appendString(b, m.DstCIDR)
+		w.varint(int64(m.Switch))
+		w.str(m.Pattern)
+		w.str(m.SrcCIDR)
+		w.str(m.DstCIDR)
 	}
-	return b
 }
 
-// appendKey appends the key of one policy.
-func (ps *Policy) appendKey(b []byte) []byte {
-	b = binary.AppendVarint(b, int64(ps.Ingress))
-	b = binary.AppendUvarint(b, uint64(len(ps.Rules)))
+// writeKey writes the key of one policy.
+func (ps *Policy) writeKey(w *keyWriter) {
+	w.varint(int64(ps.Ingress))
+	w.uvarint(uint64(len(ps.Rules)))
 	for _, r := range ps.Rules {
-		b = appendString(b, r.Pattern)
-		b = appendString(b, r.SrcCIDR)
-		b = appendString(b, r.DstCIDR)
-		b = binary.AppendVarint(b, int64(r.SrcPort))
-		b = binary.AppendVarint(b, int64(r.DstPort))
-		b = appendString(b, r.Proto)
-		b = appendString(b, r.Action)
-		b = binary.AppendVarint(b, int64(r.Priority))
+		w.str(r.Pattern)
+		w.str(r.SrcCIDR)
+		w.str(r.DstCIDR)
+		w.varint(int64(r.SrcPort))
+		w.varint(int64(r.DstPort))
+		w.str(r.Proto)
+		w.str(r.Action)
+		w.varint(int64(r.Priority))
 	}
 	g := ps.Generate
-	b = appendBool(b, g != nil)
+	w.flag(g != nil)
 	if g != nil {
-		b = binary.AppendVarint(b, int64(g.NumRules))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.DropFrac))
-		b = binary.AppendVarint(b, g.Seed)
+		w.varint(int64(g.NumRules))
+		w.Write(binary.LittleEndian.AppendUint64(make([]byte, 0, 8), math.Float64bits(g.DropFrac)))
+		w.varint(g.Seed)
 	}
-	return b
 }
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+// keyWriter writes a key.
+type keyWriter struct{ strings.Builder }
+
+func (w *keyWriter) varint(x int64) {
+	var t [binary.MaxVarintLen64]byte
+	w.Write(binary.AppendVarint(t[:0], x))
 }
 
-func appendBool(b []byte, x bool) []byte {
+func (w *keyWriter) uvarint(x uint64) {
+	var t [binary.MaxVarintLen64]byte
+	w.Write(binary.AppendUvarint(t[:0], x))
+}
+
+func (w *keyWriter) str(s string) {
+	w.uvarint(uint64(len(s)))
+	w.WriteString(s)
+}
+
+// flag writes a bool as one byte, 0 or 1.
+func (w *keyWriter) flag(x bool) {
 	if x {
-		return append(b, 1)
+		w.WriteByte(1)
+	} else {
+		w.WriteByte(0)
 	}
-	return append(b, 0)
 }

@@ -3,6 +3,7 @@ package spec_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -176,4 +177,37 @@ func TestKeyCoversEveryField(t *testing.T) {
 	if changes < 50 {
 		t.Fatalf("only %d changes checked", changes)
 	}
+}
+
+// keySlack is what NewVersion may allocate beyond its key's bytes and
+// the key's room for added rules (1/64 of the key before): the Version
+// and its per-policy tables, under 1 KB for 8 policies, and the
+// rounding of a buffer over 32 KB up to whole 8 KB pages.
+const keySlack = 1<<10 + 8<<10
+
+// TestNewVersionAllocatesKeyOnce holds NewVersion to one buffer for the
+// key, written in place: on perfbench's session-delta instance with
+// one policy edited, the edit's version allocates at most the key's
+// length, its room and keySlack.
+func TestNewVersionAllocatesKeyOnce(t *testing.T) {
+	p := randgenProblem(t, sessionConfig)
+	prev := spec.NewVersion(p, nil)
+	next := *p
+	pol := p.Policies[3]
+	if err := next.Apply(spec.Delta{Op: spec.OpRemoveRule, Ingress: pol.Ingress, Priority: pol.Rules[0].Priority}); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var v *spec.Version
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		v = spec.NewVersion(&next, prev)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(prev.Key()) + len(prev.Key())/64 + keySlack); per > limit {
+		t.Fatalf("NewVersion allocates %d bytes for a %d-byte key, want at most %d", per, len(v.Key()), limit)
+	}
+	t.Logf("NewVersion allocates %d bytes for a %d-byte key", per, len(v.Key()))
 }

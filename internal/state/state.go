@@ -281,15 +281,21 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next := s.inst.Spec().Clone()
+	// Deltas edit copy-on-write, so the next instance shares every
+	// slice the batch leaves alone with the current one.
+	next := *s.inst.Spec()
 	if err := next.ApplyAll(deltas); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
+	}
+	if invariant.Enabled {
+		invariant.Assert(spec.NewVersion(s.inst.Spec(), nil).Key() == s.inst.Key(),
+			"state: a delta wrote into the current version's instance")
 	}
 	var trace *obs.Trace
 	if req != nil {
 		trace = req.Trace
 	}
-	res, err := s.solveLocked(spec.NewVersion(next, s.inst), trace, sink)
+	res, err := s.solveLocked(spec.NewVersion(&next, s.inst), trace, sink)
 	if err != nil {
 		return nil, err
 	}

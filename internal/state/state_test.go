@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"rulefit/internal/bench"
 	"rulefit/internal/core"
+	"rulefit/internal/invariant"
 	"rulefit/internal/randgen"
 	"rulefit/internal/spec"
 )
@@ -502,5 +504,74 @@ func TestMergeTableBounded(t *testing.T) {
 	}
 	if res.Path != PathWarm || res.CacheStats.MergeHits != 1 {
 		t.Fatalf("capacity delta: path %s, cache stats %+v; want warm with 1 merge hit", res.Path, res.CacheStats)
+	}
+}
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// parentEditBytes is what one edit of TestEditAllocationBudget's
+// stream allocated before the encoder stopped hashing its variables,
+// the memo key was written in place and edits became copy-on-write:
+// the same test body measured 807 KB per edit (linux/amd64, Go 1.24).
+const parentEditBytes = 807 << 10
+
+// TestEditAllocationBudget holds a session edit to half of
+// parentEditBytes. On perfbench's session-delta instance class
+// (randgen seed 1, fat-tree k=4, 8 policies × 100 five-tuple rules,
+// slack capacities) it streams single-rule edits, round-robin over the
+// policies and alternating between removing one of the policy's rules
+// and adding a fresh drop rule, so no instance repeats: each edit
+// misses the memo, hits seven fragments and re-certifies one policy.
+// It measures the bytes the stream allocates per edit.
+func TestEditAllocationBudget(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("under rulefitdebug every edit also builds its instance afresh")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what allocates")
+	}
+	inst, err := randgen.Generate(randgen.Config{
+		Seed: 1, Topo: randgen.TopoFatTree, FatTreeK: 4, Ingresses: 8,
+		PathsPerIngress: 2, RulesPerPolicy: 100, Capacity: randgen.CapSlack,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := spec.FromCore(inst.Problem)
+	s, _, err := NewManager(Config{}).Create(sp, core.Options{TimeLimit: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(sp.Policies)
+	edit := func(i int) spec.Delta {
+		pol := sp.Policies[i%n]
+		r := pol.Rules[i/n]
+		if i%2 == 0 {
+			return spec.Delta{Op: spec.OpRemoveRule, Ingress: pol.Ingress, Priority: r.Priority}
+		}
+		return spec.Delta{Op: spec.OpAddRule, Ingress: pol.Ingress, Rule: &spec.Rule{
+			Pattern: r.Pattern, Action: "drop", Priority: 1000 + i}}
+	}
+	const warm, edits = 8, 48
+	var before, after runtime.MemStats
+	for i := 0; i < warm+edits; i++ {
+		if i == warm {
+			runtime.ReadMemStats(&before)
+		}
+		res, err := s.Delta([]spec.Delta{edit(i)}, nil, nil)
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if res.Path != PathWarm || res.SolStats.Misses != 1 || res.SolStats.Hits != int64(n-1) {
+			t.Fatalf("edit %d: path %s, %d fragment hits and %d misses; want warm, %d and 1",
+				i, res.Path, res.SolStats.Hits, res.SolStats.Misses, n-1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / edits
+	t.Logf("an edit allocates %d KB", per>>10)
+	if per > parentEditBytes/2 {
+		t.Fatalf("an edit allocates %d KB, want at most %d KB (half of %d KB)", per>>10, parentEditBytes>>11, parentEditBytes>>10)
 	}
 }

@@ -137,7 +137,7 @@ stage_fuzz() {
     local target
     for target in FuzzTernaryOverlap:./internal/match/ FuzzSpecParse:./internal/spec/ \
         FuzzPlaceDifferential:./internal/diffcheck/ FuzzSessionDelta:./internal/daemon/ \
-        FuzzPolicyKey:./internal/policy/; do
+        FuzzPolicyKey:./internal/policy/ FuzzEncodeMatchesReference:./internal/core/; do
         step "fuzz ${target%%:*} (30s)"
         go test -fuzz "${target%%:*}" -fuzztime 30s -run '^$' "${target#*:}"
     done
