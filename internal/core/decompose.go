@@ -276,20 +276,28 @@ func boolKey(v bool) int64 {
 // the subproblem. The stateful session layer (internal/state) attaches
 // one per session so a small delta re-certifies only the subproblems
 // it actually changed. A cache hit is indistinguishable from a fresh
-// certification: fragments are stored and served as deep copies, and
-// they carry the encoding sizes of the original one.
+// certification: fragments are stored and served as copies that share
+// only their policy, read-only, and they carry the encoding sizes of
+// the original one.
 type SolutionCache struct {
 	mu      sync.Mutex
-	entries *lru.Cache[*Placement]
+	entries *lru.Cache[cachedFragment]
 
 	hits, misses int64
+}
+
+// cachedFragment is one stored fragment; polKey is sharedKey of its
+// policy as stored.
+type cachedFragment struct {
+	frag   *Placement
+	polKey string
 }
 
 // NewSolutionCache returns an empty fragment cache sized, like
 // EncodeCache, to versionsPerPolicy fragments per policy of instances
 // with the given policy count.
 func NewSolutionCache(policies int) *SolutionCache {
-	return &SolutionCache{entries: lru.New[*Placement](versionsPerPolicy * max(policies, 1))}
+	return &SolutionCache{entries: lru.New[cachedFragment](versionsPerPolicy * max(policies, 1))}
 }
 
 // SolutionCacheStats is a point-in-time snapshot of the hit counters.
@@ -312,37 +320,40 @@ func (c *SolutionCache) Len() int {
 	return c.entries.Len()
 }
 
-// lookup serves a deep copy of the cached fragment, or reports a miss.
+// lookup serves a copy of the cached fragment, or reports a miss.
 func (c *SolutionCache) lookup(key string) (*Placement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	frag, ok := c.entries.Get(key)
+	ent, ok := c.entries.Get(key)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	return cloneFragment(frag), true
+	assertShared(ent.frag.Policies[0], ent.polKey)
+	return cloneFragment(ent.frag), true
 }
 
-// store records a freshly certified fragment (deep-copied, so the
-// served placement cannot alias cache-owned memory).
+// store records a copy of a freshly certified fragment, so the served
+// placement's assignment cannot alias cache-owned memory.
 func (c *SolutionCache) store(key string, frag *Placement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries.Put(key, cloneFragment(frag))
+	c.entries.Put(key, cachedFragment{frag: cloneFragment(frag), polKey: sharedKey(frag.Policies[0])})
 }
 
-// cloneFragment deep-copies a single-policy fragment placement. The
-// wall-clock SolveTime is zeroed: fragment times are an artifact of
-// when the fragment was first solved, and the stitcher re-stamps the
-// whole decomposed solve's wall time.
+// cloneFragment copies a single-policy fragment placement. Its
+// assignment is deep-copied and its policy shared, since built
+// policies are never mutated. The wall-clock SolveTime is zeroed:
+// fragment times are an artifact of when the fragment was first
+// solved, and the stitcher re-stamps the whole decomposed solve's wall
+// time.
 func cloneFragment(frag *Placement) *Placement {
 	out := &Placement{
 		Status:     frag.Status,
 		TotalRules: frag.TotalRules,
 		Objective:  frag.Objective,
-		Policies:   []*policy.Policy{frag.Policies[0].Clone()},
+		Policies:   []*policy.Policy{frag.Policies[0]},
 		Assign:     make([][][]topology.SwitchID, 1),
 		MergedAt:   make([][]topology.SwitchID, 0),
 		Stats:      frag.Stats,

@@ -122,11 +122,9 @@ func buildEncoding(prob *Problem, opts Options, span *obs.Span) (*encoding, erro
 				continue
 			}
 		}
+		e.policies[i] = pol
 		if opts.RemoveRedundant {
-			reduced, _ := policy.RemoveRedundant(pol)
-			e.policies[i] = reduced
-		} else {
-			e.policies[i] = pol.Clone()
+			e.policies[i], _ = policy.RemoveRedundant(pol)
 		}
 	}
 	redSp.End()

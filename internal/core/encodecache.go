@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"rulefit/internal/deps"
+	"rulefit/internal/invariant"
 	"rulefit/internal/lru"
 	"rulefit/internal/policy"
 )
@@ -17,10 +18,10 @@ import (
 //
 // Correctness contract: a cache hit must be indistinguishable from a
 // fresh computation. Keys are full canonical renderings (not hashes),
-// so collisions are impossible; cached reduced policies are cloned on
-// both store and serve so no caller can alias cache-owned memory;
-// dependency graphs and merge groups are shared read-only (their
-// consumers never mutate them — BreakCycles copies member slices).
+// so collisions are impossible. Reduced policies, dependency graphs and
+// merge groups are shared read-only: a built policy is never mutated
+// (an edit builds a new one, and a hit asserts as much in rulefitdebug
+// builds, see sharedKey), and BreakCycles copies member slices.
 // TestEncodeCacheByteIdentity asserts placements are byte-identical
 // with and without a cache attached.
 type EncodeCache struct {
@@ -32,10 +33,31 @@ type EncodeCache struct {
 	mergeHits, mergeMisses   int64
 }
 
-// policyArtifacts is one cached per-policy encode result.
+// policyArtifacts is one cached per-policy encode result. reducedKey
+// is sharedKey(reduced) as stored.
 type policyArtifacts struct {
-	reduced *policy.Policy
-	graph   *deps.Graph
+	reduced    *policy.Policy
+	graph      *deps.Graph
+	reducedKey string
+}
+
+// sharedKey renders a policy that a cache shares with its callers, in
+// rulefitdebug builds only; untagged builds render nothing. A hit
+// passes it to assertShared, so a policy mutated in place after it was
+// stored panics there rather than corrupting a later answer.
+func sharedKey(pol *policy.Policy) string {
+	if !invariant.Enabled {
+		return ""
+	}
+	return string(pol.AppendKey(nil))
+}
+
+// assertShared checks, in rulefitdebug builds, that a cached policy
+// still renders the key sharedKey gave it when it was stored.
+func assertShared(pol *policy.Policy, stored string) {
+	if invariant.Enabled {
+		invariant.Assert(sharedKey(pol) == stored, "core: cached policy for ingress %d mutated since it was stored", pol.Ingress)
+	}
 }
 
 // Cache bounds, shared with SolutionCache. A decomposed solve looks up
@@ -107,8 +129,7 @@ func policyKey(pol *policy.Policy, removeRedundant bool) string {
 }
 
 // lookupPolicy serves the cached (reduced policy, dependency graph)
-// pair for a policy, or reports a miss. The reduced policy is cloned:
-// the encoding and the Placement that escapes from it own their copy.
+// pair for a policy, or reports a miss. Both are shared read-only.
 func (c *EncodeCache) lookupPolicy(pol *policy.Policy, removeRedundant bool) (*policy.Policy, *deps.Graph, bool) {
 	key := policyKey(pol, removeRedundant)
 	c.mu.Lock()
@@ -119,17 +140,16 @@ func (c *EncodeCache) lookupPolicy(pol *policy.Policy, removeRedundant bool) (*p
 		return nil, nil, false
 	}
 	c.policyHits++
-	return art.reduced.Clone(), art.graph, true
+	assertShared(art.reduced, art.reducedKey)
+	return art.reduced, art.graph, true
 }
 
-// storePolicy records freshly computed artifacts for a policy. The
-// reduced policy is cloned into the cache so the caller's copy (which
-// escapes into the Placement) cannot alias cache-owned memory.
+// storePolicy records freshly computed artifacts for a policy.
 func (c *EncodeCache) storePolicy(pol *policy.Policy, removeRedundant bool, reduced *policy.Policy, g *deps.Graph) {
 	key := policyKey(pol, removeRedundant)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.policies.Put(key, policyArtifacts{reduced: reduced.Clone(), graph: g})
+	c.policies.Put(key, policyArtifacts{reduced: reduced, graph: g, reducedKey: sharedKey(reduced)})
 }
 
 // mergeKey renders the full (already reduced) policy list to the

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rulefit/internal/invariant"
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
 	"rulefit/internal/topology"
@@ -147,29 +148,49 @@ func TestEncodeCacheByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeCacheServesClones proves callers cannot corrupt the cache
-// through a served policy: mutating a hit's rules leaves later hits
-// equal to a fresh computation.
-func TestEncodeCacheServesClones(t *testing.T) {
+// TestEncodeCacheSharesPolicies pins the caches' sharing contract: an
+// encode-cache hit serves the very reduced policy that was stored, a
+// fragment-cache hit shares its fragment's policy, and in rulefitdebug
+// builds a hit on a policy mutated in place since it was stored panics
+// instead of serving it.
+func TestEncodeCacheSharesPolicies(t *testing.T) {
 	prob := twoIngressProblem(t, 10)
 	cache := NewEncodeCache(len(prob.Policies))
-	opts := Options{Merging: true, EncodeCache: cache}.withDefaults()
-	if _, err := buildEncoding(prob, opts, nil); err != nil {
+	opts := Options{Merging: true, RemoveRedundant: true, EncodeCache: cache}.withDefaults()
+	enc, err := buildEncoding(prob, opts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	first, _, ok := cache.lookupPolicy(prob.Policies[0], false)
+	shared, _, ok := cache.lookupPolicy(prob.Policies[0], true)
 	if !ok {
 		t.Fatal("expected cache hit")
 	}
-	first.Rules[0].Action = policy.Drop // attack the served copy
-	first.Rules = first.Rules[:1]
-
-	second, _, ok := cache.lookupPolicy(prob.Policies[0], false)
-	if !ok {
-		t.Fatal("expected second cache hit")
+	if shared != enc.policies[0] {
+		t.Fatal("encode-cache hit serves a copy of the stored policy")
 	}
-	if !reflect.DeepEqual(second, prob.Policies[0].Clone()) {
-		t.Fatalf("cache entry corrupted by caller mutation:\n got %v\nwant %v", second, prob.Policies[0])
+	if fresh, _ := policy.RemoveRedundant(prob.Policies[0]); !reflect.DeepEqual(shared, fresh) {
+		t.Fatalf("cache entry differs from a fresh computation:\n got %v\nwant %v", shared, fresh)
+	}
+	frags := NewSolutionCache(1)
+	frags.store("k", &Placement{Policies: []*policy.Policy{shared}, Assign: [][][]topology.SwitchID{{{1}}}})
+	if frag, ok := frags.lookup("k"); !ok || frag.Policies[0] != shared {
+		t.Fatalf("fragment-cache hit %v does not share the stored policy", ok)
+	}
+	if !invariant.Enabled {
+		return
+	}
+	shared.Rules[0].Priority++ // an in-place edit of a built policy
+	for name, hit := range map[string]func(){
+		"encode cache":   func() { cache.lookupPolicy(prob.Policies[0], true) },
+		"fragment cache": func() { frags.lookup("k") },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s served a policy mutated since it was stored", name)
+				}
+			}()
+			hit()
+		}()
 	}
 }

@@ -11,10 +11,11 @@ import (
 )
 
 // TestMetricsFoldMatchesJointSolve: a registry attached as the solver
-// sink of a joint placement (Table II's m=1, C=9 cell with merging on,
-// which strong-branches) holds exactly that solve's Stats.
+// sink of a joint placement (Table II's m=1, C=8 cell with merging on,
+// whose root gap is above 0, so its tree strong-branches) holds exactly
+// that solve's Stats.
 func TestMetricsFoldMatchesJointSolve(t *testing.T) {
-	prob, err := bench.Build(bench.Config{K: 4, Ingresses: 8, PathsPerIngress: 4, Rules: 8, Capacity: 9, Mergeable: 1})
+	prob, err := bench.Build(bench.Config{K: 4, Ingresses: 8, PathsPerIngress: 4, Rules: 8, Capacity: 8, Mergeable: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,11 @@ type foldFixture struct {
 	opts Options
 }
 
-// foldFixtures covers every way a solve ends: proven optimal (with
-// strong-branch trials and stale skips), a node limit with and without
-// an incumbent, infeasibility proven by the root LP, and unbounded.
+// foldFixtures covers every way a solve ends: proven optimal (by the
+// root dive, and by a tree with strong-branch trials and stale skips),
+// a node limit with and without an incumbent, infeasibility proven by
+// the root LP, and unbounded. The tree and node-limit fixtures have a
+// root gap above 0, so the root dive cannot close them.
 func foldFixtures() []foldFixture {
 	limit := 60 * time.Second
 	oneVarRow := NewModel()
@@ -49,12 +51,12 @@ func foldFixtures() []foldFixture {
 	unbounded.AddConstraint([]Term{{u, -1}}, LE, 0, "noop")
 
 	return []foldFixture{
-		{"branching s11/n20", parallelFixture(11, 20), Options{TimeLimit: limit}},
-		{"branching s11/n24", parallelFixture(11, 24), Options{TimeLimit: limit}},
-		{"branching s9/n20", parallelFixture(9, 20), Options{TimeLimit: limit}},
-		{"node limit, incumbent", parallelFixture(9, 20), Options{NodeLimit: 3}},
-		{"node limit, none", parallelFixture(11, 20), Options{NodeLimit: 3}},
-		{"branching s7/n16", parallelFixture(7, 16), Options{TimeLimit: limit}},
+		{"root dive s11/n20", parallelFixture(11, 20), Options{TimeLimit: limit}},
+		{"branching s18/n24", parallelFixture(18, 24), Options{TimeLimit: limit}},
+		{"root dive s9/n20", parallelFixture(9, 20), Options{TimeLimit: limit}},
+		{"node limit, incumbent", parallelFixture(21, 20), Options{NodeLimit: 3}},
+		{"node limit, none", parallelFixture(5, 20), Options{NodeLimit: 3}},
+		{"root dive s7/n16", parallelFixture(7, 16), Options{TimeLimit: limit}},
 		{"one-variable row", oneVarRow, Options{TimeLimit: limit}},
 		{"contradictory rows", contradictory, Options{TimeLimit: limit}},
 		{"root LP infeasible", rootInfeasible, Options{TimeLimit: limit}},
@@ -182,7 +184,7 @@ func TestTraceEffortMatchesStats(t *testing.T) {
 			t.Errorf("%s: trace reports %d nodes, %d iters, %d refactors; Stats %d, %d, %d", f.name,
 				sum.Nodes, sum.SimplexIters, sum.LURefactors, st.BnBNodes, st.SimplexIters, st.LURefactors)
 		}
-		if f.name == "branching s11/n24" && st.StrongBranchEvals == 0 {
+		if f.name == "branching s18/n24" && st.StrongBranchEvals == 0 {
 			t.Errorf("%s: no strong-branch trials, so the check above proves less", f.name)
 		}
 	}

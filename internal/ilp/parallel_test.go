@@ -105,10 +105,12 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSolveWorkersMatchSequentialSearch asserts that the node and
 // iteration counts — not just the answer — are identical across pool
-// sizes: the parallel search must expand the same tree.
+// sizes: the parallel search must expand the same tree. The fixture's
+// root gap is above 0, so the root dive cannot close it and a tree
+// grows.
 func TestSolveWorkersMatchSequentialSearch(t *testing.T) {
-	m1 := parallelFixture(42, 18)
-	m8 := parallelFixture(42, 18)
+	m1 := parallelFixture(70, 18)
+	m8 := parallelFixture(70, 18)
 	s1, err := solve(m1, Options{TimeLimit: 60 * time.Second}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -125,14 +127,15 @@ func TestSolveWorkersMatchSequentialSearch(t *testing.T) {
 
 // TestSolveParallelStress solves a tight instance with many workers; its
 // real value is under `go test -race`, which checks the batch fan-out
-// for data races. -short keeps it to one instance.
+// for data races. The seeds are ones the root dive cannot close, so
+// each grows a tree. -short keeps it to one instance.
 func TestSolveParallelStress(t *testing.T) {
-	trials := 6
+	seeds := []int64{28, 44, 51, 109, 131, 156}
 	if testing.Short() {
-		trials = 1
+		seeds = seeds[:1]
 	}
-	for trial := 0; trial < trials; trial++ {
-		m := parallelFixture(int64(100+trial), 22)
+	for trial, seed := range seeds {
+		m := parallelFixture(seed, 22)
 		sol, err := solve(m, Options{TimeLimit: 60 * time.Second}, 8)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -284,13 +284,23 @@ func (b *bnb) run() (Solution, error) {
 		b.emit(obs.Event{Kind: obs.KindRootLP, Bound: rootRaw,
 			Iters: s.iters, Refactors: s.refactors, BranchVar: -1, Gap: -1})
 	}
-	rootBound := rootRaw
-	if b.objIntegral {
-		rootBound = math.Ceil(rootBound - 1e-6)
-	}
+	rootBound := b.pruneBound(rootRaw)
 	b.rootBound, b.haveRoot = rootBound, true
 
 	rootX := s.primalValues()
+	if b.diveVar(rootX) < 0 {
+		// An integral root LP point is optimal as it stands.
+		b.stats.IntegralLeaves++
+		b.stats.Incumbents++
+		b.stats.LastIncumbentAtNode = 1
+		x, obj := b.canonical(rootX)
+		if b.sink != nil {
+			b.emit(obs.Event{Kind: obs.KindNode, Node: 1, Outcome: obs.OutcomeIntegral,
+				Bound: rootBound, BranchVar: -1, Gap: -1})
+			b.emit(obs.Event{Kind: obs.KindIncumbent, Node: 1, Incumbent: obj, Gap: -1})
+		}
+		return b.finish(x, obj, true)
+	}
 	root := &workItem{
 		lo:        append([]float64(nil), s.lo[:s.nOrig]...),
 		hi:        append([]float64(nil), s.hi[:s.nOrig]...),
@@ -303,32 +313,43 @@ func (b *bnb) run() (Solution, error) {
 		state: append([]int8(nil), s.state[:s.nBase]...),
 		snap:  s.captureSnapshot(),
 	}
-	if frac := b.selectBranch(root, &rootRes); frac >= 0 {
-		b.stats.Branched++
-		if b.sink != nil {
-			f := rootX[frac] - math.Floor(rootX[frac])
-			b.emit(obs.Event{Kind: obs.KindNode, Node: 1, Outcome: obs.OutcomeBranched,
-				Bound: rootBound, BranchVar: frac, Frac: math.Min(f, 1-f), Gap: -1})
-		}
-		b.deque = b.makeChildren(root, &rootRes, frac)
-		searchSp := b.span.Child("search")
-		err := b.search(s)
-		searchSp.SetCount("nodes", int64(b.stats.BnBNodes))
-		searchSp.End()
-		if err != nil {
-			return Solution{}, err
-		}
-	} else {
-		b.stats.IntegralLeaves++
+	// The search span covers the root dive, the root's strong branching
+	// and the tree.
+	searchSp := b.span.Child("search")
+	dive := b.rootDive(s, root, &rootRes)
+	b.stats.SimplexIters += dive.iters
+	b.stats.LURefactors += dive.refactors
+	searchSp.SetCount("dive_steps", int64(dive.steps))
+	searchSp.SetCount("dive_iters", int64(dive.iters))
+	if dive.x != nil {
+		// The dive's point meets the root bound, so the root node is
+		// pruned by its own incumbent.
+		b.stats.PrunedBound++
 		b.stats.Incumbents++
 		b.stats.LastIncumbentAtNode = 1
-		x, obj := b.canonical(rootX)
 		if b.sink != nil {
-			b.emit(obs.Event{Kind: obs.KindNode, Node: 1, Outcome: obs.OutcomeIntegral,
-				Bound: rootBound, BranchVar: -1, Gap: -1})
-			b.emit(obs.Event{Kind: obs.KindIncumbent, Node: 1, Incumbent: obj, Gap: -1})
+			b.emit(obs.Event{Kind: obs.KindIncumbent, Node: 1, Incumbent: dive.obj, BranchVar: -1, Gap: -1})
+			b.emit(obs.Event{Kind: obs.KindNode, Node: 1, Outcome: obs.OutcomeBound, Bound: rootBound,
+				Iters: dive.iters, Refactors: dive.refactors, BranchVar: -1, Gap: -1})
 		}
-		return b.finish(x, obj, true)
+		searchSp.SetCount("nodes", 1)
+		searchSp.End()
+		return b.finish(dive.x, dive.obj, true)
+	}
+	frac := b.selectBranch(root, &rootRes)
+	b.stats.Branched++
+	if b.sink != nil {
+		f := rootX[frac] - math.Floor(rootX[frac])
+		b.emit(obs.Event{Kind: obs.KindNode, Node: 1, Outcome: obs.OutcomeBranched,
+			Bound: rootBound, BranchVar: frac, Frac: math.Min(f, 1-f),
+			Iters: dive.iters, Refactors: dive.refactors, Gap: -1})
+	}
+	b.deque = b.makeChildren(root, &rootRes, frac)
+	err = b.search(s)
+	searchSp.SetCount("nodes", int64(b.stats.BnBNodes))
+	searchSp.End()
+	if err != nil {
+		return Solution{}, err
 	}
 
 	if b.hitDeadline || b.hitNodeLimit {
@@ -623,10 +644,7 @@ func (b *bnb) mergeNode(it *workItem, r *nodeResult) error {
 			b.recordPseudocost(it.branchVar, it.branchUp, gain/den)
 		}
 	}
-	bound := r.raw
-	if b.objIntegral {
-		bound = math.Ceil(bound - 1e-6)
-	}
+	bound := b.pruneBound(r.raw)
 	if b.haveInc && bound >= b.incumbentObj-incTol {
 		// Dominated by an incumbent merged earlier.
 		b.stats.PrunedBound++
@@ -681,10 +699,7 @@ func (b *bnb) nodeEvent(it *workItem, r *nodeResult, outcome string, bound float
 func (b *bnb) makeChildren(it *workItem, r *nodeResult, j int) []*workItem {
 	x := r.x[j]
 	floor := math.Floor(x)
-	bound := r.raw
-	if b.objIntegral {
-		bound = math.Ceil(bound - 1e-6)
-	}
+	bound := b.pruneBound(r.raw)
 	mk := func(lo0, hi0 float64, up bool) *workItem {
 		lo := append([]float64(nil), it.lo...)
 		hi := append([]float64(nil), it.hi...)
@@ -699,6 +714,22 @@ func (b *bnb) makeChildren(it *workItem, r *nodeResult, j int) []*workItem {
 		return []*workItem{up, down} // dive toward floor first
 	}
 	return []*workItem{down, up}
+}
+
+// pruneBound is the bound a node with LP objective raw prunes against:
+// ceiled when every objective coefficient is an integer.
+func (b *bnb) pruneBound(raw float64) float64 {
+	if b.objIntegral {
+		return math.Ceil(raw - 1e-6)
+	}
+	return raw
+}
+
+// fractional reports whether an integer variable's LP value x is more
+// than 1e-6 away from the nearest integer, the branching criterion.
+func fractional(x float64) bool {
+	f := x - math.Floor(x)
+	return math.Min(f, 1-f) > 1e-6
 }
 
 // canonical rounds the integer components of an LP point and evaluates
@@ -754,11 +785,7 @@ func (b *bnb) deadlineExpired() bool {
 func (b *bnb) selectBranch(it *workItem, r *nodeResult) int {
 	cands := b.candBuf[:0]
 	for j, v := range b.model.vars {
-		if !v.integer {
-			continue
-		}
-		f := r.x[j] - math.Floor(r.x[j])
-		if math.Min(f, 1-f) > 1e-6 {
+		if v.integer && fractional(r.x[j]) {
 			cands = append(cands, j)
 		}
 	}

@@ -152,8 +152,9 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 
 // TestStopReasonNodeLimit asserts the node limit is reported as the stop
 // reason and the outcome accounting stays intact when the search is cut.
+// The fixture's root gap is above 0, so the root dive cannot close it.
 func TestStopReasonNodeLimit(t *testing.T) {
-	sol, err := Solve(parallelFixture(11, 20), Options{NodeLimit: 3})
+	sol, err := Solve(parallelFixture(5, 20), Options{NodeLimit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,9 +237,10 @@ stage_smoke() {
     scrape /statusz '"requests_1m"'
     curl -sf "$daemon_url/debug/flightz" | "$work/traceview" -check > /dev/null
     # Deadline-killed solve: a tight-capacity instance (the hard Fig. 7
-    # regime) killed at 250ms must leave its per-request flight ring in
-    # -flight-dir, and traceview must parse it as a partial trace.
-    go run ./cmd/benchgen -k 4 -rules 20 -capacity 25 -out "$work/tight-problem.json"
+    # regime, which answers limit even after 60s) killed at 250ms must
+    # leave its per-request flight ring in -flight-dir, and traceview
+    # must parse it as a partial trace.
+    go run ./cmd/benchgen -k 4 -rules 30 -capacity 25 -out "$work/tight-problem.json"
     place_request "$work/tight-problem.json" 0.25 > "$work/tight-request.json"
     curl -sf -X POST --data @"$work/tight-request.json" "$daemon_url/v1/place" > "$work/tight.json" &
     curl_pid=$!
@@ -253,22 +254,19 @@ stage_smoke() {
     done
     test "$(curl -s -o "$work/cpu.pprof" -w '%{http_code}' 'http://127.0.0.1:18096/debug/pprof/profile?seconds=1')" = 200
     wait "$curl_pid"
-    if grep -q '"stop_reason":"deadline"' "$work/tight.json"; then
-        local dump
-        dump=$(ls -t "$work"/flight/flight-req-*.jsonl | head -1)
-        test -s "$dump"
-        "$work/traceview" -check "$dump" > "$work/dump-check.txt"
-        expect "$work/dump-check.txt" partial
-        # The solve ran under its trace_id pprof label, so the pulled
-        # profile's samples name the request.
-        local tight_id
-        tight_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/tight.json")
-        go tool pprof -tags "$work/cpu.pprof" > "$work/tags.txt"
-        expect "$work/tags.txt" trace_id
-        expect "$work/tags.txt" "$tight_id"
-    else
-        echo "solve beat the 250ms deadline; skipping dump and profile label assertions"
-    fi
+    expect "$work/tight.json" '"stop_reason":"deadline"'
+    local dump
+    dump=$(ls -t "$work"/flight/flight-req-*.jsonl | head -1)
+    test -s "$dump"
+    "$work/traceview" -check "$dump" > "$work/dump-check.txt"
+    expect "$work/dump-check.txt" partial
+    # The solve ran under its trace_id pprof label, so the pulled
+    # profile's samples name the request.
+    local tight_id
+    tight_id=$(sed -n 's/.*"trace_id":"\([^"]*\)".*/\1/p' "$work/tight.json")
+    go tool pprof -tags "$work/cpu.pprof" > "$work/tags.txt"
+    expect "$work/tags.txt" trace_id
+    expect "$work/tags.txt" "$tight_id"
     stop_daemon
     # No flag brings back the profile watchdog: ruleplaced refuses the
     # old flags as it does any unknown one (exit 2).
